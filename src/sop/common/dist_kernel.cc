@@ -14,8 +14,17 @@ namespace {
 
 // Process-global backend selection. Written at startup (flag parsing) and
 // read per batch; relaxed atomics keep reads free on the hot path while
-// staying clean under tsan if a server thread flips it.
-std::atomic<KernelBackend> g_backend{KernelBackend::kScalar};
+// staying clean under tsan if a server thread flips it. Until a caller
+// picks a backend it holds kUnresolved, and the first read resolves the
+// default ("auto"): a namespace-scope initializer could probe the CPU
+// before the compiler runtime's feature detection has run.
+constexpr int kUnresolved = -1;
+std::atomic<int> g_backend{kUnresolved};
+
+KernelBackend BestBackend() {
+  return KernelBackendSupported(KernelBackend::kAvx2) ? KernelBackend::kAvx2
+                                                      : KernelBackend::kScalar;
+}
 
 }  // namespace
 
@@ -44,9 +53,7 @@ bool ParseKernelBackend(const std::string& name, KernelBackend* out) {
     return true;
   }
   if (name == "auto") {
-    *out = KernelBackendSupported(KernelBackend::kAvx2)
-               ? KernelBackend::kAvx2
-               : KernelBackend::kScalar;
+    *out = BestBackend();
     return true;
   }
   return false;
@@ -64,12 +71,21 @@ const char* KernelBackendName(KernelBackend backend) {
 
 bool SetKernelBackend(KernelBackend backend) {
   if (!KernelBackendSupported(backend)) return false;
-  g_backend.store(backend, std::memory_order_relaxed);
+  g_backend.store(static_cast<int>(backend), std::memory_order_relaxed);
   return true;
 }
 
 KernelBackend ActiveKernelBackend() {
-  return g_backend.load(std::memory_order_relaxed);
+  int backend = g_backend.load(std::memory_order_relaxed);
+  if (backend == kUnresolved) {
+    // A racing SetKernelBackend wins over the default.
+    const int best = static_cast<int>(BestBackend());
+    if (g_backend.compare_exchange_strong(backend, best,
+                                          std::memory_order_relaxed)) {
+      backend = best;
+    }
+  }
+  return static_cast<KernelBackend>(backend);
 }
 
 namespace kernel_internal {

@@ -17,10 +17,11 @@
 // IEEE-exact multiply/add/sqrt operations. Detector emissions therefore do
 // not depend on the selected backend; tests/kernel_test.cc enforces this.
 //
-// Backend selection is process-global (SetKernelBackend) with kScalar as
-// the always-available default; the AVX2 backend is compiled in when the
-// toolchain supports -mavx2 and engaged only if the running CPU reports
-// AVX2. Tools expose it as --kernel=scalar|avx2|auto.
+// Backend selection is process-global (SetKernelBackend) and defaults to
+// "auto": the best backend this machine supports. The AVX2 backend is
+// compiled in when the toolchain supports -mavx2 and engaged only if the
+// running CPU reports AVX2; kScalar is always available. Tools expose it
+// as --kernel=scalar|avx2|auto.
 //
 // Each kernel instance owns mutable scratch (slot/distance staging), so
 // instances are cheap but NOT thread-safe: give each detector its own
@@ -42,7 +43,7 @@ namespace sop {
 
 /// Instruction-set backend the batch kernels execute with.
 enum class KernelBackend {
-  kScalar,  // portable tight loops; always available; the default
+  kScalar,  // portable tight loops; always available
   kAvx2,    // 4-wide vertical AVX2; requires compiled-in support + CPU flag
 };
 
@@ -60,7 +61,8 @@ const char* KernelBackendName(KernelBackend backend);
 /// selection unchanged) if `backend` is unsupported here.
 bool SetKernelBackend(KernelBackend backend);
 
-/// The currently selected backend (kScalar unless overridden).
+/// The currently selected backend: the best supported one ("auto",
+/// resolved on the first call) unless SetKernelBackend picked another.
 KernelBackend ActiveKernelBackend();
 
 /// A distance function bound to batch execution: metric + attribute

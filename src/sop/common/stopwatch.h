@@ -1,6 +1,8 @@
-// Wall-clock stopwatch used by the metrics collector. All detectors run
-// single-threaded, so wall time and CPU time coincide in practice; using a
-// monotonic clock keeps measurements robust to NTP adjustments.
+// Wall-clock stopwatch used by the metrics collector. A detector's batch
+// may run on several threads (SopDetector's point lanes, partition
+// fan-out), so what it measures is wall time across all of them, not CPU
+// time; using a monotonic clock keeps measurements robust to NTP
+// adjustments.
 
 #ifndef SOP_COMMON_STOPWATCH_H_
 #define SOP_COMMON_STOPWATCH_H_

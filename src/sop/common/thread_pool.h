@@ -1,6 +1,7 @@
 // A fixed-size worker pool with a FIFO task queue, shared by every
 // execution layer that fans work out (see detector/engine.h and
-// detector/partitioned.h).
+// detector/partitioned.h), and RunLanes, the fork-join that runs a
+// detector's per-point loops on every core (see core/sop_detector.h).
 //
 // Design notes:
 //   * Submit() accepts any callable (including move-only ones) and returns
@@ -65,6 +66,20 @@ class ThreadPool {
   bool stopping_ = false;                    // guarded by mu_
   std::vector<std::thread> workers_;
 };
+
+/// Threads that can run lanes at once: std::thread::hardware_concurrency(),
+/// at least 1.
+int HardwareLanes();
+
+/// Runs `fn(lane)` exactly once for every lane in [0, num_lanes) (> 0) and
+/// returns when all have finished. The calling thread runs lane 0, then
+/// claims every lane no helper has started yet, so it never waits for a
+/// queued task — only for lanes already running elsewhere. Concurrent
+/// callers therefore cannot deadlock each other, however busy the helpers
+/// are. Helpers are the workers of one process-wide pool of
+/// HardwareLanes() - 1 threads, created on first use; with none (one
+/// core), the caller runs every lane itself.
+void RunLanes(int num_lanes, const std::function<void(int lane)>& fn);
 
 }  // namespace sop
 

@@ -145,9 +145,11 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
     if (!plan_.AdoptBasis(std::move(basis))) {
       return LoadError(error, "basis invalid or does not cover workload");
     }
-    // The per-layer scratch tables are sized to the basis.
-    ksky_.SyncPlanGeometry();
-    emit_counts_.Reset(plan_.num_layers());
+    // Every lane's per-layer scratch tables are sized to the basis.
+    for (Lane& lane : lanes_) {
+      lane.ksky.SyncPlanGeometry();
+      lane.emit_counts.Reset(plan_.num_layers());
+    }
   }
 
   int64_t first_seq = 0;

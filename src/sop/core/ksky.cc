@@ -1,6 +1,7 @@
 #include "sop/core/ksky.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sop/common/check.h"
 #include "sop/obs/trace.h"
@@ -12,7 +13,7 @@ namespace {
 // Candidate distances are confirmed through the batch kernel in blocks of
 // this many points: large enough to amortize the batch setup and fill the
 // SIMD lanes, small enough to bound the distances wasted when layer-1
-// saturation terminates a scan mid-block.
+// saturation terminates a scan mid-block. Block positions fit a uint8_t.
 constexpr size_t kBatchBlock = 64;
 }  // namespace
 
@@ -36,7 +37,7 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
 
   const WindowType type = buffer.type();
   const ColumnStore& cols = buffer.columns();
-  const int num_layers = plan_->num_layers();
+  const double r_max = plan_->r_max();
   bool keep_scanning = true;
   uint64_t kernel_hits = 0;
 
@@ -48,17 +49,37 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                : cols.time_column()[cols.SlotOf(s)];
   };
 
-  // Consumes one candidate whose distance the kernel already computed:
-  // applies Def. 6. Stats count only consumed candidates, exactly as the
-  // per-pair scan did — a block cut short by termination does not inflate
-  // them.
-  auto examine_with = [&](Seq s, double d) {
-    ++stats_.candidates_examined;
-    ++stats_.distances_computed;
-    const int32_t layer = plan_->LayerOfDistance(d);
-    if (layer > num_layers) return;  // nobody's neighbor (Def. 5 c3)
-    ++kernel_hits;
-    keep_scanning = Examine(s, key_of(s), layer);
+  // Consumes one kernel block. Block position j (0 = newest) holds
+  // candidate seq_at(j) at distance dist_at(j). Only the r_max hits are
+  // classified: `d <= r_max` is the exact comparison the per-pair scan
+  // made, and a candidate failing it (farther, or NaN) is nobody's
+  // neighbor (Def. 5 c3), so skipping it leaves the Examine sequence — and
+  // the built skyband — unchanged. Returns the block positions consumed:
+  // all of them, or up to and including the hit that ended the scan.
+  uint8_t hits[kBatchBlock] = {};
+  auto examine_block = [&](size_t nb, auto seq_at, auto dist_at) -> size_t {
+    size_t nh = 0;
+    for (size_t j = 0; j < nb; ++j) {  // branch-free compaction
+      hits[nh] = static_cast<uint8_t>(j);
+      nh += dist_at(j) <= r_max ? 1 : 0;
+    }
+    for (size_t h = 0; h < nh; ++h) {
+      const size_t j = hits[h];
+      const Seq s = seq_at(j);
+      if (s == p.seq) continue;  // the probe itself (buffer ranges only)
+      const double d = dist_at(j);
+      SOP_DCHECK(!std::isnan(d));
+      ++kernel_hits;
+      keep_scanning = Examine(s, key_of(s), plan_->LayerOfDistance(d));
+      if (!keep_scanning) return j + 1;
+    }
+    return nb;
+  };
+  // Stats count consumed candidates only, exactly as the per-pair scan
+  // did: a block cut short by termination does not inflate them.
+  auto count_consumed = [&](size_t n) {
+    stats_.candidates_examined += static_cast<int64_t>(n);
+    stats_.distances_computed += static_cast<int64_t>(n);
   };
 
   // Scans points with seq in [lo, hi) from newest to oldest ("search from
@@ -81,13 +102,14 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
       const size_t m = static_cast<size_t>(sub_end - sub_begin);
       for (size_t b = 0; b < m && keep_scanning; b += kBatchBlock) {
         const size_t nb = std::min(kBatchBlock, m - b);
-        kernel_.BatchDist(cols, p, base + b, nb, batch_dists_.data());
+        const Seq* block = base + b;
+        kernel_.BatchDist(cols, p, block, nb, batch_dists_.data());
         SOP_COUNTER_ADD("kernel/batches", 1);
         SOP_COUNTER_ADD("kernel/candidates", nb);
-        for (size_t j = 0; j < nb && keep_scanning; ++j) {
-          SOP_DCHECK(base[b + j] != p.seq);
-          examine_with(base[b + j], batch_dists_[j]);
-        }
+        SOP_DCHECK(std::find(block, block + nb, p.seq) == block + nb);
+        count_consumed(examine_block(
+            nb, [&](size_t j) { return block[j]; },
+            [&](size_t j) { return batch_dists_[j]; }));
       }
       return;
     }
@@ -97,10 +119,13 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
       kernel_.BatchDistRange(cols, p, begin, nb, batch_dists_.data());
       SOP_COUNTER_ADD("kernel/batches", 1);
       SOP_COUNTER_ADD("kernel/candidates", nb);
-      for (Seq s = end - 1; s >= begin && keep_scanning; --s) {
-        if (s == p.seq) continue;
-        examine_with(s, batch_dists_[static_cast<size_t>(s - begin)]);
-      }
+      // Position j is seq end-1-j, whose distance sits at index nb-1-j.
+      const size_t consumed = examine_block(
+          nb, [&](size_t j) { return end - 1 - static_cast<Seq>(j); },
+          [&](size_t j) { return batch_dists_[nb - 1 - j]; });
+      const bool probe_consumed =
+          p.seq < end && p.seq >= end - static_cast<Seq>(consumed);
+      count_consumed(consumed - (probe_consumed ? 1 : 0));
       end = begin;
     }
   };

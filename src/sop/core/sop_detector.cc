@@ -1,22 +1,39 @@
 #include "sop/core/sop_detector.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <utility>
 
 #include "sop/common/check.h"
 #include "sop/common/memory.h"
+#include "sop/common/thread_pool.h"
 #include "sop/obs/trace.h"
 #include "sop/stream/window.h"
 
 namespace sop {
 
+namespace {
+
+// Scans a lane claims from the shared cursor at a time.
+constexpr size_t kScanChunk = 4;
+
+// SetScanLanesForTest's pin; 0 = HardwareLanes().
+std::atomic<int> g_scan_lanes_for_test{0};
+
+}  // namespace
+
+void SetScanLanesForTest(int lanes) {
+  SOP_CHECK(lanes >= 0);
+  g_scan_lanes_for_test.store(lanes, std::memory_order_relaxed);
+}
+
 SopDetector::SopDetector(const Workload& workload, Options options)
     : plan_(workload, options.headroom),
       options_(options),
-      ksky_(&plan_, workload.MakeDistanceFn(0), options.ksky),
       buffer_(workload.window_type()) {
-  emit_counts_.Reset(plan_.num_layers());
+  lanes_.emplace_back(KSky(&plan_, workload.MakeDistanceFn(0), options.ksky),
+                      plan_.num_layers());
   if (options_.use_grid_index) {
     grid_ = std::make_unique<GridIndex>(
         workload.MakeDistanceFn(0),
@@ -31,6 +48,80 @@ bool SopDetector::ApplyWorkload(Workload next) {
   ++stats_.overlay_swaps;
   SOP_COUNTER_ADD("sop/overlay_swaps", 1);
   return true;
+}
+
+int SopDetector::PrepareLanes(size_t nonsafe) {
+  // sop-grid shares one GridIndex scratch across scans: one lane only.
+  if (grid_ != nullptr ||
+      static_cast<int64_t>(nonsafe) * static_cast<int64_t>(buffer_.size()) <=
+          kLaneScanBound) {
+    return 1;
+  }
+  const int pinned = g_scan_lanes_for_test.load(std::memory_order_relaxed);
+  const int lanes = pinned > 0 ? pinned : HardwareLanes();
+  while (lanes_.size() < static_cast<size_t>(lanes)) {
+    // Overlay swaps keep the attribute set, so query 0's distance is the
+    // detector's distance.
+    lanes_.emplace_back(
+        KSky(&plan_, plan_.workload().MakeDistanceFn(0), options_.ksky),
+        plan_.num_layers());
+  }
+  return lanes;
+}
+
+void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
+                            Lane* lane) {
+  PointState& st = StateOf(s);
+  const std::vector<Seq>* candidates = nullptr;
+  if (grid_ != nullptr) {
+    // Index-assisted candidate enumeration: everything within r_max is
+    // in the superset, so K-SKY's scan — restricted to newest-first
+    // order — builds the identical skyband (see ksky.h).
+    grid_->CollectCandidates(buffer_.At(s), plan_.r_max(), &grid_candidates_);
+    std::sort(grid_candidates_.begin(), grid_candidates_.end(),
+              std::greater<Seq>());
+    // p indexes itself; drop it from its own candidate list.
+    const auto self = std::lower_bound(grid_candidates_.begin(),
+                                       grid_candidates_.end(), s,
+                                       std::greater<Seq>());
+    if (self != grid_candidates_.end() && *self == s) {
+      grid_candidates_.erase(self);
+    }
+    candidates = &grid_candidates_;
+  }
+  const bool safe = lane->ksky.EvaluatePoint(
+      buffer_.At(s), buffer_, first_new_seq, swift_start,
+      /*from_scratch=*/!st.evaluated, &st.skyband, candidates);
+  st.evaluated = true;
+  const KSkyScanStats& scan = lane->ksky.last_stats();
+  Stats& stats = lane->stats;
+  ++stats.ksky_scans;
+  stats.distances_computed += scan.distances_computed;
+  stats.candidates_examined += scan.candidates_examined;
+  stats.early_terminations += scan.terminated_early ? 1 : 0;
+  if (safe && options_.safe_inlier_pruning) {
+    st.safe = true;
+    st.skyband.Release();
+    ++stats.safe_points_discovered;
+  }
+}
+
+void SopDetector::SweepPoint(Seq s, Lane* lane) const {
+  const int64_t key = buffer_.KeyOf(s);
+  const auto& entries = StateOf(s).skyband.entries();
+  FenwickTree& counts = lane->emit_counts;
+  size_t added = 0;
+  for (size_t e = 0; e < emitting_.size(); ++e) {
+    const EmittingQuery& eq = emitting_[e];
+    if (eq.start > key) continue;  // point not in this query's window
+    while (added < entries.size() && entries[added].key >= eq.start) {
+      counts.Add(entries[added].layer, 1);
+      ++added;
+    }
+    if (counts.PrefixSum(eq.layer) < eq.k) lane->outliers[e].push_back(s);
+  }
+  // Zero the table for the next point by undoing this point's inserts.
+  for (size_t i = 0; i < added; ++i) counts.Add(entries[i].layer, -1);
 }
 
 std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
@@ -76,43 +167,40 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   // reported — collect them for the emission sweep.
   nonsafe_seqs_.clear();
   for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
-    PointState& st = StateOf(s);
-    if (options_.safe_inlier_pruning && st.safe) continue;
-    const std::vector<Seq>* candidates = nullptr;
-    if (grid_ != nullptr) {
-      // Index-assisted candidate enumeration: everything within r_max is
-      // in the superset, so K-SKY's scan — restricted to newest-first
-      // order — builds the identical skyband (see ksky.h).
-      grid_->CollectCandidates(buffer_.At(s), plan_.r_max(),
-                               &grid_candidates_);
-      std::sort(grid_candidates_.begin(), grid_candidates_.end(),
-                std::greater<Seq>());
-      // p indexes itself; drop it from its own candidate list.
-      const auto self = std::lower_bound(grid_candidates_.begin(),
-                                         grid_candidates_.end(), s,
-                                         std::greater<Seq>());
-      if (self != grid_candidates_.end() && *self == s) {
-        grid_candidates_.erase(self);
-      }
-      candidates = &grid_candidates_;
-    }
-    const bool safe =
-        ksky_.EvaluatePoint(buffer_.At(s), buffer_, first_new_seq,
-                            swift_start, /*from_scratch=*/!st.evaluated,
-                            &st.skyband, candidates);
-    st.evaluated = true;
-    ++stats_.ksky_scans;
-    stats_.distances_computed += ksky_.last_stats().distances_computed;
-    stats_.candidates_examined += ksky_.last_stats().candidates_examined;
-    stats_.early_terminations += ksky_.last_stats().terminated_early ? 1 : 0;
-    if (safe && options_.safe_inlier_pruning) {
-      st.safe = true;
-      st.skyband.Release();
-      ++stats_.safe_points_discovered;
-      SOP_COUNTER_ADD("sop/safe_points_discovered", 1);
-      continue;
-    }
+    if (options_.safe_inlier_pruning && StateOf(s).safe) continue;
     nonsafe_seqs_.push_back(s);
+  }
+  const int lanes = PrepareLanes(nonsafe_seqs_.size());
+  // Newest first: the costly from-scratch scans of the arrivals go out
+  // early, so the cheap incremental ones even out the lanes at the end.
+  const size_t num_scans = nonsafe_seqs_.size();
+  std::atomic<size_t> cursor{0};
+  RunLanes(lanes, [&](int l) {
+    Lane* lane = &lanes_[static_cast<size_t>(l)];
+    size_t begin = 0;
+    while ((begin = cursor.fetch_add(kScanChunk, std::memory_order_relaxed)) <
+           num_scans) {
+      const size_t end = std::min(begin + kScanChunk, num_scans);
+      for (size_t i = begin; i < end; ++i) {
+        ScanPoint(nonsafe_seqs_[num_scans - 1 - i], first_new_seq,
+                  swift_start, lane);
+      }
+    }
+  });
+  // Lanes idle this batch hold zero counters, so folding all is exact.
+  int64_t newly_safe = 0;
+  for (Lane& lane : lanes_) {
+    stats_.ksky_scans += lane.stats.ksky_scans;
+    stats_.distances_computed += lane.stats.distances_computed;
+    stats_.candidates_examined += lane.stats.candidates_examined;
+    stats_.early_terminations += lane.stats.early_terminations;
+    newly_safe += lane.stats.safe_points_discovered;
+    lane.stats = Stats{};
+  }
+  if (newly_safe > 0) {
+    stats_.safe_points_discovered += newly_safe;
+    SOP_COUNTER_ADD("sop/safe_points_discovered", newly_safe);
+    std::erase_if(nonsafe_seqs_, [this](Seq s) { return StateOf(s).safe; });
   }
   if (SOP_OBS_ENABLED()) {
     SOP_COUNTER_ADD("sop/batches", 1);
@@ -147,24 +235,25 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   }
   if (emitting_.empty()) return results;
 
-  for (const Seq s : nonsafe_seqs_) {
-    const PointState& st = StateOf(s);
-    const int64_t key = buffer_.KeyOf(s);
-    const auto& entries = st.skyband.entries();
-    size_t added = 0;
-    for (const EmittingQuery& eq : emitting_) {
-      if (eq.start > key) continue;  // point not in this query's window
-      while (added < entries.size() && entries[added].key >= eq.start) {
-        emit_counts_.Add(entries[added].layer, 1);
-        ++added;
-      }
-      if (emit_counts_.PrefixSum(eq.layer) < eq.k) {
-        results[eq.result_slot].outliers.push_back(s);
-      }
+  // Each lane sweeps one contiguous range of the seq-ascending non-safe
+  // list, so joining the outlier lists in lane order keeps them ascending.
+  const size_t num_nonsafe = nonsafe_seqs_.size();
+  const size_t num_lanes = static_cast<size_t>(lanes);
+  RunLanes(lanes, [&](int l) {
+    Lane& lane = lanes_[static_cast<size_t>(l)];
+    lane.outliers.resize(emitting_.size());
+    for (std::vector<Seq>& out : lane.outliers) out.clear();
+    const size_t part = static_cast<size_t>(l);
+    for (size_t i = num_nonsafe * part / num_lanes;
+         i < num_nonsafe * (part + 1) / num_lanes; ++i) {
+      SweepPoint(nonsafe_seqs_[i], &lane);
     }
-    // Zero the table for the next point by undoing this point's inserts.
-    for (size_t i = 0; i < added; ++i) {
-      emit_counts_.Add(entries[i].layer, -1);
+  });
+  for (size_t e = 0; e < emitting_.size(); ++e) {
+    std::vector<Seq>& out = results[emitting_[e].result_slot].outliers;
+    for (size_t l = 0; l < num_lanes; ++l) {
+      const std::vector<Seq>& part = lanes_[l].outliers[e];
+      out.insert(out.end(), part.begin(), part.end());
     }
   }
 

@@ -7,17 +7,27 @@
 // point with one thresholded count over that point's LSky. CPU is shared
 // (each point scanned once per slide for all queries) and memory is shared
 // (one skyband per point for all queries).
+//
+// Point lanes. Both per-point loops of a batch — the K-SKY scans and the
+// emission sweep — are independent across points: each point owns its
+// skyband, and only the scan and sweep scratch is shared. A large batch
+// therefore runs them on lanes (common/thread_pool.h RunLanes): one per
+// hardware thread, each with its own KSky and sweep table. Scans are
+// pulled in small chunks from a shared cursor; the sweep gives each lane a
+// contiguous range of the non-safe points and joins the per-query outlier
+// lists in lane order. Every output — emissions, skybands, safe flags,
+// Stats — is bit-identical for every lane count.
 
 #ifndef SOP_CORE_SOP_DETECTOR_H_
 #define SOP_CORE_SOP_DETECTOR_H_
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
-
-#include <memory>
 
 #include "sop/core/ksky.h"
 #include "sop/core/lsky.h"
@@ -62,6 +72,13 @@ class SopDetector : public OutlierDetector {
     int64_t safe_points_discovered = 0;
     int64_t overlay_swaps = 0;
   };
+
+  /// A batch runs its per-point loops on more than one lane only when its
+  /// scan bound — non-safe points x alive points, the candidates its K-SKY
+  /// scans may touch — exceeds this. On the Fig-7 probe that is about
+  /// 2.5 ms of one-lane work, against about 0.1 ms to wake the helpers and
+  /// join them (4-vCPU KVM guest).
+  static constexpr int64_t kLaneScanBound = 2'000'000;
 
   explicit SopDetector(const Workload& workload)
       : SopDetector(workload, Options()) {}
@@ -135,9 +152,29 @@ class SopDetector : public OutlierDetector {
     size_t result_slot;
   };
 
+  // One lane of the per-point loops: private scratch, plus what the lane
+  // produced in the current batch.
+  struct Lane {
+    Lane(KSky scanner, int num_layers) : ksky(std::move(scanner)) {
+      emit_counts.Reset(num_layers);
+    }
+    KSky ksky;
+    FenwickTree emit_counts;  // sweep layer table, zero between points
+    Stats stats;              // this batch's scan counters
+    std::vector<std::vector<Seq>> outliers;  // per emitting query
+  };
+
+  // Lanes for this batch's loops, created on demand: one unless the scan
+  // bound (`nonsafe` x alive points) makes the hand-off worth it.
+  int PrepareLanes(size_t nonsafe);
+  // K-SKY scan of alive point `s` on `lane` (Alg. 3 body).
+  void ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start, Lane* lane);
+  // Classifies non-safe point `s` for every emitting query on `lane`.
+  void SweepPoint(Seq s, Lane* lane) const;
+
   WorkloadPlan plan_;
   Options options_;
-  KSky ksky_;
+  std::vector<Lane> lanes_;  // lanes_[0] always exists
   StreamBuffer buffer_;
   std::deque<PointState> states_;
   std::unique_ptr<GridIndex> grid_;  // only with options_.use_grid_index
@@ -149,8 +186,13 @@ class SopDetector : public OutlierDetector {
   std::vector<Seq> nonsafe_seqs_;
   std::vector<Seq> grid_candidates_;  // seq-descending K-SKY candidates
   std::vector<EmittingQuery> emitting_;
-  FenwickTree emit_counts_;
 };
+
+/// Test seam: batches large enough to fan out run on `lanes` lanes instead
+/// of HardwareLanes() (0 restores that). Lanes beyond the helper threads
+/// run on the calling thread, so every count exercises the multi-lane path
+/// even on one core. Process-wide; set it only while no detector runs.
+void SetScanLanesForTest(int lanes);
 
 }  // namespace sop
 

@@ -131,9 +131,11 @@ class ExecutionEngine {
   /// still advance the windows, and the run ends at the first boundary
   /// covering the last point.
   ///
-  /// Detector CPU time is measured around Advance() only; source decoding
-  /// and result sinking are excluded. With num_threads > 1 the timing is
-  /// wall-clock over the fan-out, i.e. the per-batch critical path.
+  /// Detector time is measured around Advance() only; source decoding and
+  /// result sinking are excluded. It is wall-clock time across every
+  /// thread the batch ran on (partition fan-out with num_threads > 1,
+  /// SopDetector's point lanes), i.e. the per-batch critical path, not
+  /// the CPU summed over threads.
   RunMetrics Run(const Workload& workload, StreamSource* source,
                  OutlierDetector* detector, const ResultSink& sink = {});
 

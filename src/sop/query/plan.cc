@@ -31,11 +31,6 @@ const char* PlanDeltaName(PlanDelta delta) {
   return "unknown";
 }
 
-int WorkloadPlan::Basis::LayerOfDistance(double d) const {
-  const auto it = std::lower_bound(layer_r.begin(), layer_r.end(), d);
-  return static_cast<int>(it - layer_r.begin()) + 1;
-}
-
 int WorkloadPlan::Basis::LayerOfRadius(double r) const {
   // Exact double equality on purpose: a query "reuses a layer" only when
   // its r is bit-identical to a compiled threshold; a nearby-but-different
@@ -291,11 +286,6 @@ bool WorkloadPlan::AdoptBasis(Basis basis) {
   basis_ = std::move(basis);
   CompileOverlay();
   return true;
-}
-
-int WorkloadPlan::MaxLayerForCount(int64_t count) const {
-  SOP_DCHECK(count >= 0 && count < k_max());
-  return basis_.max_layer_for_count[static_cast<size_t>(count)];
 }
 
 }  // namespace sop

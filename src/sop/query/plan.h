@@ -28,9 +28,11 @@
 #ifndef SOP_QUERY_PLAN_H_
 #define SOP_QUERY_PLAN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "sop/common/check.h"
 #include "sop/query/workload.h"
 
 namespace sop {
@@ -120,8 +122,21 @@ class WorkloadPlan {
     }
 
     /// Normalized distance of `d` (Def. 4): the 1-based layer index m with
-    /// r_{m-1} < d <= r_m, or num_layers()+1 when d exceeds every r.
-    int LayerOfDistance(double d) const;
+    /// r_{m-1} < d <= r_m, or num_layers()+1 when d exceeds every r. NaN
+    /// is nobody's neighbor: it lands beyond every layer too.
+    int LayerOfDistance(double d) const {
+      // Branch-free lower bound. A threshold r lies below d iff
+      // !(r >= d), which also holds for every r when d is NaN.
+      const double* first = layer_r.data();
+      size_t len = layer_r.size();
+      while (len > 1) {
+        const size_t half = len / 2;
+        first += !(first[half - 1] >= d) ? half : 0;
+        len -= half;
+      }
+      return static_cast<int>(first - layer_r.data()) +
+             (!(first[0] >= d) ? 1 : 0) + 1;
+    }
 
     /// The 1-based layer whose r equals `r` exactly, or 0 when `r` is not
     /// a layer of this basis.
@@ -206,7 +221,10 @@ class WorkloadPlan {
   /// max{ max_layer(g) : k(g) > count } over the basis demands. Returns 0
   /// when no demand can use such a candidate. Requires 0 <= count <
   /// k_max().
-  int MaxLayerForCount(int64_t count) const;
+  int MaxLayerForCount(int64_t count) const {
+    SOP_DCHECK(count >= 0 && count < k_max());
+    return basis_.max_layer_for_count[static_cast<size_t>(count)];
+  }
 
   /// The pruned Safe-For-All requirement staircase: ascending in both
   /// `layer` and `k`, implied requirements removed. A point is a

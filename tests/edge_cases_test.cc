@@ -1,7 +1,9 @@
 // Edge-case and misuse tests across the library: alternative metrics,
 // degenerate streams, contract violations (death tests).
 
+#include <limits>
 #include <memory>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
@@ -37,6 +39,36 @@ TEST(ManhattanMetricTest, AllDetectorsMatchOracle) {
     std::unique_ptr<OutlierDetector> d = CreateDetector(kind, w);
     ExpectSameResults(expected, CollectResults(w, points, d.get()),
                       std::string("manhattan/") + kind);
+  }
+}
+
+// A point with a NaN or infinite coordinate is nobody's neighbor: it is an
+// outlier and changes no other point's status. Every detector must agree
+// with naive, which compares the same distances pair by pair.
+TEST(NonFiniteCoordinateTest, EveryDetectorMatchesNaive) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+      Workload w(type);
+      w.AddQuery(OutlierQuery(1.5, 2, 8, 4));
+      const std::vector<Point> points =
+          Points1D({0.0, 0.5, 1.0, bad, 0.2, 0.7, 1.2, 0.4});
+      const std::string label =
+          std::to_string(bad) +
+          (type == WindowType::kCount ? "/count" : "/time");
+      std::unique_ptr<OutlierDetector> naive = CreateDetector("naive", w);
+      const std::vector<QueryResult> expected =
+          CollectResults(w, points, naive.get());
+      ASSERT_FALSE(expected.empty()) << label;
+      EXPECT_EQ(expected[0].boundary, 4) << label;
+      EXPECT_EQ(expected[0].outliers, (std::vector<Seq>{3})) << label;
+      for (const char* kind : {"sop", "grouped-sop", "leap", "mcod"}) {
+        std::unique_ptr<OutlierDetector> d = CreateDetector(kind, w);
+        ExpectSameResults(expected, CollectResults(w, points, d.get()),
+                          label + "/" + kind);
+      }
+    }
   }
 }
 

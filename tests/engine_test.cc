@@ -1,12 +1,13 @@
-// Tests for the layered execution engine: the ThreadPool subsystem, the
-// engine's driver loop (metrics, latency percentiles, RunStream parity)
-// and — the load-bearing property — that partition-parallel execution of a
-// PartitionedDetector produces a result stream byte-identical to serial
-// execution, at every pool width.
+// Tests for the layered execution engine: the ThreadPool subsystem and
+// RunLanes, the engine's driver loop (metrics, latency percentiles,
+// RunStream parity) and — the load-bearing property — that
+// partition-parallel execution of a PartitionedDetector produces a result
+// stream byte-identical to serial execution, at every pool width.
 
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -81,6 +82,38 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
     // Destruction must run every already-submitted task before joining.
   }
   EXPECT_EQ(ran.load(), 8);
+}
+
+TEST(RunLanesTest, RunsEveryLaneOnceWithTheCallerAsLaneZero) {
+  for (const int lanes : {1, 2, 4, 9}) {
+    std::vector<std::atomic<int>> runs(static_cast<size_t>(lanes));
+    std::thread::id lane0_thread;
+    RunLanes(lanes, [&](int lane) {
+      ++runs[static_cast<size_t>(lane)];
+      if (lane == 0) lane0_thread = std::this_thread::get_id();
+    });
+    for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1) << lanes;
+    EXPECT_EQ(lane0_thread, std::this_thread::get_id()) << lanes;
+  }
+}
+
+// Callers never wait for a queued helper task, only for lanes already
+// running, so more concurrent callers than pool workers — and callers that
+// are themselves lanes — all finish however busy the shared pool is.
+TEST(RunLanesTest, ConcurrentAndNestedCallersDoNotDeadlock) {
+  std::atomic<int> total{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 8; ++c) {
+    callers.emplace_back([&total]() {
+      for (int round = 0; round < 20; ++round) {
+        RunLanes(4, [&total](int) {
+          RunLanes(3, [&total](int) { ++total; });
+        });
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(total.load(), 8 * 20 * 4 * 3);
 }
 
 // ---------------------------------------------------------------------------

@@ -46,10 +46,14 @@ Point MakePoint(Seq seq, size_t dims, Rng* rng) {
   return Point(seq, static_cast<Timestamp>(seq), std::move(values));
 }
 
-// Restores the scalar backend even if a test fails mid-way.
+// Selects a backend for one scope, then restores whichever backend was
+// active before, even if a test fails mid-way.
 struct ScopedBackend {
-  explicit ScopedBackend(KernelBackend b) { SetKernelBackend(b); }
-  ~ScopedBackend() { SetKernelBackend(KernelBackend::kScalar); }
+  explicit ScopedBackend(KernelBackend b) : previous(ActiveKernelBackend()) {
+    SetKernelBackend(b);
+  }
+  ~ScopedBackend() { SetKernelBackend(previous); }
+  const KernelBackend previous;
 };
 
 TEST(ColumnStoreTest, AppendExpireAndSlots) {
@@ -138,6 +142,14 @@ TEST(ColumnStoreTest, StreamBufferKeepsColumnsInSync) {
   }
 }
 
+TEST(KernelBackendTest, DefaultIsAuto) {
+  // Every test restores the backend it changed, so the library default is
+  // still in place here.
+  KernelBackend best = KernelBackend::kScalar;
+  ASSERT_TRUE(ParseKernelBackend("auto", &best));
+  EXPECT_EQ(ActiveKernelBackend(), best);
+}
+
 TEST(KernelBackendTest, ParseAndSelect) {
   KernelBackend b = KernelBackend::kAvx2;
   EXPECT_TRUE(ParseKernelBackend("scalar", &b));
@@ -149,7 +161,8 @@ TEST(KernelBackendTest, ParseAndSelect) {
   EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
 
   EXPECT_TRUE(KernelBackendSupported(KernelBackend::kScalar));
-  EXPECT_TRUE(SetKernelBackend(KernelBackend::kScalar));
+  ScopedBackend scalar(KernelBackend::kScalar);
+  EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
   const bool avx2 = KernelBackendSupported(KernelBackend::kAvx2);
   std::fprintf(stderr, "[ info ] avx2 backend %s on this machine\n",
                avx2 ? "available" : "unavailable");
@@ -392,10 +405,12 @@ TEST(KernelEmissions, BitIdenticalAcrossBackendsAndOracle) {
           name + (type == WindowType::kCount ? "/count" : "/time");
       SCOPED_TRACE(label);
 
-      SetKernelBackend(KernelBackend::kScalar);
-      auto detector = CreateDetector(name, w);
-      const std::vector<QueryResult> scalar_results =
-          CollectResults(w, points, detector.get());
+      std::vector<QueryResult> scalar_results;
+      {
+        ScopedBackend scalar(KernelBackend::kScalar);
+        auto detector = CreateDetector(name, w);
+        scalar_results = CollectResults(w, points, detector.get());
+      }
       testing::ExpectSameResults(testing::ExpectedResults(w, points),
                                  scalar_results, label + "/scalar-vs-oracle");
 

@@ -1,5 +1,6 @@
 // Unit tests for the K-SKY scan, including the paper's worked examples.
 
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -173,6 +174,74 @@ TEST(KSkyTest, TerminationOffScansEverything) {
   EXPECT_EQ(h.stats().candidates_examined, 8);
   // Content identical to the terminated scan.
   EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{8, 7}));
+}
+
+// Hit filter. The scan computes distances in 64-candidate kernel blocks
+// (newest first) and classifies only the r_max hits; the counters must
+// still stop at the candidate that ended the scan. Harness seqs 1..130
+// form the blocks [67, 131) and [3, 67) (then [0, 3), holding p).
+std::vector<double> FarExcept(
+    size_t n, const std::vector<std::pair<Seq, double>>& near) {
+  std::vector<double> distances(n, 100.0);
+  for (const auto& [seq, d] : near) {
+    distances[static_cast<size_t>(seq - 1)] = d;
+  }
+  return distances;
+}
+
+TEST(KSkyTest, TerminatesOnFirstHitOfABlock) {
+  // One hit in the first block; the second block's first hit saturates
+  // layer 1 (k_max = 2) at block position 66 - 60 = 6.
+  KSkyHarness h({{10.0, 2, 1000, 10}},
+                FarExcept(130, {{100, 1.0}, {60, 1.0}}));
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_TRUE(h.stats().terminated_early);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{100, 60}));
+  EXPECT_EQ(h.stats().candidates_examined, 64 + 7);
+  EXPECT_EQ(h.stats().distances_computed, 64 + 7);
+}
+
+TEST(KSkyTest, TerminatesMidBlockBeforeLaterHits) {
+  // Layer-1 hits at 120 and 110 saturate at position 130 - 110 = 20; the
+  // layer-2 hit at 115 is kept, the hit at 105 is never consumed.
+  KSkyHarness h(
+      {{1.0, 2, 1000, 10}, {5.0, 2, 1000, 10}},
+      FarExcept(130, {{120, 1.0}, {115, 3.0}, {110, 0.5}, {105, 1.0}}));
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_TRUE(h.stats().terminated_early);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{120, 115, 110}));
+  EXPECT_EQ(h.stats().candidates_examined, 21);
+  EXPECT_EQ(h.stats().distances_computed, 21);
+}
+
+TEST(KSkyTest, TerminatesInsideTheProbesBlock) {
+  // p is seq 40 of 80, inside the block [16, 80). p is never its own
+  // candidate: it counts only when the scan passed its position.
+  Workload w = KSkyHarness::MakeWorkload({{10.0, 2, 1000, 10}});
+  WorkloadPlan plan(w);
+  KSky ksky(&plan, w.MakeDistanceFn(0));
+  auto scan = [&](Seq second_hit) {
+    StreamBuffer buffer(WindowType::kCount);
+    for (Seq s = 0; s < 80; ++s) {
+      const double v = s == 40 ? 0.0 : (s == 70 || s == second_hit) ? 1.0
+                                                                    : 100.0;
+      buffer.Append(Point(s, s, {v}));
+    }
+    LSky skyband;
+    ksky.EvaluatePoint(buffer.At(40), buffer, buffer.next_seq(), 0,
+                       /*from_scratch=*/true, &skyband);
+    EXPECT_TRUE(ksky.last_stats().terminated_early);
+    ASSERT_EQ(skyband.size(), 2u);
+    EXPECT_EQ(skyband.entries()[1].seq, second_hit);
+  };
+  scan(30);  // ends at position 79 - 30 = 49, past p: 50 - 1 consumed
+  EXPECT_EQ(ksky.last_stats().candidates_examined, 49);
+  EXPECT_EQ(ksky.last_stats().distances_computed, 49);
+  scan(50);  // ends at position 29, before p: 30 consumed
+  EXPECT_EQ(ksky.last_stats().candidates_examined, 30);
+  EXPECT_EQ(ksky.last_stats().distances_computed, 30);
 }
 
 // Candidates beyond the largest r are nobody's neighbor and never enter

@@ -2,6 +2,10 @@
 // (normalized distance layers, k-groups, Def-6 table, safety staircase,
 // swift-query parameters).
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "gtest/gtest.h"
 #include "sop/query/plan.h"
 #include "sop/query/query.h"
@@ -88,6 +92,31 @@ TEST(PlanTest, NormalizedDistancePerDef4) {
   EXPECT_EQ(plan.LayerOfDistance(2.0), 2);
   EXPECT_EQ(plan.LayerOfDistance(3.0), 3);
   EXPECT_EQ(plan.LayerOfDistance(3.1), 4);  // beyond every r: not a neighbor
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(plan.LayerOfDistance(inf), 4);
+  EXPECT_EQ(plan.LayerOfDistance(-inf), 1);
+  // NaN compares false with every r: nobody's neighbor, never layer 1.
+  EXPECT_EQ(plan.LayerOfDistance(std::numeric_limits<double>::quiet_NaN()),
+            4);
+}
+
+TEST(PlanTest, LayerOfDistanceIsALowerBoundForEveryLayerCount) {
+  // The branch-free search must equal std::lower_bound at, between and
+  // beyond the thresholds, for odd and even layer counts alike.
+  for (int layers = 1; layers <= 40; ++layers) {
+    Workload w(WindowType::kCount);
+    for (int m = 1; m <= layers; ++m) {
+      w.AddQuery(OutlierQuery(0.5 * m, 2, 100, 10));
+    }
+    const WorkloadPlan plan(w);
+    const std::vector<double>& rs = plan.basis().layer_r;
+    for (double d = 0.0; d <= 0.5 * layers + 1.0; d += 0.25) {
+      const int expected = static_cast<int>(
+          std::lower_bound(rs.begin(), rs.end(), d) - rs.begin()) + 1;
+      EXPECT_EQ(plan.LayerOfDistance(d), expected)
+          << layers << " layers, d=" << d;
+    }
+  }
 }
 
 TEST(PlanTest, GroupsAndQueryCoordinates) {

@@ -1,11 +1,16 @@
 // End-to-end tests of SopDetector on hand-checkable streams, plus behaviour
-// tests (emission schedule, safe-inlier pruning, memory accounting).
+// tests (emission schedule, safe-inlier pruning, memory accounting, point
+// lanes).
 
+#include <algorithm>
 #include <memory>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "sop/core/sop_detector.h"
 #include "sop/detector/driver.h"
+#include "sop/gen/synthetic.h"
+#include "sop/gen/workload_gen.h"
 #include "test_util.h"
 
 namespace sop {
@@ -181,6 +186,105 @@ TEST(SopDetectorTest, RejectsNonMonotoneBoundaries) {
   auto batch = Points1D({0.0, 1.0});
   detector.Advance(std::move(batch), 2);
   EXPECT_DEATH(detector.Advance({}, 2), "boundaries must increase");
+}
+
+// Passes batches through to a SopDetector and records the largest scan
+// bound (scans x alive points) a batch computed its lane count from.
+class ScanBoundProbe : public OutlierDetector {
+ public:
+  ScanBoundProbe(SopDetector* inner, Seq num_points)
+      : inner_(inner), num_points_(num_points) {}
+
+  const char* name() const override { return inner_->name(); }
+  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+  std::vector<QueryResult> Advance(std::vector<Point> batch,
+                                   int64_t boundary) override {
+    const int64_t scans_before = inner_->stats().ksky_scans;
+    std::vector<QueryResult> results =
+        inner_->Advance(std::move(batch), boundary);
+    int64_t alive = 0;
+    for (Seq s = 0; s < num_points_; ++s) {
+      alive += inner_->IsAliveForTesting(s) ? 1 : 0;
+    }
+    max_bound_ = std::max(
+        max_bound_, (inner_->stats().ksky_scans - scans_before) * alive);
+    return results;
+  }
+
+  int64_t max_bound() const { return max_bound_; }
+
+ private:
+  SopDetector* inner_;
+  Seq num_points_;
+  int64_t max_bound_ = 0;
+};
+
+// Everything a run leaves behind: emissions, counters and final evidence.
+struct LaneRun {
+  std::vector<QueryResult> results;
+  SopDetector::Stats stats;
+  std::vector<bool> safe;                       // per alive seq
+  std::vector<std::vector<SkybandEntry>> skybands;  // per alive seq
+};
+
+// Point lanes (sop_detector.h) on a Fig-7-shaped input: 100 queries with r
+// uniform in [200, 800), k 30, slide 500, over the synthetic 2-d stream.
+// The 3K window keeps it quick while its batches still clear the fan-out
+// bound. Every lane count must reproduce the one-lane run exactly.
+TEST(SopDetectorLanesTest, EveryLaneCountIsBitIdentical) {
+  constexpr Seq kPoints = 6000;
+  gen::SyntheticOptions stream;
+  stream.seed = 7;
+  const std::vector<Point> points = gen::GenerateSynthetic(kPoints, stream);
+  for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+    gen::WorkloadGenOptions o;
+    o.r_lo = 200.0;
+    o.r_hi = 800.0;
+    o.k_fixed = 30;
+    o.win_fixed = 3000;
+    o.slide_fixed = 500;
+    o.seed = 11;
+    const Workload w =
+        gen::GenerateWorkload(gen::WorkloadCase::kA, 100, type, o);
+    const std::string label = type == WindowType::kCount ? "count" : "time";
+
+    auto run = [&](int lanes) {
+      SetScanLanesForTest(lanes);
+      SopDetector detector(w);
+      ScanBoundProbe probe(&detector, kPoints);
+      LaneRun out;
+      out.results = CollectResults(w, points, &probe);
+      SetScanLanesForTest(0);
+      EXPECT_GT(probe.max_bound(), SopDetector::kLaneScanBound)
+          << label << ": no batch fanned out";
+      out.stats = detector.stats();
+      for (Seq s = 0; s < kPoints; ++s) {
+        if (!detector.IsAliveForTesting(s)) continue;
+        out.safe.push_back(detector.IsSafeForTesting(s));
+        out.skybands.push_back(detector.SkybandForTesting(s).entries());
+      }
+      return out;
+    };
+
+    const LaneRun serial = run(1);
+    ASSERT_FALSE(serial.results.empty());
+    for (const int lanes : {2, 4, 8}) {
+      const LaneRun fanned = run(lanes);
+      const std::string at = label + " at " + std::to_string(lanes) + " lanes";
+      ExpectSameResults(serial.results, fanned.results, at);
+      EXPECT_EQ(serial.safe, fanned.safe) << at;
+      EXPECT_EQ(serial.skybands, fanned.skybands) << at;
+      EXPECT_EQ(serial.stats.ksky_scans, fanned.stats.ksky_scans) << at;
+      EXPECT_EQ(serial.stats.distances_computed,
+                fanned.stats.distances_computed) << at;
+      EXPECT_EQ(serial.stats.candidates_examined,
+                fanned.stats.candidates_examined) << at;
+      EXPECT_EQ(serial.stats.early_terminations,
+                fanned.stats.early_terminations) << at;
+      EXPECT_EQ(serial.stats.safe_points_discovered,
+                fanned.stats.safe_points_discovered) << at;
+    }
+  }
 }
 
 }  // namespace

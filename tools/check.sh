@@ -4,7 +4,8 @@
 # -fno-sanitize-recover (asan's combined pass recovers and keeps going;
 # this one traps, so any UB is a hard failure), then run the
 # concurrency-heavy suites (fault injection, crash recovery, engine
-# pipelining, the serving and scale-out planes) under ThreadSanitizer,
+# pipelining, the serving and scale-out planes, and the SOP detector's
+# point lanes) under ThreadSanitizer,
 # then build and run everything again with the observability layer
 # compiled out (-DSOP_NO_OBS) to keep the no-op macro expansions honest. Catches the memory bugs the release build hides (the
 # thread pool and the grid scratch buffers in particular) and the
@@ -47,7 +48,7 @@ ctest --preset ubsan -j"$(nproc)" "$@"
 
 configure tsan
 cmake --build --preset tsan -j"$(nproc)"
-ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|checkpoint_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test' "$@"
+ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|checkpoint_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test|sop_detector_test|equivalence_test|ksky_test' "$@"
 
 configure noobs
 cmake --build --preset noobs -j"$(nproc)"

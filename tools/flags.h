@@ -347,14 +347,14 @@ class FlagSet {
 };
 
 /// Registers --kernel on `flags`: selects the process-global batch
-/// distance backend for every detector in this process. "auto" upgrades
-/// to the best backend the CPU supports; explicit "avx2" fails fast on
-/// machines without it.
+/// distance backend for every detector in this process. "auto" (the
+/// default) picks the best backend the CPU supports; explicit "avx2" fails
+/// fast on machines without it.
 inline void AddKernelFlag(FlagSet* flags) {
   flags->Flag(
       "--kernel", "scalar|avx2|auto",
-      "batch distance kernel backend (default scalar; auto = best "
-      "supported; emissions are identical across backends)",
+      "batch distance kernel backend (default auto = best supported; "
+      "emissions are identical across backends)",
       [](const std::string& v, std::string* error) {
         KernelBackend backend = KernelBackend::kScalar;
         if (!ParseKernelBackend(v, &backend)) {
