@@ -6,11 +6,13 @@
 // the identical bookkeeping in O(log L) per update/query, which matters
 // for workloads with thousands of distinct r values. Resets are done by
 // undoing updates so that reuse across points costs O(inserts log L), not
-// O(L).
+// O(L). LowerBound finds the first layer whose prefix reaches a count in
+// one O(log L) descent (K-SKY's dominance frontier, see core/ksky.h).
 
 #ifndef SOP_COMMON_FENWICK_H_
 #define SOP_COMMON_FENWICK_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -48,6 +50,23 @@ class FenwickTree {
       sum += tree_[static_cast<size_t>(pos)];
     }
     return sum;
+  }
+
+  /// Smallest pos in 1..size with PrefixSum(pos) >= target, or size + 1
+  /// when no prefix reaches it. Requires every position's value to be
+  /// non-negative (prefix sums non-decreasing). O(log size).
+  int LowerBound(int64_t target) const {
+    int pos = 0;
+    for (int step = static_cast<int>(std::bit_floor(
+             static_cast<unsigned>(size())));
+         step > 0; step >>= 1) {
+      const int next = pos + step;
+      if (next <= size() && tree_[static_cast<size_t>(next)] < target) {
+        pos = next;
+        target -= tree_[static_cast<size_t>(next)];
+      }
+    }
+    return pos + 1;
   }
 
  private:

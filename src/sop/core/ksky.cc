@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "sop/common/check.h"
 #include "sop/obs/trace.h"
@@ -39,7 +40,9 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   const ColumnStore& cols = buffer.columns();
   const double r_max = plan_->r_max();
   bool keep_scanning = true;
-  uint64_t kernel_hits = 0;
+  uint64_t kernel_hits = 0;  // counted only when obs is on
+  uint64_t classified = 0;
+  stats_.oldest_computed = buffer.next_seq();
 
   // Window key of alive point `s`, resolved from the columns (the scan
   // never touches the row Points).
@@ -50,30 +53,46 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   };
 
   // Consumes one kernel block. Block position j (0 = newest) holds
-  // candidate seq_at(j) at distance dist_at(j). Only the r_max hits are
-  // classified: `d <= r_max` is the exact comparison the per-pair scan
-  // made, and a candidate failing it (farther, or NaN) is nobody's
-  // neighbor (Def. 5 c3), so skipping it leaves the Examine sequence — and
-  // the built skyband — unchanged. Returns the block positions consumed:
-  // all of them, or up to and including the hit that ended the scan.
+  // candidate seq_at(j) at distance dist_at(j). Only candidates inside the
+  // dominance frontier are classified (see ksky.h): `d <= r_{f-1}`, where
+  // f is the first layer whose kept-entry prefix count reaches k_max and
+  // r_L = r_max. A candidate failing it is either nobody's neighbor
+  // (farther than r_max, or NaN: Def. 5 c3) or sits at a layer >= f,
+  // where Examine would reject it without touching any state; so skipping
+  // it leaves the Examine sequence — and the built skyband — unchanged.
+  // Returns the block positions consumed: all of them, or up to and
+  // including the hit that ended the scan.
   uint8_t hits[kBatchBlock] = {};
   auto examine_block = [&](size_t nb, auto seq_at, auto dist_at) -> size_t {
+    const int frontier = layer_counts_.LowerBound(plan_->k_max());
+    const double r_front = frontier > 1
+                               ? plan_->r_of_layer(frontier - 1)
+                               : -std::numeric_limits<double>::infinity();
     size_t nh = 0;
     for (size_t j = 0; j < nb; ++j) {  // branch-free compaction
       hits[nh] = static_cast<uint8_t>(j);
-      nh += dist_at(j) <= r_max ? 1 : 0;
+      nh += dist_at(j) <= r_front ? 1 : 0;
     }
+    size_t consumed = nb;
     for (size_t h = 0; h < nh; ++h) {
       const size_t j = hits[h];
       const Seq s = seq_at(j);
       if (s == p.seq) continue;  // the probe itself (buffer ranges only)
       const double d = dist_at(j);
       SOP_DCHECK(!std::isnan(d));
-      ++kernel_hits;
+      ++classified;
       keep_scanning = Examine(s, key_of(s), plan_->LayerOfDistance(d));
-      if (!keep_scanning) return j + 1;
+      if (!keep_scanning) {
+        consumed = j + 1;
+        break;
+      }
     }
-    return nb;
+    stats_.oldest_computed = seq_at(consumed - 1);
+    return consumed;
+  };
+  // kernel/hits: the r_max hits among `n` consumed kernel outputs.
+  auto count_hits = [&](const double* dists, size_t n) {
+    for (size_t i = 0; i < n; ++i) kernel_hits += dists[i] <= r_max ? 1 : 0;
   };
   // Stats count consumed candidates only, exactly as the per-pair scan
   // did: a block cut short by termination does not inflate them.
@@ -107,9 +126,11 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
         SOP_COUNTER_ADD("kernel/batches", 1);
         SOP_COUNTER_ADD("kernel/candidates", nb);
         SOP_DCHECK(std::find(block, block + nb, p.seq) == block + nb);
-        count_consumed(examine_block(
+        const size_t consumed = examine_block(
             nb, [&](size_t j) { return block[j]; },
-            [&](size_t j) { return batch_dists_[j]; }));
+            [&](size_t j) { return batch_dists_[j]; });
+        count_consumed(consumed);
+        if (SOP_OBS_ENABLED()) count_hits(batch_dists_.data(), consumed);
       }
       return;
     }
@@ -126,6 +147,15 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
       const bool probe_consumed =
           p.seq < end && p.seq >= end - static_cast<Seq>(consumed);
       count_consumed(consumed - (probe_consumed ? 1 : 0));
+      if (SOP_OBS_ENABLED()) {
+        // The consumed positions are the block's newest seqs, whose
+        // distances end the output; p itself is no candidate.
+        count_hits(batch_dists_.data() + (nb - consumed), consumed);
+        if (probe_consumed &&
+            batch_dists_[static_cast<size_t>(p.seq - begin)] <= r_max) {
+          --kernel_hits;
+        }
+      }
       end = begin;
     }
   };
@@ -139,7 +169,6 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
     // skyband entry), then the surviving previous entries with their
     // cached layers. Both sub-sequences are seq-descending, and so is
     // their concatenation.
-    old_entries_.assign(skyband->entries().begin(), skyband->entries().end());
     scan_buffer_range(batch_first_seq, buffer.next_seq());
     if (build_.empty()) {
       // No new arrival entered the skyband, so the previous entries'
@@ -148,12 +177,19 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
       // oldest — i.e., last-decided — ones). The expired skyband is
       // already exact; skip the re-admission pass.
       stats_.terminated_early = !keep_scanning;
-      if (SOP_OBS_ENABLED()) RecordScanObs(skyband->size(), kernel_hits);
+      if (SOP_OBS_ENABLED()) {
+        RecordScanObs(skyband->size(), kernel_hits, classified);
+      }
       return IsSafeForAll(p, *skyband);
     }
-    for (const SkybandEntry& e : old_entries_) {
+    // The previous entries are read in place: nothing writes `skyband`
+    // until the final Swap. Entries at or beyond the dominance frontier
+    // are consumed without Examine, which would reject them unchanged.
+    const int frontier = layer_counts_.LowerBound(plan_->k_max());
+    for (const SkybandEntry& e : skyband->entries()) {
       if (!keep_scanning) break;
       ++stats_.candidates_examined;
+      if (e.layer >= frontier) continue;
       keep_scanning = Examine(e.seq, e.key, e.layer);
     }
   }
@@ -166,15 +202,19 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   }
 
   skyband->Swap(&build_);
-  if (SOP_OBS_ENABLED()) RecordScanObs(skyband->size(), kernel_hits);
+  if (SOP_OBS_ENABLED()) {
+    RecordScanObs(skyband->size(), kernel_hits, classified);
+  }
   return IsSafeForAll(p, *skyband);
 }
 
-void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits) const {
+void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits,
+                         uint64_t classified) const {
   SOP_COUNTER_ADD("ksky/scans", 1);
   SOP_COUNTER_ADD("ksky/distances_computed", stats_.distances_computed);
   SOP_COUNTER_ADD("ksky/candidates_examined", stats_.candidates_examined);
   if (stats_.terminated_early) SOP_COUNTER_ADD("ksky/early_terminations", 1);
+  SOP_COUNTER_ADD("ksky/classified", classified);
   SOP_COUNTER_ADD("kernel/hits", kernel_hits);
   SOP_HISTOGRAM_RECORD("ksky/skyband_size", skyband_size);
 }

@@ -29,6 +29,21 @@
 // once its inlier status is decided; that shortcut is only sound when all
 // windows are equal, so we do not use it in the general framework.)
 //
+// Dominance frontier. Let f be the first layer whose count of kept
+// entries at layers <= f reaches k_max (L + 1 when none does). A
+// candidate at layer >= f is dominated by at least k_max kept points, so
+// Def. 6 discards it, and Examine does so without changing any state; the
+// scan may therefore skip it, as long as it still counts it as consumed.
+// Kernel blocks are compacted with d <= r_{f-1} (r_max while f = L + 1;
+// nothing while f = 1, which needs early termination off, since layer-1
+// saturation ends the scan first), and the re-admission pass skips
+// previous entries whose cached layer is >= f. f is computed once per
+// 64-candidate block and once before re-admission. Inside that span it
+// can only go stale in the safe direction: kept entries only accumulate,
+// so the true frontier only moves inward, and a candidate that passes the
+// stale test is simply examined as before (rejected by Examine if it is
+// dominated by now). Condition-3 rejections are left to Examine.
+//
 // Why LSky::CountWithin is an exact status test (generalized Lemma 3).
 // Claim: for every query q(r, k) and every window w that is a suffix of the
 // swift window, p has >= k neighbors within r inside w iff p's skyband
@@ -77,6 +92,11 @@ struct KSkyScanStats {
   int64_t candidates_examined = 0;
   /// Whether the scan stopped early via layer-1 saturation.
   bool terminated_early = false;
+  /// The oldest candidate whose distance the scan consumed, or
+  /// buffer.next_seq() when it consumed none. A linear scan (no candidate
+  /// list) computed the distance to every seq in
+  /// [oldest_computed, buffer.next_seq()) except p's own.
+  Seq oldest_computed = 0;
 };
 
 /// The K-SKY scanner for one workload plan. Holds reusable scratch state;
@@ -133,8 +153,11 @@ class KSky {
 
   // Publishes the finished scan's stats to the observability registry
   // (ksky/* counters, kernel/hits, skyband-size histogram). Call only when
-  // SOP_OBS_ENABLED(); never affects the scan result.
-  void RecordScanObs(size_t skyband_size, uint64_t kernel_hits) const;
+  // SOP_OBS_ENABLED(); never affects the scan result. `kernel_hits` counts
+  // the r_max hits among the consumed block positions, `classified` the
+  // hits that reached the layer lookup (both exclude p itself).
+  void RecordScanObs(size_t skyband_size, uint64_t kernel_hits,
+                     uint64_t classified) const;
 
   // Safe-For-All check over the freshly built skyband.
   bool IsSafeForAll(const Point& p, const LSky& skyband) const;
@@ -150,8 +173,7 @@ class KSky {
   // inserts recorded in build_.
   FenwickTree layer_counts_;
   int64_t layer1_count_ = 0;  // cardinality of layer 1 (termination check)
-  std::vector<SkybandEntry> old_entries_;  // previous skyband, flattened
-  std::vector<double> batch_dists_;        // per-block kernel output
+  std::vector<double> batch_dists_;  // per-block kernel output
   mutable std::vector<int64_t> req_counts_;  // per-safety-requirement counts
   LSky build_;                               // skyband under construction
   KSkyScanStats stats_;

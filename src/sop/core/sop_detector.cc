@@ -99,11 +99,61 @@ void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
   stats.distances_computed += scan.distances_computed;
   stats.candidates_examined += scan.candidates_examined;
   stats.early_terminations += scan.terminated_early ? 1 : 0;
+  // An index-provided candidate list leaves holes in the computed range.
+  if (SOP_OBS_ENABLED() && grid_ == nullptr) {
+    lane->scan_ranges.push_back({s, scan.oldest_computed});
+  }
   if (safe && options_.safe_inlier_pruning) {
     st.safe = true;
     st.skyband.Release();
     ++stats.safe_points_discovered;
   }
+}
+
+void SopDetector::RecordRepeatPairs() {
+  scan_ranges_.clear();
+  for (Lane& lane : lanes_) {
+    scan_ranges_.insert(scan_ranges_.end(), lane.scan_ranges.begin(),
+                        lane.scan_ranges.end());
+    lane.scan_ranges.clear();
+  }
+  if (scan_ranges_.empty()) return;
+  // With probes a < b, {a, b} repeats iff oldest(a) <= b and
+  // oldest(b) <= a. Walk b up the probe order, marking (at its probe's
+  // rank) every scan whose oldest is <= b; the repeats whose larger probe
+  // is b are then the marked probes in [oldest(b), b).
+  std::vector<ScanRange>& ranges = scan_ranges_;
+  std::sort(ranges.begin(), ranges.end(),
+            [](const ScanRange& x, const ScanRange& y) {
+              return x.probe < y.probe;
+            });
+  std::vector<int> by_oldest(ranges.size());
+  for (size_t i = 0; i < by_oldest.size(); ++i) {
+    by_oldest[i] = static_cast<int>(i);
+  }
+  const auto oldest = [&](int rank) {
+    return ranges[static_cast<size_t>(rank)].oldest_computed;
+  };
+  std::sort(by_oldest.begin(), by_oldest.end(),
+            [&](int x, int y) { return oldest(x) < oldest(y); });
+  FenwickTree marked(static_cast<int>(ranges.size()));
+  size_t next = 0;
+  int64_t pairs = 0;
+  for (int b = 0; b < static_cast<int>(ranges.size()); ++b) {
+    const Seq probe = ranges[static_cast<size_t>(b)].probe;
+    for (; next < by_oldest.size() && oldest(by_oldest[next]) <= probe;
+         ++next) {
+      marked.Add(by_oldest[next] + 1, 1);
+    }
+    // Rank of the first probe >= oldest(b); an incremental scan's range
+    // starts above its own probe and pairs with no smaller one.
+    const auto below = [](const ScanRange& x, Seq v) { return x.probe < v; };
+    const int lo = static_cast<int>(
+        std::lower_bound(ranges.begin(), ranges.begin() + b, oldest(b), below) -
+        ranges.begin());
+    pairs += marked.PrefixSum(b) - marked.PrefixSum(lo);
+  }
+  SOP_COUNTER_ADD("ksky/repeat_pairs", pairs);
 }
 
 void SopDetector::SweepPoint(Seq s, Lane* lane) const {
@@ -202,6 +252,7 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
     SOP_COUNTER_ADD("sop/safe_points_discovered", newly_safe);
     std::erase_if(nonsafe_seqs_, [this](Seq s) { return StateOf(s).safe; });
   }
+  RecordRepeatPairs();
   if (SOP_OBS_ENABLED()) {
     SOP_COUNTER_ADD("sop/batches", 1);
     SOP_GAUGE_SET("sop/alive_points",

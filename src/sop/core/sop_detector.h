@@ -152,6 +152,14 @@ class SopDetector : public OutlierDetector {
     size_t result_slot;
   };
 
+  // One linear K-SKY scan of the batch, as the repeat-pairs counter sees
+  // it: `probe` computed its distance to every seq in
+  // [oldest_computed, next_seq) but its own.
+  struct ScanRange {
+    Seq probe;
+    Seq oldest_computed;
+  };
+
   // One lane of the per-point loops: private scratch, plus what the lane
   // produced in the current batch.
   struct Lane {
@@ -162,6 +170,7 @@ class SopDetector : public OutlierDetector {
     FenwickTree emit_counts;  // sweep layer table, zero between points
     Stats stats;              // this batch's scan counters
     std::vector<std::vector<Seq>> outliers;  // per emitting query
+    std::vector<ScanRange> scan_ranges;      // only while obs is on
   };
 
   // Lanes for this batch's loops, created on demand: one unless the scan
@@ -171,6 +180,11 @@ class SopDetector : public OutlierDetector {
   void ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start, Lane* lane);
   // Classifies non-safe point `s` for every emitting query on `lane`.
   void SweepPoint(Seq s, Lane* lane) const;
+  // ksky/repeat_pairs: pairs {a, b} of this batch's scans in which each
+  // point lies in the other's computed range, i.e. distances both scans
+  // computed. Drains the lanes' ranges (recorded only while obs is on);
+  // O(n log n) in the scans.
+  void RecordRepeatPairs();
 
   WorkloadPlan plan_;
   Options options_;
@@ -186,6 +200,7 @@ class SopDetector : public OutlierDetector {
   std::vector<Seq> nonsafe_seqs_;
   std::vector<Seq> grid_candidates_;  // seq-descending K-SKY candidates
   std::vector<EmittingQuery> emitting_;
+  std::vector<ScanRange> scan_ranges_;  // RecordRepeatPairs scratch
 };
 
 /// Test seam: batches large enough to fan out run on `lanes` lanes instead

@@ -17,7 +17,7 @@ const std::vector<int>& GridIndex::dims() const {
   return dist_.attributes().empty() ? full_space_dims_ : dist_.attributes();
 }
 
-GridIndex::CellCoords GridIndex::CellOf(const Point& p) const {
+bool GridIndex::CellOf(const Point& p, CellCoords* coords) const {
   // Lazily derive full-space dims from the first point seen.
   if (dist_.attributes().empty() && full_space_dims_.empty()) {
     auto* self = const_cast<GridIndex*>(this);
@@ -25,13 +25,14 @@ GridIndex::CellCoords GridIndex::CellOf(const Point& p) const {
       self->full_space_dims_.push_back(static_cast<int>(d));
     }
   }
-  CellCoords coords;
-  coords.reserve(dims().size());
+  coords->clear();
+  coords->reserve(dims().size());
   for (const int d : dims()) {
-    coords.push_back(static_cast<int64_t>(
-        std::floor(p.values[static_cast<size_t>(d)] / cell_size_)));
+    const double c = std::floor(p.values[static_cast<size_t>(d)] / cell_size_);
+    if (!(std::fabs(c) <= kCellLimit)) return false;  // also NaN
+    coords->push_back(static_cast<int64_t>(c));
   }
-  return coords;
+  return true;
 }
 
 uint64_t GridIndex::HashCell(const CellCoords& c) {
@@ -46,7 +47,12 @@ uint64_t GridIndex::HashCell(const CellCoords& c) {
 }
 
 void GridIndex::Insert(Seq seq, const Point& p) {
-  const CellCoords coords = CellOf(p);
+  CellCoords coords;
+  if (!CellOf(p, &coords)) {
+    overflow_.push_back(seq);
+    ++size_;
+    return;
+  }
   std::vector<Entry>& bucket = cells_[HashCell(coords)];
   for (Entry& e : bucket) {
     if (e.coords == coords) {
@@ -60,7 +66,14 @@ void GridIndex::Insert(Seq seq, const Point& p) {
 }
 
 void GridIndex::Remove(Seq seq, const Point& p) {
-  const CellCoords coords = CellOf(p);
+  CellCoords coords;
+  if (!CellOf(p, &coords)) {
+    const auto pos = std::find(overflow_.begin(), overflow_.end(), seq);
+    SOP_CHECK_MSG(pos != overflow_.end(), "removing unindexed point");
+    overflow_.erase(pos);
+    --size_;
+    return;
+  }
   const auto it = cells_.find(HashCell(coords));
   SOP_CHECK_MSG(it != cells_.end(), "removing unindexed point");
   for (size_t b = 0; b < it->second.size(); ++b) {
@@ -113,7 +126,8 @@ void GridIndex::CollectCandidates(const Point& p, double r,
 
 size_t GridIndex::MemoryBytes() const {
   size_t bytes = cells_.size() * (sizeof(uint64_t) + sizeof(std::vector<Entry>) +
-                                  2 * sizeof(void*));
+                                  2 * sizeof(void*)) +
+                 VectorHeapBytes(overflow_);
   for (const auto& [hash, bucket] : cells_) {
     bytes += VectorHeapBytes(bucket);
     for (const Entry& e : bucket) {

@@ -58,49 +58,64 @@ class GridIndex {
   /// *may* be <= r (a superset filtered by cell lower bounds); the caller
   /// must confirm with an exact distance computation. `visit` is any
   /// callable taking a Seq; it is statically dispatched, so the call
-  /// inlines into the scan loop.
+  /// inlines into the scan loop. Points without a cell (see kCellLimit)
+  /// are visited by every probe; a probe without a cell, or a radius
+  /// spanning more cells than the coordinates can hold, visits every
+  /// indexed point.
   template <typename Visitor>
   void VisitCandidates(const Point& p, double r, Visitor&& visit) const {
     if (size_ == 0) return;
-    const CellCoords center = CellOf(p);
     // Per-query scan state: the cell span depends only on r (one ceil per
     // radius change, not per probe — detectors probe with a fixed r), and
     // the odometer scratch is reused across scans so the steady state
     // allocates nothing.
     if (r != scan_r_) {
       scan_r_ = r;
-      scan_span_ = static_cast<int64_t>(std::ceil(r / cell_size_)) + 1;
+      const double span = std::ceil(r / cell_size_) + 1;
+      scan_span_ = span <= kCellLimit ? static_cast<int64_t>(span) : -1;
     }
-    const int64_t span = scan_span_;
-    const size_t ndims = center.size();
-    scan_coords_.assign(ndims, 0);
-    scan_offset_.assign(ndims, -span);
     // Register-local tallies; published in one gated batch below so the
     // scan itself never branches on the observability state.
     [[maybe_unused]] uint64_t obs_cells = 0;
-    [[maybe_unused]] uint64_t obs_candidates = 0;
-    for (;;) {
-      for (size_t i = 0; i < ndims; ++i) {
-        scan_coords_[i] = center[i] + scan_offset_[i];
-      }
-      if (CellLowerBound(p, scan_coords_) <= r) {
-        const auto it = cells_.find(HashCell(scan_coords_));
-        if (it != cells_.end()) {
-          for (const Entry& e : it->second) {
-            if (e.coords != scan_coords_) continue;
-            ++obs_cells;
-            obs_candidates += e.seqs.size();
-            for (const Seq s : e.seqs) visit(s);
-          }
+    [[maybe_unused]] uint64_t obs_candidates = overflow_.size();
+    for (const Seq s : overflow_) visit(s);
+    CellCoords center;
+    if (!CellOf(p, &center) || scan_span_ < 0) {
+      for (const auto& [hash, bucket] : cells_) {
+        for (const Entry& e : bucket) {
+          ++obs_cells;
+          obs_candidates += e.seqs.size();
+          for (const Seq s : e.seqs) visit(s);
         }
       }
-      // Advance the odometer.
-      size_t i = 0;
-      for (; i < ndims; ++i) {
-        if (++scan_offset_[i] <= span) break;
-        scan_offset_[i] = -span;
+    } else {
+      const int64_t span = scan_span_;
+      const size_t ndims = center.size();
+      scan_coords_.assign(ndims, 0);
+      scan_offset_.assign(ndims, -span);
+      for (;;) {
+        for (size_t i = 0; i < ndims; ++i) {
+          scan_coords_[i] = center[i] + scan_offset_[i];
+        }
+        if (CellLowerBound(p, scan_coords_) <= r) {
+          const auto it = cells_.find(HashCell(scan_coords_));
+          if (it != cells_.end()) {
+            for (const Entry& e : it->second) {
+              if (e.coords != scan_coords_) continue;
+              ++obs_cells;
+              obs_candidates += e.seqs.size();
+              for (const Seq s : e.seqs) visit(s);
+            }
+          }
+        }
+        // Advance the odometer.
+        size_t i = 0;
+        for (; i < ndims; ++i) {
+          if (++scan_offset_[i] <= span) break;
+          scan_offset_[i] = -span;
+        }
+        if (i == ndims) break;
       }
-      if (i == ndims) break;
     }
     SOP_COUNTER_ADD("grid/scans", 1);
     SOP_COUNTER_ADD("grid/cells_visited", obs_cells);
@@ -118,8 +133,14 @@ class GridIndex {
  private:
   using CellCoords = std::vector<int64_t>;
 
-  // Quantized cell coordinates of `p` over the subspace dims.
-  CellCoords CellOf(const Point& p) const;
+  // Cell coordinates and scan spans stay within +-kCellLimit (2^61), so
+  // center + offset never overflows int64. A point whose quantized
+  // coordinate is beyond it, or not finite (NaN, +-inf), has no cell.
+  static constexpr double kCellLimit = 0x1p61;
+
+  // Quantized cell coordinates of `p` over the subspace dims into
+  // `*coords`; false (no cell) when one is beyond kCellLimit or not finite.
+  bool CellOf(const Point& p, CellCoords* coords) const;
 
   // 64-bit mix of cell coordinates.
   static uint64_t HashCell(const CellCoords& c);
@@ -142,12 +163,13 @@ class GridIndex {
     std::vector<Seq> seqs;
   };
   std::unordered_map<uint64_t, std::vector<Entry>> cells_;
+  std::vector<Seq> overflow_;  // indexed points without a cell
   // VisitCandidates scan state (see there). Mutable scratch — one more
   // reason the index is not thread-safe.
   mutable CellCoords scan_coords_;
   mutable std::vector<int64_t> scan_offset_;
   mutable double scan_r_ = -1.0;
-  mutable int64_t scan_span_ = 0;
+  mutable int64_t scan_span_ = 0;  // -1: the radius has no span
 };
 
 }  // namespace sop

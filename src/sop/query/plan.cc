@@ -1,7 +1,9 @@
 #include "sop/query/plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 
 #include "sop/common/check.h"
 
@@ -16,6 +18,10 @@ struct BasisDemand {
   int layer;
   int64_t k;
 };
+
+// Bucket-map size cap (see plan.h): a 256 KiB table, reached beyond 8K
+// layers.
+constexpr size_t kMaxLayerBuckets = size_t{1} << 16;
 
 }  // namespace
 
@@ -83,6 +89,7 @@ WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
   basis_.layer_r.erase(
       std::unique(basis_.layer_r.begin(), basis_.layer_r.end()),
       basis_.layer_r.end());
+  CompileBucketMap();
 
   // Envelopes.
   const int64_t k_env = workload_.MaxK() + headroom.k_slack;
@@ -284,8 +291,25 @@ bool WorkloadPlan::AdoptBasis(Basis basis) {
     if (!basis.Covers(q)) return false;
   }
   basis_ = std::move(basis);
+  CompileBucketMap();
   CompileOverlay();
   return true;
+}
+
+void WorkloadPlan::CompileBucketMap() {
+  const std::vector<double>& r = basis_.layer_r;
+  bucket_top_ = std::min(std::bit_ceil(4 * r.size()), kMaxLayerBuckets);
+  bucket_limit_ = static_cast<double>(bucket_top_);
+  bucket_scale_ = std::max(bucket_limit_ / r.back(),
+                           std::numeric_limits<double>::denorm_min());
+  // r is ascending and bucket() non-decreasing, so one merge pass fills
+  // bucket_first_[b] = #{i : bucket(r_i) < b}.
+  bucket_first_.assign(bucket_top_ + 2, 0);
+  size_t i = 0;
+  for (size_t b = 0; b < bucket_first_.size(); ++b) {
+    while (i < r.size() && BucketOf(r[i]) < b) ++i;
+    bucket_first_[b] = static_cast<uint32_t>(i);
+  }
 }
 
 }  // namespace sop

@@ -123,19 +123,25 @@ class WorkloadPlan {
 
     /// Normalized distance of `d` (Def. 4): the 1-based layer index m with
     /// r_{m-1} < d <= r_m, or num_layers()+1 when d exceeds every r. NaN
-    /// is nobody's neighbor: it lands beyond every layer too.
+    /// is nobody's neighbor: it lands beyond every layer too. This is the
+    /// O(log L) reference; the scan uses WorkloadPlan::LayerOfDistance.
     int LayerOfDistance(double d) const {
-      // Branch-free lower bound. A threshold r lies below d iff
-      // !(r >= d), which also holds for every r when d is NaN.
-      const double* first = layer_r.data();
-      size_t len = layer_r.size();
+      return LayerBelow(layer_r.data(), 0, layer_r.size(), d);
+    }
+
+    /// 1 + lo + the number of thresholds r[i], i in [lo, lo + len), that
+    /// lie below `d`, for ascending `r`. A threshold lies below d iff
+    /// !(r >= d), which also holds for every r when d is NaN. Branch-free
+    /// lower bound; `len` may be 0.
+    static int LayerBelow(const double* r, size_t lo, size_t len, double d) {
+      const double* first = r + lo;
       while (len > 1) {
         const size_t half = len / 2;
         first += !(first[half - 1] >= d) ? half : 0;
         len -= half;
       }
-      return static_cast<int>(first - layer_r.data()) +
-             (!(first[0] >= d) ? 1 : 0) + 1;
+      return static_cast<int>(first - r) +
+             (len != 0 && !(first[0] >= d) ? 1 : 0) + 1;
     }
 
     /// The 1-based layer whose r equals `r` exactly, or 0 when `r` is not
@@ -198,8 +204,17 @@ class WorkloadPlan {
   /// workload's largest k plus any headroom slack).
   int64_t k_max() const { return basis_.k_max(); }
 
-  /// Normalized distance of an original distance `d` (Def. 4).
-  int LayerOfDistance(double d) const { return basis_.LayerOfDistance(d); }
+  /// Normalized distance of an original distance `d` (Def. 4): equal to
+  /// basis().LayerOfDistance(d) for every double d, but O(1) for
+  /// workloads whose r values are spread out (see the bucket map below).
+  int LayerOfDistance(double d) const {
+    const size_t b = BucketOf(d);
+    const size_t lo = bucket_first_[b];
+    const int layer = Basis::LayerBelow(basis_.layer_r.data(), lo,
+                                        bucket_first_[b + 1] - lo, d);
+    SOP_DCHECK(layer == basis_.LayerOfDistance(d));
+    return layer;
+  }
 
   /// Layer of query `i`'s exact r value (1-based).
   int layer_of_query(size_t i) const { return query_layer_[i]; }
@@ -252,9 +267,39 @@ class WorkloadPlan {
   void ValidateWorkload() const;
   // Recomputes every overlay field from workload_ against basis_.
   void CompileOverlay();
+  // Rebuilds the bucket map from basis_.layer_r.
+  void CompileBucketMap();
+
+  // The bucket of `x`: floor(x * s) clamped to [0, B]. Compares before it
+  // converts, so a NaN, infinite or out-of-range product is never
+  // converted; NaN lands in the top bucket.
+  size_t BucketOf(double x) const {
+    const double t = x * bucket_scale_;
+    return t < bucket_limit_ ? (t > 0 ? static_cast<size_t>(t) : 0)
+                             : bucket_top_;
+  }
 
   Workload workload_;
   Basis basis_;
+
+  // Bucket map: O(1) LayerOfDistance, derived from basis_.layer_r and
+  // rebuilt wherever the basis is compiled or adopted. B buckets (the
+  // next power of two >= 4L, capped) split [0, r_max] evenly at scale
+  // s = B / r_max, and bucket_first_[b] = #{i : bucket(r_i) < b} for b in
+  // [0, B + 1]. LayerOfDistance(d) runs the lower bound over the r_i in
+  // bucket(d) only. Input domain: every double, not only distances (the
+  // scan passes hits, 0 <= d <= r_max). Exact because bucket() is
+  // non-decreasing over the non-NaN doubles: every r_i before the range
+  // lies below d and every r_i after it lies above d. NaN takes the top
+  // bucket, whose range runs to r_L, so every r_i counts as below it, as
+  // in the reference. r_max = +inf would make s = 0 (and -inf * 0 a NaN),
+  // so s is floored at the smallest positive double; a denormal r_max
+  // makes s = +inf, which maps every d >= 0 (0 * inf is NaN) to the top
+  // bucket: a plain lower bound over all layers.
+  double bucket_scale_ = 0.0;  // s
+  double bucket_limit_ = 0.0;  // B, as a double
+  size_t bucket_top_ = 0;      // B
+  std::vector<uint32_t> bucket_first_;
 
   // Overlay: recompiled wholesale by CompileOverlay.
   std::vector<int64_t> group_k_;      // ascending unique real k values

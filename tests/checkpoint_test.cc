@@ -1,16 +1,20 @@
 // Tests for SopDetector checkpoint save/restore.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
 #include "sop/core/sop_detector.h"
+#include "sop/gen/synthetic.h"
+#include "sop/gen/workload_gen.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
 
+using testing::ExpectSameResults;
 using testing::ResultToString;
 
 Workload TestWorkload() {
@@ -103,6 +107,90 @@ TEST(CheckpointTest, RoundTripPreservesEvidence) {
   }
   // A restored detector's own checkpoint is byte-identical.
   EXPECT_EQ(original.SaveState(), restored.SaveState());
+}
+
+// Restoring into a detector compiled without the saver's headroom adopts
+// the saved, wider basis: the plan's layer lookup and every lane's layer
+// tables must follow it. Saver and restorer then both continue in step
+// with the saver's uninterrupted run, at one lane and at four.
+TEST(CheckpointTest, RestoreAdoptsADifferentBasis) {
+  gen::WorkloadGenOptions o;
+  o.r_lo = 200.0;
+  o.r_hi = 800.0;
+  o.k_fixed = 30;
+  o.win_fixed = 3000;
+  o.slide_fixed = 500;
+  o.seed = 5;
+  const Workload w =
+      gen::GenerateWorkload(gen::WorkloadCase::kA, 10, WindowType::kCount, o);
+  SopDetector::Options headroom;
+  headroom.headroom.r_values = {150.0, 950.0};
+  headroom.headroom.k_slack = 4;
+  gen::SyntheticOptions stream;
+  stream.seed = 9;
+  std::vector<Point> points = gen::GenerateSynthetic(6000, stream);
+  for (size_t i = 0; i < points.size(); ++i) {
+    points[i].seq = static_cast<Seq>(i);
+  }
+  const int64_t span = w.SlideGcd();
+  const int64_t total = static_cast<int64_t>(points.size()) / span;
+  const int64_t half = total / 2;
+
+  for (const int lanes : {1, 4}) {
+    SetScanLanesForTest(lanes);
+    const std::string at = std::to_string(lanes) + " lanes";
+    SopDetector reference(w, headroom);
+    std::vector<QueryResult> expected;
+    Drive(&reference, points, span, 0, half, nullptr);
+    // The largest batch scan bound (scans x alive points) after the save
+    // point: it must clear the fan-out bound for lanes to matter.
+    int64_t max_bound = 0;
+    for (int64_t b = half; b < total; ++b) {
+      const int64_t scans = reference.stats().ksky_scans;
+      Drive(&reference, points, span, b, b + 1, &expected);
+      int64_t alive = 0;
+      for (Seq s = 0; s < static_cast<Seq>(points.size()); ++s) {
+        alive += reference.IsAliveForTesting(s) ? 1 : 0;
+      }
+      max_bound = std::max(max_bound,
+                           (reference.stats().ksky_scans - scans) * alive);
+    }
+    EXPECT_GT(max_bound, SopDetector::kLaneScanBound) << at;
+
+    SopDetector saver(w, headroom);
+    Drive(&saver, points, span, 0, half, nullptr);
+    const std::string blob = saver.SaveState();
+    SopDetector restorer(w);
+    ASSERT_NE(restorer.plan().basis(), saver.plan().basis()) << at;
+    ASSERT_TRUE(restorer.LoadState(blob)) << at;
+    EXPECT_EQ(restorer.plan().basis(), saver.plan().basis()) << at;
+
+    for (SopDetector* d : {&saver, &restorer}) {
+      const std::string who = at + (d == &saver ? ", saver" : ", restorer");
+      std::vector<QueryResult> actual;
+      Drive(d, points, span, half, total, &actual);
+      ExpectSameResults(expected, actual, who);
+      for (Seq s = 0; s < static_cast<Seq>(points.size()); ++s) {
+        ASSERT_EQ(reference.IsAliveForTesting(s), d->IsAliveForTesting(s));
+        if (!reference.IsAliveForTesting(s)) continue;
+        EXPECT_EQ(reference.IsSafeForTesting(s), d->IsSafeForTesting(s))
+            << who << ", seq " << s;
+        EXPECT_EQ(reference.SkybandForTesting(s).entries(),
+                  d->SkybandForTesting(s).entries())
+            << who << ", seq " << s;
+      }
+      const SopDetector::Stats& want = reference.stats();
+      const SopDetector::Stats& got = d->stats();
+      EXPECT_EQ(want.ksky_scans, got.ksky_scans) << who;
+      EXPECT_EQ(want.distances_computed, got.distances_computed) << who;
+      EXPECT_EQ(want.candidates_examined, got.candidates_examined) << who;
+      EXPECT_EQ(want.early_terminations, got.early_terminations) << who;
+      EXPECT_EQ(want.safe_points_discovered, got.safe_points_discovered)
+          << who;
+      EXPECT_EQ(want.overlay_swaps, got.overlay_swaps) << who;
+    }
+    SetScanLanesForTest(0);
+  }
 }
 
 TEST(CheckpointTest, RejectsCorruptedBlobs) {

@@ -171,6 +171,32 @@ TEST(FenwickTest, UndoByNegativeAdd) {
   for (int i = 0; i <= 16; ++i) EXPECT_EQ(tree.PrefixSum(i), 0);
 }
 
+TEST(FenwickTest, LowerBoundMatchesLinearScan) {
+  Rng rng(23);
+  for (const int n : {1, 2, 3, 7, 8, 37, 100}) {
+    FenwickTree tree(n);
+    std::vector<int64_t> counts(static_cast<size_t>(n) + 1, 0);
+    for (int step = 0; step < 300; ++step) {
+      const int pos = static_cast<int>(rng.UniformInt(1, n));
+      if (counts[static_cast<size_t>(pos)] == 0 || rng.Bernoulli(0.6)) {
+        tree.Add(pos, 1);
+        ++counts[static_cast<size_t>(pos)];
+      } else {
+        tree.Add(pos, -1);
+        --counts[static_cast<size_t>(pos)];
+      }
+      const int64_t target = rng.UniformInt(0, step / 4 + 2);
+      int expected = 1;
+      for (int64_t sum = counts[1]; expected <= n && sum < target;) {
+        ++expected;
+        if (expected <= n) sum += counts[static_cast<size_t>(expected)];
+      }
+      ASSERT_EQ(tree.LowerBound(target), expected)
+          << "n " << n << " step " << step << " target " << target;
+    }
+  }
+}
+
 TEST(SerializeTest, RoundTripAllTypes) {
   BinaryWriter w;
   w.WriteU32(0xdeadbeef);

@@ -1,6 +1,8 @@
 // Unit and property tests for the uniform grid index.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -43,6 +45,30 @@ TEST(GridIndexTest, RemovingUnindexedPointDies) {
   GridIndex grid(DistanceFn(Metric::kEuclidean), 1.0);
   grid.Insert(1, MakePoint(1, {0.0}));
   EXPECT_DEATH(grid.Remove(2, MakePoint(2, {50.0})), "unindexed");
+}
+
+// Coordinates whose cell int64 cannot hold (non-finite, or |v / cell|
+// beyond 2^61) go on an overflow list that every probe visits; a probe
+// without a cell, or a radius without a span, visits every point.
+TEST(GridIndexTest, PointsWithoutACellAreAlwaysCandidates) {
+  const double inf = std::numeric_limits<double>::infinity();
+  GridIndex grid(DistanceFn(Metric::kEuclidean), 1.0);
+  const Point near = MakePoint(1, {0.0, 0.0});
+  const Point far = MakePoint(2, {50.0, 50.0});
+  const Point nan = MakePoint(3, {std::nan(""), 0.0});
+  const Point huge = MakePoint(4, {1e300, 0.0});
+  const Point huge_too = MakePoint(5, {1e300, 0.5});
+  for (const Point* p : {&near, &far, &nan, &huge, &huge_too}) {
+    grid.Insert(p->seq, *p);
+  }
+  EXPECT_EQ(grid.size(), 5u);
+  EXPECT_EQ(Candidates(grid, near, 1.0), (std::set<Seq>{1, 3, 4, 5}));
+  EXPECT_EQ(Candidates(grid, huge, 1.0), (std::set<Seq>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(Candidates(grid, near, inf), (std::set<Seq>{1, 2, 3, 4, 5}));
+  grid.Remove(3, nan);
+  grid.Remove(4, huge);
+  EXPECT_EQ(grid.size(), 3u);
+  EXPECT_EQ(Candidates(grid, near, 1.0), (std::set<Seq>{1, 5}));
 }
 
 TEST(GridIndexTest, CandidatesAreSuperset) {

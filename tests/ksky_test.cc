@@ -1,10 +1,12 @@
 // Unit tests for the K-SKY scan, including the paper's worked examples.
 
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/core/ksky.h"
+#include "sop/obs/metrics.h"
 #include "sop/query/plan.h"
 #include "sop/stream/stream_buffer.h"
 
@@ -177,9 +179,9 @@ TEST(KSkyTest, TerminationOffScansEverything) {
 }
 
 // Hit filter. The scan computes distances in 64-candidate kernel blocks
-// (newest first) and classifies only the r_max hits; the counters must
-// still stop at the candidate that ended the scan. Harness seqs 1..130
-// form the blocks [67, 131) and [3, 67) (then [0, 3), holding p).
+// (newest first) and classifies only the hits it could keep; the counters
+// must still stop at the candidate that ended the scan. Harness seqs
+// 1..130 form the blocks [67, 131) and [3, 67) (then [0, 3), holding p).
 std::vector<double> FarExcept(
     size_t n, const std::vector<std::pair<Seq, double>>& near) {
   std::vector<double> distances(n, 100.0);
@@ -242,6 +244,125 @@ TEST(KSkyTest, TerminatesInsideTheProbesBlock) {
   scan(50);  // ends at position 29, before p: 30 consumed
   EXPECT_EQ(ksky.last_stats().candidates_examined, 30);
   EXPECT_EQ(ksky.last_stats().distances_computed, 30);
+}
+
+// Dominance frontier (ksky.h): once k_max kept entries sit at layers <= f,
+// candidates at layer >= f are consumed without classification. The
+// skyband and stats are those of the unfiltered scan; ksky/classified
+// (hits that reached the layer lookup) shows the cut.
+class ObsCounters {
+ public:
+  ObsCounters() {
+    obs::SetEnabled(true);
+    obs::MetricsRegistry::Global().Reset();
+  }
+  ~ObsCounters() {
+    obs::SetEnabled(false);
+    obs::MetricsRegistry::Global().Reset();
+  }
+  // The counter's value; 0 when the obs layer is compiled out.
+  uint64_t Get(const std::string& name) const {
+    const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? 0 : it->second;
+  }
+};
+
+constexpr uint64_t IfObs(uint64_t n) { return obs::kCompiledIn ? n : 0; }
+
+TEST(KSkyTest, FrontierCutsALaterBlock) {
+  // k_max 2. The first block keeps two layer-2 hits (d 3), so f = 2: the
+  // second block's layer-2 hits at 60 and 50 are dominated and skipped;
+  // its layer-1 hits at 40 and 30 are kept, and 30 saturates layer 1 at
+  // position 66 - 30 = 36.
+  KSkyHarness h({{1.0, 2, 1000, 10}, {5.0, 2, 1000, 10}},
+                FarExcept(130, {{120, 3.0},
+                                {110, 3.0},
+                                {60, 3.0},
+                                {50, 3.0},
+                                {40, 0.5},
+                                {30, 0.5},
+                                {20, 0.5}}));
+  ObsCounters obs;
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{120, 110, 40, 30}));
+  EXPECT_TRUE(h.stats().terminated_early);
+  EXPECT_EQ(h.stats().candidates_examined, 64 + 37);
+  EXPECT_EQ(h.stats().distances_computed, 64 + 37);
+  EXPECT_EQ(obs.Get("kernel/hits"), IfObs(6));
+  EXPECT_EQ(obs.Get("ksky/classified"), IfObs(4));
+}
+
+TEST(KSkyTest, FrontierCutsReadmission) {
+  // k_max 3, layers r 1 / 3 / 5. The first scan keeps
+  // {8 (L3), 7 (L3), 6 (L2), 4 (L2), 3 (L1), 1 (L1)}; 5 and 2 are
+  // dominated three times.
+  KSkyHarness h({{1.0, 3, 100, 10}, {3.0, 3, 100, 10}, {5.0, 3, 100, 10}},
+                {0.5, 2, 0.5, 2, 4, 2, 4, 4});
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{8, 7, 6, 4, 3, 1}));
+  // Three layer-2 arrivals put f at 2: re-admission skips the four old
+  // entries at layers >= 2 (still counted as examined) and re-keeps the
+  // two at layer 1.
+  for (Seq s = 9; s <= 11; ++s) h.buffer().Append(Point(s, s, {2.0}));
+  h.ksky().EvaluatePoint(h.buffer().At(0), h.buffer(), 9, 0,
+                         /*from_scratch=*/false, &skyband);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{11, 10, 9, 3, 1}));
+  EXPECT_FALSE(h.stats().terminated_early);
+  EXPECT_EQ(h.stats().distances_computed, 3);
+  EXPECT_EQ(h.stats().candidates_examined, 3 + 6);
+}
+
+TEST(KSkyTest, FrontierReachesLayer1WithoutTermination) {
+  // k_max 2, one layer, every candidate at d 1. With early termination
+  // off the first block's two newest hits saturate layer 1 (f = 1): the
+  // rest of that block is still examined (the frontier was taken before
+  // it), the later blocks classify nothing, and all 130 are consumed.
+  KSky::Options options;
+  options.early_termination = false;
+  KSkyHarness h({{10.0, 2, 1000, 10}}, std::vector<double>(130, 1.0),
+                options);
+  ObsCounters obs;
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_EQ(h.SkybandSeqs(skyband), (std::vector<Seq>{130, 129}));
+  EXPECT_FALSE(h.stats().terminated_early);
+  EXPECT_EQ(h.stats().candidates_examined, 130);
+  EXPECT_EQ(h.stats().distances_computed, 130);
+  EXPECT_EQ(obs.Get("kernel/hits"), IfObs(130));
+  EXPECT_EQ(obs.Get("ksky/classified"), IfObs(64));
+}
+
+TEST(KSkyTest, FrontierWithCondition3Off) {
+  // The plain 2-skyband (k_max 3): three layer-2 hits in the first block
+  // put f at 2, so 60 and 50 are skipped; layer-1 hits at 40, 30 and 20
+  // are kept and 20 saturates layer 1 at position 66 - 20 = 46. (With
+  // condition 3 on, 110 and 100 would be pruned: no group with k > 1
+  // reaches layer 2.)
+  KSky::Options options;
+  options.condition3_pruning = false;
+  KSkyHarness h({{1.0, 1, 1000, 10}, {5.0, 1, 1000, 10}, {1.0, 3, 1000, 10}},
+                FarExcept(130, {{120, 3.0},
+                                {110, 3.0},
+                                {100, 3.0},
+                                {60, 3.0},
+                                {50, 3.0},
+                                {40, 0.5},
+                                {30, 0.5},
+                                {20, 0.5}}),
+                options);
+  ObsCounters obs;
+  LSky skyband;
+  h.Scan(&skyband);
+  EXPECT_EQ(h.SkybandSeqs(skyband),
+            (std::vector<Seq>{120, 110, 100, 40, 30, 20}));
+  EXPECT_TRUE(h.stats().terminated_early);
+  EXPECT_EQ(h.stats().candidates_examined, 64 + 47);
+  EXPECT_EQ(h.stats().distances_computed, 64 + 47);
+  EXPECT_EQ(obs.Get("kernel/hits"), IfObs(8));
+  EXPECT_EQ(obs.Get("ksky/classified"), IfObs(6));
 }
 
 // Candidates beyond the largest r are nobody's neighbor and never enter

@@ -3,10 +3,12 @@
 // swift-query parameters).
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/common/random.h"
 #include "sop/query/plan.h"
 #include "sop/query/query.h"
 #include "sop/query/workload.h"
@@ -117,6 +119,56 @@ TEST(PlanTest, LayerOfDistanceIsALowerBoundForEveryLayerCount) {
           << layers << " layers, d=" << d;
     }
   }
+}
+
+// The bucket-map lookup must equal the reference lower bound for every
+// double: at, next to and between the thresholds, at both zeros, beyond
+// r_max, at the infinities and at NaN.
+void ExpectBucketMapExact(const std::vector<double>& rs, Rng* rng) {
+  Workload w(WindowType::kCount);
+  for (const double r : rs) w.AddQuery(OutlierQuery(r, 2, 100, 10));
+  const WorkloadPlan plan(w);
+  const WorkloadPlan::Basis& basis = plan.basis();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {0.0, -0.0, -1.0, inf, -inf,
+                                std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::denorm_min()};
+  for (const double r : basis.layer_r) {
+    probes.push_back(r);
+    probes.push_back(std::nextafter(r, -inf));
+    probes.push_back(std::nextafter(r, inf));
+    probes.push_back(2.0 * r);
+  }
+  const double r_max = plan.r_max();
+  for (int i = 0; i < 1000 && std::isfinite(r_max); ++i) {
+    probes.push_back(rng->UniformDouble(0.0, 1.25 * r_max));
+  }
+  for (const double d : probes) {
+    ASSERT_EQ(plan.LayerOfDistance(d), basis.LayerOfDistance(d))
+        << rs.size() << " layers, r_max " << r_max << ", d " << d;
+  }
+}
+
+TEST(PlanTest, BucketMapLookupEqualsReference) {
+  Rng rng(41);
+  for (const int layers : {1, 2, 3, 100, 5000}) {
+    std::vector<double> rs;
+    for (int m = 0; m < layers; ++m) rs.push_back(rng.UniformDouble(200, 800));
+    ExpectBucketMapExact(rs, &rng);
+    // Thresholds crowded into one bucket next to sparse ones.
+    for (int m = 0; m < layers; ++m) {
+      rs[static_cast<size_t>(m)] =
+          m % 2 == 0 ? 1.0 + 1e-9 * m : 1.0 + 1000.0 * m;
+    }
+    ExpectBucketMapExact(rs, &rng);
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  ExpectBucketMapExact({1.0, 2.0, inf}, &rng);   // r_max = +inf: s floored
+  ExpectBucketMapExact({inf}, &rng);
+  ExpectBucketMapExact({tiny, 4 * tiny}, &rng);  // denormal r_max: s = +inf
+  ExpectBucketMapExact({tiny, 1.0, 1e300}, &rng);
 }
 
 TEST(PlanTest, GroupsAndQueryCoordinates) {

@@ -11,6 +11,7 @@
 #include "sop/detector/driver.h"
 #include "sop/gen/synthetic.h"
 #include "sop/gen/workload_gen.h"
+#include "sop/obs/metrics.h"
 #include "test_util.h"
 
 namespace sop {
@@ -186,6 +187,37 @@ TEST(SopDetectorTest, RejectsNonMonotoneBoundaries) {
   auto batch = Points1D({0.0, 1.0});
   detector.Advance(std::move(batch), 2);
   EXPECT_DEATH(detector.Advance({}, 2), "boundaries must increase");
+}
+
+// ksky/repeat_pairs on a hand-built stream (r 1, k 2, slide 4), where a
+// scan of probe p computed every distance in [oldest, next_seq) but p's.
+TEST(SopDetectorTest, RepeatPairsCounter) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().Reset();
+  auto repeat_pairs = [] {
+    const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
+    const auto it = snap.counters.find("ksky/repeat_pairs");
+    return it == snap.counters.end() ? uint64_t{0} : it->second;
+  };
+  SopDetector detector(SingleQuery(1.0, 2, 100, 4));
+  // Batch 1: four isolated points; each scans all of [0, 4), so every
+  // one of the C(4, 2) = 6 pairs is computed twice.
+  detector.Advance(Points1D({0.0, 10.0, 20.0, 30.0}), 4);
+  EXPECT_EQ(repeat_pairs(), obs::kCompiledIn ? 6u : 0u);
+  // Batch 2: old probes 0-3 scan the arrivals [4, 8); new probe 4 scans
+  // all of [0, 8); probes 5-7 sit together, so their from-scratch scans
+  // stop on layer-1 saturation (k_max = 2) after two neighbours: probe 5
+  // at seq 6, probes 6 and 7 at seq 5. Repeats: {0..3} x {4} and the
+  // three pairs within {5, 6, 7}; old-old pairs and {4, 5..7} are not.
+  std::vector<Point> batch2;
+  for (const double v : {40.0, 50.0, 50.0, 50.0}) {
+    const Seq s = 4 + static_cast<Seq>(batch2.size());
+    batch2.emplace_back(s, s, std::vector<double>{v});
+  }
+  detector.Advance(std::move(batch2), 8);
+  EXPECT_EQ(repeat_pairs(), obs::kCompiledIn ? 6u + 7u : 0u);
+  obs::SetEnabled(false);
+  obs::MetricsRegistry::Global().Reset();
 }
 
 // Passes batches through to a SopDetector and records the largest scan

@@ -2,15 +2,18 @@
 # check.sh: build the full tree under AddressSanitizer+UBSan and run the
 # test suite, then again under standalone UBSan with
 # -fno-sanitize-recover (asan's combined pass recovers and keeps going;
-# this one traps, so any UB is a hard failure), then run the
-# concurrency-heavy suites (fault injection, crash recovery, engine
-# pipelining, the serving and scale-out planes, and the SOP detector's
-# point lanes) under ThreadSanitizer,
-# then build and run everything again with the observability layer
-# compiled out (-DSOP_NO_OBS) to keep the no-op macro expansions honest. Catches the memory bugs the release build hides (the
-# thread pool and the grid scratch buffers in particular) and the
-# ingest/worker/connection races the overload queue and the server's
-# per-connection threads could hide.
+# this one traps, so any UB is a hard failure). The standalone pass also
+# adds float-cast-overflow, which GCC's -fsanitize=undefined leaves out (a
+# NaN, infinite or out-of-range double converted to an integer), and
+# builds without NDEBUG, so it is the pass that runs every SOP_DCHECK.
+# Then it runs the concurrency-heavy suites (fault injection, crash
+# recovery, engine pipelining, the serving and scale-out planes, and the
+# SOP detector's point lanes) under ThreadSanitizer, then builds and runs
+# everything again with the observability layer compiled out
+# (-DSOP_NO_OBS) to keep the no-op macro expansions honest. Catches the
+# memory bugs the release build hides (the thread pool and the grid
+# scratch buffers in particular) and the ingest/worker/connection races
+# the overload queue and the server's per-connection threads could hide.
 #
 # The asan pass also stretches the randomized fuzz loops — the checkpoint
 # fuzz in recovery_test, the wire-frame fuzz in protocol_test, and the
