@@ -231,7 +231,7 @@ struct SopRouter::Impl {
         conn->cv_room.notify_all();
       }
       std::string error;
-      if (!SendAll(conn->sock, frame, options.retry, &error)) {
+      if (!SendAll(conn->sock, frame, &error)) {
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->closing = true;
         conn->sendq.clear();
@@ -443,8 +443,7 @@ struct SopRouter::Impl {
     char buf[64 << 10];
     for (;;) {
       std::string error;
-      const int64_t n = RecvSome(conn->sock, buf, sizeof(buf),
-                                 options.retry, &error);
+      const int64_t n = RecvSome(conn->sock, buf, sizeof(buf), &error);
       if (n <= 0) break;  // EOF, shutdown, or unrecoverable socket error
       decoder.Append(buf, static_cast<size_t>(n));
       bool drop = false;
@@ -1098,7 +1097,6 @@ bool SopRouter::Start(std::string* error) {
     auto w = std::make_unique<Impl::Worker>();
     w->index = static_cast<int>(i);
     w->endpoint = opt.workers[i];
-    w->client.set_retry(opt.retry);
     std::string werror;
     if (!w->client.Connect(w->endpoint.host, w->endpoint.port, &werror)) {
       if (error != nullptr) {

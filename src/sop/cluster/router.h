@@ -128,9 +128,6 @@ struct RouterOptions {
   /// largest subscribed window (+ headroom.win_floor).
   int64_t seq_retention = 0;
 
-  /// Backoff schedule for injected transient socket faults (front side
-  /// and worker clients).
-  net::NetRetryOptions retry;
   /// Worker-client recovery template (endpoints are filled per worker).
   net::ReconnectOptions worker_reconnect;
 };

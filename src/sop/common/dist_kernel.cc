@@ -246,19 +246,6 @@ void DistanceKernel::BatchDistRange(const ColumnStore& cols,
   }
 }
 
-size_t DistanceKernel::CountWithinR(const ColumnStore& cols,
-                                    const Point& probe, const Seq* seqs,
-                                    size_t n, double r) const {
-  if (n == 0) return 0;
-  dist_scratch_.resize(n);
-  BatchDist(cols, probe, seqs, n, dist_scratch_.data());
-  size_t hits = 0;
-  for (size_t j = 0; j < n; ++j) {
-    if (dist_scratch_[j] <= r) ++hits;
-  }
-  return hits;
-}
-
 size_t DistanceKernel::PartitionWithinR(const ColumnStore& cols,
                                         const Point& probe, Seq* seqs,
                                         size_t n, double r,

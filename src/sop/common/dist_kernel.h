@@ -90,10 +90,6 @@ class DistanceKernel {
   void BatchDistRange(const ColumnStore& cols, const Point& probe, Seq lo,
                       size_t n, double* out) const;
 
-  /// Number of seqs[i] with dist(probe, seqs[i]) <= r.
-  size_t CountWithinR(const ColumnStore& cols, const Point& probe,
-                      const Seq* seqs, size_t n, double r) const;
-
   /// Stable in-place range confirmation: compacts the hits (dist <= r) to
   /// seqs[0..h) with dists[i] their distances, preserving order, and
   /// returns h. `dists` must have room for n doubles.

@@ -8,10 +8,6 @@ std::atomic<FaultInjector*> FaultInjector::g_armed{nullptr};
 
 const char* FaultSiteName(FaultSite site) {
   switch (site) {
-    case FaultSite::kSourceRead:
-      return "source-read";
-    case FaultSite::kSinkEmit:
-      return "sink-emit";
     case FaultSite::kCheckpointWrite:
       return "checkpoint-write";
     case FaultSite::kCheckpointRead:
@@ -20,10 +16,6 @@ const char* FaultSiteName(FaultSite site) {
       return "checkpoint-bytes";
     case FaultSite::kBatchStall:
       return "batch-stall";
-    case FaultSite::kNetRead:
-      return "net-read";
-    case FaultSite::kNetWrite:
-      return "net-write";
   }
   return "unknown";
 }

@@ -1,16 +1,16 @@
 // Deterministic fault injection for resilience tests and drills.
 //
 // A FaultInjector is a seeded random oracle that the runtime consults at
-// well-known failure sites (source reads, sink emits, checkpoint I/O,
-// batch execution). Each site carries an independent failure probability;
-// the per-site decision stream is a pure function of (seed, site, draw
-// index), so a logged seed reproduces the exact same failure schedule —
-// under the same configuration, a flaky run replays byte-for-byte.
+// well-known failure sites (checkpoint I/O, batch execution). Each site
+// carries an independent failure probability; the per-site decision
+// stream is a pure function of (seed, site, draw index), so a logged seed
+// reproduces the exact same failure schedule — under the same
+// configuration, a flaky run replays byte-for-byte.
 //
 // Injection is strictly opt-in: nothing in the library consults an
 // injector unless one is armed, and the disarmed fast path is a single
 // relaxed atomic load (same discipline as obs/trace.h). Production code
-// never arms one; tests and the sop_cli --fault-* flags do.
+// never arms one; tests and the sop_cli/sop_server --fault-* flags do.
 //
 // Thread-safety: ShouldFail/CorruptBytes may be called from the engine's
 // ingest and worker threads concurrently; decisions are serialized by an
@@ -33,18 +33,14 @@ namespace sop {
 
 /// The failure sites the runtime exposes to an armed injector.
 enum class FaultSite : int {
-  kSourceRead = 0,       // transient stream-read failure (engine retries)
-  kSinkEmit = 1,         // transient result-delivery failure (engine retries)
-  kCheckpointWrite = 2,  // checkpoint file write failure (save skipped)
-  kCheckpointRead = 3,   // checkpoint file read failure (load fails cleanly)
-  kCheckpointBytes = 4,  // checkpoint bytes corrupted in flight (CRC catches)
-  kBatchStall = 5,       // detector batch stalls (overload policy engages)
-  kNetRead = 6,          // transient socket read failure (net retries)
-  kNetWrite = 7,         // transient socket write failure (net retries)
+  kCheckpointWrite = 0,  // checkpoint file write failure (save skipped)
+  kCheckpointRead = 1,   // checkpoint file read failure (load fails cleanly)
+  kCheckpointBytes = 2,  // checkpoint bytes corrupted in flight (CRC catches)
+  kBatchStall = 3,       // detector batch stalls (overload policy engages)
 };
-inline constexpr int kNumFaultSites = 8;
+inline constexpr int kNumFaultSites = 4;
 
-/// Human-readable site name ("source-read", ...).
+/// Human-readable site name ("checkpoint-write", ...).
 const char* FaultSiteName(FaultSite site);
 
 /// Deterministic, rate-targeted failure oracle. See file comment.
@@ -57,8 +53,8 @@ class FaultInjector {
   void SetRate(FaultSite site, double rate);
 
   /// Caps how many failures `site` may inject over the injector's lifetime
-  /// (-1 = unbounded, the default). Useful to guarantee retry loops
-  /// eventually succeed.
+  /// (-1 = unbounded, the default), e.g. so that only the first checkpoint
+  /// read of a drill fails.
   void SetMaxFailures(FaultSite site, int64_t max_failures);
 
   /// Milliseconds kBatchStall sleeps per injected stall (default 2).

@@ -204,14 +204,6 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
     return LoadError(error, "truncated counters");
   }
   if (!r.AtEnd()) return LoadError(error, "trailing bytes in payload");
-
-  // The grid is derived state: rebuild it from the restored window rather
-  // than serializing it (checkpoints stay index-agnostic).
-  if (grid_ != nullptr) {
-    for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
-      grid_->Insert(s, buffer_.At(s));
-    }
-  }
   return true;
 }
 

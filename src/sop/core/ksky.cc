@@ -30,8 +30,7 @@ KSky::KSky(const WorkloadPlan* plan, DistanceFn dist, Options options)
 
 bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                          Seq batch_first_seq, int64_t swift_window_start,
-                         bool from_scratch, LSky* skyband,
-                         const std::vector<Seq>* candidates) {
+                         bool from_scratch, LSky* skyband) {
   stats_ = KSkyScanStats{};
   build_.Clear();
   layer1_count_ = 0;
@@ -52,33 +51,35 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                : cols.time_column()[cols.SlotOf(s)];
   };
 
-  // Consumes one kernel block. Block position j (0 = newest) holds
-  // candidate seq_at(j) at distance dist_at(j). Only candidates inside the
-  // dominance frontier are classified (see ksky.h): `d <= r_{f-1}`, where
-  // f is the first layer whose kept-entry prefix count reaches k_max and
-  // r_L = r_max. A candidate failing it is either nobody's neighbor
-  // (farther than r_max, or NaN: Def. 5 c3) or sits at a layer >= f,
-  // where Examine would reject it without touching any state; so skipping
-  // it leaves the Examine sequence — and the built skyband — unchanged.
-  // Returns the block positions consumed: all of them, or up to and
-  // including the hit that ended the scan.
+  // Consumes the kernel block of the `nb` seqs below `end`. Block position
+  // j (0 = newest) holds candidate seq end-1-j, whose distance sits at
+  // batch_dists_[nb-1-j]. Only candidates inside the dominance frontier
+  // are classified (see ksky.h): `d <= r_{f-1}`, where f is the first
+  // layer whose kept-entry prefix count reaches k_max and r_L = r_max. A
+  // candidate failing it is either nobody's neighbor (farther than r_max,
+  // or NaN: Def. 5 c3) or sits at a layer >= f, where Examine would reject
+  // it without touching any state; so skipping it leaves the Examine
+  // sequence — and the built skyband — unchanged. Returns the block
+  // positions consumed: all of them, or up to and including the hit that
+  // ended the scan.
   uint8_t hits[kBatchBlock] = {};
-  auto examine_block = [&](size_t nb, auto seq_at, auto dist_at) -> size_t {
+  auto examine_block = [&](Seq end, size_t nb) -> size_t {
     const int frontier = layer_counts_.LowerBound(plan_->k_max());
     const double r_front = frontier > 1
                                ? plan_->r_of_layer(frontier - 1)
                                : -std::numeric_limits<double>::infinity();
+    const double* dists = batch_dists_.data();
     size_t nh = 0;
     for (size_t j = 0; j < nb; ++j) {  // branch-free compaction
       hits[nh] = static_cast<uint8_t>(j);
-      nh += dist_at(j) <= r_front ? 1 : 0;
+      nh += dists[nb - 1 - j] <= r_front ? 1 : 0;
     }
     size_t consumed = nb;
     for (size_t h = 0; h < nh; ++h) {
       const size_t j = hits[h];
-      const Seq s = seq_at(j);
-      if (s == p.seq) continue;  // the probe itself (buffer ranges only)
-      const double d = dist_at(j);
+      const Seq s = end - 1 - static_cast<Seq>(j);
+      if (s == p.seq) continue;  // the probe itself
+      const double d = dists[nb - 1 - j];
       SOP_DCHECK(!std::isnan(d));
       ++classified;
       keep_scanning = Examine(s, key_of(s), plan_->LayerOfDistance(d));
@@ -87,7 +88,7 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
         break;
       }
     }
-    stats_.oldest_computed = seq_at(consumed - 1);
+    stats_.oldest_computed = end - static_cast<Seq>(consumed);
     return consumed;
   };
   // kernel/hits: the r_max hits among `n` consumed kernel outputs.
@@ -105,45 +106,15 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   // scratch" / the new-arrivals part of the incremental rescan). Distances
   // come from the batch kernel, kBatchBlock candidates per call; the
   // consumption order — and therefore the built skyband — is identical to
-  // the old per-pair scan. With an index-provided candidate list the scan
-  // walks that list instead of every buffer seq: the skipped points all
-  // have distance > r_max, so the Examine sequence is unchanged.
+  // the old per-pair scan.
   auto scan_buffer_range = [&](Seq lo, Seq hi) {
-    if (candidates != nullptr) {
-      // The in-range candidates form one contiguous seq-descending
-      // sublist: entries >= hi lead it, entries < lo trail it.
-      const auto sub_begin =
-          std::lower_bound(candidates->begin(), candidates->end(), hi - 1,
-                           std::greater<Seq>());
-      const auto sub_end = std::lower_bound(sub_begin, candidates->end(),
-                                            lo - 1, std::greater<Seq>());
-      const Seq* base = candidates->data() + (sub_begin - candidates->begin());
-      const size_t m = static_cast<size_t>(sub_end - sub_begin);
-      for (size_t b = 0; b < m && keep_scanning; b += kBatchBlock) {
-        const size_t nb = std::min(kBatchBlock, m - b);
-        const Seq* block = base + b;
-        kernel_.BatchDist(cols, p, block, nb, batch_dists_.data());
-        SOP_COUNTER_ADD("kernel/batches", 1);
-        SOP_COUNTER_ADD("kernel/candidates", nb);
-        SOP_DCHECK(std::find(block, block + nb, p.seq) == block + nb);
-        const size_t consumed = examine_block(
-            nb, [&](size_t j) { return block[j]; },
-            [&](size_t j) { return batch_dists_[j]; });
-        count_consumed(consumed);
-        if (SOP_OBS_ENABLED()) count_hits(batch_dists_.data(), consumed);
-      }
-      return;
-    }
     for (Seq end = hi; end > lo && keep_scanning;) {
       const Seq begin = std::max(lo, end - static_cast<Seq>(kBatchBlock));
       const size_t nb = static_cast<size_t>(end - begin);
       kernel_.BatchDistRange(cols, p, begin, nb, batch_dists_.data());
       SOP_COUNTER_ADD("kernel/batches", 1);
       SOP_COUNTER_ADD("kernel/candidates", nb);
-      // Position j is seq end-1-j, whose distance sits at index nb-1-j.
-      const size_t consumed = examine_block(
-          nb, [&](size_t j) { return end - 1 - static_cast<Seq>(j); },
-          [&](size_t j) { return batch_dists_[nb - 1 - j]; });
+      const size_t consumed = examine_block(end, nb);
       const bool probe_consumed =
           p.seq < end && p.seq >= end - static_cast<Seq>(consumed);
       count_consumed(consumed - (probe_consumed ? 1 : 0));

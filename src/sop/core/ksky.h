@@ -93,9 +93,9 @@ struct KSkyScanStats {
   /// Whether the scan stopped early via layer-1 saturation.
   bool terminated_early = false;
   /// The oldest candidate whose distance the scan consumed, or
-  /// buffer.next_seq() when it consumed none. A linear scan (no candidate
-  /// list) computed the distance to every seq in
-  /// [oldest_computed, buffer.next_seq()) except p's own.
+  /// buffer.next_seq() when it consumed none. The scan computed the
+  /// distance to every seq in [oldest_computed, buffer.next_seq()) except
+  /// p's own.
   Seq oldest_computed = 0;
 };
 
@@ -126,17 +126,9 @@ class KSky {
   /// [batch_first_seq, buffer.next_seq()) followed by the unexpired
   /// previous skyband entries. `skyband` is consumed and rebuilt in place.
   /// Returns true iff p is now a Safe-For-All inlier.
-  ///
-  /// `candidates`, when non-null, replaces the exhaustive buffer scans
-  /// with an index-provided candidate list: seq-descending alive points
-  /// that must include every point within r_max of p (a superset is fine —
-  /// extra entries are discarded by the layer filter, exactly as the
-  /// linear scan discards them) and must not include p itself. The built
-  /// skyband is identical to the exhaustive scan's.
   bool EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                      Seq batch_first_seq, int64_t swift_window_start,
-                     bool from_scratch, LSky* skyband,
-                     const std::vector<Seq>* candidates = nullptr);
+                     bool from_scratch, LSky* skyband);
 
   /// Stats of the most recent EvaluatePoint call.
   const KSkyScanStats& last_stats() const { return stats_; }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <utility>
 
 #include "sop/common/check.h"
@@ -34,11 +33,6 @@ SopDetector::SopDetector(const Workload& workload, Options options)
       buffer_(workload.window_type()) {
   lanes_.emplace_back(KSky(&plan_, workload.MakeDistanceFn(0), options.ksky),
                       plan_.num_layers());
-  if (options_.use_grid_index) {
-    grid_ = std::make_unique<GridIndex>(
-        workload.MakeDistanceFn(0),
-        plan_.r_min() * options_.grid_cell_factor);
-  }
 }
 
 bool SopDetector::ApplyWorkload(Workload next) {
@@ -51,10 +45,8 @@ bool SopDetector::ApplyWorkload(Workload next) {
 }
 
 int SopDetector::PrepareLanes(size_t nonsafe) {
-  // sop-grid shares one GridIndex scratch across scans: one lane only.
-  if (grid_ != nullptr ||
-      static_cast<int64_t>(nonsafe) * static_cast<int64_t>(buffer_.size()) <=
-          kLaneScanBound) {
+  if (static_cast<int64_t>(nonsafe) * static_cast<int64_t>(buffer_.size()) <=
+      kLaneScanBound) {
     return 1;
   }
   const int pinned = g_scan_lanes_for_test.load(std::memory_order_relaxed);
@@ -72,26 +64,9 @@ int SopDetector::PrepareLanes(size_t nonsafe) {
 void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
                             Lane* lane) {
   PointState& st = StateOf(s);
-  const std::vector<Seq>* candidates = nullptr;
-  if (grid_ != nullptr) {
-    // Index-assisted candidate enumeration: everything within r_max is
-    // in the superset, so K-SKY's scan — restricted to newest-first
-    // order — builds the identical skyband (see ksky.h).
-    grid_->CollectCandidates(buffer_.At(s), plan_.r_max(), &grid_candidates_);
-    std::sort(grid_candidates_.begin(), grid_candidates_.end(),
-              std::greater<Seq>());
-    // p indexes itself; drop it from its own candidate list.
-    const auto self = std::lower_bound(grid_candidates_.begin(),
-                                       grid_candidates_.end(), s,
-                                       std::greater<Seq>());
-    if (self != grid_candidates_.end() && *self == s) {
-      grid_candidates_.erase(self);
-    }
-    candidates = &grid_candidates_;
-  }
   const bool safe = lane->ksky.EvaluatePoint(
       buffer_.At(s), buffer_, first_new_seq, swift_start,
-      /*from_scratch=*/!st.evaluated, &st.skyband, candidates);
+      /*from_scratch=*/!st.evaluated, &st.skyband);
   st.evaluated = true;
   const KSkyScanStats& scan = lane->ksky.last_stats();
   Stats& stats = lane->stats;
@@ -99,8 +74,7 @@ void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
   stats.distances_computed += scan.distances_computed;
   stats.candidates_examined += scan.candidates_examined;
   stats.early_terminations += scan.terminated_early ? 1 : 0;
-  // An index-provided candidate list leaves holes in the computed range.
-  if (SOP_OBS_ENABLED() && grid_ == nullptr) {
+  if (SOP_OBS_ENABLED()) {
     lane->scan_ranges.push_back({s, scan.oldest_computed});
   }
   if (safe && options_.safe_inlier_pruning) {
@@ -197,18 +171,6 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
 
   // Slide the swift window.
   const int64_t swift_start = WindowStart(boundary, plan_.win_max());
-  if (grid_ != nullptr) {
-    // Index the arrivals, then un-index everything expiring — including
-    // arrivals that never make it into the window — while the coordinates
-    // are still alive in the buffer.
-    for (Seq s = first_new_seq; s < buffer_.next_seq(); ++s) {
-      grid_->Insert(s, buffer_.At(s));
-    }
-    const Seq expire_end = buffer_.LowerBoundKey(swift_start);
-    for (Seq s = buffer_.first_seq(); s < expire_end; ++s) {
-      grid_->Remove(s, buffer_.At(s));
-    }
-  }
   const size_t dropped = buffer_.ExpireBefore(swift_start);
   for (size_t i = 0; i < dropped; ++i) states_.pop_front();
 
@@ -320,7 +282,6 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
 
 size_t SopDetector::MemoryBytes() const {
   size_t bytes = DequeHeapBytes(states_) + last_results_bytes_;
-  if (grid_ != nullptr) bytes += grid_->MemoryBytes();
   for (const PointState& st : states_) bytes += st.skyband.MemoryBytes();
   return bytes;
 }

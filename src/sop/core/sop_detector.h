@@ -23,7 +23,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,7 +31,6 @@
 #include "sop/core/ksky.h"
 #include "sop/core/lsky.h"
 #include "sop/detector/detector.h"
-#include "sop/index/grid.h"
 #include "sop/query/plan.h"
 #include "sop/stream/stream_buffer.h"
 
@@ -53,14 +51,6 @@ class SopDetector : public OutlierDetector {
     /// Skip Safe-For-All inliers in every future batch (Alg. 3 line 2) and
     /// release their evidence.
     bool safe_inlier_pruning = true;
-    /// Route K-SKY candidate enumeration through a uniform grid over the
-    /// r_max ball (index/grid.h) instead of scanning the whole swift
-    /// window. Exact — the built skybands are identical (see ksky.h);
-    /// only the CPU profile changes. Pays off when r_max covers a small
-    /// fraction of the data space.
-    bool use_grid_index = false;
-    /// Grid pitch as a multiple of r_min (only with use_grid_index).
-    double grid_cell_factor = 1.0;
   };
 
   /// Cumulative counters exposed for tests and the ablation bench.
@@ -84,9 +74,7 @@ class SopDetector : public OutlierDetector {
       : SopDetector(workload, Options()) {}
   SopDetector(const Workload& workload, Options options);
 
-  const char* name() const override {
-    return options_.use_grid_index ? "sop-grid" : "sop";
-  }
+  const char* name() const override { return "sop"; }
   std::vector<QueryResult> Advance(std::vector<Point> batch,
                                    int64_t boundary) override;
   size_t MemoryBytes() const override;
@@ -102,8 +90,8 @@ class SopDetector : public OutlierDetector {
 
   /// Swaps the per-query overlay in place: the detector answers `next`
   /// from the next boundary on, without touching buffered points, skyband
-  /// evidence, safety flags, or the index. Only legal between batches and
-  /// only when ClassifyWorkload(next) == kOverlayOnly; returns false (state
+  /// evidence or safety flags. Only legal between batches and only when
+  /// ClassifyWorkload(next) == kOverlayOnly; returns false (state
   /// unchanged) otherwise — the caller must rebuild-and-replay instead.
   bool ApplyWorkload(Workload next);
 
@@ -191,14 +179,12 @@ class SopDetector : public OutlierDetector {
   std::vector<Lane> lanes_;  // lanes_[0] always exists
   StreamBuffer buffer_;
   std::deque<PointState> states_;
-  std::unique_ptr<GridIndex> grid_;  // only with options_.use_grid_index
   Stats stats_;
   int64_t last_boundary_ = INT64_MIN;
   bool received_any_ = false;
   size_t last_results_bytes_ = 0;
   // Per-batch scratch.
   std::vector<Seq> nonsafe_seqs_;
-  std::vector<Seq> grid_candidates_;  // seq-descending K-SKY candidates
   std::vector<EmittingQuery> emitting_;
   std::vector<ScanRange> scan_ranges_;  // RecordRepeatPairs scratch
 };

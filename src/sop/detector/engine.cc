@@ -168,8 +168,6 @@ class ExecutionEngine::BatchQueue {
 
 ExecutionEngine::ExecutionEngine(ExecOptions options) : options_(options) {
   SOP_CHECK_MSG(options_.num_threads >= 0, "num_threads must be >= 0");
-  SOP_CHECK_MSG(options_.retry.max_attempts >= 1,
-                "retry.max_attempts must be >= 1");
   SOP_CHECK_MSG(
       options_.checkpoint.path.empty() || options_.checkpoint.every_batches >= 1,
       "checkpoint.every_batches must be >= 1");
@@ -183,42 +181,6 @@ ExecutionEngine::ExecutionEngine(ExecOptions options) : options_(options) {
 }
 
 ExecutionEngine::~ExecutionEngine() = default;
-
-bool ExecutionEngine::SourceNext(StreamSource* source, Point* out) {
-  FaultInjector* injector = FaultInjector::Armed();
-  if (injector != nullptr) {
-    int attempt = 1;
-    int backoff_us = options_.retry.backoff_initial_us;
-    while (injector->ShouldFail(FaultSite::kSourceRead)) {
-      SOP_COUNTER_ADD("resilience/retries", 1);
-      ++attempt;
-      SOP_CHECK_MSG(attempt <= options_.retry.max_attempts,
-                    "stream read still failing after retries");
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us = std::min(backoff_us * 2, options_.retry.backoff_max_us);
-    }
-  }
-  return source->Next(out);
-}
-
-void ExecutionEngine::EmitResult(const RunContext& ctx, const ResultSink& sink,
-                                 const QueryResult& r) {
-  (void)ctx;
-  FaultInjector* injector = FaultInjector::Armed();
-  if (injector != nullptr) {
-    int attempt = 1;
-    int backoff_us = options_.retry.backoff_initial_us;
-    while (injector->ShouldFail(FaultSite::kSinkEmit)) {
-      SOP_COUNTER_ADD("resilience/retries", 1);
-      ++attempt;
-      SOP_CHECK_MSG(attempt <= options_.retry.max_attempts,
-                    "result delivery still failing after retries");
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us = std::min(backoff_us * 2, options_.retry.backoff_max_us);
-    }
-  }
-  sink(r);
-}
 
 void ExecutionEngine::WriteCheckpoint(RunContext* ctx) {
   RunCheckpoint cp;
@@ -288,7 +250,7 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
   // partial batch of the interrupted run is re-read.
   Point discard;
   for (int64_t i = 0; i < cp.points_advanced; ++i) {
-    if (!SourceNext(source, &discard)) {
+    if (!source->Next(&discard)) {
       return fail("source ended before the checkpointed position "
                   "(resumed against a different stream?)");
     }
@@ -377,7 +339,7 @@ void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
     }
   }
   if (sink) {
-    for (const QueryResult& r : results) EmitResult(*ctx, sink, r);
+    for (const QueryResult& r : results) sink(r);
   }
   ctx->points_advanced += static_cast<int64_t>(batch_points);
   ++ctx->batches_advanced;
@@ -395,7 +357,7 @@ RunMetrics ExecutionEngine::RunCountBased(RunContext* ctx,
   std::vector<Point> batch;
   batch.reserve(static_cast<size_t>(ctx->batch_span));
   Point p;
-  while (SourceNext(source, &p)) {
+  while (source->Next(&p)) {
     p.seq = ctx->next_seq++;
     ctx->acc.RecordPoints(1);
     batch.push_back(std::move(p));
@@ -415,7 +377,7 @@ RunMetrics ExecutionEngine::RunTimeBased(RunContext* ctx, StreamSource* source,
   Timestamp last_time = 0;
   bool read_any = false;
   Point p;
-  while (SourceNext(source, &p)) {
+  while (source->Next(&p)) {
     if (read_any) {
       SOP_CHECK_MSG(p.time >= last_time,
                     "time-based streams must have non-decreasing timestamps");
@@ -497,7 +459,7 @@ RunMetrics ExecutionEngine::RunPipelined(RunContext* ctx, StreamSource* source,
   bool read_any = false;
   Pending pending;
   Point p;
-  while (SourceNext(source, &p)) {
+  while (source->Next(&p)) {
     ++ingested;
     if (count_based) {
       pending.points.push_back(std::move(p));

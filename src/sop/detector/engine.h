@@ -12,17 +12,14 @@
 // Sec. 10).
 //
 // Resilience (DESIGN.md Sec. 12): the engine is also where failure is
-// handled. Transient source/sink failures (surfaced through the armed
-// FaultInjector, common/fault.h) are retried with bounded exponential
-// backoff; exhausted retries are fatal. With checkpointing configured the
-// engine periodically writes a crash-consistent RunCheckpoint
-// (detector/run_checkpoint.h) and can resume an interrupted run from one,
-// producing emissions identical to an uninterrupted run. With an overload
-// queue configured the run is pipelined — the calling thread ingests while
-// a worker thread detects — and a full queue either blocks ingest
-// (lossless) or sheds the oldest queued batch (bounded latency; shed
-// batches are counted and the emissions whose windows overlap shed data
-// are flagged `degraded`).
+// handled. With checkpointing configured the engine periodically writes a
+// crash-consistent RunCheckpoint (detector/run_checkpoint.h) and can
+// resume an interrupted run from one, producing emissions identical to an
+// uninterrupted run. With an overload queue configured the run is
+// pipelined — the calling thread ingests while a worker thread detects —
+// and a full queue either blocks ingest (lossless) or sheds the oldest
+// queued batch (bounded latency; shed batches are counted and the
+// emissions whose windows overlap shed data are flagged `degraded`).
 //
 // An engine is reusable across runs and detectors; the pool is spawned
 // once at construction. Not thread-safe: one engine drives one run at a
@@ -66,15 +63,6 @@ namespace sop {
 /// worker thread.
 using ResultSink = std::function<void(const QueryResult&)>;
 
-/// Bounded exponential backoff for transient source/sink failures.
-struct RetryOptions {
-  /// Attempts per operation including the first; exhausting them is fatal
-  /// (SOP_CHECK) — a persistent failure is not a transient one.
-  int max_attempts = 8;
-  int backoff_initial_us = 50;
-  int backoff_max_us = 5000;
-};
-
 /// Periodic crash-consistent checkpointing of the run.
 struct CheckpointOptions {
   /// Checkpoint file path; empty disables checkpointing.
@@ -107,7 +95,6 @@ struct ExecOptions {
   /// on the calling thread (bit-identical to the pre-engine driver); 0
   /// means hardware concurrency.
   int num_threads = 1;
-  RetryOptions retry;
   CheckpointOptions checkpoint;
   OverloadOptions overload;
 };
@@ -164,11 +151,6 @@ class ExecutionEngine {
   struct Pending;
   class BatchQueue;
 
-  // Reads the next point, retrying injected transient read failures.
-  bool SourceNext(StreamSource* source, Point* out);
-  // Delivers one result, retrying injected transient emit failures.
-  void EmitResult(const RunContext& ctx, const ResultSink& sink,
-                  const QueryResult& r);
   // Times one Advance() call, records metrics, flags degraded emissions,
   // maintains replay history, and writes periodic checkpoints.
   void AdvanceBatch(RunContext* ctx, std::vector<Point> batch,

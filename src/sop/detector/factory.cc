@@ -13,7 +13,7 @@ namespace sop {
 
 const std::vector<std::string>& KnownDetectorNames() {
   static const std::vector<std::string> names = {
-      "sop", "sop-grid", "grouped-sop", "leap", "mcod", "mcod-grid", "naive"};
+      "sop", "grouped-sop", "leap", "mcod", "mcod-grid", "naive"};
   return names;
 }
 
@@ -55,9 +55,8 @@ std::unique_ptr<OutlierDetector> MaybeSplitByAttributes(
 std::unique_ptr<OutlierDetector> CreateDetector(const std::string& name,
                                                 const Workload& workload,
                                                 const DetectorOptions& options) {
-  if (name == "sop" || name == "sop-grid") {
-    SopDetector::Options sop_options = options.sop;
-    if (name == "sop-grid") sop_options.use_grid_index = true;
+  if (name == "sop") {
+    const SopDetector::Options sop_options = options.sop;
     return MaybeSplitByAttributes(workload, [sop_options](const Workload& sub) {
       return std::make_unique<SopDetector>(sub, sop_options);
     });

@@ -20,10 +20,10 @@ namespace sop {
 
 /// Tuning knobs forwarded to the detector selected by name. Defaults
 /// reproduce each paper's algorithm; the ablation benches override
-/// individual fields. Grid-variant names ("sop-grid", "mcod-grid") force
-/// the corresponding use_grid_index flag regardless of what is set here.
+/// individual fields. The name "mcod-grid" forces
+/// McodDetector::Options::use_grid_index regardless of what is set here.
 struct DetectorOptions {
-  /// For "sop" / "sop-grid" / "grouped-sop".
+  /// For "sop" / "grouped-sop".
   SopDetector::Options sop;
   /// For "mcod" / "mcod-grid".
   McodDetector::Options mcod;
@@ -31,7 +31,6 @@ struct DetectorOptions {
 
 /// The algorithm names this repository ships:
 ///   "sop"          the paper's contribution
-///   "sop-grid"     SOP with grid-indexed K-SKY candidate enumeration
 ///   "grouped-sop"  paper Sec. 3.2 strawman: independent skyband per k-group
 ///   "leap"         per-query LEAP baseline [ICDE'14]
 ///   "mcod"         augmented multi-query MCOD baseline [ICDE'11]

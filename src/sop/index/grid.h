@@ -5,9 +5,7 @@
 // grid is the standard lightweight equivalent for low-dimensional numeric
 // streams and is what later stream-outlier systems use. McodDetector can
 // optionally route its insertion range scans through this index
-// (McodDetector::Options::use_grid_index), and SopDetector can route its
-// K-SKY candidate enumeration the same way
-// (SopDetector::Options::use_grid_index), turning the O(|W|) linear scan
+// (McodDetector::Options::use_grid_index), turning the O(|W|) linear scan
 // into a visit of the cells overlapping the query ball.
 //
 // The grid is metric-aware: cells are laid over the distance function's

@@ -412,7 +412,7 @@ void SopClient::Close() {
 
 bool SopClient::SendFrame(const std::string& frame, std::string* error) {
   if (!sock_.valid()) return Fail(error, "not connected");
-  if (!SendAll(sock_, frame, retry_, error)) {
+  if (!SendAll(sock_, frame, error)) {
     Close();
     return false;
   }
@@ -472,8 +472,7 @@ bool SopClient::ReadUntil(MsgType expected, std::string* payload,
                              MsgTypeName(type));
     }
     std::string recv_error;
-    const int64_t n =
-        RecvSome(sock_, buf, sizeof(buf), retry_, &recv_error);
+    const int64_t n = RecvSome(sock_, buf, sizeof(buf), &recv_error);
     if (n == 0) {
       Close();
       // A server that drops a connection explains why first; surface that

@@ -173,9 +173,6 @@ class SopClient {
 
   void Close();
 
-  /// Retry schedule for injected socket faults (set before Connect).
-  void set_retry(const NetRetryOptions& retry) { retry_ = retry; }
-
  private:
   // One live subscription, addressed by its client-stable public id.
   struct Sub {
@@ -221,7 +218,6 @@ class SopClient {
 
   Socket sock_;
   FrameDecoder decoder_;
-  NetRetryOptions retry_;
   HelloAckMsg server_info_;
   std::vector<EmissionMsg> emissions_;
   std::vector<ErrorMsg> errors_;

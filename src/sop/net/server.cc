@@ -295,7 +295,7 @@ struct SopServer::Impl {
         conn->cv_pop.notify_one();
       }
       std::string error;
-      if (!SendAll(conn->sock, out.frame, options.retry, &error)) {
+      if (!SendAll(conn->sock, out.frame, &error)) {
         CloseConn(conn);
         return;
       }
@@ -377,13 +377,11 @@ struct SopServer::Impl {
   // builds for each applied snapshot.
   void ConfigureSession(SopSession* s) const {
     const std::string detector_name = options.detector;
-    if (detector_name == "sop" || detector_name == "sop-grid") {
+    if (detector_name == "sop") {
       // Route through the session's in-process SopDetector so subscribe/
       // unsubscribe can take the overlay-swap path instead of always
       // rebuilding and replaying history.
-      SopDetector::Options sop_options;
-      sop_options.use_grid_index = detector_name == "sop-grid";
-      s->UseSopDetector(sop_options);
+      s->UseSopDetector(SopDetector::Options());
     } else {
       s->SetDetectorBuilder([detector_name](const Workload& workload) {
         return CreateDetector(detector_name, workload);
@@ -470,7 +468,7 @@ struct SopServer::Impl {
         // snapshot on its own (chain check), so nothing special is needed.
       }
 
-      if (!SendAll(sock, frame, options.retry, &error)) {
+      if (!SendAll(sock, frame, &error)) {
         sock.Close();
         MarkNeedSnapshot();
         if (stopping.load(std::memory_order_relaxed)) return;
@@ -500,10 +498,8 @@ struct SopServer::Impl {
           dead = true;
           break;
         }
-        const int64_t n =
-            RecvSomeTimeout(sock, buf, sizeof(buf),
-                            options.repl_ack_timeout_ms, options.retry,
-                            &error);
+        const int64_t n = RecvSomeTimeout(
+            sock, buf, sizeof(buf), options.repl_ack_timeout_ms, &error);
         if (n == kRecvTimedOut || n <= 0) {
           dead = true;
           break;
@@ -904,9 +900,8 @@ struct SopServer::Impl {
     bool timed_out = false;
     for (;;) {
       std::string error;
-      const int64_t n =
-          RecvSomeTimeout(conn->sock, buf, sizeof(buf),
-                          options.idle_timeout_ms, options.retry, &error);
+      const int64_t n = RecvSomeTimeout(conn->sock, buf, sizeof(buf),
+                                        options.idle_timeout_ms, &error);
       if (n == kRecvTimedOut) {
         // Only a mid-frame stall is hostile (slow-loris); a connection
         // with no partial frame pending is just a quiet subscriber.
@@ -918,7 +913,7 @@ struct SopServer::Impl {
         }
         continue;
       }
-      if (n <= 0) break;  // orderly close, hard error, or retry exhaustion
+      if (n <= 0) break;  // orderly close or hard error
       stats.bytes_in.fetch_add(static_cast<uint64_t>(n),
                                std::memory_order_relaxed);
       SOP_COUNTER_ADD("net/server/bytes_in", n);
@@ -1232,7 +1227,7 @@ bool SopServer::Start(std::string* error) {
         continue;
       }
       if (!io::ReadFileToString(path, &blob, &read_error)) continue;
-      // Preferred format: one kReplSnapshot frame (session + resume ring).
+      // One kReplSnapshot frame: session state plus resume ring.
       std::string_view payload;
       std::string decode_error;
       MsgType type;
@@ -1245,9 +1240,6 @@ bool SopServer::Start(std::string* error) {
           im.RestoreRingLocked(snap.ring);
           loaded = true;
         }
-      } else if (im.session->LoadState(blob, &decode_error)) {
-        // Legacy format: a bare SaveState blob from a pre-HA server.
-        loaded = true;
       }
       if (loaded && g > 0) {
         SOP_COUNTER_ADD("net/server/checkpoint_fallbacks", 1);

@@ -10,10 +10,10 @@
 //                  end-to-end ingest latency),
 //   subscriptions  clients register/retire outlier queries live through
 //                  the session's tiered change path: with the default
-//                  "sop"/"sop-grid" detector, a subscribe at an
-//                  already-served radius (and any unsubscribe) is an
-//                  in-place overlay swap — no rebuild, no history replay —
-//                  while basis growth or other detector names fall back to
+//                  "sop" detector, a subscribe at an already-served
+//                  radius (and any unsubscribe) is an in-place overlay
+//                  swap — no rebuild, no history replay — while basis
+//                  growth or other detector names fall back to
 //                  rebuild-and-replay so a fresh subscriber still starts
 //                  with a populated window,
 //   emissions      every due query's outliers are pushed to exactly the
@@ -59,17 +59,15 @@
 // the subscriber's next emission `degraded` so the gap is visible. Control
 // replies (acks, errors) are never shed.
 //
-// Resilience: socket reads/writes ride out injected transient faults with
-// bounded backoff (net/socket.h); malformed frames poison only their own
-// connection (counted, never the process); a reader that stalls mid-frame
-// past `idle_timeout_ms` is disconnected (slow-loris defense) while
+// Resilience: malformed frames poison only their own connection (counted,
+// never the process); a reader that stalls mid-frame past
+// `idle_timeout_ms` is disconnected (slow-loris defense) while
 // quiet-but-healthy subscribers are left alone. With a checkpoint path
 // configured the server periodically saves a full snapshot — session state
 // plus resume ring, as one kReplSnapshot frame — keeping the last
 // `checkpoint_generations` files; a restarted server restores the newest
-// generation that decodes cleanly (then falls back to older ones, then to
-// the legacy bare-SaveState format), so one corrupt file costs one
-// checkpoint interval, not the run.
+// generation that decodes cleanly (then falls back to older ones), so one
+// corrupt file costs one checkpoint interval, not the run.
 //
 // Observability: net/server/* counters, gauges and histograms (see
 // DESIGN.md Sec. 13) when obs is enabled, plus an always-on ServerStats
@@ -173,9 +171,6 @@ struct ServerOptions {
 
   /// Worker threads on the server's pool (hosts the detection loop).
   int num_threads = 1;
-
-  /// Backoff schedule for injected transient socket faults.
-  NetRetryOptions retry;
 };
 
 /// Monotonic counters since Start(), readable at any time (independent of

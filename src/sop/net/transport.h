@@ -9,8 +9,7 @@
 // exposed: stream connections with all-or-nothing sends, partial recvs
 // with an optional deadline, and directional shutdown. The socket.h free
 // functions (ListenTcp/ConnectTcp/RecvSome/SendAll/...) are thin shims
-// over Transport::Active() and keep the fault-injection retry discipline,
-// so both transports see identical injected-fault behavior.
+// over Transport::Active(), so callers never know which one they run on.
 //
 // Arming follows the FaultInjector registry pattern (common/fault.h):
 // process-global, test-only, bracketing every thread that might touch the

@@ -1,6 +1,5 @@
 // The default Transport: POSIX TCP, moved here verbatim from the original
-// socket.cc. Fault injection and retry backoff live in the socket.h shims
-// (socket.cc), not here, so the simulated transport inherits them too.
+// socket.cc.
 
 #include "sop/net/transport.h"
 

@@ -6,14 +6,13 @@
 // Every Send() call is one SEGMENT, and a seeded per-channel scheduler
 // decides each segment's fate at send time from a schedule DSL of fault
 // rules: one-way drops, duplications, reorderings, latency spikes, and
-// mid-frame truncation at a chosen byte offset — strictly stronger than
-// the kNetRead/kNetWrite fault sites, which only model transient local
-// errors. Port-level partitions drop all traffic silently and refuse new
-// connections until healed. Because each channel's random stream is
-// derived from (harness seed, server port, connection serial, direction)
-// and consumed once per segment, a schedule replays bit-identically from
-// its seed: the same run produces the same corruption at the same byte,
-// and therefore the same observable divergence.
+// mid-frame truncation at a chosen byte offset. Port-level partitions drop
+// all traffic silently and refuse new connections until healed. Because
+// each channel's random stream is derived from (harness seed, server port,
+// connection serial, direction) and consumed once per segment, a schedule
+// replays bit-identically from its seed: the same run produces the same
+// corruption at the same byte, and therefore the same observable
+// divergence.
 //
 // VirtualClock implements sop::Clock over the same monitor: SleepMicros
 // advances simulated time instantly (so every backoff schedule in the

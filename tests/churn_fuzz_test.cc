@@ -82,14 +82,10 @@ void FuzzOne(const std::string& name, WindowType window_type, Rng* rng,
 
   SopSession session(window_type, Metric::kEuclidean,
                      /*history_window=*/1 << 20);
-  if (name != "sop" && name != "sop-grid") {
+  if (name != "sop") {
     session.SetDetectorBuilder([name](const Workload& w) {
       return CreateDetector(name, w);
     });
-  } else if (name == "sop-grid") {
-    SopDetector::Options options;
-    options.use_grid_index = true;
-    session.UseSopDetector(options);
   }
 
   std::map<QueryId, OutlierQuery> registered;  // mirrors the session's view

@@ -4,8 +4,8 @@
 //     must emit exactly what a direct ExecutionEngine run emits, after
 //     canonical (boundary, query) ordering, for every registered detector
 //     over both window types (the merge-exactness contract),
-//   * the same equivalence under seeded transient kNetRead/kNetWrite
-//     faults on every socket in the fabric,
+//   * the same equivalence on the simulated transport with seeded
+//     latency spikes on every connection in the fabric,
 //   * the same equivalence across a worker kill + restart on the same
 //     port (checkpoint_every_batches=1), ridden out by the worker
 //     client's recovery — no lost or duplicated emissions,
@@ -29,7 +29,6 @@
 #include "gtest/gtest.h"
 #include "sop/cluster/partition.h"
 #include "sop/cluster/router.h"
-#include "sop/common/fault.h"
 #include "sop/common/random.h"
 #include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
@@ -37,6 +36,7 @@
 #include "sop/net/protocol.h"
 #include "sop/net/server.h"
 #include "sop/net/socket.h"
+#include "sop/sim/sim.h"
 #include "sop/stream/window.h"
 #include "test_util.h"
 
@@ -232,107 +232,80 @@ std::vector<OutlierQuery> TestQueries(bool time_windows) {
 
 // The merge-exactness contract: a routed run over >= 2 workers emits
 // exactly what a direct single-node engine run emits, for every detector
-// the factory knows, over both window types.
+// the factory knows, over both window types. The second pass runs the
+// whole fabric (client->router, router->workers) on SimNet with a seeded
+// fifth of all segments delivered late: the emission stream is unchanged.
 TEST(ClusterTest, RoutedMatchesEngineEveryDetector) {
-  for (const bool time_windows : {false, true}) {
-    const WindowType wt =
-        time_windows ? WindowType::kTime : WindowType::kCount;
-    Workload workload(wt);
-    const std::vector<OutlierQuery> queries = TestQueries(time_windows);
-    for (const OutlierQuery& q : queries) workload.AddQuery(q);
-    ASSERT_EQ(workload.Validate(), "");
-    const std::vector<Point> points =
-        GenPoints(time_windows ? 240 : 320, time_windows,
-                  /*seed=*/7 + (time_windows ? 1 : 0));
-    const std::vector<Batch> batches = Slice(workload, points);
-    ASSERT_GT(batches.size(), 3u);
+  for (const bool delayed : {false, true}) {
+    for (const bool time_windows : {false, true}) {
+      const WindowType wt =
+          time_windows ? WindowType::kTime : WindowType::kCount;
+      Workload workload(wt);
+      const std::vector<OutlierQuery> queries = TestQueries(time_windows);
+      for (const OutlierQuery& q : queries) workload.AddQuery(q);
+      ASSERT_EQ(workload.Validate(), "");
+      const std::vector<Point> points =
+          GenPoints(time_windows ? 240 : 320, time_windows,
+                    /*seed=*/7 + (time_windows ? 1 : 0));
+      const std::vector<Batch> batches = Slice(workload, points);
+      ASSERT_GT(batches.size(), 3u);
 
-    for (const std::string& name : KnownDetectorNames()) {
-      const std::string label =
-          name + (time_windows ? "/time" : "/count") + " routed";
-      std::unique_ptr<OutlierDetector> detector =
-          CreateDetector(name, workload);
-      const std::vector<QueryResult> expected =
-          CollectResults(workload, points, detector.get());
+      for (const std::string& name : KnownDetectorNames()) {
+        const std::string label = name + (time_windows ? "/time" : "/count") +
+                                  (delayed ? " routed delayed" : " routed");
+        std::unique_ptr<OutlierDetector> detector =
+            CreateDetector(name, workload);
+        const std::vector<QueryResult> expected =
+            CollectResults(workload, points, detector.get());
 
-      TestCluster tc;
-      std::string error;
-      ASSERT_TRUE(StartCluster(&tc, 2, name, wt, &error))
-          << label << ": " << error;
-      const std::vector<QueryResult> actual =
-          RunRouted(tc.router->port(), queries, batches, label);
-      tc.router->Stop();
-      testing::ExpectSameResults(expected, actual, label);
+        // Declared before the cluster, so the cluster stops while the sim
+        // is still armed.
+        std::unique_ptr<sim::SimNet> sim;
+        std::unique_ptr<sim::ScopedSim> armed;
+        if (delayed) {
+          sim = std::make_unique<sim::SimNet>(/*seed=*/1234);
+          armed = std::make_unique<sim::ScopedSim>(sim.get());
+          sim::FaultRule delay;
+          delay.action = sim::FaultRule::Action::kDelay;
+          delay.rate = 0.2;
+          delay.delay_us = 2000;
+          sim->AddRule(delay);
+        }
+        TestCluster tc;
+        std::string error;
+        ASSERT_TRUE(StartCluster(&tc, 2, name, wt, &error))
+            << label << ": " << error;
+        const std::vector<QueryResult> actual =
+            RunRouted(tc.router->port(), queries, batches, label);
+        tc.router->Stop();
+        testing::ExpectSameResults(expected, actual, label);
+        if (delayed) {
+          EXPECT_GT(sim->stats().delayed, 0u) << label;
+        }
 
-      size_t sliced = 0;  // SliceCount drops the tail that fills no slide
-      for (const Batch& b : batches) sliced += b.points.size();
-      const RouterStats stats = tc.router->stats();
-      EXPECT_EQ(stats.ingest_batches, batches.size()) << label;
-      EXPECT_EQ(stats.ingest_points, sliced) << label;
-      // The halo must actually be exercised: points near the cut are
-      // replicated, and some replicas' verdicts get dropped in the merge.
-      EXPECT_GT(stats.routed_points, stats.ingest_points) << label;
-      EXPECT_GT(stats.halo_points, 0u) << label;
-      EXPECT_EQ(stats.worker_failures, 0u) << label;
-      EXPECT_FALSE(stats.degraded) << label;
-      EXPECT_EQ(stats.protocol_errors, 0u) << label;
-      EXPECT_GE(stats.halo, 2.0) << label;  // r_max of the query set
-      // Workers saw the shard-config handshake and halo replicas.
-      uint64_t worker_halo = 0;
-      for (size_t w = 0; w < tc.workers.size(); ++w) {
-        const net::ServerStats ws = tc.workers[w]->stats();
-        EXPECT_TRUE(ws.sharded) << label << " worker " << w;
-        EXPECT_EQ(ws.num_shards, 2u) << label << " worker " << w;
-        worker_halo += ws.halo_points;
+        size_t sliced = 0;  // SliceCount drops the tail that fills no slide
+        for (const Batch& b : batches) sliced += b.points.size();
+        const RouterStats stats = tc.router->stats();
+        EXPECT_EQ(stats.ingest_batches, batches.size()) << label;
+        EXPECT_EQ(stats.ingest_points, sliced) << label;
+        // The halo must actually be exercised: points near the cut are
+        // replicated, and some replicas' verdicts get dropped in the merge.
+        EXPECT_GT(stats.routed_points, stats.ingest_points) << label;
+        EXPECT_GT(stats.halo_points, 0u) << label;
+        EXPECT_EQ(stats.worker_failures, 0u) << label;
+        EXPECT_FALSE(stats.degraded) << label;
+        EXPECT_EQ(stats.protocol_errors, 0u) << label;
+        EXPECT_GE(stats.halo, 2.0) << label;  // r_max of the query set
+        // Workers saw the shard-config handshake and halo replicas.
+        uint64_t worker_halo = 0;
+        for (size_t w = 0; w < tc.workers.size(); ++w) {
+          const net::ServerStats ws = tc.workers[w]->stats();
+          EXPECT_TRUE(ws.sharded) << label << " worker " << w;
+          EXPECT_EQ(ws.num_shards, 2u) << label << " worker " << w;
+          worker_halo += ws.halo_points;
+        }
+        EXPECT_EQ(worker_halo, stats.halo_points) << label;
       }
-      EXPECT_EQ(worker_halo, stats.halo_points) << label;
-    }
-  }
-}
-
-// Same contract with every socket in the fabric (client->router,
-// router->workers) under seeded transient read/write faults: the retry
-// discipline rides them out and the emission stream is unchanged.
-TEST(ClusterTest, RoutedMatchesEngineUnderSocketFaults) {
-  for (const bool time_windows : {false, true}) {
-    const WindowType wt =
-        time_windows ? WindowType::kTime : WindowType::kCount;
-    Workload workload(wt);
-    const std::vector<OutlierQuery> queries = TestQueries(time_windows);
-    for (const OutlierQuery& q : queries) workload.AddQuery(q);
-    ASSERT_EQ(workload.Validate(), "");
-    const std::vector<Point> points =
-        GenPoints(200, time_windows, /*seed=*/41 + (time_windows ? 1 : 0));
-    const std::vector<Batch> batches = Slice(workload, points);
-
-    for (const std::string& name : KnownDetectorNames()) {
-      const std::string label =
-          name + (time_windows ? "/time" : "/count") + " routed faults";
-      std::unique_ptr<OutlierDetector> detector =
-          CreateDetector(name, workload);
-      const std::vector<QueryResult> expected =
-          CollectResults(workload, points, detector.get());
-
-      FaultInjector injector(/*seed=*/1234);
-      injector.SetRate(FaultSite::kNetRead, 0.05);
-      injector.SetRate(FaultSite::kNetWrite, 0.05);
-      injector.SetMaxFailures(FaultSite::kNetRead, 20);
-      injector.SetMaxFailures(FaultSite::kNetWrite, 20);
-      ScopedFaultInjection armed(&injector);
-
-      TestCluster tc;
-      std::string error;
-      ASSERT_TRUE(StartCluster(&tc, 2, name, wt, &error))
-          << label << ": " << error;
-      const std::vector<QueryResult> actual =
-          RunRouted(tc.router->port(), queries, batches, label);
-      tc.router->Stop();
-      testing::ExpectSameResults(expected, actual, label);
-      EXPECT_GT(injector.injected(FaultSite::kNetRead) +
-                    injector.injected(FaultSite::kNetWrite),
-                0)
-          << label;
-      EXPECT_FALSE(tc.router->stats().degraded) << label;
     }
   }
 }
@@ -807,9 +780,7 @@ TEST(ClusterTest, HelloVersionMismatchIsRefused) {
   hello.protocol_version = net::kProtocolVersion - 1;
   net::Socket raw = net::ConnectTcp("127.0.0.1", tc.router->port(), &error);
   ASSERT_TRUE(raw.valid()) << error;
-  const net::NetRetryOptions retry;
-  ASSERT_TRUE(net::SendAll(raw, net::EncodeHello(hello), retry, &error))
-      << error;
+  ASSERT_TRUE(net::SendAll(raw, net::EncodeHello(hello), &error)) << error;
   ASSERT_TRUE(WaitUntil(
       [&] { return tc.router->stats().protocol_errors >= 1; }));
 

@@ -63,8 +63,8 @@ TEST(NonFiniteCoordinateTest, EveryDetectorMatchesNaive) {
       ASSERT_FALSE(expected.empty()) << label;
       EXPECT_EQ(expected[0].boundary, 4) << label;
       EXPECT_EQ(expected[0].outliers, (std::vector<Seq>{3})) << label;
-      for (const char* kind : {"sop", "sop-grid", "grouped-sop", "leap",
-                               "mcod", "mcod-grid"}) {
+      for (const char* kind :
+           {"sop", "grouped-sop", "leap", "mcod", "mcod-grid"}) {
         std::unique_ptr<OutlierDetector> d = CreateDetector(kind, w);
         ExpectSameResults(expected, CollectResults(w, points, d.get()),
                           label + "/" + kind);

@@ -1,8 +1,7 @@
 // Tests for the fault-injection toolkit (common/fault.h), the checksum
 // framing (common/frame.h), the policy-enforcing source wrapper
-// (stream/sanitize.h), and the engine's resilience behaviours: retry
-// equivalence under injected transient failures and overload degradation
-// with a bounded batch queue.
+// (stream/sanitize.h), and the engine's resilience behaviours: overload
+// degradation with a bounded batch queue.
 
 #include <cmath>
 #include <limits>
@@ -29,20 +28,20 @@ using testing::ExpectSameResults;
 TEST(FaultInjectorTest, SameSeedReplaysTheSameSchedule) {
   FaultInjector a(42);
   FaultInjector b(42);
-  a.SetRate(FaultSite::kSourceRead, 0.3);
-  b.SetRate(FaultSite::kSourceRead, 0.3);
-  a.SetRate(FaultSite::kSinkEmit, 0.3);
-  b.SetRate(FaultSite::kSinkEmit, 0.3);
+  a.SetRate(FaultSite::kCheckpointWrite, 0.3);
+  b.SetRate(FaultSite::kCheckpointWrite, 0.3);
+  a.SetRate(FaultSite::kBatchStall, 0.3);
+  b.SetRate(FaultSite::kBatchStall, 0.3);
   for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(a.ShouldFail(FaultSite::kSourceRead),
-              b.ShouldFail(FaultSite::kSourceRead))
-        << "source-read draw " << i;
-    EXPECT_EQ(a.ShouldFail(FaultSite::kSinkEmit),
-              b.ShouldFail(FaultSite::kSinkEmit))
-        << "sink-emit draw " << i;
+    EXPECT_EQ(a.ShouldFail(FaultSite::kCheckpointWrite),
+              b.ShouldFail(FaultSite::kCheckpointWrite))
+        << "checkpoint-write draw " << i;
+    EXPECT_EQ(a.ShouldFail(FaultSite::kBatchStall),
+              b.ShouldFail(FaultSite::kBatchStall))
+        << "batch-stall draw " << i;
   }
-  EXPECT_GT(a.injected(FaultSite::kSourceRead), 0);
-  EXPECT_EQ(a.consulted(FaultSite::kSourceRead), 2000);
+  EXPECT_GT(a.injected(FaultSite::kCheckpointWrite), 0);
+  EXPECT_EQ(a.consulted(FaultSite::kCheckpointWrite), 2000);
 }
 
 TEST(FaultInjectorTest, SitesDrawFromIndependentStreams) {
@@ -50,30 +49,30 @@ TEST(FaultInjectorTest, SitesDrawFromIndependentStreams) {
   // schedule: site decisions are a pure function of (seed, site, index).
   FaultInjector interleaved(7);
   FaultInjector solo(7);
-  interleaved.SetRate(FaultSite::kSourceRead, 0.5);
+  interleaved.SetRate(FaultSite::kBatchStall, 0.5);
   interleaved.SetRate(FaultSite::kCheckpointWrite, 0.5);
-  solo.SetRate(FaultSite::kSourceRead, 0.5);
+  solo.SetRate(FaultSite::kBatchStall, 0.5);
   std::vector<bool> with_noise;
   std::vector<bool> without_noise;
   for (int i = 0; i < 500; ++i) {
     interleaved.ShouldFail(FaultSite::kCheckpointWrite);  // noise draws
-    with_noise.push_back(interleaved.ShouldFail(FaultSite::kSourceRead));
-    without_noise.push_back(solo.ShouldFail(FaultSite::kSourceRead));
+    with_noise.push_back(interleaved.ShouldFail(FaultSite::kBatchStall));
+    without_noise.push_back(solo.ShouldFail(FaultSite::kBatchStall));
   }
   EXPECT_EQ(with_noise, without_noise);
 }
 
 TEST(FaultInjectorTest, MaxFailuresCapsInjection) {
   FaultInjector injector(3);
-  injector.SetRate(FaultSite::kSinkEmit, 1.0);
-  injector.SetMaxFailures(FaultSite::kSinkEmit, 5);
+  injector.SetRate(FaultSite::kCheckpointRead, 1.0);
+  injector.SetMaxFailures(FaultSite::kCheckpointRead, 5);
   int64_t failures = 0;
   for (int i = 0; i < 100; ++i) {
-    if (injector.ShouldFail(FaultSite::kSinkEmit)) ++failures;
+    if (injector.ShouldFail(FaultSite::kCheckpointRead)) ++failures;
   }
   EXPECT_EQ(failures, 5);
-  EXPECT_EQ(injector.injected(FaultSite::kSinkEmit), 5);
-  EXPECT_EQ(injector.consulted(FaultSite::kSinkEmit), 100);
+  EXPECT_EQ(injector.injected(FaultSite::kCheckpointRead), 5);
+  EXPECT_EQ(injector.consulted(FaultSite::kCheckpointRead), 100);
 }
 
 TEST(FaultInjectorTest, CorruptBytesFlipsExactlyOneBit) {
@@ -213,14 +212,14 @@ TEST(SanitizingSourceTest, FailFastEndsTheStreamWithADiagnostic) {
 // ---------------------------------------------------------------------------
 // Engine resilience
 
-Workload RetryWorkload() {
+Workload ResilienceWorkload() {
   Workload w(WindowType::kCount);
   w.AddQuery(OutlierQuery(1.0, 2, 16, 4));
   w.AddQuery(OutlierQuery(2.0, 3, 24, 8));
   return w;
 }
 
-std::vector<Point> RetryStream(int64_t n) {
+std::vector<Point> ResilienceStream(int64_t n) {
   Rng rng(99);
   std::vector<Point> points;
   for (Seq s = 0; s < n; ++s) {
@@ -231,40 +230,9 @@ std::vector<Point> RetryStream(int64_t n) {
   return points;
 }
 
-TEST(EngineResilienceTest, InjectedTransientFailuresDoNotChangeResults) {
-  const Workload w = RetryWorkload();
-  const std::vector<Point> points = RetryStream(160);
-
-  ExecutionEngine engine;
-  std::unique_ptr<OutlierDetector> clean_detector = CreateDetector("sop", w);
-  std::vector<QueryResult> clean;
-  const RunMetrics clean_metrics =
-      engine.Run(w, points, clean_detector.get(),
-                 [&clean](const QueryResult& r) { clean.push_back(r); });
-
-  FaultInjector injector(2026);
-  injector.SetRate(FaultSite::kSourceRead, 0.2);
-  injector.SetMaxFailures(FaultSite::kSourceRead, 40);
-  injector.SetRate(FaultSite::kSinkEmit, 0.2);
-  injector.SetMaxFailures(FaultSite::kSinkEmit, 20);
-  ScopedFaultInjection armed(&injector);
-
-  std::unique_ptr<OutlierDetector> faulty_detector = CreateDetector("sop", w);
-  std::vector<QueryResult> faulty;
-  const RunMetrics faulty_metrics =
-      engine.Run(w, points, faulty_detector.get(),
-                 [&faulty](const QueryResult& r) { faulty.push_back(r); });
-
-  EXPECT_GT(injector.injected(FaultSite::kSourceRead), 0);
-  EXPECT_GT(injector.injected(FaultSite::kSinkEmit), 0);
-  ExpectSameResults(clean, faulty, "retried run");
-  EXPECT_EQ(clean_metrics.num_batches, faulty_metrics.num_batches);
-  EXPECT_EQ(clean_metrics.total_outliers, faulty_metrics.total_outliers);
-}
-
 TEST(EngineResilienceTest, BlockingQueueIsLossless) {
-  const Workload w = RetryWorkload();
-  const std::vector<Point> points = RetryStream(160);
+  const Workload w = ResilienceWorkload();
+  const std::vector<Point> points = ResilienceStream(160);
 
   ExecutionEngine serial;
   std::unique_ptr<OutlierDetector> serial_detector = CreateDetector("mcod", w);
@@ -288,8 +256,8 @@ TEST(EngineResilienceTest, BlockingQueueIsLossless) {
 }
 
 TEST(EngineResilienceTest, DropOldestShedsAndFlagsDegradedUnderStall) {
-  const Workload w = RetryWorkload();
-  const std::vector<Point> points = RetryStream(400);
+  const Workload w = ResilienceWorkload();
+  const std::vector<Point> points = ResilienceStream(400);
 
   FaultInjector injector(5);
   injector.SetRate(FaultSite::kBatchStall, 1.0);
@@ -321,7 +289,7 @@ TEST(EngineResilienceTest, TimeBasedSheddingKeepsTheEmissionCadence) {
   Workload w(WindowType::kTime);
   w.AddQuery(OutlierQuery(1.0, 2, 16, 4));
   w.AddQuery(OutlierQuery(2.0, 3, 24, 8));
-  const std::vector<Point> points = RetryStream(400);  // time == seq
+  const std::vector<Point> points = ResilienceStream(400);  // time == seq
 
   ExecutionEngine serial;
   std::unique_ptr<OutlierDetector> serial_detector = CreateDetector("mcod", w);

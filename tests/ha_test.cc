@@ -6,7 +6,6 @@
 //     types: kill the primary mid-stream, let the standby promote, let the
 //     client reconnect transparently — the delivered emission sequence
 //     must equal an uninterrupted run's, with no duplicates and no gaps,
-//   * the same drill under seeded transient socket faults,
 //   * multi-cycle failover: primary -> promoted standby -> a third server
 //     restarted from the standby's final checkpoint,
 //   * exactly-once resume without a failover: a subscriber that
@@ -38,7 +37,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "sop/common/fault.h"
 #include "sop/common/random.h"
 #include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
@@ -308,41 +306,6 @@ TEST(HaTest, FailoverMatchesUninterruptedRunEveryDetector) {
       testing::ExpectSameResults(expected, actual, label);
     }
   }
-}
-
-// The same drill under seeded transient socket faults on every read and
-// write — the retry discipline and the self-healing replication chain must
-// keep the sequence exact, deterministically.
-TEST(HaTest, FailoverUnderInjectedTransientFaults) {
-  Workload workload(WindowType::kCount);
-  const std::vector<OutlierQuery> queries = {OutlierQuery(1.5, 4, 100, 50),
-                                             OutlierQuery(2.0, 3, 150, 50)};
-  for (const OutlierQuery& q : queries) workload.AddQuery(q);
-  const std::vector<Point> points = GenPoints(320, false, /*seed=*/29);
-  const std::vector<Batch> batches = Slice(workload, points);
-  std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", workload);
-  std::vector<QueryResult> expected =
-      CollectResults(workload, points, detector.get());
-
-  FaultInjector injector(/*seed=*/4321);
-  injector.SetRate(FaultSite::kNetRead, 0.1);
-  injector.SetRate(FaultSite::kNetWrite, 0.1);
-  injector.SetMaxFailures(FaultSite::kNetRead, 20);
-  injector.SetMaxFailures(FaultSite::kNetWrite, 20);
-  ScopedFaultInjection armed(&injector);
-
-  uint64_t reconnects = 0;
-  std::vector<QueryResult> actual =
-      RunFailoverCycle("sop", WindowType::kCount, queries, batches,
-                       batches.size() / 2, "faulted failover", &reconnects);
-  EXPECT_GE(reconnects, 1u);
-  EXPECT_GT(injector.injected(FaultSite::kNetRead) +
-                injector.injected(FaultSite::kNetWrite),
-            0);
-  ExpectNoDuplicates(actual, "faulted failover");
-  Canonicalize(&expected);
-  Canonicalize(&actual);
-  testing::ExpectSameResults(expected, actual, "faulted failover");
 }
 
 // Two failovers in one stream: the primary crashes (standby promotes),
@@ -625,7 +588,6 @@ TEST(HaTest, ResumePastRingReachReportsGapAndDegrades) {
 struct RawConn {
   Socket sock;
   FrameDecoder decoder;
-  NetRetryOptions retry;
 
   bool ReadFrame(std::string* payload) {
     std::string error;
@@ -639,7 +601,7 @@ struct RawConn {
         case FrameDecoder::Status::kNeedMore:
           break;
       }
-      const int64_t n = RecvSome(sock, buf, sizeof buf, retry, &error);
+      const int64_t n = RecvSome(sock, buf, sizeof buf, &error);
       if (n <= 0) return false;
       decoder.Append(buf, static_cast<size_t>(n));
     }
@@ -669,14 +631,12 @@ TEST(HaTest, GracefulStopDrainsQueuedEmissionsAndCheckpoints) {
   RawConn sub;
   sub.sock = ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(sub.sock.valid()) << error;
-  ASSERT_TRUE(SendAll(sub.sock, EncodeHello(HelloMsg{}), sub.retry, &error))
-      << error;
+  ASSERT_TRUE(SendAll(sub.sock, EncodeHello(HelloMsg{}), &error)) << error;
   std::string payload;
   ASSERT_TRUE(sub.ReadFrame(&payload));
   SubscribeMsg smsg;
   smsg.query = q;
-  ASSERT_TRUE(SendAll(sub.sock, EncodeSubscribe(smsg), sub.retry, &error))
-      << error;
+  ASSERT_TRUE(SendAll(sub.sock, EncodeSubscribe(smsg), &error)) << error;
   ASSERT_TRUE(sub.ReadFrame(&payload));
   MsgType type = MsgType::kError;
   ASSERT_TRUE(PeekType(payload, &type, &error)) << error;
@@ -734,9 +694,7 @@ TEST(HaTest, IdleTimeoutDisconnectsMidFrameStallsOnly) {
   loris.sock = ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(loris.sock.valid()) << error;
   const std::string frame = EncodePing(PingMsg{});
-  ASSERT_TRUE(
-      SendAll(loris.sock, frame.substr(0, frame.size() / 2), loris.retry,
-              &error))
+  ASSERT_TRUE(SendAll(loris.sock, frame.substr(0, frame.size() / 2), &error))
       << error;
   ASSERT_TRUE(WaitUntil(
       [&] { return server.stats().idle_disconnects >= 1; }));
@@ -744,7 +702,7 @@ TEST(HaTest, IdleTimeoutDisconnectsMidFrameStallsOnly) {
   char buf[64];
   int64_t n;
   do {
-    n = RecvSome(loris.sock, buf, sizeof buf, loris.retry, &error);
+    n = RecvSome(loris.sock, buf, sizeof buf, &error);
   } while (n > 0);
   EXPECT_LE(n, 0);
 

@@ -5,10 +5,9 @@
 //     emits (the sharing-as-a-service contract),
 //   * live subscription churn against a direct SopSession oracle,
 //   * overload shedding (kDropOldest) with the degraded-flag handshake,
-//   * injected socket faults (transient = ridden out, persistent = clean
-//     connection failure, never a dead server),
 //   * hostile bytes on the wire poison only their own connection,
-//   * checkpointed restart resumes the shared stream mid-flight,
+//   * checkpointed restart resumes the shared stream mid-flight (and a
+//     bare session blob at the checkpoint path is not a checkpoint),
 //   * refusal paths: unknown detector, invalid query, stale boundary.
 //
 // All assertions read ServerStats (always-on atomics), never obs counters,
@@ -23,11 +22,11 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "sop/common/fault.h"
 #include "sop/common/random.h"
 #include "sop/core/session.h"
 #include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
+#include "sop/io/file_util.h"
 #include "sop/net/client.h"
 #include "sop/net/server.h"
 #include "sop/net/socket.h"
@@ -358,68 +357,6 @@ TEST(NetTest, DropOldestShedsAndFlagsDegraded) {
   EXPECT_GT(server.stats().shed_emissions, 0u);
 }
 
-// --- fault injection -----------------------------------------------------
-
-// Bounded transient socket faults on both sites are ridden out by the
-// retry discipline: the loopback run stays exactly equivalent.
-TEST(NetTest, TransientSocketFaultsAreRiddenOut) {
-  Workload workload(WindowType::kCount);
-  const std::vector<OutlierQuery> queries = {OutlierQuery(1.5, 4, 100, 50)};
-  workload.AddQuery(queries[0]);
-  const std::vector<Point> points = GenPoints(250, false, /*seed=*/33);
-  const std::vector<Batch> batches = SliceCount(points, 50);
-  std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", workload);
-  const std::vector<QueryResult> expected =
-      CollectResults(workload, points, detector.get());
-
-  FaultInjector injector(/*seed=*/1234);
-  injector.SetRate(FaultSite::kNetRead, 0.2);
-  injector.SetRate(FaultSite::kNetWrite, 0.2);
-  injector.SetMaxFailures(FaultSite::kNetRead, 10);
-  injector.SetMaxFailures(FaultSite::kNetWrite, 10);
-  ScopedFaultInjection armed(&injector);
-
-  ServerOptions options;
-  SopServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-  const std::vector<QueryResult> actual =
-      RunLoopback(server.port(), queries, batches, "fault drill");
-  server.Stop();
-
-  testing::ExpectSameResults(expected, actual, "fault drill");
-  EXPECT_GT(injector.injected(FaultSite::kNetRead) +
-                injector.injected(FaultSite::kNetWrite),
-            0);
-  EXPECT_EQ(server.stats().protocol_errors, 0u);
-}
-
-// A persistent write fault exhausts the retry budget and fails the client
-// call cleanly; the server itself must survive to serve the next client.
-TEST(NetTest, PersistentSocketFaultFailsCleanly) {
-  ServerOptions options;
-  SopServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  {
-    FaultInjector injector(/*seed=*/99);
-    injector.SetRate(FaultSite::kNetWrite, 1.0);
-    ScopedFaultInjection armed(&injector);
-    SopClient client;
-    EXPECT_FALSE(client.Connect("127.0.0.1", server.port(), &error));
-    EXPECT_NE(error.find("persisted"), std::string::npos) << error;
-    EXPECT_GT(injector.injected(FaultSite::kNetWrite), 0);
-  }
-
-  // Disarmed: the same server keeps serving.
-  SopClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
-  EXPECT_GT(client.Subscribe(OutlierQuery(1.0, 2, 100, 50), &error), 0)
-      << error;
-  server.Stop();
-}
-
 // --- hostile bytes -------------------------------------------------------
 
 // Garbage and corrupted frames poison exactly one connection each: counted
@@ -430,14 +367,12 @@ TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
   SopServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  const NetRetryOptions retry;
 
   {
     // Pure garbage: framing is lost immediately.
     Socket raw = ConnectTcp("127.0.0.1", server.port(), &error);
     ASSERT_TRUE(raw.valid()) << error;
-    ASSERT_TRUE(SendAll(raw, "definitely not a SOPF frame", retry, &error))
-        << error;
+    ASSERT_TRUE(SendAll(raw, "definitely not a SOPF frame", &error)) << error;
     ASSERT_TRUE(WaitUntil(
         [&] { return server.stats().protocol_errors >= 1; }));
   }
@@ -447,7 +382,7 @@ TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
     frame[frame.size() - 3] ^= 0x20;
     Socket raw = ConnectTcp("127.0.0.1", server.port(), &error);
     ASSERT_TRUE(raw.valid()) << error;
-    ASSERT_TRUE(SendAll(raw, frame, retry, &error)) << error;
+    ASSERT_TRUE(SendAll(raw, frame, &error)) << error;
     ASSERT_TRUE(WaitUntil(
         [&] { return server.stats().protocol_errors >= 2; }));
   }
@@ -471,6 +406,9 @@ TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
 // Stop a checkpointing server mid-stream, start a fresh one on the same
 // path: it resumes the shared stream position, and a re-registered query's
 // emissions continue exactly as an uninterrupted direct session's would.
+// The first server starts over a bare SopSession::SaveState blob at the
+// checkpoint path: only kReplSnapshot frames are checkpoints, so it must
+// start fresh.
 TEST(NetTest, CheckpointedRestartResumesTheStream) {
   const std::string path =
       ::testing::TempDir() + "sop_net_restart.checkpoint";
@@ -483,17 +421,20 @@ TEST(NetTest, CheckpointedRestartResumesTheStream) {
 
   // Uninterrupted oracle.
   std::vector<SessionResult> expected_tail;
+  std::string bare_state;
   {
     SopSession session(WindowType::kCount, Metric::kEuclidean, 4096);
     session.SetDetectorBuilder(
         [](const Workload& w) { return CreateDetector("sop", w); });
     session.AddQuery(q);
-    for (const Batch& b : batches) {
-      for (SessionResult& r : session.Advance(b.points, b.boundary)) {
+    for (size_t i = 0; i < batches.size(); ++i) {
+      for (SessionResult& r :
+           session.Advance(batches[i].points, batches[i].boundary)) {
         if (r.boundary > batches[5].boundary) {
           expected_tail.push_back(std::move(r));
         }
       }
+      if (i == 5) bare_state = session.SaveState();
     }
   }
 
@@ -502,8 +443,9 @@ TEST(NetTest, CheckpointedRestartResumesTheStream) {
   options.checkpoint_every_batches = 2;
 
   {
-    SopServer server(options);
     std::string error;
+    ASSERT_TRUE(io::WriteFileAtomic(path, bare_state, &error)) << error;
+    SopServer server(options);
     ASSERT_TRUE(server.Start(&error)) << error;
     EXPECT_FALSE(server.stats().resumed);
     SopClient client;

@@ -129,45 +129,14 @@ TEST(McodGridTest, GridVariantHandlesTimeWindows) {
                     CollectResults(w, points, &grid), "mcod grid time");
 }
 
-TEST(SopGridTest, GridVariantMatchesLinearVariant) {
-  const Workload w = MixedKWorkload();
-  const std::vector<Point> points = ClusteredStream(150, 61);
-  const std::vector<QueryResult> expected = ExpectedResults(w, points);
-  SopDetector::Options options;
-  options.use_grid_index = true;
-  SopDetector grid(w, options);
-  EXPECT_STREQ(grid.name(), "sop-grid");
-  ExpectSameResults(expected, CollectResults(w, points, &grid), "sop grid");
-}
-
-TEST(SopGridTest, GridVariantHandlesTimeWindows) {
-  Workload w(WindowType::kTime);
-  w.AddQuery(OutlierQuery(1.5, 2, 20, 5));
-  w.AddQuery(OutlierQuery(3.0, 4, 40, 10));
-  Rng rng(78);
-  std::vector<Point> points;
-  Timestamp t = 0;
-  for (Seq s = 0; s < 120; ++s) {
-    t += rng.UniformInt(0, 2);
-    points.emplace_back(
-        s, t,
-        std::vector<double>{rng.Normal(5, 1.0), rng.Normal(5, 1.0)});
-  }
-  SopDetector::Options options;
-  options.use_grid_index = true;
-  SopDetector grid(w, options);
-  ExpectSameResults(ExpectedResults(w, points),
-                    CollectResults(w, points, &grid), "sop grid time");
-}
-
 TEST(FactoryTest, KnowsAllNames) {
-  for (const char* name : {"sop", "sop-grid", "grouped-sop", "mcod-grid",
-                           "leap", "mcod", "naive"}) {
+  for (const char* name :
+       {"sop", "grouped-sop", "mcod-grid", "leap", "mcod", "naive"}) {
     EXPECT_TRUE(IsKnownDetector(name)) << name;
   }
   EXPECT_FALSE(IsKnownDetector("bogus"));
   EXPECT_FALSE(IsKnownDetector(""));
-  EXPECT_EQ(KnownDetectorNames().size(), 7u);
+  EXPECT_EQ(KnownDetectorNames().size(), 6u);
 }
 
 TEST(FactoryTest, AllKindsMatchOracleOnOneWorkload) {

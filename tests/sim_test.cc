@@ -4,6 +4,8 @@
 // re-run under seeded fault schedules:
 //
 //   * loopback equivalence on the simulated transport, both window types,
+//     plain and with seeded latency spikes; a handshake cut fails only the
+//     client it hits,
 //   * failover == uninterrupted run under seeded latency spikes, with the
 //     kill point drawn from the seed,
 //   * exactly-once resume across a mid-frame connection cut at a seeded
@@ -222,58 +224,109 @@ std::vector<QueryResult> Oracle(const Workload& workload,
 // --- loopback equivalence on the simulated transport ---------------------
 
 // The base case: with no fault rules, the sim transport is just a wire —
-// a subscribe-ingest-collect loop over it matches the engine exactly.
+// a subscribe-ingest-collect loop over it matches the engine exactly. The
+// second pass delays a seeded fifth of all segments in both directions;
+// delays only reorder time, never bytes, so the run must not change.
 TEST(SimTest, LoopbackMatchesEngineBothWindowTypes) {
-  for (const bool time_windows : {false, true}) {
-    const std::string label =
-        std::string("sim loopback/") + (time_windows ? "time" : "count");
-    Workload workload(time_windows ? WindowType::kTime : WindowType::kCount);
-    const std::vector<OutlierQuery> queries = TestQueries(time_windows);
-    for (const OutlierQuery& q : queries) workload.AddQuery(q);
-    ASSERT_EQ(workload.Validate(), "");
-    const std::vector<Point> points =
-        GenPoints(time_windows ? 240 : 320, time_windows, /*seed=*/3);
-    const std::vector<Batch> batches = Slice(workload, points);
-    const std::vector<QueryResult> expected = Oracle(workload, points);
+  for (const bool delayed : {false, true}) {
+    for (const bool time_windows : {false, true}) {
+      const std::string label = std::string("sim loopback/") +
+                                (time_windows ? "time" : "count") +
+                                (delayed ? "/delayed" : "");
+      Workload workload(time_windows ? WindowType::kTime
+                                     : WindowType::kCount);
+      const std::vector<OutlierQuery> queries = TestQueries(time_windows);
+      for (const OutlierQuery& q : queries) workload.AddQuery(q);
+      ASSERT_EQ(workload.Validate(), "");
+      const std::vector<Point> points =
+          GenPoints(time_windows ? 240 : 320, time_windows, /*seed=*/3);
+      const std::vector<Batch> batches = Slice(workload, points);
+      const std::vector<QueryResult> expected = Oracle(workload, points);
 
-    SimNet sim(/*seed=*/1);
-    ScopedSim armed(&sim);
-    ServerOptions options;
-    options.window_type = workload.window_type();
-    SopServer server(options);
-    std::string error;
-    ASSERT_TRUE(server.Start(&error)) << label << ": " << error;
+      SimNet sim(/*seed=*/1);
+      ScopedSim armed(&sim);
+      if (delayed) {
+        FaultRule delay;
+        delay.action = FaultRule::Action::kDelay;
+        delay.rate = 0.2;
+        delay.delay_us = 2000;
+        sim.AddRule(delay);
+      }
+      ServerOptions options;
+      options.window_type = workload.window_type();
+      SopServer server(options);
+      std::string error;
+      ASSERT_TRUE(server.Start(&error)) << label << ": " << error;
 
-    SopClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error))
-        << label << ": " << error;
-    std::map<int64_t, size_t> index_of;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const int64_t id = client.Subscribe(queries[i], &error);
-      ASSERT_GT(id, 0) << label << ": " << error;
-      index_of[id] = i;
-    }
-    std::vector<QueryResult> actual;
-    for (const Batch& b : batches) {
-      IngestAckMsg ack;
-      ASSERT_TRUE(client.Ingest(b.boundary, b.points, &ack, &error))
+      SopClient client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error))
           << label << ": " << error;
-      EXPECT_EQ(ack.accepted, b.points.size()) << label;
-      for (const net::EmissionMsg& e : client.TakeEmissions()) {
-        ASSERT_TRUE(index_of.count(e.query_id) != 0) << label;
-        EXPECT_FALSE(e.degraded) << label << " @" << e.boundary;
-        QueryResult r;
-        r.query_index = index_of[e.query_id];
-        r.boundary = e.boundary;
-        r.outliers = e.outliers;
-        actual.push_back(std::move(r));
+      std::map<int64_t, size_t> index_of;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const int64_t id = client.Subscribe(queries[i], &error);
+        ASSERT_GT(id, 0) << label << ": " << error;
+        index_of[id] = i;
+      }
+      std::vector<QueryResult> actual;
+      for (const Batch& b : batches) {
+        IngestAckMsg ack;
+        ASSERT_TRUE(client.Ingest(b.boundary, b.points, &ack, &error))
+            << label << ": " << error;
+        EXPECT_EQ(ack.accepted, b.points.size()) << label;
+        for (const net::EmissionMsg& e : client.TakeEmissions()) {
+          ASSERT_TRUE(index_of.count(e.query_id) != 0) << label;
+          EXPECT_FALSE(e.degraded) << label << " @" << e.boundary;
+          QueryResult r;
+          r.query_index = index_of[e.query_id];
+          r.boundary = e.boundary;
+          r.outliers = e.outliers;
+          actual.push_back(std::move(r));
+        }
+      }
+      client.Close();
+      server.Stop();
+      testing::ExpectSameResults(expected, actual, label);
+      EXPECT_EQ(sim.stats().refused_connects, 0u) << label;
+      EXPECT_EQ(server.stats().protocol_errors, 0u) << label;
+      if (delayed) {
+        EXPECT_GT(sim.stats().delayed, 0u) << label;
       }
     }
-    client.Close();
-    server.Stop();
-    testing::ExpectSameResults(expected, actual, label);
-    EXPECT_EQ(sim.stats().refused_connects, 0u) << label;
   }
+}
+
+// A connection cut in the middle of the client's hello fails that
+// client's Connect with an error, and only that client: once the rule is
+// cleared, a fresh client connects and subscribes on the same server.
+TEST(SimTest, CutHandshakeFailsOnlyThatClient) {
+  SimNet sim(/*seed=*/5);
+  ScopedSim armed(&sim);
+  SopServer server{ServerOptions()};
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  FaultRule cut;
+  cut.action = FaultRule::Action::kTruncate;
+  cut.dst_port = server.port();
+  cut.direction = +1;
+  cut.truncate_at = 3;
+  cut.max_applications = 1;
+  sim.AddRule(cut);
+  {
+    SopClient client;
+    EXPECT_FALSE(client.Connect("127.0.0.1", server.port(), &error));
+    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(client.connected());
+  }
+  EXPECT_EQ(sim.stats().truncated, 1u);
+
+  sim.ClearRules();
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_GT(client.Subscribe(OutlierQuery(1.0, 2, 100, 50), &error), 0)
+      << error;
+  client.Close();
+  server.Stop();
 }
 
 // --- failover equivalence under seeded schedules --------------------------
@@ -789,10 +842,9 @@ TEST(SimTest, IdleTimeoutFiresOnVirtualClockOnly) {
   // Slow loris: half a ping frame, then silence.
   net::Socket loris = net::ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(loris.valid()) << error;
-  const net::NetRetryOptions retry;
   const std::string frame = net::EncodePing(net::PingMsg{});
   const std::string half = frame.substr(0, frame.size() / 2);
-  ASSERT_TRUE(net::SendAll(loris, half, retry, &error)) << error;
+  ASSERT_TRUE(net::SendAll(loris, half, &error)) << error;
   ASSERT_TRUE(YieldUntil(
       [&] { return server.stats().bytes_in >= half.size(); }));
   // The reader recomputes its deadline at each recv, so keep advancing
@@ -804,7 +856,7 @@ TEST(SimTest, IdleTimeoutFiresOnVirtualClockOnly) {
   char buf[64];
   int64_t n;
   do {
-    n = net::RecvSome(loris, buf, sizeof buf, retry, &error);
+    n = net::RecvSome(loris, buf, sizeof buf, &error);
   } while (n > 0);
   EXPECT_LE(n, 0);  // the server hung up on it
 
@@ -907,14 +959,21 @@ TEST(SimTest, ReplAckTimeoutResyncsOnVirtualClock) {
 
   // Heal, then advance simulated time until the ack deadline fires. Only
   // the timeout can break the wait — the swallowed frame is gone — so the
-  // snapshot resync below proves the deadline ran on the virtual clock.
-  // (A healthy chain never ships a snapshot: the first batch starts it
-  // from scratch, so snapshots_sent > 0 IS the timeout firing.)
+  // primary's reconnect, and the snapshot resync below, prove the deadline
+  // ran on the virtual clock. (A healthy chain never ships a snapshot: the
+  // first batch starts it from scratch, so snapshots_sent > 0 IS the
+  // timeout firing.) Time stops once the primary reconnects: the
+  // snapshot's own ack wait is on the same virtual deadline, and a loop
+  // that kept advancing could expire it before a slow standby acks.
   sim.Heal(standby.port());
+  const uint64_t connects = sim.stats().connects;
   ASSERT_TRUE(YieldUntil([&] {
+    if (sim.stats().connects > connects) return true;
     sim.AdvanceMillis(500);
-    return primary.stats().repl_snapshots_sent >= 1;
+    return false;
   }));
+  ASSERT_TRUE(
+      YieldUntil([&] { return primary.stats().repl_snapshots_sent >= 1; }));
   // The fresh snapshot carries the swallowed batch.
   ASSERT_TRUE(YieldUntil([&] {
     return standby.stats().last_boundary == batches[1].boundary;

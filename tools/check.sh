@@ -11,9 +11,9 @@
 # SOP detector's point lanes) under ThreadSanitizer, then builds and runs
 # everything again with the observability layer compiled out
 # (-DSOP_NO_OBS) to keep the no-op macro expansions honest. Catches the
-# memory bugs the release build hides (the thread pool and the grid
-# scratch buffers in particular) and the ingest/worker/connection races
-# the overload queue and the server's per-connection threads could hide.
+# memory bugs the release build hides (the thread pool and mcod-grid's
+# index in particular) and the ingest/worker/connection races the overload
+# queue and the server's per-connection threads could hide.
 #
 # The asan pass also stretches the randomized fuzz loops — the checkpoint
 # fuzz in recovery_test, the wire-frame fuzz in protocol_test, and the

@@ -39,15 +39,15 @@
 //     --overload picks what a full queue does (block = backpressure,
 //     drop-oldest = shed + flag degraded emissions).
 //   --fault-rate arms the deterministic fault injector (common/fault.h),
-//     e.g. --fault-rate source-read=0.01,checkpoint-bytes=1; --fault-seed
+//     e.g. --fault-rate batch-stall=0.01,checkpoint-bytes=1; --fault-seed
 //     makes the failure schedule reproducible and --fault-max caps the
-//     number of injected failures per site so retry loops terminate.
+//     number of injected failures per site.
 //
 // Workload churn (DESIGN.md Sec. 14):
 //   --churn-every N runs the workload through a dynamic SopSession instead
 //     of the batch engine: after every N batches one query (round-robin) is
-//     removed and re-registered. With 'sop'/'sop-grid' those churns ride
-//     the session's overlay-swap path (no history replay); other detectors
+//     removed and re-registered. With 'sop' those churns ride the
+//     session's overlay-swap path (no history replay); other detectors
 //     rebuild-and-replay. Prints per-churn latency and the session's
 //     change statistics, so the two regimes are directly comparable.
 //     Incompatible with --resume-from/--checkpoint/--queue (engine-only).
@@ -83,7 +83,7 @@ namespace {
 // SopSession hosting `name`, removing + re-registering one query
 // (round-robin) every `churn_every` batches. The change is realized by the
 // next Advance, so that batch's latency is tracked separately from steady
-// batches — it carries the overlay swap (sop/sop-grid) or the
+// batches — it carries the overlay swap (sop) or the
 // rebuild-and-replay (everything else).
 int RunSessionChurn(const std::string& name, const sop::Workload& workload,
                     const std::vector<sop::Point>& points, int64_t churn_every,
@@ -93,10 +93,8 @@ int RunSessionChurn(const std::string& name, const sop::Workload& workload,
 
   SopSession session(workload.window_type(), workload.metric(),
                      workload.MaxWindow());
-  if (name == "sop" || name == "sop-grid") {
-    SopDetector::Options options;
-    options.use_grid_index = name == "sop-grid";
-    session.UseSopDetector(options);
+  if (name == "sop") {
+    session.UseSopDetector(SopDetector::Options());
   } else {
     session.SetDetectorBuilder([name](const Workload& w) {
       return CreateDetector(name, w);

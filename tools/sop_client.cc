@@ -20,9 +20,9 @@
 // --churn-every N exercises the server's incremental workload path: after
 // every N ingested batches one subscription (round-robin) is dropped and
 // re-registered, and the round-trip latency of the re-subscribe is
-// reported at the end. Against a sop/sop-grid server these churns are
-// overlay swaps (no history replay) — compare the same run against
-// --exact-basis or another detector to see the rebuild cost.
+// reported at the end. Against a sop server these churns are overlay
+// swaps (no history replay) — compare the same run against --exact-basis
+// or another detector to see the rebuild cost.
 //
 // --reconnect arms transparent recovery (DESIGN.md Sec. 16): a dead
 // connection mid-stream is ridden out by failing over across the listed

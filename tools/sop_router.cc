@@ -8,8 +8,6 @@
 //              [--headroom-r R[,R...]] [--headroom-win N]
 //              [--worker-queue N] [--send-queue N] [--ingest-queue N]
 //              [--seq-retention N] [--metrics] [--metrics-out FILE]
-//              [--fault-rate SITE=RATE[,...]] [--fault-seed S]
-//              [--fault-max N]
 //
 // The scale-out plane (DESIGN.md Sec. 17): points are spatially sharded
 // over the first attribute, each worker sees its region plus a halo of
@@ -35,7 +33,6 @@
 #include "flags.h"
 #include "sop/cluster/partition.h"
 #include "sop/cluster/router.h"
-#include "sop/common/fault.h"
 #include "sop/detector/factory.h"
 #include "sop/obs/export.h"
 #include "sop/obs/metrics.h"
@@ -71,9 +68,6 @@ int main(int argc, char** argv) {
   double domain_hi = 0.0;
   bool have_domain = false;
   std::vector<double> cuts;
-  std::vector<std::string> fault_specs;
-  uint64_t fault_seed = 1;
-  int64_t fault_max = -1;
 
   cli::FlagSet flags(
       "Front N sop_server workers as one sharded deployment (DESIGN.md\n"
@@ -216,11 +210,6 @@ int main(int argc, char** argv) {
   flags.Str("--metrics-out", &metrics_out, "PATH",
             "enable observability; write the registry snapshot to PATH as "
             "JSON on shutdown");
-  flags.StrList("--fault-rate", &fault_specs, "SITE=RATE[,...]",
-                "arm the deterministic fault injector (common/fault.h)");
-  flags.U64("--fault-seed", &fault_seed, "S", "fault schedule seed");
-  flags.I64("--fault-max", &fault_max, "N",
-            "cap injected failures per site (-1 = unlimited)", -1);
   int exit_code = 0;
   if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
 
@@ -249,26 +238,6 @@ int main(int argc, char** argv) {
         domain_lo, domain_hi, static_cast<int>(options.workers.size()));
   }
 
-  FaultInjector injector(fault_seed);
-  bool inject = false;
-  for (const std::string& spec : fault_specs) {
-    if (!cli::ParseFaultRate(spec, &injector)) {
-      std::fprintf(stderr, "--fault-rate: bad site=rate spec '%s'\n",
-                   spec.c_str());
-      return 2;
-    }
-    inject = true;
-  }
-  if (inject) {
-    if (fault_max >= 0) {
-      for (int i = 0; i < kNumFaultSites; ++i) {
-        injector.SetMaxFailures(static_cast<FaultSite>(i), fault_max);
-      }
-    }
-    std::fprintf(stderr, "fault injection armed (seed %llu)\n",
-                 static_cast<unsigned long long>(fault_seed));
-    FaultInjector::Arm(&injector);
-  }
   if (want_metrics || !metrics_out.empty()) {
     obs::SetEnabled(true);
     obs::MetricsRegistry::Global().Reset();
@@ -332,6 +301,5 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (inject) FaultInjector::Disarm();
   return exit_code;
 }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       "per-query emissions. Runs until SIGINT/SIGTERM; prints the bound port\n"
       "on stdout (--port 0 picks an ephemeral one).\n"
       "\n"
-      "Basis headroom (sop/sop-grid detectors only): the default elastic\n"
+      "Basis headroom (sop detector only): the default elastic\n"
       "basis makes every subscribe at an already-served radius an in-place\n"
       "overlay swap. --exact-basis compiles the paper's exact plan instead\n"
       "(maximal pruning, rebuild-heavy churn); --headroom-r/-k/-win reserve\n"
