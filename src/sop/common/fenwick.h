@@ -4,14 +4,16 @@
 // The paper's skyEvaluate maintains per-layer cardinalities and sums a
 // prefix per candidate (Alg. 2 lines 3-5, O(L)); a Fenwick tree implements
 // the identical bookkeeping in O(log L) per update/query, which matters
-// for workloads with thousands of distinct r values. Resets are done by
-// undoing updates so that reuse across points costs O(inserts log L), not
-// O(L). LowerBound finds the first layer whose prefix reaches a count in
-// one O(log L) descent (K-SKY's dominance frontier, see core/ksky.h).
+// for workloads with thousands of distinct r values. A table reused across
+// points is zeroed either by undoing its updates, O(inserts log L), or by
+// Clear, O(L), whichever touches fewer words (core/ksky.h). LowerBound
+// finds the first layer whose prefix reaches a count in one O(log L)
+// descent (K-SKY's dominance and emission frontiers, see core/ksky.h).
 
 #ifndef SOP_COMMON_FENWICK_H_
 #define SOP_COMMON_FENWICK_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -33,6 +35,15 @@ class FenwickTree {
   }
 
   int size() const { return static_cast<int>(tree_.size()) - 1; }
+
+  /// Zeroes every position, keeping the size: size + 1 word writes.
+  void Clear() { std::fill(tree_.begin(), tree_.end(), 0); }
+
+  /// True iff every position holds zero. O(size).
+  bool IsZero() const {
+    return std::all_of(tree_.begin(), tree_.end(),
+                       [](int64_t v) { return v == 0; });
+  }
 
   /// Adds `delta` at position `pos` (1-based).
   void Add(int pos, int64_t delta) {

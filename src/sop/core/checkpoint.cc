@@ -145,11 +145,8 @@ bool SopDetector::LoadState(std::string_view bytes, std::string* error) {
     if (!plan_.AdoptBasis(std::move(basis))) {
       return LoadError(error, "basis invalid or does not cover workload");
     }
-    // Every lane's per-layer scratch tables are sized to the basis.
-    for (Lane& lane : lanes_) {
-      lane.ksky.SyncPlanGeometry();
-      lane.emit_counts.Reset(plan_.num_layers());
-    }
+    // Every lane's per-layer scratch table is sized to the basis.
+    for (Lane& lane : lanes_) lane.ksky.SyncPlanGeometry();
   }
 
   int64_t first_seq = 0;

@@ -1,6 +1,7 @@
 #include "sop/core/ksky.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -30,7 +31,10 @@ KSky::KSky(const WorkloadPlan* plan, DistanceFn dist, Options options)
 
 bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                          Seq batch_first_seq, int64_t swift_window_start,
-                         bool from_scratch, LSky* skyband) {
+                         bool from_scratch, LSky* skyband,
+                         const Emission* emission,
+                         std::vector<std::vector<Seq>>* outliers) {
+  SOP_DCHECK(layer_counts_.IsZero());
   stats_ = KSkyScanStats{};
   build_.Clear();
   layer1_count_ = 0;
@@ -41,7 +45,6 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   bool keep_scanning = true;
   uint64_t kernel_hits = 0;  // counted only when obs is on
   uint64_t classified = 0;
-  stats_.oldest_computed = buffer.next_seq();
 
   // Window key of alive point `s`, resolved from the columns (the scan
   // never touches the row Points).
@@ -88,7 +91,6 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
         break;
       }
     }
-    stats_.oldest_computed = end - static_cast<Seq>(consumed);
     return consumed;
   };
   // kernel/hits: the r_max hits among `n` consumed kernel outputs.
@@ -141,42 +143,81 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
     // cached layers. Both sub-sequences are seq-descending, and so is
     // their concatenation.
     scan_buffer_range(batch_first_seq, buffer.next_seq());
-    if (build_.empty()) {
-      // No new arrival entered the skyband, so the previous entries'
-      // admission decisions replay unchanged (they were made against
-      // exactly these entries, newest-first, and expiry only removed the
-      // oldest — i.e., last-decided — ones). The expired skyband is
-      // already exact; skip the re-admission pass.
-      stats_.terminated_early = !keep_scanning;
-      if (SOP_OBS_ENABLED()) {
-        RecordScanObs(skyband->size(), kernel_hits, classified);
+    // If no new arrival entered the skyband, the previous entries'
+    // admission decisions replay unchanged (they were made against exactly
+    // these entries, newest-first, and expiry only removed the oldest —
+    // i.e., last-decided — ones). The expired skyband is then already
+    // exact; skip the re-admission pass.
+    if (!build_.empty()) {
+      // The previous entries are read in place: nothing writes `skyband`
+      // until the final Swap. Entries at or beyond the dominance frontier
+      // are consumed without Examine, which would reject them unchanged.
+      const int frontier = layer_counts_.LowerBound(plan_->k_max());
+      for (const SkybandEntry& e : skyband->entries()) {
+        if (!keep_scanning) break;
+        ++stats_.candidates_examined;
+        if (e.layer >= frontier) continue;
+        keep_scanning = Examine(e.seq, e.key, e.layer);
       }
-      return IsSafeForAll(p, *skyband);
-    }
-    // The previous entries are read in place: nothing writes `skyband`
-    // until the final Swap. Entries at or beyond the dominance frontier
-    // are consumed without Examine, which would reject them unchanged.
-    const int frontier = layer_counts_.LowerBound(plan_->k_max());
-    for (const SkybandEntry& e : skyband->entries()) {
-      if (!keep_scanning) break;
-      ++stats_.candidates_examined;
-      if (e.layer >= frontier) continue;
-      keep_scanning = Examine(e.seq, e.key, e.layer);
     }
   }
   stats_.terminated_early = !keep_scanning;
 
-  // Zero the layer table for the next point by undoing this point's
-  // inserts (cheaper than clearing L counters when the skyband is small).
-  for (const SkybandEntry& e : build_.entries()) {
-    layer_counts_.Add(e.layer, -1);
+  // The layer table holds the entries of build_, the new skyband, unless
+  // an incremental scan kept the previous one (then it holds none).
+  size_t counted = 0;
+  if (from_scratch || !build_.empty()) {
+    skyband->Swap(&build_);
+    counted = skyband->size();
   }
-
-  skyband->Swap(&build_);
   if (SOP_OBS_ENABLED()) {
     RecordScanObs(skyband->size(), kernel_hits, classified);
   }
+  if (emission != nullptr) {
+    counted = ClassifyForEmission(p.seq, key_of(p.seq), *skyband, counted,
+                                 *emission, outliers);
+  }
+  ResetLayerTable(*skyband, counted);
   return IsSafeForAll(p, *skyband);
+}
+
+size_t KSky::ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
+                                 size_t counted, const Emission& emission,
+                                 std::vector<std::vector<Seq>>* outliers) {
+  if (emission.groups.empty() || key < emission.groups.front().start) {
+    return counted;  // no due window holds p
+  }
+  const std::vector<SkybandEntry>& entries = skyband.entries();
+  for (; counted < entries.size(); ++counted) {
+    layer_counts_.Add(entries[counted].layer, 1);
+  }
+  size_t slot = 0;
+  for (const Emission::Group& group : emission.groups) {
+    if (key < group.start) break;  // and every later, shorter window
+    while (counted > 0 && entries[counted - 1].key < group.start) {
+      layer_counts_.Add(entries[--counted].layer, -1);
+    }
+    // p has >= k neighbours within r_m in this window iff m >= frontier.
+    const int frontier = layer_counts_.LowerBound(group.k);
+    for (; slot < group.slot_end && emission.layers[slot] < frontier;
+         ++slot) {
+      (*outliers)[slot].push_back(seq);
+    }
+    slot = group.slot_end;
+  }
+  return counted;
+}
+
+void KSky::ResetLayerTable(const LSky& skyband, size_t counted) {
+  const unsigned layers = static_cast<unsigned>(layer_counts_.size());
+  if (layers + 1 < counted * std::bit_width(layers)) {
+    layer_counts_.Clear();
+    return;
+  }
+  const std::vector<SkybandEntry>& entries = skyband.entries();
+  for (size_t i = 0; i < counted; ++i) {
+    layer_counts_.Add(entries[i].layer, -1);
+  }
 }
 
 void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits,

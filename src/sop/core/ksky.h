@@ -60,6 +60,25 @@
 // whenever y is (w is a suffix), so the count already reaches k without y.
 // Hence thresholding the skyband count is exact for every (r, k, w).
 //
+// Emission frontier. When the scan ends, the layer table holds exactly the
+// per-layer counts of p's rebuilt skyband (an incremental scan that
+// admitted no arrival re-adds its kept entries first). So the Lemma-3
+// test of every due query comes straight from the table: the caller
+// groups the due queries by (window start, k), widest window first, with
+// ascending layers inside each group. For each group whose window holds
+// p, the scan removes the entries older than the window's start (the
+// skyband's tail, oldest first) and reads f = LowerBound(k), the first
+// layer whose count reaches k; p is an outlier for exactly the group's
+// queries at layers < f. Windows are suffixes of the swift window, so
+// each group only removes entries; a group whose window misses p ends the
+// walk, since every later window is shorter.
+//
+// Resetting the table. The table must be zero before the next point. It
+// holds one count per entry left after the emission walk; undoing those
+// touches about log2(L) words each, while a clear writes L + 1 words. The
+// scan takes whichever is fewer: large skybands over few layers clear,
+// small skybands over thousands of layers (Fig. 13) undo.
+//
 // Safe inliers (Sec. 3.2.2 / 4.1 / 4.2). Entries with seq > p.seq are p's
 // *succeeding* neighbors: they can never expire before p. They form the
 // leading prefix of the freshly built skyband (descending seq). If for
@@ -92,11 +111,6 @@ struct KSkyScanStats {
   int64_t candidates_examined = 0;
   /// Whether the scan stopped early via layer-1 saturation.
   bool terminated_early = false;
-  /// The oldest candidate whose distance the scan consumed, or
-  /// buffer.next_seq() when it consumed none. The scan computed the
-  /// distance to every seq in [oldest_computed, buffer.next_seq()) except
-  /// p's own.
-  Seq oldest_computed = 0;
 };
 
 /// The K-SKY scanner for one workload plan. Holds reusable scratch state;
@@ -115,6 +129,18 @@ class KSky {
     bool condition3_pruning = true;
   };
 
+  /// The due queries of one boundary, grouped for the emission frontier.
+  /// Slot i is the i-th due query; the groups cover the slots in order.
+  struct Emission {
+    struct Group {
+      int64_t start;    // window start key, ascending across groups
+      int64_t k;
+      size_t slot_end;  // one past the group's last slot
+    };
+    std::vector<Group> groups;
+    std::vector<int> layers;  // per slot; ascending inside each group
+  };
+
   KSky(const WorkloadPlan* plan, DistanceFn dist) : KSky(plan, dist, Options()) {}
   KSky(const WorkloadPlan* plan, DistanceFn dist, Options options);
 
@@ -125,10 +151,14 @@ class KSky {
   /// (first evaluation of p), false scans this batch's arrivals
   /// [batch_first_seq, buffer.next_seq()) followed by the unexpired
   /// previous skyband entries. `skyband` is consumed and rebuilt in place.
+  /// With an `emission`, p.seq is then appended to `(*outliers)[slot]` for
+  /// every due query that reports p (see "Emission frontier").
   /// Returns true iff p is now a Safe-For-All inlier.
   bool EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                      Seq batch_first_seq, int64_t swift_window_start,
-                     bool from_scratch, LSky* skyband);
+                     bool from_scratch, LSky* skyband,
+                     const Emission* emission = nullptr,
+                     std::vector<std::vector<Seq>>* outliers = nullptr);
 
   /// Stats of the most recent EvaluatePoint call.
   const KSkyScanStats& last_stats() const { return stats_; }
@@ -154,6 +184,16 @@ class KSky {
   // Safe-For-All check over the freshly built skyband.
   bool IsSafeForAll(const Point& p, const LSky& skyband) const;
 
+  // The emission walk (see "Emission frontier") for p = seq with window
+  // key `key`. The table holds skyband entries [0, counted) on entry;
+  // returns how many it holds on exit.
+  size_t ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
+                             size_t counted, const Emission& emission,
+                             std::vector<std::vector<Seq>>* outliers);
+
+  // Zeroes the layer table, which holds skyband entries [0, counted).
+  void ResetLayerTable(const LSky& skyband, size_t counted);
+
   const WorkloadPlan* plan_;
   DistanceFn dist_;
   DistanceKernel kernel_;  // batch form of dist_, over buffer.columns()
@@ -161,8 +201,8 @@ class KSky {
 
   // Scratch reused across calls. `layer_counts_` is the paper's per-layer
   // cardinality table (Alg. 2), kept as a Fenwick tree for O(log L)
-  // dominated-count queries; it is zeroed between points by undoing the
-  // inserts recorded in build_.
+  // dominated-count queries; it is zero between points (see "Resetting
+  // the table").
   FenwickTree layer_counts_;
   int64_t layer1_count_ = 0;  // cardinality of layer 1 (termination check)
   std::vector<double> batch_dists_;  // per-block kernel output

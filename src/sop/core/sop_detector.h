@@ -3,20 +3,21 @@
 //
 // One swift skyband query answers the whole workload: per batch (one swift
 // slide), every alive, non-safe point gets one K-SKY scan that rebuilds its
-// LSky; at each emission boundary, each due query classifies each in-window
-// point with one thresholded count over that point's LSky. CPU is shared
+// LSky and, at an emission boundary, classifies the point for every due
+// query with one thresholded count per (window, k) group, read off the
+// scan's own layer table (ksky.h, "Emission frontier"). CPU is shared
 // (each point scanned once per slide for all queries) and memory is shared
 // (one skyband per point for all queries).
 //
-// Point lanes. Both per-point loops of a batch — the K-SKY scans and the
-// emission sweep — are independent across points: each point owns its
-// skyband, and only the scan and sweep scratch is shared. A large batch
-// therefore runs them on lanes (common/thread_pool.h RunLanes): one per
-// hardware thread, each with its own KSky and sweep table. Scans are
-// pulled in small chunks from a shared cursor; the sweep gives each lane a
-// contiguous range of the non-safe points and joins the per-query outlier
-// lists in lane order. Every output — emissions, skybands, safe flags,
-// Stats — is bit-identical for every lane count.
+// Point lanes. The per-point loop of a batch is independent across
+// points: each point owns its skyband, and only the scan scratch is
+// shared. A large batch therefore runs it on lanes (common/thread_pool.h
+// RunLanes): one per hardware thread, each with its own KSky and
+// per-query outlier lists. Scans are pulled newest first, in small chunks
+// from a shared cursor, so each lane's lists are seq-descending; each
+// query's ascending list is a merge of the lanes' lists. Every output —
+// emissions, skybands, safe flags, Stats — is bit-identical for every
+// lane count.
 
 #ifndef SOP_CORE_SOP_DETECTOR_H_
 #define SOP_CORE_SOP_DETECTOR_H_
@@ -63,11 +64,11 @@ class SopDetector : public OutlierDetector {
     int64_t overlay_swaps = 0;
   };
 
-  /// A batch runs its per-point loops on more than one lane only when its
+  /// A batch runs its per-point loop on more than one lane only when its
   /// scan bound — non-safe points x alive points, the candidates its K-SKY
   /// scans may touch — exceeds this. On the Fig-7 probe that is about
-  /// 2.5 ms of one-lane work, against about 0.1 ms to wake the helpers and
-  /// join them (4-vCPU KVM guest).
+  /// 1.4 ms of one-lane work, against 0.1 to 0.2 ms to wake the helpers
+  /// and join them (4-vCPU KVM guest).
   static constexpr int64_t kLaneScanBound = 2'000'000;
 
   explicit SopDetector(const Workload& workload)
@@ -131,48 +132,25 @@ class SopDetector : public OutlierDetector {
     return states_[static_cast<size_t>(seq - buffer_.first_seq())];
   }
 
-  // One emitting query during the emission sweep.
-  struct EmittingQuery {
-    size_t query_index;
-    int64_t start;
-    int32_t layer;
-    int64_t k;
-    size_t result_slot;
-  };
-
-  // One linear K-SKY scan of the batch, as the repeat-pairs counter sees
-  // it: `probe` computed its distance to every seq in
-  // [oldest_computed, next_seq) but its own.
-  struct ScanRange {
-    Seq probe;
-    Seq oldest_computed;
-  };
-
-  // One lane of the per-point loops: private scratch, plus what the lane
+  // One lane of the per-point loop: private scratch, plus what the lane
   // produced in the current batch.
   struct Lane {
-    Lane(KSky scanner, int num_layers) : ksky(std::move(scanner)) {
-      emit_counts.Reset(num_layers);
-    }
+    explicit Lane(KSky scanner) : ksky(std::move(scanner)) {}
     KSky ksky;
-    FenwickTree emit_counts;  // sweep layer table, zero between points
-    Stats stats;              // this batch's scan counters
-    std::vector<std::vector<Seq>> outliers;  // per emitting query
-    std::vector<ScanRange> scan_ranges;      // only while obs is on
+    Stats stats;  // this batch's scan counters
+    // Per emission slot: the points this lane reported, seq-descending.
+    std::vector<std::vector<Seq>> outliers;
   };
 
-  // Lanes for this batch's loops, created on demand: one unless the scan
+  // Lanes for this batch's loop, created on demand: one unless the scan
   // bound (`nonsafe` x alive points) makes the hand-off worth it.
   int PrepareLanes(size_t nonsafe);
-  // K-SKY scan of alive point `s` on `lane` (Alg. 3 body).
+  // Groups the queries due at `boundary` into emission_ and returns one
+  // empty result per due query, in emission-slot order.
+  std::vector<QueryResult> PrepareEmission(int64_t boundary);
+  // K-SKY scan of alive point `s` on `lane` (Alg. 3 body), classifying it
+  // for the due queries.
   void ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start, Lane* lane);
-  // Classifies non-safe point `s` for every emitting query on `lane`.
-  void SweepPoint(Seq s, Lane* lane) const;
-  // ksky/repeat_pairs: pairs {a, b} of this batch's scans in which each
-  // point lies in the other's computed range, i.e. distances both scans
-  // computed. Drains the lanes' ranges (recorded only while obs is on);
-  // O(n log n) in the scans.
-  void RecordRepeatPairs();
 
   WorkloadPlan plan_;
   Options options_;
@@ -185,8 +163,7 @@ class SopDetector : public OutlierDetector {
   size_t last_results_bytes_ = 0;
   // Per-batch scratch.
   std::vector<Seq> nonsafe_seqs_;
-  std::vector<EmittingQuery> emitting_;
-  std::vector<ScanRange> scan_ranges_;  // RecordRepeatPairs scratch
+  KSky::Emission emission_;  // this boundary's due queries, grouped
 };
 
 /// Test seam: batches large enough to fan out run on `lanes` lanes instead

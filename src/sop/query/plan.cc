@@ -218,11 +218,15 @@ void WorkloadPlan::CompileOverlay() {
     gmax = std::max(gmax, layer);
   }
 
-  queries_by_window_.resize(queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) queries_by_window_[i] = i;
-  std::stable_sort(queries_by_window_.begin(), queries_by_window_.end(),
-                   [&queries](size_t a, size_t b) {
-                     return queries[a].win < queries[b].win;
+  emission_order_.resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) emission_order_[i] = i;
+  std::stable_sort(emission_order_.begin(), emission_order_.end(),
+                   [&](size_t a, size_t b) {
+                     const OutlierQuery& x = queries[a];
+                     const OutlierQuery& y = queries[b];
+                     if (x.win != y.win) return x.win > y.win;
+                     if (x.k != y.k) return x.k < y.k;
+                     return query_layer_[a] < query_layer_[b];
                    });
 
   slide_gcd_ = workload_.SlideGcd();

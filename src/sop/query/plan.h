@@ -255,12 +255,11 @@ class WorkloadPlan {
   /// Swift-query slide: gcd of the query slides (Sec. 4.2).
   int64_t slide_gcd() const { return slide_gcd_; }
 
-  /// Query indices ordered by ascending window size: the emission sweep
-  /// order (windows are suffixes of the swift window, so ascending window
-  /// size means descending window start).
-  const std::vector<size_t>& queries_by_window() const {
-    return queries_by_window_;
-  }
+  /// Query indices in emission-frontier order (core/ksky.h): descending
+  /// window (windows are suffixes of the swift window, so ascending window
+  /// start), then ascending k, then ascending layer. The due queries of a
+  /// boundary that share (win, k) are consecutive in it.
+  const std::vector<size_t>& emission_order() const { return emission_order_; }
 
  private:
   // Validates workload_ for plan compilation (single attribute set).
@@ -307,7 +306,7 @@ class WorkloadPlan {
   std::vector<int> query_group_;      // per query, 0-based
   std::vector<int> group_min_layer_;  // per group
   std::vector<int> group_max_layer_;  // per group
-  std::vector<size_t> queries_by_window_;
+  std::vector<size_t> emission_order_;
   int64_t slide_gcd_ = 0;
 };
 

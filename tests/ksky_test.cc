@@ -1,10 +1,12 @@
 // Unit tests for the K-SKY scan, including the paper's worked examples.
 
+#include <bit>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/common/random.h"
 #include "sop/core/ksky.h"
 #include "sop/obs/metrics.h"
 #include "sop/query/plan.h"
@@ -469,6 +471,114 @@ TEST(KSkyTest, LeastExaminationScanCosts) {
   ASSERT_EQ(skyband.size(), 2u);
   EXPECT_EQ(skyband.entries()[0].seq, 11);
   EXPECT_EQ(skyband.entries()[1].seq, 8);
+}
+
+// Layer-table reset (ksky.h, "Resetting the table"). One KSky reused
+// across every point must build the skyband a fresh KSky builds, and
+// report exactly the points whose skyband count misses k in each emission
+// group. Two groups: the whole buffer and its newer half. The stream is
+// scanned from scratch over its first `n1` points (uniform in [0, 20)),
+// then incrementally after the rest arrive (uniform in [0, 40), so some
+// points admit none: those keep their skyband and re-add it to the table
+// for the emission).
+struct ResetCase {
+  std::vector<double> radii;
+  int64_t k;
+  KSky::Emission emission;  // group starts filled in by the test
+};
+
+// Whether the reset rule clears (rather than undoes) a table of `layers`
+// layers that holds `entries` entries.
+bool ClearsTable(int layers, size_t entries) {
+  const unsigned l = static_cast<unsigned>(layers);
+  return l + 1 < entries * std::bit_width(l);
+}
+
+// Scans whose table the rule clears: `sure` counts points outside the
+// newer half, whose table holds the whole skyband at reset; `possible`
+// counts every point whose whole skyband would be cleared.
+struct Clears {
+  int64_t sure = 0;
+  int64_t possible = 0;
+};
+
+Clears ExpectReuseMatchesFresh(ResetCase c, Seq n1, Seq n) {
+  Workload w(WindowType::kCount);
+  for (const double r : c.radii) w.AddQuery(OutlierQuery(r, c.k, 1000, 10));
+  WorkloadPlan plan(w);
+  KSky reused(&plan, w.MakeDistanceFn(0));
+  c.emission.groups[0].start = 0;
+  c.emission.groups[1].start = n / 2;
+  const size_t slots = c.emission.layers.size();
+
+  Rng rng(3);
+  StreamBuffer buffer(WindowType::kCount);
+  auto append = [&](Seq end, double hi) {
+    for (Seq s = buffer.next_seq(); s < end; ++s) {
+      buffer.Append(Point(s, s, {rng.UniformDouble(0, hi)}));
+    }
+  };
+  std::vector<LSky> fresh_bands(static_cast<size_t>(n1));
+  std::vector<LSky> reused_bands(static_cast<size_t>(n1));
+  Clears clears;
+  int64_t kept = 0;  // incremental scans that kept their skyband
+  auto scan_all = [&](bool from_scratch, Seq batch_first) {
+    for (Seq s = 0; s < n1; ++s) {
+      const size_t i = static_cast<size_t>(s);
+      const std::vector<SkybandEntry> before = reused_bands[i].entries();
+      std::vector<std::vector<Seq>> outliers(slots);
+      reused.EvaluatePoint(buffer.At(s), buffer, batch_first, 0, from_scratch,
+                           &reused_bands[i], &c.emission, &outliers);
+      KSky fresh(&plan, w.MakeDistanceFn(0));
+      fresh.EvaluatePoint(buffer.At(s), buffer, batch_first, 0, from_scratch,
+                          &fresh_bands[i]);
+      const LSky& band = fresh_bands[i];
+      ASSERT_EQ(reused_bands[i].entries(), band.entries()) << "seq " << s;
+      if (!from_scratch && band.entries() == before) ++kept;
+      size_t slot = 0;
+      for (const KSky::Emission::Group& g : c.emission.groups) {
+        for (; slot < g.slot_end; ++slot) {
+          const int layer = c.emission.layers[slot];
+          const bool outlier =
+              s >= g.start && band.CountWithin(layer, g.start, g.k) < g.k;
+          EXPECT_EQ(outliers[slot], outlier ? std::vector<Seq>{s}
+                                            : std::vector<Seq>{})
+              << "seq " << s << " layer " << layer << " start " << g.start;
+        }
+      }
+      if (ClearsTable(plan.num_layers(), band.size())) {
+        ++clears.possible;
+        if (s < n / 2) ++clears.sure;
+      }
+    }
+  };
+  append(n1, 20.0);
+  scan_all(/*from_scratch=*/true, n1);
+  append(n, 40.0);
+  scan_all(/*from_scratch=*/false, n1);
+  EXPECT_GT(kept, 0) << "no incremental scan kept its skyband";
+  return clears;
+}
+
+TEST(KSkyTest, ReusedTableMatchesFreshWhenCleared) {
+  // Three layers, k 40 on a dense stream: skybands of dozens of entries.
+  ResetCase c;
+  c.radii = {0.05, 0.2, 1.0};
+  c.k = 40;
+  c.emission.groups = {{0, 40, 3}, {0, 10, 5}};
+  c.emission.layers = {1, 2, 3, 1, 3};
+  EXPECT_GT(ExpectReuseMatchesFresh(c, 300, 320).sure, 200);
+}
+
+TEST(KSkyTest, ReusedTableMatchesFreshWhenUndone) {
+  // 4096 layers, k 2: skybands of a few entries, far below the
+  // (L + 1) / log2(L) = 315 a clear would need.
+  ResetCase c;
+  for (int i = 1; i <= 4096; ++i) c.radii.push_back(0.0005 * i);
+  c.k = 2;
+  c.emission.groups = {{0, 2, 5}, {0, 1, 9}};
+  c.emission.layers = {1, 10, 100, 1000, 4096, 5, 50, 500, 4000};
+  EXPECT_EQ(ExpectReuseMatchesFresh(c, 300, 320).possible, 0);
 }
 
 }  // namespace

@@ -7,11 +7,11 @@
 #include <string>
 
 #include "gtest/gtest.h"
+#include "sop/common/random.h"
 #include "sop/core/sop_detector.h"
 #include "sop/detector/driver.h"
 #include "sop/gen/synthetic.h"
 #include "sop/gen/workload_gen.h"
-#include "sop/obs/metrics.h"
 #include "test_util.h"
 
 namespace sop {
@@ -189,37 +189,6 @@ TEST(SopDetectorTest, RejectsNonMonotoneBoundaries) {
   EXPECT_DEATH(detector.Advance({}, 2), "boundaries must increase");
 }
 
-// ksky/repeat_pairs on a hand-built stream (r 1, k 2, slide 4), where a
-// scan of probe p computed every distance in [oldest, next_seq) but p's.
-TEST(SopDetectorTest, RepeatPairsCounter) {
-  obs::SetEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-  auto repeat_pairs = [] {
-    const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
-    const auto it = snap.counters.find("ksky/repeat_pairs");
-    return it == snap.counters.end() ? uint64_t{0} : it->second;
-  };
-  SopDetector detector(SingleQuery(1.0, 2, 100, 4));
-  // Batch 1: four isolated points; each scans all of [0, 4), so every
-  // one of the C(4, 2) = 6 pairs is computed twice.
-  detector.Advance(Points1D({0.0, 10.0, 20.0, 30.0}), 4);
-  EXPECT_EQ(repeat_pairs(), obs::kCompiledIn ? 6u : 0u);
-  // Batch 2: old probes 0-3 scan the arrivals [4, 8); new probe 4 scans
-  // all of [0, 8); probes 5-7 sit together, so their from-scratch scans
-  // stop on layer-1 saturation (k_max = 2) after two neighbours: probe 5
-  // at seq 6, probes 6 and 7 at seq 5. Repeats: {0..3} x {4} and the
-  // three pairs within {5, 6, 7}; old-old pairs and {4, 5..7} are not.
-  std::vector<Point> batch2;
-  for (const double v : {40.0, 50.0, 50.0, 50.0}) {
-    const Seq s = 4 + static_cast<Seq>(batch2.size());
-    batch2.emplace_back(s, s, std::vector<double>{v});
-  }
-  detector.Advance(std::move(batch2), 8);
-  EXPECT_EQ(repeat_pairs(), obs::kCompiledIn ? 6u + 7u : 0u);
-  obs::SetEnabled(false);
-  obs::MetricsRegistry::Global().Reset();
-}
-
 // Passes batches through to a SopDetector and records the largest scan
 // bound (scans x alive points) a batch computed its lane count from.
 class ScanBoundProbe : public OutlierDetector {
@@ -315,6 +284,63 @@ TEST(SopDetectorLanesTest, EveryLaneCountIsBitIdentical) {
                 fanned.stats.early_terminations) << at;
       EXPECT_EQ(serial.stats.safe_points_discovered,
                 fanned.stats.safe_points_discovered) << at;
+    }
+  }
+}
+
+// The emission frontier (ksky.h) against the oracle. At boundary 1500 the
+// due queries form five (window, k) groups: two share window 1500 and hold
+// several queries that differ only in r, and the last has a window (200)
+// shorter than its slide (750). Boundaries 500 and 1000 see four groups,
+// 750 two. The 2-d uniform stream is sparse enough for the k-20 group
+// that few points ever become Safe-For-All, so with or without safe-inlier
+// pruning the batches clear kLaneScanBound and fan out at 4 lanes.
+TEST(SopDetectorTest, GroupedVerdictsMatchOracle) {
+  constexpr Seq kPoints = 3000;
+  Rng rng(5);
+  std::vector<std::vector<double>> values;
+  for (Seq s = 0; s < kPoints; ++s) {
+    values.push_back({rng.UniformDouble(0, 1000), rng.UniformDouble(0, 1000)});
+  }
+  for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+    Workload w(type);
+    for (const double r : {60.0, 40.0, 90.0}) {
+      w.AddQuery(OutlierQuery(r, 8, 1500, 500));
+    }
+    w.AddQuery(OutlierQuery(100.0, 20, 1500, 500));
+    w.AddQuery(OutlierQuery(60.0, 20, 1500, 500));
+    w.AddQuery(OutlierQuery(80.0, 8, 1000, 500));
+    w.AddQuery(OutlierQuery(50.0, 8, 1000, 500));
+    w.AddQuery(OutlierQuery(40.0, 3, 750, 250));
+    w.AddQuery(OutlierQuery(60.0, 2, 200, 750));
+    // Time windows: ties (seq 3j+1 shares its predecessor's time) and
+    // gaps (no point has time 3j+1).
+    std::vector<Point> points;
+    for (Seq s = 0; s < kPoints; ++s) {
+      const Timestamp t =
+          type == WindowType::kCount || s % 3 != 1 ? s : s - 1;
+      points.emplace_back(s, t, values[static_cast<size_t>(s)]);
+    }
+    const std::string label = type == WindowType::kCount ? "count" : "time";
+    const std::vector<QueryResult> expected = ExpectedResults(w, points);
+    for (const bool pruning : {true, false}) {
+      for (const int lanes : {1, 4}) {
+        const std::string at = label + (pruning ? " pruned" : " unpruned") +
+                               " at " + std::to_string(lanes) + " lanes";
+        SopDetector::Options options;
+        options.safe_inlier_pruning = pruning;
+        SetScanLanesForTest(lanes);
+        SopDetector detector(w, options);
+        ScanBoundProbe probe(&detector, kPoints);
+        const std::vector<QueryResult> actual =
+            CollectResults(w, points, &probe);
+        SetScanLanesForTest(0);
+        ExpectSameResults(expected, actual, at);
+        if (lanes > 1) {
+          EXPECT_GT(probe.max_bound(), SopDetector::kLaneScanBound)
+              << at << ": no batch fanned out";
+        }
+      }
     }
   }
 }
