@@ -1,24 +1,20 @@
-// micro_parallel: serial vs pooled PartitionedDetector on a
-// multi-attribute workload.
+// micro_parallel: the partition fan-out on a multi-attribute workload.
 //
 // The workload spans 4 attribute subsets of a 4-dimensional synthetic
-// stream, so MultiAttributeDetector holds 4 independent SOP children —
-// exactly the partition structure the execution engine fans out across
-// its ThreadPool. Every configuration streams identical bytes and the
-// emission/outlier totals are asserted equal, so the wall-clock column is
-// an apples-to-apples measurement of the fan-out.
+// stream, so MultiAttributeDetector holds 4 independent SOP children,
+// which PartitionedDetector::Advance runs on RunLanes, one lane per child.
+// wall_ms times ExecutionEngine::Run alone (not the stream or detector
+// set-up); emissions and outliers let runs of two commits be checked for
+// equal answers.
 //
-// Speedup is bounded by the machine: on a single hardware core the pooled
-// runs time-slice and the speedup column stays ~1.0x (the run then mostly
-// validates overhead); with >= 4 cores the 4-partition workload is
-// expected to reach >= 1.5x at 4 threads.
+// Speedup over one core is bounded by the machine and the child count: on
+// a single hardware core the lanes time-slice.
 //
-// Output: one table row per thread count plus RESULT lines
-//   RESULT bench=micro_parallel threads=T wall_ms=... speedup=...
+// Output: one table row plus a RESULT line
+//   RESULT bench=micro_parallel wall_ms=... emissions=... outliers=...
 
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "figure.h"
@@ -54,26 +50,6 @@ std::vector<Point> BuildStream(int64_t n) {
   return gen::GenerateSynthetic(n, options);
 }
 
-struct RunOutcome {
-  double wall_ms = 0.0;
-  RunMetrics metrics;
-};
-
-RunOutcome RunOnce(const Workload& w, const std::vector<Point>& points,
-                   int num_threads) {
-  MultiAttributeDetector detector(w, [](const Workload& sub) {
-    return std::make_unique<SopDetector>(sub);
-  });
-  ExecOptions options;
-  options.num_threads = num_threads;
-  ExecutionEngine engine(options);
-  Stopwatch watch;
-  RunOutcome out;
-  out.metrics = engine.Run(w, points, &detector);
-  out.wall_ms = watch.ElapsedMillis();
-  return out;
-}
-
 }  // namespace
 }  // namespace sop
 
@@ -82,46 +58,26 @@ int main() {
   const int64_t n = bench::FastMode() ? 8000 : 40000;
   const Workload workload = BuildWorkload();
   const std::vector<Point> points = BuildStream(n);
+  MultiAttributeDetector detector(workload, [](const Workload& sub) {
+    return std::make_unique<SopDetector>(sub);
+  });
   std::printf(
-      "micro_parallel: %lld points, %zu queries over 4 attribute-set "
+      "micro_parallel: %lld points, %zu queries over %zu attribute-set "
       "partitions (multiattr-sop)\n",
-      static_cast<long long>(n), workload.num_queries());
+      static_cast<long long>(n), workload.num_queries(),
+      detector.num_children());
 
-  const RunOutcome serial = RunOnce(workload, points, 1);
-  std::printf("%8s %12s %12s %10s  %s\n", "threads", "wall_ms", "cpu/win_ms",
-              "speedup", "latency");
-  std::printf("%8d %12.1f %12.3f %10s  %s\n", 1, serial.wall_ms,
-              serial.metrics.avg_cpu_ms_per_window, "1.00x",
-              serial.metrics.LatencyToString().c_str());
-  std::printf("RESULT bench=micro_parallel threads=1 wall_ms=%.1f "
-              "speedup=1.00\n",
-              serial.wall_ms);
+  ExecutionEngine engine;
+  Stopwatch watch;
+  const RunMetrics metrics = engine.Run(workload, points, &detector);
+  const double wall_ms = watch.ElapsedMillis();
 
-  for (const int threads : {2, 4, 8}) {
-    const RunOutcome pooled = RunOnce(workload, points, threads);
-    // Identical result stream regardless of execution mode.
-    if (pooled.metrics.total_emissions != serial.metrics.total_emissions ||
-        pooled.metrics.total_outliers != serial.metrics.total_outliers) {
-      std::fprintf(stderr,
-                   "FATAL: parallel run diverged from serial "
-                   "(emissions %llu vs %llu, outliers %llu vs %llu)\n",
-                   static_cast<unsigned long long>(
-                       pooled.metrics.total_emissions),
-                   static_cast<unsigned long long>(
-                       serial.metrics.total_emissions),
-                   static_cast<unsigned long long>(
-                       pooled.metrics.total_outliers),
-                   static_cast<unsigned long long>(
-                       serial.metrics.total_outliers));
-      return 1;
-    }
-    const double speedup = serial.wall_ms / pooled.wall_ms;
-    std::printf("%8d %12.1f %12.3f %9.2fx  %s\n", threads, pooled.wall_ms,
-                pooled.metrics.avg_cpu_ms_per_window, speedup,
-                pooled.metrics.LatencyToString().c_str());
-    std::printf("RESULT bench=micro_parallel threads=%d wall_ms=%.1f "
-                "speedup=%.2f\n",
-                threads, pooled.wall_ms, speedup);
-  }
+  std::printf("%12s %12s  %s\n", "wall_ms", "cpu/win_ms", "latency");
+  std::printf("%12.1f %12.3f  %s\n", wall_ms, metrics.avg_cpu_ms_per_window,
+              metrics.LatencyToString().c_str());
+  std::printf("RESULT bench=micro_parallel wall_ms=%.1f emissions=%llu "
+              "outliers=%llu\n",
+              wall_ms, static_cast<unsigned long long>(metrics.total_emissions),
+              static_cast<unsigned long long>(metrics.total_outliers));
   return 0;
 }

@@ -2,52 +2,64 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
+#include <deque>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "sop/common/check.h"
 
 namespace sop {
 
-ThreadPool::ThreadPool(int num_threads) {
-  SOP_CHECK_MSG(num_threads > 0, "thread pool needs at least one worker");
-  workers_.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this]() { WorkerLoop(); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ThreadPool::Enqueue(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    SOP_CHECK_MSG(!stopping_, "Submit() on a stopping ThreadPool");
-    queue_.push_back(std::move(task));
-  }
-  cv_.notify_one();
-}
-
-void ThreadPool::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this]() { return stopping_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopping, and the queue is drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // exceptions land in the task's future
-  }
-}
-
 namespace {
+
+// A fixed set of workers draining a FIFO queue of tasks: RunLanes'
+// helpers. It is never destroyed (see LanePool), so it never stops or
+// joins its workers.
+class ThreadPool {
+ public:
+  explicit ThreadPool(int num_threads) {
+    workers_.reserve(static_cast<size_t>(num_threads));
+    for (int i = 0; i < num_threads; ++i) {
+      workers_.emplace_back([this]() { WorkerLoop(); });
+    }
+  }
+
+  ThreadPool(const ThreadPool&) = delete;
+  ThreadPool& operator=(const ThreadPool&) = delete;
+
+  int num_threads() const { return static_cast<int>(workers_.size()); }
+
+  void Submit(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queue_.push_back(std::move(task));
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void WorkerLoop() {
+    for (;;) {
+      std::function<void()> task;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this]() { return !queue_.empty(); });
+        task = std::move(queue_.front());
+        queue_.pop_front();
+      }
+      task();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::deque<std::function<void()>> queue_;  // guarded by mu_
+  std::vector<std::thread> workers_;
+};
 
 // The helpers behind RunLanes. Never destroyed: a worker may still be
 // parked on it while static destructors run at exit.

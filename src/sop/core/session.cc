@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sop/common/check.h"
@@ -160,9 +161,42 @@ void SopSession::Rebuild() {
   }
 }
 
+namespace {
+
+// CheckBatch's rules over `points`, advancing the stream's dimensionality
+// (`*dims`, -1 before the first point) and latest time as it goes.
+std::string CheckPoints(const std::vector<Point>& points, WindowType type,
+                        int64_t* dims, Timestamp* last_time) {
+  for (const Point& p : points) {
+    const auto point_dims = static_cast<int64_t>(p.values.size());
+    if (*dims < 0) *dims = point_dims;
+    if (point_dims != *dims) {
+      return "point has " + std::to_string(point_dims) +
+             " dimensions, the stream has " + std::to_string(*dims);
+    }
+    if (type == WindowType::kTime && p.time < *last_time) {
+      return "point time " + std::to_string(p.time) +
+             " is below the previous point's " + std::to_string(*last_time);
+    }
+    *last_time = p.time;
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string SopSession::CheckBatch(const std::vector<Point>& batch) const {
+  int64_t dims = dims_;
+  Timestamp last_time = last_time_;
+  return CheckPoints(batch, window_type_, &dims, &last_time);
+}
+
 std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
                                                int64_t boundary) {
   SOP_CHECK_MSG(boundary > last_boundary_, "boundaries must increase");
+  const std::string refusal =
+      CheckPoints(batch, window_type_, &dims_, &last_time_);
+  SOP_CHECK_MSG(refusal.empty(), refusal.c_str());
   last_boundary_ = boundary;
   for (Point& p : batch) p.seq = next_seq_++;
 
@@ -357,6 +391,10 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
   if (!r.ReadU64(&num_batches)) return fail("truncated");
   std::deque<HistoryBatch> history;
   int64_t prev_boundary = INT64_MIN;
+  // The restored detector holds only these points, so they alone set
+  // CheckBatch's state; they must obey its rules, since they replay.
+  int64_t dims = -1;
+  Timestamp last_time = INT64_MIN;
   for (uint64_t i = 0; i < num_batches; ++i) {
     HistoryBatch b;
     uint64_t num_points = 0;
@@ -382,12 +420,17 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
       }
       b.points.push_back(std::move(p));
     }
+    if (!CheckPoints(b.points, window_type_, &dims, &last_time).empty()) {
+      return fail("history breaks the stream's dimensionality or time order");
+    }
     history.push_back(std::move(b));
   }
   if (!r.AtEnd()) return fail("trailing bytes");
 
   registered_ = std::move(restored);
   history_ = std::move(history);
+  dims_ = dims;
+  last_time_ = last_time;
   next_id_ = next_id;
   next_seq_ = next_seq;
   last_boundary_ = last_boundary;

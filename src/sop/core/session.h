@@ -155,13 +155,21 @@ class SopSession {
   /// How workload changes have been realized so far.
   const SessionChangeStats& change_stats() const { return change_stats_; }
 
+  /// Why Advance must refuse `batch`, or "" if it may take it. Every point
+  /// needs the stream's dimensionality, which the first accepted point
+  /// fixes whether or not a query is registered (history replays into
+  /// later detectors). In a time-window session no point's time may be
+  /// below the previous accepted point's. A restored session takes both
+  /// from its retained history, the only points its detector will hold.
+  std::string CheckBatch(const std::vector<Point>& batch) const;
+
   /// Feeds a batch ending at `boundary` (boundaries must be multiples of
   /// every registered slide's gcd — use slide values with a common
   /// quantum). Unlike OutlierDetector::Advance, the session assigns the
   /// points' arrival sequence numbers itself (any incoming seq values are
   /// overwritten); results refer to those assigned seqs, 0-based from the
   /// session's first point. Returns the emissions of every registered
-  /// query due at `boundary`.
+  /// query due at `boundary`. The batch must pass CheckBatch.
   std::vector<SessionResult> Advance(std::vector<Point> batch,
                                      int64_t boundary);
 
@@ -247,6 +255,10 @@ class SopSession {
   SessionChangeStats change_stats_;
   int64_t last_boundary_ = INT64_MIN;
   Seq next_seq_ = 0;
+  // CheckBatch's state: the stream's dimensionality (-1 before the first
+  // point) and the latest accepted point's time.
+  int64_t dims_ = -1;
+  Timestamp last_time_ = INT64_MIN;
 };
 
 }  // namespace sop

@@ -5,11 +5,10 @@
 // experimental setup: windowing, scheduling and measurement around the
 // detection algorithm under test.
 //
-// These free functions are thin wrappers over a serial ExecutionEngine
-// (detector/engine.h) — the engine owns the actual batching loop and the
-// optional thread pool. Existing call sites keep working unchanged; code
-// that wants partition-parallel execution or a reusable pool constructs an
-// ExecutionEngine directly.
+// These free functions are thin wrappers over a default, single-use
+// ExecutionEngine (detector/engine.h), which owns the actual batching
+// loop. Code that wants checkpoints, an overload queue or one engine over
+// several runs constructs an ExecutionEngine directly.
 
 #ifndef SOP_DETECTOR_DRIVER_H_
 #define SOP_DETECTOR_DRIVER_H_
@@ -23,7 +22,7 @@
 namespace sop {
 
 /// Drives `detector` over `source` under `workload`'s window semantics
-/// with a serial, single-use engine. See ExecutionEngine::Run for the
+/// with a default, single-use engine. See ExecutionEngine::Run for the
 /// batching/emission contract.
 RunMetrics RunStream(const Workload& workload, StreamSource* source,
                      OutlierDetector* detector, const ResultSink& sink = {});

@@ -11,36 +11,10 @@
 #include "sop/common/check.h"
 #include "sop/common/fault.h"
 #include "sop/common/stopwatch.h"
-#include "sop/detector/partitioned.h"
 #include "sop/obs/trace.h"
 #include "sop/stream/window.h"
 
 namespace sop {
-
-namespace {
-
-// Attaches the engine's pool to a partition-parallel detector for the
-// duration of one run, restoring the previous (normally null) pool on every
-// exit path.
-class ScopedPoolAttachment {
- public:
-  ScopedPoolAttachment(OutlierDetector* detector, ThreadPool* pool) {
-    if (pool == nullptr) return;
-    partitioned_ = dynamic_cast<PartitionedDetector*>(detector);
-    if (partitioned_ == nullptr) return;
-    previous_ = partitioned_->thread_pool();
-    partitioned_->set_thread_pool(pool);
-  }
-  ~ScopedPoolAttachment() {
-    if (partitioned_ != nullptr) partitioned_->set_thread_pool(previous_);
-  }
-
- private:
-  PartitionedDetector* partitioned_ = nullptr;
-  ThreadPool* previous_ = nullptr;
-};
-
-}  // namespace
 
 // Per-run mutable state. In pipelined mode the context is handed to the
 // worker thread for the duration of the pipeline (the ingest side touches
@@ -167,20 +141,10 @@ class ExecutionEngine::BatchQueue {
 };
 
 ExecutionEngine::ExecutionEngine(ExecOptions options) : options_(options) {
-  SOP_CHECK_MSG(options_.num_threads >= 0, "num_threads must be >= 0");
   SOP_CHECK_MSG(
       options_.checkpoint.path.empty() || options_.checkpoint.every_batches >= 1,
       "checkpoint.every_batches must be >= 1");
-  if (options_.num_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    options_.num_threads = hw == 0 ? 1 : static_cast<int>(hw);
-  }
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
 }
-
-ExecutionEngine::~ExecutionEngine() = default;
 
 void ExecutionEngine::WriteCheckpoint(RunContext* ctx) {
   RunCheckpoint cp;
@@ -512,7 +476,6 @@ RunMetrics ExecutionEngine::RunPipelined(RunContext* ctx, StreamSource* source,
 
 RunMetrics ExecutionEngine::RunLoop(RunContext* ctx, StreamSource* source,
                                     const ResultSink& sink) {
-  ScopedPoolAttachment attachment(ctx->detector, pool_.get());
   if (options_.overload.max_queue_batches > 0) {
     return RunPipelined(ctx, source, sink);
   }

@@ -5,11 +5,9 @@
 // The engine owns the batching/emission loop that used to live inside
 // RunStream (detector/driver.h, now a thin wrapper): it slices the stream
 // into swift-slide batches, times every Advance() call, tracks per-batch
-// latency percentiles, and forwards results to the sink. It also owns a
-// reusable ThreadPool; when the detector under test is a
-// PartitionedDetector, the engine attaches the pool for the duration of
-// the run so independent partitions advance concurrently (DESIGN.md
-// Sec. 10).
+// latency percentiles, and forwards results to the sink. It needs nothing
+// from the detector beyond Advance(): a PartitionedDetector fans its
+// children out on RunLanes by itself (DESIGN.md Sec. 10).
 //
 // Resilience (DESIGN.md Sec. 12): the engine is also where failure is
 // handled. With checkpointing configured the engine periodically writes a
@@ -21,9 +19,9 @@
 // queued batch (bounded latency; shed batches are counted and the
 // emissions whose windows overlap shed data are flagged `degraded`).
 //
-// An engine is reusable across runs and detectors; the pool is spawned
-// once at construction. Not thread-safe: one engine drives one run at a
-// time. In pipelined mode the sink runs on the engine's worker thread.
+// An engine is reusable across runs and detectors. Not thread-safe: one
+// engine drives one run at a time. In pipelined mode the sink runs on the
+// engine's worker thread.
 //
 // Contract: this is the single run entry point. Every way of driving a
 // detector over a stream — the RunStream convenience wrappers
@@ -33,7 +31,7 @@
 // observability is enabled (obs/metrics.h), each run additionally records
 // engine/* counters, the engine/batch_ms histogram, per-query
 // query/<i>/{emissions,outliers} counters, and the resilience/* counters
-// into the global registry. A serial run with default options, no armed
+// into the global registry. A run with default options, no armed
 // injector and checkpointing off behaves bit-identically to the
 // pre-resilience engine.
 
@@ -43,12 +41,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "sop/common/thread_pool.h"
 #include "sop/detector/detector.h"
 #include "sop/detector/metrics.h"
 #include "sop/detector/run_checkpoint.h"
@@ -89,12 +85,8 @@ struct OverloadOptions {
   OverloadPolicy policy = OverloadPolicy::kBlock;
 };
 
-/// Execution knobs, defaulting to the serial seed behaviour.
+/// Execution knobs, defaulting to a synchronous run without checkpoints.
 struct ExecOptions {
-  /// Worker threads for partition-parallel detectors. 1 keeps everything
-  /// on the calling thread (bit-identical to the pre-engine driver); 0
-  /// means hardware concurrency.
-  int num_threads = 1;
   CheckpointOptions checkpoint;
   OverloadOptions overload;
 };
@@ -104,7 +96,6 @@ class ExecutionEngine {
  public:
   ExecutionEngine() : ExecutionEngine(ExecOptions{}) {}
   explicit ExecutionEngine(ExecOptions options);
-  ~ExecutionEngine();
 
   ExecutionEngine(const ExecutionEngine&) = delete;
   ExecutionEngine& operator=(const ExecutionEngine&) = delete;
@@ -120,7 +111,7 @@ class ExecutionEngine {
   ///
   /// Detector time is measured around Advance() only; source decoding and
   /// result sinking are excluded. It is wall-clock time across every
-  /// thread the batch ran on (partition fan-out with num_threads > 1,
+  /// thread the batch ran on (a partitioned detector's child lanes,
   /// SopDetector's point lanes), i.e. the per-batch critical path, not
   /// the CPU summed over threads.
   RunMetrics Run(const Workload& workload, StreamSource* source,
@@ -142,9 +133,6 @@ class ExecutionEngine {
                   OutlierDetector* detector, const RunCheckpoint& cp,
                   RunMetrics* metrics, std::string* error,
                   const ResultSink& sink = {});
-
-  /// The engine's pool; null when configured serial (num_threads == 1).
-  ThreadPool* pool() { return pool_.get(); }
 
  private:
   struct RunContext;
@@ -170,7 +158,6 @@ class ExecutionEngine {
                           const ResultSink& sink);
 
   ExecOptions options_;
-  std::unique_ptr<ThreadPool> pool_;  // null when serial
 
   // Cached per-query counter handles, indexed by query index:
   // {query/<i>/emissions, query/<i>/outliers}. Registry handles are

@@ -1,11 +1,11 @@
 #include "sop/detector/partitioned.h"
 
 #include <algorithm>
-#include <future>
 #include <map>
 #include <utility>
 
 #include "sop/common/check.h"
+#include "sop/common/thread_pool.h"
 
 namespace sop {
 
@@ -31,59 +31,26 @@ PartitionedDetector::PartitionedDetector(
   }
 }
 
-void PartitionedDetector::AdvanceSerial(std::vector<Point> batch,
-                                        int64_t boundary,
-                                        std::vector<QueryResult>* merged) {
-  for (size_t c = 0; c < children_.size(); ++c) {
-    Child& child = children_[c];
-    // The last child consumes the batch; the rest copy it.
-    std::vector<Point> feed =
-        c + 1 == children_.size() ? std::move(batch) : batch;
-    std::vector<QueryResult> results =
-        child.detector->Advance(std::move(feed), boundary);
-    for (QueryResult& r : results) {
-      r.query_index = child.local_to_global[r.query_index];
-      merged->push_back(std::move(r));
-    }
-  }
-}
-
-void PartitionedDetector::AdvanceParallel(std::vector<Point> batch,
-                                          int64_t boundary,
-                                          std::vector<QueryResult>* merged) {
-  std::vector<std::future<std::vector<QueryResult>>> pending;
-  pending.reserve(children_.size());
-  for (size_t c = 0; c < children_.size(); ++c) {
-    std::vector<Point> feed =
-        c + 1 == children_.size() ? std::move(batch) : batch;
-    OutlierDetector* detector = children_[c].detector.get();
-    pending.push_back(
-        pool_->Submit([detector, feed = std::move(feed), boundary]() mutable {
-          return detector->Advance(std::move(feed), boundary);
-        }));
-  }
-  // Join everything before get() so a throwing child never leaves a
-  // sibling still touching its state when the exception propagates.
-  for (auto& future : pending) future.wait();
-  for (size_t c = 0; c < children_.size(); ++c) {
-    std::vector<QueryResult> results = pending[c].get();
-    for (QueryResult& r : results) {
-      r.query_index = children_[c].local_to_global[r.query_index];
-      merged->push_back(std::move(r));
-    }
-  }
-}
-
 std::vector<QueryResult> PartitionedDetector::Advance(std::vector<Point> batch,
                                                       int64_t boundary) {
+  const size_t n = children_.size();
+  std::vector<std::vector<QueryResult>> results(n);
+  RunLanes(static_cast<int>(n), [&](int lane) {
+    const size_t c = static_cast<size_t>(lane);
+    // Every lane copies the batch: moving it into one child while other
+    // lanes still read it would race. A lone child may take it.
+    results[c] = children_[c].detector->Advance(
+        n == 1 ? std::move(batch) : batch, boundary);
+  });
   std::vector<QueryResult> merged;
-  if (pool_ != nullptr && children_.size() > 1) {
-    AdvanceParallel(std::move(batch), boundary, &merged);
-  } else {
-    AdvanceSerial(std::move(batch), boundary, &merged);
+  for (size_t c = 0; c < n; ++c) {
+    for (QueryResult& r : results[c]) {
+      r.query_index = children_[c].local_to_global[r.query_index];
+      merged.push_back(std::move(r));
+    }
   }
   // Queries map to exactly one child each, so indices are unique and this
-  // order is deterministic regardless of execution mode.
+  // order does not depend on which lane finished first.
   std::sort(merged.begin(), merged.end(),
             [](const QueryResult& a, const QueryResult& b) {
               return a.query_index < b.query_index;

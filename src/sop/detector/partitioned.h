@@ -8,11 +8,10 @@
 // (core/grouped_sop.h).
 //
 // Children are fully independent (each owns its stream buffer, evidence
-// and index), so Advance() can fan them out across a ThreadPool — the
-// partition layer of the execution engine (detector/engine.h). Parallel
-// execution is opt-in via set_thread_pool(); the default stays serial and
-// the merged result stream is identical either way (see DESIGN.md
-// Sec. 10).
+// and index), so Advance() runs them on RunLanes (common/thread_pool.h),
+// one lane per child, each over its own copy of the batch; a child's own
+// point lanes nest inside its lane. Results merge in child order, so the
+// result stream is the same at every lane count (DESIGN.md Sec. 10).
 
 #ifndef SOP_DETECTOR_PARTITIONED_H_
 #define SOP_DETECTOR_PARTITIONED_H_
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "sop/common/thread_pool.h"
 #include "sop/detector/detector.h"
 #include "sop/query/workload.h"
 
@@ -45,14 +43,6 @@ class PartitionedDetector : public OutlierDetector {
   std::vector<QueryResult> Advance(std::vector<Point> batch,
                                    int64_t boundary) override;
   size_t MemoryBytes() const override;
-
-  /// Attaches a worker pool (not owned; must outlive every Advance call):
-  /// subsequent batches fan the independent children out across it. Child
-  /// futures are joined in child order, so results — and any child
-  /// exception — surface deterministically, byte-identical to serial
-  /// execution. Pass nullptr to return to serial.
-  void set_thread_pool(ThreadPool* pool) { pool_ = pool; }
-  ThreadPool* thread_pool() const { return pool_; }
 
   size_t num_children() const { return children_.size(); }
   const OutlierDetector& child(size_t i) const {
@@ -81,16 +71,8 @@ class PartitionedDetector : public OutlierDetector {
     std::vector<size_t> local_to_global;  // query index remapping
   };
 
-  // Runs every child over its copy of `batch`, appending remapped results
-  // to `merged` in child order.
-  void AdvanceSerial(std::vector<Point> batch, int64_t boundary,
-                     std::vector<QueryResult>* merged);
-  void AdvanceParallel(std::vector<Point> batch, int64_t boundary,
-                       std::vector<QueryResult>* merged);
-
   std::string name_;
   std::vector<Child> children_;
-  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace sop

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -19,7 +18,6 @@
 #include "sop/common/clock.h"
 #include "sop/common/fault.h"
 #include "sop/common/frame.h"
-#include "sop/common/thread_pool.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
 #include "sop/io/file_util.h"
@@ -119,8 +117,7 @@ struct SopServer::Impl {
   // --- serving state -----------------------------------------------------
   Socket listener;
   std::thread accept_thread;
-  std::unique_ptr<ThreadPool> pool;
-  std::future<void> detect_done;
+  std::thread detect_thread;
 
   std::atomic<uint32_t> role{static_cast<uint32_t>(ServerRole::kPrimary)};
 
@@ -1070,15 +1067,18 @@ struct SopServer::Impl {
       if (replicate) repl_points = op.msg.points;  // before the move below
       std::vector<EmissionRecord> repl_records;
       int64_t prev_boundary = kNoResume;
-      bool accepted = false;
+      std::string refusal;
       uint64_t next_seq = 0;
       {
         std::lock_guard<std::mutex> lock(session_mu);
         // Pre-validate what SopSession::Advance would CHECK: boundaries
-        // must strictly increase. Bad wire input gets an error reply, not
-        // a process abort.
-        if (op.msg.boundary > last_boundary) {
-          accepted = true;
+        // must strictly increase, and the points must pass CheckBatch. Bad
+        // wire input gets an error reply, not a process abort.
+        refusal = op.msg.boundary > last_boundary
+                      ? session->CheckBatch(op.msg.points)
+                      : "ingest boundary " + std::to_string(op.msg.boundary) +
+                            " does not advance the stream";
+        if (refusal.empty()) {
           prev_boundary = last_boundary;
           last_boundary = op.msg.boundary;
           SOP_TRACE("net/server/advance_ms");
@@ -1118,10 +1118,9 @@ struct SopServer::Impl {
         next_seq = static_cast<uint64_t>(session->next_seq());
       }
 
-      if (!accepted) {
-        SendError(op.conn, "ingest boundary " +
-                               std::to_string(op.msg.boundary) +
-                               " does not advance the stream");
+      if (!refusal.empty()) {
+        SOP_COUNTER_ADD("net/server/rejected_points", batch_size);
+        SendError(op.conn, std::move(refusal));
         IngestAckMsg ack;
         ack.boundary = op.msg.boundary;
         ack.accepted = 0;
@@ -1174,7 +1173,7 @@ bool SopServer::Start(std::string* error) {
     return false;
   }
   if (im.options.history_window <= 0 || im.options.max_send_queue == 0 ||
-      im.options.max_ingest_queue == 0 || im.options.num_threads <= 0 ||
+      im.options.max_ingest_queue == 0 ||
       im.options.checkpoint_every_batches <= 0 ||
       im.options.checkpoint_generations < 1 ||
       im.options.resume_ring == 0 || im.options.max_repl_queue == 0 ||
@@ -1264,8 +1263,7 @@ bool SopServer::Start(std::string* error) {
   if (!im.listener.valid()) return false;
   port_ = bound_port;
 
-  im.pool = std::make_unique<ThreadPool>(im.options.num_threads);
-  im.detect_done = im.pool->Submit([&im] { im.DetectLoop(); });
+  im.detect_thread = std::thread([&im] { im.DetectLoop(); });
   im.accept_thread = std::thread([&im] { im.AcceptLoop(); });
   if (replicate) {
     im.repl_thread = std::thread([&im] { im.ReplLoop(); });
@@ -1308,7 +1306,7 @@ void SopServer::Stop() {
     std::lock_guard<std::mutex> lock(im.ingest_mu);
     im.ingest_cv_push.notify_all();
   }
-  if (im.detect_done.valid()) im.detect_done.get();
+  if (im.detect_thread.joinable()) im.detect_thread.join();
 
   // 3) Flush replication: the standby gets every batch up to the stop
   // point (bounded by its own liveness — a dead standby does not wedge
@@ -1348,7 +1346,6 @@ void SopServer::Stop() {
     std::lock_guard<std::mutex> lock(im.conns_mu);
     im.conns.clear();
   }
-  im.pool.reset();
   im.listener.Close();
 
   // 5) Final checkpoint: a restart resumes from the exact stop point.
@@ -1379,7 +1376,7 @@ void SopServer::Kill() {
     im.ingest_cv_push.notify_all();
     im.ingest_cv_pop.notify_all();
   }
-  if (im.detect_done.valid()) im.detect_done.get();
+  if (im.detect_thread.joinable()) im.detect_thread.join();
   if (im.repl_thread.joinable()) {
     {
       std::lock_guard<std::mutex> lock(im.repl_mu);
@@ -1395,7 +1392,6 @@ void SopServer::Kill() {
     std::lock_guard<std::mutex> lock(im.conns_mu);
     im.conns.clear();
   }
-  im.pool.reset();
   im.listener.Close();
 }
 

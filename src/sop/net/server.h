@@ -47,17 +47,17 @@
 // `gap` and the next live emission is flagged degraded instead of lying.
 //
 // Threading: one accept thread, one reader and one writer thread per
-// connection, an optional replication thread, and a single detection loop
-// hosted on the server's ThreadPool (common/thread_pool.h) that serializes
-// every session operation — boundaries are global, so detection is
-// sequential by design and everything else is I/O. Readers hand ingest
-// batches to the detection loop through a bounded queue (backpressure
-// propagates to the client's TCP stream); emission delivery goes through
-// bounded per-client send queues governed by the engine's overload
-// policies (detector/engine.h): kBlock applies backpressure to the
-// detection loop, kDropOldest sheds the oldest queued emission and flags
-// the subscriber's next emission `degraded` so the gap is visible. Control
-// replies (acks, errors) are never shed.
+// connection, an optional replication thread, and one detection thread
+// that serializes every session operation — boundaries are global, so
+// batches are detected one after another (a batch itself may run on
+// RunLanes, common/thread_pool.h) and everything else is I/O. Readers
+// hand ingest batches to the detection loop through a bounded queue
+// (backpressure propagates to the client's TCP stream); emission delivery
+// goes through bounded per-client send queues governed by the engine's
+// overload policies (detector/engine.h): kBlock applies backpressure to
+// the detection loop, kDropOldest sheds the oldest queued emission and
+// flags the subscriber's next emission `degraded` so the gap is visible.
+// Control replies (acks, errors) are never shed.
 //
 // Resilience: malformed frames poison only their own connection (counted,
 // never the process); a reader that stalls mid-frame past
@@ -168,9 +168,6 @@ struct ServerOptions {
   /// disables. Connections with no partial frame pending are never timed
   /// out — subscribers legitimately go quiet for hours.
   int idle_timeout_ms = -1;
-
-  /// Worker threads on the server's pool (hosts the detection loop).
-  int num_threads = 1;
 };
 
 /// Monotonic counters since Start(), readable at any time (independent of

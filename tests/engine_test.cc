@@ -1,13 +1,14 @@
-// Tests for the layered execution engine: the ThreadPool subsystem and
-// RunLanes, the engine's driver loop (metrics, latency percentiles,
-// RunStream parity) and — the load-bearing property — that
-// partition-parallel execution of a PartitionedDetector produces a result
-// stream byte-identical to serial execution, at every pool width.
+// Tests for the layered execution engine: RunLanes, the engine's driver
+// loop (metrics, latency percentiles, RunStream parity) and — the
+// load-bearing property — that a PartitionedDetector, whose children run
+// on RunLanes with their own point lanes nested inside, still matches the
+// oracle.
 
 #include <atomic>
 #include <memory>
-#include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,71 +19,14 @@
 #include "sop/core/sop_detector.h"
 #include "sop/detector/driver.h"
 #include "sop/detector/engine.h"
-#include "sop/detector/partitioned.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
 
+using testing::ExpectedResults;
 using testing::ExpectSameResults;
-
-TEST(ThreadPoolTest, RunsSubmittedTasksAndReturnsResults) {
-  ThreadPool pool(3);
-  EXPECT_EQ(pool.num_threads(), 3);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 32; ++i) {
-    futures.push_back(pool.Submit([i]() { return i * i; }));
-  }
-  // Futures joined in submission order carry the matching results:
-  // submission order, not completion order, defines the output.
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
-  }
-}
-
-TEST(ThreadPoolTest, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  std::future<int> ok = pool.Submit([]() { return 7; });
-  std::future<int> bad = pool.Submit(
-      []() -> int { throw std::runtime_error("child failed"); });
-  EXPECT_EQ(ok.get(), 7);
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  // The pool survives a throwing task and keeps serving.
-  EXPECT_EQ(pool.Submit([]() { return 8; }).get(), 8);
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int batch = 0; batch < 10; ++batch) {
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 16; ++i) {
-      futures.push_back(pool.Submit([&counter]() { ++counter; }));
-    }
-    for (auto& f : futures) f.get();  // quiesce between batches
-    EXPECT_EQ(counter.load(), (batch + 1) * 16);
-  }
-}
-
-TEST(ThreadPoolTest, MoveOnlyTaskCaptures) {
-  ThreadPool pool(2);
-  auto payload = std::make_unique<int>(41);
-  std::future<int> f = pool.Submit(
-      [p = std::move(payload)]() { return *p + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueue) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&ran]() { ++ran; });
-    }
-    // Destruction must run every already-submitted task before joining.
-  }
-  EXPECT_EQ(ran.load(), 8);
-}
+using testing::ScanBoundProbe;
 
 TEST(RunLanesTest, RunsEveryLaneOnceWithTheCallerAsLaneZero) {
   for (const int lanes : {1, 2, 4, 9}) {
@@ -175,47 +119,33 @@ TEST(ExecutionEngineTest, SerialEngineMatchesRunStreamWrapper) {
   const std::vector<QueryResult> expected =
       CollectResults(w, points, &via_wrapper);
 
-  ExecutionEngine engine;  // defaults: serial, no pool
-  EXPECT_EQ(engine.pool(), nullptr);
+  ExecutionEngine engine;
   MultiAttributeDetector via_engine(w, factory);
   ExpectSameResults(expected,
                     RunWithEngine(&engine, w, points, &via_engine),
                     "serial engine");
 }
 
-TEST(ExecutionEngineTest, ParallelPartitionedMatchesSerial) {
-  // The acceptance property: at 2, 4 and 8 threads, a partition-parallel
-  // run is byte-identical to the serial run on randomized multi-attribute
-  // workloads and streams.
+// Every partition runs on its own lane. One engine drives all three seeds,
+// so this also covers engine reuse across runs.
+TEST(ExecutionEngineTest, MultiAttributeSopMatchesOracle) {
+  ExecutionEngine engine;
   for (const uint64_t seed : {101u, 202u, 303u}) {
     const Workload w = RandomMultiAttributeWorkload(seed);
     const std::vector<Point> points = RandomStream(200, 2, seed + 7);
-    const auto factory = [](const Workload& sub) {
+    MultiAttributeDetector detector(w, [](const Workload& sub) {
       return std::make_unique<SopDetector>(sub);
-    };
-    MultiAttributeDetector serial(w, factory);
-    const std::vector<QueryResult> expected =
-        CollectResults(w, points, &serial);
-    for (const int threads : {2, 4, 8}) {
-      ExecOptions options;
-      options.num_threads = threads;
-      ExecutionEngine engine(options);
-      ASSERT_NE(engine.pool(), nullptr);
-      EXPECT_EQ(engine.pool()->num_threads(), threads);
-      MultiAttributeDetector parallel(w, factory);
-      ExpectSameResults(
-          expected, RunWithEngine(&engine, w, points, &parallel),
-          "parallel x" + std::to_string(threads) + " seed " +
-              std::to_string(seed));
-      // The engine detaches its pool after the run.
-      EXPECT_EQ(parallel.thread_pool(), nullptr);
-    }
+    });
+    ASSERT_GE(detector.num_children(), 4u);
+    ExpectSameResults(ExpectedResults(w, points),
+                      RunWithEngine(&engine, w, points, &detector),
+                      "multiattr-sop seed " + std::to_string(seed));
   }
 }
 
-TEST(ExecutionEngineTest, ParallelGroupedSopMatchesSerial) {
-  // The Sec. 3.2 grouped strawman partitions by k-group; its children must
-  // also fan out without changing the result stream.
+// The Sec. 3.2 grouped strawman partitions by k-group; its children fan
+// out the same way.
+TEST(ExecutionEngineTest, GroupedSopMatchesOracle) {
   Workload w(WindowType::kCount);
   Rng rng(55);
   for (int i = 0; i < 6; ++i) {
@@ -223,33 +153,64 @@ TEST(ExecutionEngineTest, ParallelGroupedSopMatchesSerial) {
                             4 * rng.UniformInt(2, 5), 4));
   }
   const std::vector<Point> points = RandomStream(180, 2, 56);
-  GroupedSopDetector serial(w);
-  const std::vector<QueryResult> expected = CollectResults(w, points, &serial);
-  for (const int threads : {2, 4}) {
-    ExecOptions options;
-    options.num_threads = threads;
-    ExecutionEngine engine(options);
-    GroupedSopDetector parallel(w);
-    ExpectSameResults(expected, RunWithEngine(&engine, w, points, &parallel),
-                      "grouped x" + std::to_string(threads));
-  }
+  GroupedSopDetector detector(w);
+  ASSERT_EQ(detector.num_children(), 6u);
+  ExecutionEngine engine;
+  ExpectSameResults(ExpectedResults(w, points),
+                    RunWithEngine(&engine, w, points, &detector),
+                    "grouped-sop");
 }
 
-TEST(ExecutionEngineTest, EngineIsReusableAcrossRuns) {
-  ExecOptions options;
-  options.num_threads = 2;
-  ExecutionEngine engine(options);
-  const Workload w = RandomMultiAttributeWorkload(31);
-  const auto factory = [](const Workload& sub) {
-    return std::make_unique<SopDetector>(sub);
-  };
-  for (const uint64_t seed : {1u, 2u}) {
-    const std::vector<Point> points = RandomStream(120, 2, seed);
-    MultiAttributeDetector serial(w, factory);
-    MultiAttributeDetector parallel(w, factory);
-    ExpectSameResults(CollectResults(w, points, &serial),
-                      RunWithEngine(&engine, w, points, &parallel),
-                      "reuse seed " + std::to_string(seed));
+// Partition lanes with point lanes nested inside: three attribute-set
+// children over a sparse uniform 3-d stream. Their k-20 queries see about
+// 8 neighbors per full window, so hardly any point turns Safe-For-All and
+// every child's full-window batches clear kLaneScanBound. At 4 point
+// lanes each child's lanes run inside its partition lane; at 1 only the
+// partitions fan out.
+TEST(ExecutionEngineTest, NestedPointLanesMatchOracle) {
+  constexpr Seq kPoints = 2400;
+  Rng rng(77);
+  std::vector<Point> points;
+  for (Seq s = 0; s < kPoints; ++s) {
+    points.emplace_back(s, s,
+                        std::vector<double>{rng.UniformDouble(0, 1000),
+                                            rng.UniformDouble(0, 1000),
+                                            rng.UniformDouble(0, 1000)});
+  }
+  Workload w(WindowType::kCount);
+  const int set_x = w.AddAttributeSet({0});
+  const int set_yz = w.AddAttributeSet({1, 2});
+  // Radii that give about 8 neighbors in a 1600-point window over 3, 1
+  // and 2 attributes.
+  const std::pair<int, double> radii[] = {
+      {0, 106.0}, {set_x, 2.5}, {set_yz, 40.0}};
+  for (const auto& [set, r] : radii) {
+    w.AddQuery(OutlierQuery(r, 20, 1600, 400, set));
+    w.AddQuery(OutlierQuery(2 * r, 3, 1200, 800, set));
+  }
+  const std::vector<QueryResult> expected = ExpectedResults(w, points);
+  for (const int lanes : {1, 4}) {
+    const std::string at = std::to_string(lanes) + " point lanes";
+    std::vector<std::unique_ptr<SopDetector>> children;
+    std::vector<const ScanBoundProbe*> probes;
+    SetScanLanesForTest(lanes);
+    MultiAttributeDetector detector(w, [&](const Workload& sub) {
+      children.push_back(std::make_unique<SopDetector>(sub));
+      auto probe =
+          std::make_unique<ScanBoundProbe>(children.back().get(), kPoints);
+      probes.push_back(probe.get());
+      return probe;
+    });
+    ExecutionEngine engine;
+    const std::vector<QueryResult> actual =
+        RunWithEngine(&engine, w, points, &detector);
+    SetScanLanesForTest(0);
+    ExpectSameResults(expected, actual, at);
+    ASSERT_EQ(probes.size(), 3u);
+    for (const ScanBoundProbe* probe : probes) {
+      EXPECT_GT(probe->max_bound(), SopDetector::kLaneScanBound)
+          << at << ": a child never fanned out";
+    }
   }
 }
 
@@ -266,21 +227,6 @@ TEST(ExecutionEngineTest, ComputesLatencyPercentiles) {
   EXPECT_LE(metrics.p95_batch_ms, metrics.max_batch_ms);
   EXPECT_LE(metrics.max_batch_ms, metrics.total_cpu_ms);
   EXPECT_NE(metrics.LatencyToString().find("p95"), std::string::npos);
-}
-
-TEST(ExecutionEngineTest, ZeroThreadsMeansHardwareConcurrency) {
-  ExecOptions options;
-  options.num_threads = 0;
-  ExecutionEngine engine(options);
-  // With one hardware thread the engine stays serial; otherwise the pool
-  // matches the machine.
-  if (std::thread::hardware_concurrency() > 1) {
-    ASSERT_NE(engine.pool(), nullptr);
-    EXPECT_EQ(engine.pool()->num_threads(),
-              static_cast<int>(std::thread::hardware_concurrency()));
-  } else {
-    EXPECT_EQ(engine.pool(), nullptr);
-  }
 }
 
 }  // namespace

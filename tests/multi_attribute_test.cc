@@ -2,6 +2,7 @@
 // conquer wrapper and the factory's automatic splitting.
 
 #include <memory>
+#include <string>
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
@@ -67,12 +68,12 @@ TEST(MultiAttributeTest, AllDetectorsAgreeAcrossAttributeGroups) {
   const Workload w = ThreeGroupWorkload(2);
   const std::vector<Point> points = Stream3D(100, 23);
   const std::vector<QueryResult> expected = ExpectedResults(w, points);
-  for (const char* kind :
-       {"naive", "sop", "leap",
-        "mcod"}) {
+  // Every wrapped detector's children run on their own lanes, grouped-sop's
+  // k-group children nested inside.
+  for (const std::string& kind : KnownDetectorNames()) {
     std::unique_ptr<OutlierDetector> d = CreateDetector(kind, w);
     ExpectSameResults(expected, CollectResults(w, points, d.get()),
-                      std::string("multiattr/") + kind);
+                      "multiattr/" + kind);
   }
 }
 

@@ -8,10 +8,12 @@
 //   * hostile bytes on the wire poison only their own connection,
 //   * checkpointed restart resumes the shared stream mid-flight (and a
 //     bare session blob at the checkpoint path is not a checkpoint),
-//   * refusal paths: unknown detector, invalid query, stale boundary.
+//   * refusal paths: unknown detector, invalid query, stale boundary, a
+//     batch of the wrong dimensionality, a time regression.
 //
-// All assertions read ServerStats (always-on atomics), never obs counters,
-// so the suite passes identically under -DSOP_NO_OBS.
+// Assertions read ServerStats (always-on atomics); the one obs counter
+// checked is skipped under -DSOP_NO_OBS, so the suite passes identically
+// there.
 
 #include <chrono>
 #include <cstdint>
@@ -30,6 +32,7 @@
 #include "sop/net/client.h"
 #include "sop/net/server.h"
 #include "sop/net/socket.h"
+#include "sop/obs/metrics.h"
 #include "sop/stream/window.h"
 #include "test_util.h"
 
@@ -568,6 +571,95 @@ TEST(NetTest, StaleBoundaryRefusedStreamContinues) {
   EXPECT_EQ(ack.accepted, points.size());
   server.Stop();
   EXPECT_EQ(server.stats().ingest_batches, 2u);
+}
+
+// Streams `points`, sliced as the engine slices them, to a fresh server
+// for `workload`'s single query, sending `bad` at batch `bad_at`'s
+// boundary first. The bad batch must be refused with a diagnostic naming
+// `reason`, and the valid stream must answer exactly as the engine does.
+void ExpectRefusedThenServed(const Workload& workload,
+                             const std::vector<Point>& points,
+                             const std::vector<Point>& bad, size_t bad_at,
+                             const std::string& reason) {
+  ServerOptions options;
+  options.window_type = workload.window_type();
+  SopServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  ASSERT_GT(client.Subscribe(workload.query(0), &error), 0) << error;
+
+  const std::vector<Batch> batches = Slice(workload, points);
+  ASSERT_GT(batches.size(), bad_at + 1);
+  std::vector<QueryResult> actual;
+  IngestAckMsg ack;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    if (i == bad_at) {
+      ASSERT_TRUE(client.Ingest(batches[i].boundary, bad, &ack, &error))
+          << error;
+      EXPECT_EQ(ack.accepted, 0u);
+      const std::vector<ErrorMsg> errors = client.TakeErrors();
+      ASSERT_EQ(errors.size(), 1u);
+      EXPECT_NE(errors[0].message.find(reason), std::string::npos)
+          << errors[0].message;
+    }
+    ASSERT_TRUE(client.Ingest(batches[i].boundary, batches[i].points, &ack,
+                              &error))
+        << error;
+    ASSERT_EQ(ack.accepted, batches[i].points.size()) << "batch " << i;
+    for (const EmissionMsg& e : client.TakeEmissions()) {
+      QueryResult r;
+      r.query_index = 0;
+      r.boundary = e.boundary;
+      r.outliers = e.outliers;
+      actual.push_back(std::move(r));
+    }
+  }
+  server.Stop();
+  std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", workload);
+  testing::ExpectSameResults(CollectResults(workload, points, detector.get()),
+                             actual, reason);
+  EXPECT_EQ(server.stats().ingest_batches, batches.size());
+}
+
+// The first accepted point fixes the stream's dimensionality: a 3-d batch
+// after 2-d ones is refused (and its points counted), not fed to the
+// detector, whose column store would abort the process on it.
+TEST(NetTest, DimensionalityChangeRefusedStreamContinues) {
+  Workload workload(WindowType::kCount);
+  workload.AddQuery(OutlierQuery(1.5, 4, 100, 50));
+  std::vector<Point> points = GenPoints(300, false, /*seed=*/31);
+  for (Point& p : points) p.values.push_back(-p.values[0]);
+  std::vector<Point> wide(points.begin() + 50, points.begin() + 100);
+  for (Point& p : wide) p.values.push_back(1.0);
+
+  obs::Counter& rejected =
+      obs::MetricsRegistry::Global().GetCounter("net/server/rejected_points");
+  const uint64_t rejected_before = rejected.value();
+  obs::SetEnabled(true);
+  ExpectRefusedThenServed(workload, points, wide, 1, "dimensions");
+  obs::SetEnabled(false);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(rejected.value() - rejected_before, wide.size());
+  }
+}
+
+// In time windows, a point older than the last accepted one is refused:
+// the detector's stream buffer would abort the process on it.
+TEST(NetTest, TimeRegressionRefusedStreamContinues) {
+  Workload workload(WindowType::kTime);
+  workload.AddQuery(OutlierQuery(1.5, 4, 80, 20));
+  const std::vector<Point> points = GenPoints(240, true, /*seed=*/33);
+  const std::vector<Batch> batches = Slice(workload, points);
+  // A batch whose newest point is older than batch 2's last point, sent
+  // at batch 3's boundary.
+  ASSERT_FALSE(batches[2].points.empty());
+  std::vector<Point> stale = batches[3].points;
+  Point late = batches[2].points.back();
+  late.time -= 1;
+  stale.push_back(late);
+  ExpectRefusedThenServed(workload, points, stale, 3, "below the previous");
 }
 
 }  // namespace

@@ -390,6 +390,42 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
   EXPECT_EQ(restored.change_stats().replayed_points, replayed);
 }
 
+// The first accepted point fixes the dimensionality, with no query
+// registered too, and time windows refuse a time regression (ties pass).
+// A restored session takes both from its retained history alone.
+TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
+  auto at = [](Timestamp t, std::vector<double> v) {
+    return Point(0, t, std::move(v));
+  };
+  auto refusal = [](const SopSession& s, const std::vector<Point>& batch,
+                    const std::string& reason) {
+    return s.CheckBatch(batch).find(reason) != std::string::npos;
+  };
+  SopSession session(WindowType::kTime, Metric::kEuclidean, 10);
+  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(5, {1.0, 2.0})},
+                      "dimensions"));
+  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(4, {1.0})}, "below"));
+  session.Advance({at(3, {1.0, 1.0}), at(4, {2.0, 2.0})}, 10);
+  EXPECT_TRUE(refusal(session, {at(12, {1.0})}, "dimensions"));
+  EXPECT_TRUE(refusal(session, {at(3, {1.0, 1.0})}, "below"));
+  EXPECT_EQ(session.CheckBatch({at(4, {1.0, 1.0})}), "");
+  EXPECT_DEATH(session.Advance({at(12, {1.0})}, 20), "dimensions");
+
+  // History now holds only the batch ending at 20.
+  session.Advance({at(15, {1.0, 1.0})}, 20);
+  SopSession restored(WindowType::kTime, Metric::kEuclidean, 10);
+  ASSERT_TRUE(restored.LoadState(session.SaveState()));
+  EXPECT_TRUE(refusal(restored, {at(16, {1.0})}, "dimensions"));
+  EXPECT_TRUE(refusal(restored, {at(14, {1.0, 1.0})}, "below"));
+  EXPECT_EQ(restored.CheckBatch({at(15, {1.0, 1.0})}), "");
+
+  // History trimmed to an empty batch: the restored stream starts fresh.
+  session.Advance({}, 40);
+  SopSession fresh(WindowType::kTime, Metric::kEuclidean, 10);
+  ASSERT_TRUE(fresh.LoadState(session.SaveState()));
+  EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}), "");
+}
+
 TEST(SopSessionTest, RejectsInvalidQueries) {
   SopSession session(WindowType::kCount, Metric::kEuclidean, 32);
   EXPECT_DEATH(session.AddQuery(OutlierQuery(0.0, 2, 16, 4)), "r must");

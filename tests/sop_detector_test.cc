@@ -21,6 +21,7 @@ using testing::ExpectedResults;
 using testing::ExpectMatchesOracle;
 using testing::ExpectSameResults;
 using testing::Points1D;
+using testing::ScanBoundProbe;
 
 Workload SingleQuery(double r, int64_t k, int64_t win, int64_t slide) {
   Workload w(WindowType::kCount);
@@ -188,37 +189,6 @@ TEST(SopDetectorTest, RejectsNonMonotoneBoundaries) {
   detector.Advance(std::move(batch), 2);
   EXPECT_DEATH(detector.Advance({}, 2), "boundaries must increase");
 }
-
-// Passes batches through to a SopDetector and records the largest scan
-// bound (scans x alive points) a batch computed its lane count from.
-class ScanBoundProbe : public OutlierDetector {
- public:
-  ScanBoundProbe(SopDetector* inner, Seq num_points)
-      : inner_(inner), num_points_(num_points) {}
-
-  const char* name() const override { return inner_->name(); }
-  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
-  std::vector<QueryResult> Advance(std::vector<Point> batch,
-                                   int64_t boundary) override {
-    const int64_t scans_before = inner_->stats().ksky_scans;
-    std::vector<QueryResult> results =
-        inner_->Advance(std::move(batch), boundary);
-    int64_t alive = 0;
-    for (Seq s = 0; s < num_points_; ++s) {
-      alive += inner_->IsAliveForTesting(s) ? 1 : 0;
-    }
-    max_bound_ = std::max(
-        max_bound_, (inner_->stats().ksky_scans - scans_before) * alive);
-    return results;
-  }
-
-  int64_t max_bound() const { return max_bound_; }
-
- private:
-  SopDetector* inner_;
-  Seq num_points_;
-  int64_t max_bound_ = 0;
-};
 
 // Everything a run leaves behind: emissions, counters and final evidence.
 struct LaneRun {

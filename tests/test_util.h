@@ -15,10 +15,12 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/common/point.h"
+#include "sop/core/sop_detector.h"
 #include "sop/detector/detector.h"
 #include "sop/detector/driver.h"
 #include "sop/query/workload.h"
@@ -125,6 +127,38 @@ inline void ExpectMatchesOracle(const Workload& workload,
       CollectResults(workload, points, detector);
   ExpectSameResults(expected, actual, label);
 }
+
+/// Passes batches through to a SopDetector (not owned) and records the
+/// largest scan bound (scans x alive points, over seqs [0, num_points))
+/// a batch computed its lane count from.
+class ScanBoundProbe : public OutlierDetector {
+ public:
+  ScanBoundProbe(SopDetector* inner, Seq num_points)
+      : inner_(inner), num_points_(num_points) {}
+
+  const char* name() const override { return inner_->name(); }
+  size_t MemoryBytes() const override { return inner_->MemoryBytes(); }
+  std::vector<QueryResult> Advance(std::vector<Point> batch,
+                                   int64_t boundary) override {
+    const int64_t scans_before = inner_->stats().ksky_scans;
+    std::vector<QueryResult> results =
+        inner_->Advance(std::move(batch), boundary);
+    int64_t alive = 0;
+    for (Seq s = 0; s < num_points_; ++s) {
+      alive += inner_->IsAliveForTesting(s) ? 1 : 0;
+    }
+    max_bound_ = std::max(
+        max_bound_, (inner_->stats().ksky_scans - scans_before) * alive);
+    return results;
+  }
+
+  int64_t max_bound() const { return max_bound_; }
+
+ private:
+  SopDetector* inner_;
+  Seq num_points_;
+  int64_t max_bound_ = 0;
+};
 
 }  // namespace testing
 }  // namespace sop

@@ -78,7 +78,7 @@ inline bool ParseFaultRate(const std::string& spec, FaultInjector* injector) {
 ///
 ///   sop::cli::FlagSet flags("one-line tool description");
 ///   flags.Str("--workload", &workload_path, "PATH", "workload spec file");
-///   flags.I64("--threads", &threads, "N", "worker threads (0 = cores)", 0);
+///   flags.I64("--synthetic", &n, "N", "generate N points", 0);
 ///   int exit_code = 0;
 ///   if (!flags.Parse(argc, argv, &exit_code)) return exit_code;
 ///

@@ -3,7 +3,7 @@
 //
 // Usage:
 //   sop_cli --workload spec.txt (--data points.csv | --synthetic N | --stt N)
-//           [--detector NAME[,NAME...]] [--threads N] [--metrics-out PATH]
+//           [--detector NAME[,NAME...]] [--metrics-out PATH]
 //           [--print-outliers] [--aggregate] [--max-print N] [--seed S]
 //           [--on-bad-record fail|skip|clamp] [--quarantine PATH]
 //           [--checkpoint PATH] [--checkpoint-every N] [--resume-from PATH]
@@ -17,9 +17,9 @@
 // stream in turn (the stream is materialized once), which is how
 // side-by-side counter comparisons are made. Prints run metrics (the
 // paper's CPU/MEM measures plus per-batch latency percentiles) and,
-// optionally, every emission's outliers. --threads N > 1 fans partitioned
-// detectors (multi-attribute workloads, grouped-sop) out across a worker
-// pool; 0 means one thread per hardware core.
+// optionally, every emission's outliers. Partitioned detectors
+// (multi-attribute workloads, grouped-sop) run their children on every
+// core; no flag sets the thread count.
 //
 // --metrics-out PATH enables the observability layer and writes one JSON
 // document containing, per detector run, the RunMetrics plus the full
@@ -236,7 +236,6 @@ int main(int argc, char** argv) {
   bool aggregate = false;
   int64_t max_print = 20;
   uint64_t seed = 42;
-  int num_threads = 1;
   io::CsvReadOptions csv_options;
   std::string checkpoint_path;
   int64_t checkpoint_every = 64;
@@ -273,8 +272,6 @@ int main(int argc, char** argv) {
                }
                return true;
              });
-  flags.Int("--threads", &num_threads, "N",
-            "worker threads for partitioned detectors (0 = one per core)", 0);
   flags.Str("--metrics-out", &metrics_out, "PATH",
             "enable observability and write run metrics + counters JSON");
   flags.Bool("--print-outliers", &print_outliers,
@@ -392,7 +389,6 @@ int main(int argc, char** argv) {
   }
 
   ExecOptions exec_options;
-  exec_options.num_threads = num_threads;
   exec_options.checkpoint.path = checkpoint_path;
   exec_options.checkpoint.every_batches = checkpoint_every;
   exec_options.overload.max_queue_batches = queue_batches;
@@ -459,13 +455,8 @@ int main(int argc, char** argv) {
   std::string runs_json;
   for (const std::string& name : detectors) {
     std::unique_ptr<OutlierDetector> detector = CreateDetector(name, workload);
-    std::fprintf(stderr,
-                 "running %zu queries with detector '%s' (%d thread%s)...\n",
-                 workload.num_queries(), detector->name(),
-                 engine.pool() != nullptr ? engine.pool()->num_threads() : 1,
-                 engine.pool() != nullptr && engine.pool()->num_threads() > 1
-                     ? "s"
-                     : "");
+    std::fprintf(stderr, "running %zu queries with detector '%s'...\n",
+                 workload.num_queries(), detector->name());
 
     int64_t printed = 0;
     report::OutlierAggregator aggregator;

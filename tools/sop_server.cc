@@ -6,7 +6,7 @@
 //              [--history-window N] [--send-queue N]
 //              [--overload block|drop-oldest] [--ingest-queue N]
 //              [--checkpoint PATH] [--checkpoint-every N]
-//              [--checkpoint-generations N] [--threads N]
+//              [--checkpoint-generations N]
 //              [--exact-basis] [--headroom-r R[,R...]] [--headroom-k N]
 //              [--headroom-win N] [--idle-timeout MS]
 //              [--replicate-to HOST:PORT | --standby [--promote-on-loss]]
@@ -164,8 +164,6 @@ int main(int argc, char** argv) {
                "standby: promote to primary when the replication "
                "connection drops",
                [&options] { options.promote_on_loss = true; });
-  flags.Int("--threads", &options.num_threads, "N",
-            "detector worker threads (0 = one per core)", 0);
   flags.Switch("--exact-basis",
                "compile the paper's exact plan instead of the elastic basis",
                [&options] { options.headroom.elastic = false; });
