@@ -9,6 +9,7 @@
 #include <thread>
 #include <utility>
 
+#include "sop/net/frontend.h"
 #include "sop/obs/metrics.h"
 #include "sop/obs/trace.h"
 #include "sop/query/workload.h"
@@ -18,22 +19,6 @@ namespace cluster {
 
 namespace {
 
-// One front-side client connection: a reader thread, a writer thread and a
-// bounded send queue between the route loop and the socket. Enqueueing
-// into a full queue blocks (lossless backpressure); a closing connection
-// drops frames instead of blocking shutdown.
-struct Conn {
-  net::Socket sock;
-  std::thread reader;
-  std::thread writer;
-  std::mutex mu;
-  std::condition_variable cv_send;  // writer waits for frames
-  std::condition_variable cv_room;  // enqueuers wait for capacity
-  std::deque<std::string> sendq;    // guarded by mu
-  bool closing = false;             // guarded by mu
-  std::vector<int64_t> sub_ids;     // guarded by mu; this conn's query ids
-};
-
 // One stream operation. Everything that changes what workers compute —
 // batches, subscriptions, retirements — funnels through the single route
 // loop so every worker observes the identical operation order (the
@@ -41,7 +26,7 @@ struct Conn {
 struct Op {
   enum class Kind { kBatch, kSubscribe, kUnsubscribe, kDetach };
   Kind kind = Kind::kBatch;
-  std::shared_ptr<Conn> conn;  // reply target (null for kDetach)
+  net::FrontConnPtr conn;      // reply target (null for kDetach)
   net::IngestMsg ingest;       // kBatch
   OutlierQuery query;          // kSubscribe
   int64_t query_id = 0;        // kUnsubscribe / kDetach
@@ -60,17 +45,31 @@ struct Job {
   uint64_t ticket = 0;          // kSubscribe / kUnsubscribe completion
 };
 
+// The client front runs the server's rules (net/frontend.h) with
+// lossless backpressure and no idle timeout, and records no registry
+// metrics: net/server/* belongs to the workers, which may share the
+// process.
+net::Frontend::Options FrontOptionsOf(const RouterOptions& o) {
+  net::Frontend::Options f;
+  f.host = o.host;
+  f.port = o.port;
+  f.max_send_queue = o.max_send_queue;
+  f.send_policy = OverloadPolicy::kBlock;
+  f.idle_timeout_ms = -1;
+  return f;
+}
+
 }  // namespace
 
-struct SopRouter::Impl {
-  explicit Impl(RouterOptions opts) : options(std::move(opts)) {}
+struct SopRouter::Impl : net::FrontHandler {
+  explicit Impl(RouterOptions opts)
+      : options(std::move(opts)), front(FrontOptionsOf(options), this) {}
 
   RouterOptions options;
 
   // --- always-on stats (obs may be compiled out) -------------------------
+  // (Connection counts are the front's.)
   struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> active_clients{0};
     std::atomic<uint64_t> ingest_batches{0};
     std::atomic<uint64_t> ingest_points{0};
     std::atomic<uint64_t> routed_points{0};
@@ -93,14 +92,8 @@ struct SopRouter::Impl {
   std::atomic<double> halo{0.0};
 
   // --- serving state -----------------------------------------------------
-  net::Socket listener;
-  std::thread accept_thread;
   std::thread route_thread;
   std::atomic<bool> stopping{false};
-
-  std::mutex conns_mu;
-  std::vector<std::shared_ptr<Conn>> conns;      // active; guarded
-  std::vector<std::shared_ptr<Conn>> all_conns;  // for Stop joins; guarded
 
   // Bounded reader -> route-loop handoff. A full queue blocks readers, so
   // ingest backpressure propagates to the client's TCP stream.
@@ -113,7 +106,7 @@ struct SopRouter::Impl {
   // Subscriber registry: global query id -> query + owning connection.
   struct SubState {
     OutlierQuery query;
-    std::shared_ptr<Conn> conn;
+    net::FrontConnPtr conn;
   };
   std::mutex subs_mu;
   std::map<int64_t, SubState> subs;  // guarded by subs_mu
@@ -197,82 +190,44 @@ struct SopRouter::Impl {
   };
   std::vector<std::unique_ptr<Worker>> workers;
 
-  // --- send path ---------------------------------------------------------
+  // Declared last: it calls back into everything above until it stops.
+  net::Frontend front;
 
-  void EnqueueFrame(const std::shared_ptr<Conn>& conn, std::string frame) {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    conn->cv_room.wait(lock, [&] {
-      return conn->closing ||
-             conn->sendq.size() < options.max_send_queue;
-    });
-    if (conn->closing) return;  // peer gone; nobody to deliver to
-    conn->sendq.push_back(std::move(frame));
-    conn->cv_send.notify_one();
+  // --- front-side protocol ----------------------------------------------
+
+  void SendError(const net::FrontConnPtr& conn, const std::string& message) {
+    front.Send(conn, EncodeError(net::ErrorMsg{message}), /*droppable=*/false);
   }
 
-  void SendError(const std::shared_ptr<Conn>& conn,
-                 const std::string& message) {
-    net::ErrorMsg msg;
-    msg.message = message;
-    EnqueueFrame(conn, EncodeError(msg));
+  // Counts one protocol error and tells the client why. Returns false, so
+  // a dispatch path that must drop the connection can `return` it.
+  bool Refuse(const net::FrontConnPtr& conn, const std::string& message) {
+    stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    SendError(conn, message);
+    return false;
   }
 
-  void WriterLoop(const std::shared_ptr<Conn>& conn) {
-    for (;;) {
-      std::string frame;
-      {
-        std::unique_lock<std::mutex> lock(conn->mu);
-        conn->cv_send.wait(lock, [&] {
-          return conn->closing || !conn->sendq.empty();
-        });
-        if (conn->sendq.empty()) return;  // closing and drained
-        frame = std::move(conn->sendq.front());
-        conn->sendq.pop_front();
-        conn->cv_room.notify_all();
-      }
-      std::string error;
-      if (!SendAll(conn->sock, frame, &error)) {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->closing = true;
-        conn->sendq.clear();
-        conn->sock.ShutdownBoth();
-        conn->cv_room.notify_all();
-        return;
-      }
-    }
+  void OnFramingError(const net::FrontConnPtr& conn,
+                      const std::string& error) override {
+    Refuse(conn, "framing lost: " + error);
   }
 
-  // --- connection lifecycle ---------------------------------------------
+  // The front began tearing down: release readers waiting for room in the
+  // op queue (EnqueueOp refuses once `stopping` is set).
+  void OnTeardown() override {
+    std::lock_guard<std::mutex> lock(ops_mu);
+    ops_cv_pop.notify_all();
+  }
 
-  void CloseConn(const std::shared_ptr<Conn>& conn) {
-    bool was_active = false;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      auto it = std::find(conns.begin(), conns.end(), conn);
-      if (it != conns.end()) {
-        conns.erase(it);
-        was_active = true;
-      }
-    }
-    std::vector<int64_t> retire;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->closing = true;
-      retire.swap(conn->sub_ids);
-      conn->sock.ShutdownBoth();
-      conn->cv_send.notify_all();
-      conn->cv_room.notify_all();
-    }
-    if (was_active) {
-      stats.active_clients.fetch_sub(1, std::memory_order_relaxed);
-    }
-    // Retire the dead client's queries from the workers, through the route
-    // loop so retirement is ordered against in-flight batches. During
-    // shutdown the workers are being torn down anyway — skip.
-    for (const int64_t qid : retire) {
+  // Retires a closed client's queries from the workers, through the route
+  // loop so retirement is ordered against in-flight batches. During
+  // shutdown the workers are being torn down anyway (EnqueueOp refuses).
+  void OnClose(const net::FrontConnPtr& /*conn*/,
+               std::map<int64_t, int64_t> subs) override {
+    for (const auto& entry : subs) {
       Op op;
       op.kind = Op::Kind::kDetach;
-      op.query_id = qid;
+      op.query_id = entry.first;
       EnqueueOp(std::move(op));
     }
   }
@@ -292,33 +247,23 @@ struct SopRouter::Impl {
     return true;
   }
 
-  // --- front-side protocol ----------------------------------------------
-
   // Handles one decoded frame. False ends the connection.
-  bool Dispatch(const std::shared_ptr<Conn>& conn,
-                const std::string& payload) {
+  bool OnFrame(const net::FrontConnPtr& conn,
+               const std::string& payload) override {
     net::MsgType type;
     std::string error;
-    if (!net::PeekType(payload, &type, &error)) {
-      stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      SendError(conn, error);
-      return false;
-    }
+    if (!net::PeekType(payload, &type, &error)) return Refuse(conn, error);
     switch (type) {
       case net::MsgType::kHello: {
         net::HelloMsg hello;
         if (!net::DecodeHello(payload, &hello, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
+          return Refuse(conn, error);
         }
         if (hello.protocol_version != net::kProtocolVersion) {
           // Same refusal as the server: an old peer would otherwise send
           // frames whose decode failures make for baffling diagnostics.
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, "protocol version mismatch: router speaks v" +
-                              std::to_string(net::kProtocolVersion));
-          return false;
+          return Refuse(conn, "protocol version mismatch: router speaks v" +
+                                  std::to_string(net::kProtocolVersion));
         }
         net::HelloAckMsg ack;
         ack.protocol_version = net::kProtocolVersion;
@@ -329,7 +274,7 @@ struct SopRouter::Impl {
         ack.last_boundary = last_boundary.load(std::memory_order_relaxed);
         // The router's arrival counter: one global seq per ingested point.
         ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodeHelloAck(ack));
+        front.Send(conn, EncodeHelloAck(ack), /*droppable=*/false);
         return true;
       }
       case net::MsgType::kIngest: {
@@ -337,9 +282,7 @@ struct SopRouter::Impl {
         op.kind = Op::Kind::kBatch;
         op.conn = conn;
         if (!net::DecodeIngest(payload, &op.ingest, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
+          return Refuse(conn, error);
         }
         // Ownership is the router's to assign; client-provided flags are
         // meaningless here.
@@ -349,9 +292,7 @@ struct SopRouter::Impl {
       case net::MsgType::kSubscribe: {
         net::SubscribeMsg sub;
         if (!net::DecodeSubscribe(payload, &sub, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
+          return Refuse(conn, error);
         }
         // Same pre-validation as the single server: a bad wire query gets
         // a refusal, not a crashed worker. resume_from is ignored — the
@@ -363,7 +304,7 @@ struct SopRouter::Impl {
           stats.refused_subscribes.fetch_add(1, std::memory_order_relaxed);
           net::SubscribeAckMsg ack;
           ack.error = verdict;
-          EnqueueFrame(conn, EncodeSubscribeAck(ack));
+          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
           return true;
         }
         Op op;
@@ -375,21 +316,17 @@ struct SopRouter::Impl {
       case net::MsgType::kUnsubscribe: {
         net::UnsubscribeMsg unsub;
         if (!net::DecodeUnsubscribe(payload, &unsub, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
+          return Refuse(conn, error);
         }
         // A client may only retire its own subscriptions.
         bool owned = false;
         {
           std::lock_guard<std::mutex> lock(conn->mu);
-          auto it = std::find(conn->sub_ids.begin(), conn->sub_ids.end(),
-                              unsub.query_id);
-          owned = it != conn->sub_ids.end();
+          owned = conn->subs.count(unsub.query_id) > 0;
         }
         if (!owned) {
           net::UnsubscribeAckMsg ack;
-          EnqueueFrame(conn, EncodeUnsubscribeAck(ack));
+          front.Send(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
           return true;
         }
         Op op;
@@ -401,9 +338,7 @@ struct SopRouter::Impl {
       case net::MsgType::kPing: {
         net::PingMsg ping;
         if (!net::DecodePing(payload, &ping, &error)) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, error);
-          return false;
+          return Refuse(conn, error);
         }
         net::PongMsg pong;
         pong.token = ping.token;
@@ -413,80 +348,15 @@ struct SopRouter::Impl {
           std::lock_guard<std::mutex> lock(ops_mu);
           pong.ingest_queue_depth = ops.size();
         }
-        {
-          std::vector<std::shared_ptr<Conn>> snapshot;
-          {
-            std::lock_guard<std::mutex> lock(conns_mu);
-            snapshot = conns;
-          }
-          uint64_t depth = 0;
-          for (const std::shared_ptr<Conn>& c : snapshot) {
-            std::lock_guard<std::mutex> lock(c->mu);
-            depth += c->sendq.size();
-          }
-          pong.send_queue_depth = depth;
-        }
-        pong.active_connections =
-            stats.active_clients.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodePong(pong));
+        pong.send_queue_depth = front.SendQueueDepth();
+        pong.active_connections = front.stats().active;
+        front.Send(conn, EncodePong(pong), /*droppable=*/false);
         return true;
       }
       default:
         SendError(conn, std::string("unexpected client message: ") +
                             MsgTypeName(type));
         return true;
-    }
-  }
-
-  void ReaderLoop(const std::shared_ptr<Conn>& conn) {
-    net::FrameDecoder decoder;
-    char buf[64 << 10];
-    for (;;) {
-      std::string error;
-      const int64_t n = RecvSome(conn->sock, buf, sizeof(buf), &error);
-      if (n <= 0) break;  // EOF, shutdown, or unrecoverable socket error
-      decoder.Append(buf, static_cast<size_t>(n));
-      bool drop = false;
-      for (;;) {
-        std::string payload;
-        const net::FrameDecoder::Status status =
-            decoder.Next(&payload, &error);
-        if (status == net::FrameDecoder::Status::kNeedMore) break;
-        if (status == net::FrameDecoder::Status::kError) {
-          stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          SendError(conn, "framing lost: " + error);
-          drop = true;
-          break;
-        }
-        if (!Dispatch(conn, payload)) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) break;
-    }
-    CloseConn(conn);
-  }
-
-  void AcceptLoop() {
-    for (;;) {
-      std::string error;
-      net::Socket sock = AcceptTcp(listener, &error);
-      if (!sock.valid()) {
-        if (stopping.load(std::memory_order_relaxed)) return;
-        continue;  // transient accept failure
-      }
-      auto conn = std::make_shared<Conn>();
-      conn->sock = std::move(sock);
-      {
-        std::lock_guard<std::mutex> lock(conns_mu);
-        conns.push_back(conn);
-        all_conns.push_back(conn);
-      }
-      stats.connections.fetch_add(1, std::memory_order_relaxed);
-      stats.active_clients.fetch_add(1, std::memory_order_relaxed);
-      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-      conn->writer = std::thread([this, conn] { WriterLoop(conn); });
     }
   }
 
@@ -754,7 +624,7 @@ struct SopRouter::Impl {
                   (halo_frozen ? " (frozen at first ingest; redeploy with "
                                  "--halo or headroom radii covering it)"
                                : "");
-      EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+      front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
       return;
     }
     const int64_t qid = next_query_id++;
@@ -768,7 +638,7 @@ struct SopRouter::Impl {
       net::SubscribeAckMsg ack;
       ack.error = t.error.empty() ? "subscription failed on a worker"
                                   : t.error;
-      EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+      front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
       return;
     }
     {
@@ -777,14 +647,14 @@ struct SopRouter::Impl {
     }
     {
       std::lock_guard<std::mutex> lock(op.conn->mu);
-      op.conn->sub_ids.push_back(qid);
+      op.conn->subs.emplace(qid, net::kNoResume);  // no resume suppression
     }
     max_win = std::max(max_win, op.query.win);
     stats.subscribes.fetch_add(1, std::memory_order_relaxed);
     SOP_COUNTER_ADD("cluster/route/subscribes", 1);
     net::SubscribeAckMsg ack;
     ack.query_id = qid;
-    EnqueueFrame(op.conn, EncodeSubscribeAck(ack));
+    front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
   }
 
   void HandleRetire(Op& op) {
@@ -797,13 +667,11 @@ struct SopRouter::Impl {
     if (op.conn != nullptr) {  // kUnsubscribe (kDetach has no reply target)
       {
         std::lock_guard<std::mutex> lock(op.conn->mu);
-        auto it = std::find(op.conn->sub_ids.begin(),
-                            op.conn->sub_ids.end(), op.query_id);
-        if (it != op.conn->sub_ids.end()) op.conn->sub_ids.erase(it);
+        op.conn->subs.erase(op.query_id);
       }
       net::UnsubscribeAckMsg ack;
       ack.ok = t.ok;
-      EnqueueFrame(op.conn, EncodeUnsubscribeAck(ack));
+      front.Send(op.conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
     }
     stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
     SOP_COUNTER_ADD("cluster/route/unsubscribes", 1);
@@ -818,7 +686,7 @@ struct SopRouter::Impl {
       ack.boundary = boundary;
       // Refusal: the arrival counter is unchanged (v4 ack contract).
       ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-      EnqueueFrame(op.conn, EncodeIngestAck(ack));
+      front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
       return;
     }
     if (!halo_frozen) {
@@ -994,7 +862,7 @@ struct SopRouter::Impl {
       m.outliers.erase(std::unique(m.outliers.begin(), m.outliers.end()),
                        m.outliers.end());
       if (batch_failed) m.degraded = true;
-      std::shared_ptr<Conn> target;
+      net::FrontConnPtr target;
       {
         std::lock_guard<std::mutex> lock(subs_mu);
         const auto it = subs.find(m.query_id);
@@ -1002,7 +870,7 @@ struct SopRouter::Impl {
       }
       if (target == nullptr) continue;  // retired mid-batch
       if (target == op.conn) ++to_ingester;
-      EnqueueFrame(target, EncodeEmission(m));
+      front.Send(target, EncodeEmission(m), /*droppable=*/true);
       ++emitted;
     }
     stats.merged_emissions.fetch_add(emitted, std::memory_order_relaxed);
@@ -1020,7 +888,7 @@ struct SopRouter::Impl {
     // The router's global arrival counter after this batch (incremented at
     // route time above) — same v4 contract as the single server's ack.
     ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-    EnqueueFrame(op.conn, EncodeIngestAck(ack));
+    front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
 
     // Prune the sequence maps past the merge horizon: no future window
     // can reach keys older than boundary - retention.
@@ -1139,16 +1007,13 @@ bool SopRouter::Start(std::string* error) {
     im.workers.push_back(std::move(w));
   }
 
-  im.listener = net::ListenTcp(opt.host, opt.port, /*backlog=*/128, &port_,
-                               error);
-  if (!im.listener.valid()) return false;
+  if (!im.front.Start(&port_, error)) return false;
 
   for (std::unique_ptr<Impl::Worker>& w : im.workers) {
     Impl::Worker* raw = w.get();
     raw->thread = std::thread([&im, raw] { im.WorkerLoop(raw); });
   }
   im.route_thread = std::thread([&im] { im.RouteLoop(); });
-  im.accept_thread = std::thread([&im] { im.AcceptLoop(); });
   return true;
 }
 
@@ -1159,36 +1024,13 @@ void SopRouter::Stop() {
     return;  // already stopped (or stopping)
   }
 
-  // 1. Stop accepting: the shutdown unblocks the accept thread, and the
-  // close waits for the join — Close() rewrites the fd while AcceptTcp is
-  // still reading it (same discipline as SopServer::Stop).
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  im.listener.Close();
+  // 1. Stop accepting and abort every client connection: readers wake on
+  // the shutdown, their queued acks are dropped (the peers are gone).
+  // Blocking clients have already received acks for everything they
+  // ingested.
+  im.front.Abort();
 
-  // 2. Tear down client connections: readers wake on the shutdown, their
-  // queued acks are dropped (the peers are gone). Blocking clients have
-  // already received acks for everything they ingested.
-  std::vector<std::shared_ptr<Conn>> all;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    all = im.all_conns;
-  }
-  for (const std::shared_ptr<Conn>& conn : all) {
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->closing = true;
-      conn->sock.ShutdownBoth();
-      conn->cv_send.notify_all();
-      conn->cv_room.notify_all();
-    }
-  }
-  for (const std::shared_ptr<Conn>& conn : all) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-
-  // 3. Drain the route loop: remaining queued ops complete against the
+  // 2. Drain the route loop: remaining queued ops complete against the
   // still-running workers, then the loop exits.
   {
     std::lock_guard<std::mutex> lock(im.ops_mu);
@@ -1198,7 +1040,7 @@ void SopRouter::Stop() {
   im.ops_cv_pop.notify_all();
   if (im.route_thread.joinable()) im.route_thread.join();
 
-  // 4. End the worker threads and close their clients.
+  // 3. End the worker threads and close their clients.
   for (std::unique_ptr<Impl::Worker>& w : im.workers) {
     {
       std::lock_guard<std::mutex> lock(w->mu);
@@ -1214,9 +1056,10 @@ void SopRouter::Stop() {
 
 RouterStats SopRouter::stats() const {
   const Impl::AtomicStats& a = impl_->stats;
+  const net::Frontend::Stats front = impl_->front.stats();
   RouterStats s;
-  s.connections = a.connections.load(std::memory_order_relaxed);
-  s.active_clients = a.active_clients.load(std::memory_order_relaxed);
+  s.connections = front.connections;
+  s.active_clients = front.active;
   s.ingest_batches = a.ingest_batches.load(std::memory_order_relaxed);
   s.ingest_points = a.ingest_points.load(std::memory_order_relaxed);
   s.routed_points = a.routed_points.load(std::memory_order_relaxed);

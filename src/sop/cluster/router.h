@@ -41,6 +41,15 @@
 // each subscriber ahead of the ingester's ack — the same
 // emissions-before-ack contract the single server gives.
 //
+// Threading: the client side is the single server's connection front
+// (net/frontend.h): an accept thread, one reader and one writer thread per
+// connection, released once the connection closes, and the same rules.
+// Control replies bypass the send bound; emissions respect it with
+// lossless backpressure into the route loop. A framing error or a
+// writer's send failure closes the connection, and its subscriptions are
+// retired at once. Behind the front run the route loop and one thread per
+// worker.
+//
 // Halo sizing: `halo` < 0 (auto) derives the width from the compiled
 // workload basis r_max under `headroom`, growing as queries arrive —
 // until the first batch is routed, which freezes it (replicas already
@@ -80,7 +89,6 @@
 #include "sop/common/distance.h"
 #include "sop/net/client.h"
 #include "sop/net/protocol.h"
-#include "sop/net/socket.h"
 #include "sop/query/plan.h"
 #include "sop/stream/window.h"
 
@@ -119,8 +127,9 @@ struct RouterOptions {
   size_t max_ingest_queue = 16;
   /// Bounded per-worker job queue (batches in flight to one worker).
   size_t max_worker_queue = 8;
-  /// Bounded per-subscriber send queue (frames); a full queue blocks the
-  /// route loop — lossless backpressure, like the server's kBlock policy.
+  /// Bounded per-subscriber send queue (frames); an emission to a full
+  /// queue blocks the route loop — lossless backpressure, the server's
+  /// kBlock policy. Control replies bypass the bound.
   size_t max_send_queue = 256;
 
   /// Retention for the local->global sequence maps, in window-key units

@@ -1,8 +1,5 @@
 #include "sop/detector/run_checkpoint.h"
 
-#include <algorithm>
-
-#include "sop/common/fault.h"
 #include "sop/common/frame.h"
 #include "sop/common/serialize.h"
 #include "sop/io/file_util.h"
@@ -114,18 +111,11 @@ bool DeserializeRunCheckpoint(std::string_view bytes, RunCheckpoint* out,
 
 bool SaveRunCheckpoint(const std::string& path, const RunCheckpoint& cp,
                        std::string* error, int generations) {
-  FaultInjector* injector = FaultInjector::Armed();
-  if (injector != nullptr &&
-      injector->ShouldFail(FaultSite::kCheckpointWrite)) {
-    return RunError(error, "injected write failure");
+  std::string publish_error;
+  if (!io::PublishGeneration(path, SerializeRunCheckpoint(cp), generations,
+                             &publish_error)) {
+    return RunError(error, publish_error.c_str());
   }
-  std::string bytes = SerializeRunCheckpoint(cp);
-  if (injector != nullptr &&
-      injector->ShouldFail(FaultSite::kCheckpointBytes)) {
-    injector->CorruptBytes(&bytes);
-  }
-  io::RotateGenerations(path, generations);
-  if (!io::WriteFileAtomic(path, bytes, error)) return false;
   SOP_COUNTER_ADD("resilience/checkpoint_saves", 1);
   return true;
 }
@@ -133,28 +123,20 @@ bool SaveRunCheckpoint(const std::string& path, const RunCheckpoint& cp,
 bool LoadRunCheckpoint(const std::string& path, RunCheckpoint* out,
                        std::string* error, int generations,
                        int* loaded_generation) {
-  FaultInjector* injector = FaultInjector::Armed();
   std::string failures;
-  for (int g = 0; g < std::max(generations, 1); ++g) {
-    const std::string gen_path = io::GenerationPath(path, g);
-    std::string gen_error;
-    if (injector != nullptr &&
-        injector->ShouldFail(FaultSite::kCheckpointRead)) {
-      RunError(&gen_error, "injected read failure");
-    } else {
-      std::string bytes;
-      if (io::ReadFileToString(gen_path, &bytes, &gen_error) &&
-          DeserializeRunCheckpoint(bytes, out, &gen_error)) {
-        if (g > 0) SOP_COUNTER_ADD("resilience/checkpoint_fallbacks", 1);
-        if (loaded_generation != nullptr) *loaded_generation = g;
-        return true;
-      }
-    }
-    if (!failures.empty()) failures += "; ";
-    failures += gen_path + ": " + gen_error;
+  const int g = io::ReadNewestGeneration(
+      path, generations,
+      [out](const std::string& bytes, std::string* decode_error) {
+        return DeserializeRunCheckpoint(bytes, out, decode_error);
+      },
+      &failures);
+  if (g < 0) {
+    if (error != nullptr) *error = failures;
+    return false;
   }
-  if (error != nullptr) *error = failures;
-  return false;
+  if (g > 0) SOP_COUNTER_ADD("resilience/checkpoint_fallbacks", 1);
+  if (loaded_generation != nullptr) *loaded_generation = g;
+  return true;
 }
 
 }  // namespace sop

@@ -21,9 +21,11 @@
 // checkpoint where a reader will trust it; LoadRunCheckpoint rejects
 // truncated, corrupted, or cross-version files with a diagnostic.
 //
-// Save/Load consult the armed FaultInjector (common/fault.h) at the
-// checkpoint-write / checkpoint-read / checkpoint-bytes sites, which is
-// how the corruption drills exercise these paths end to end.
+// Save/Load publish and restore through io::PublishGeneration and
+// io::ReadNewestGeneration, which consult the armed FaultInjector
+// (common/fault.h) at the checkpoint-write / checkpoint-read /
+// checkpoint-bytes sites; that is how the corruption drills exercise these
+// paths end to end.
 
 #ifndef SOP_DETECTOR_RUN_CHECKPOINT_H_
 #define SOP_DETECTOR_RUN_CHECKPOINT_H_
@@ -82,7 +84,7 @@ bool DeserializeRunCheckpoint(std::string_view bytes, RunCheckpoint* out,
 ///
 /// With `generations > 1` the previous files are first rotated one slot
 /// older (path -> path.1 -> ... -> path.<generations-1>,
-/// io::RotateGenerations), so the last `generations` complete checkpoints
+/// io::PublishGeneration), so the last `generations` complete checkpoints
 /// survive on disk and LoadRunCheckpoint can fall back past a corrupt
 /// newest one.
 bool SaveRunCheckpoint(const std::string& path, const RunCheckpoint& cp,

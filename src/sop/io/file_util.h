@@ -6,10 +6,17 @@
 // file — it sees either the previous complete checkpoint or the new one.
 // (rename(2) within one directory is atomic on POSIX; crash between write
 // and rename leaves at most a stray .tmp sibling.)
+//
+// PublishGeneration and ReadNewestGeneration are the one publish and
+// restore path of every checkpoint writer (run checkpoints, the server's
+// snapshots): generation rotation, the atomic publish, the newest-first
+// restore walk, and the checkpoint fault sites (common/fault.h). Callers
+// keep their own formats and counters.
 
 #ifndef SOP_IO_FILE_UTIL_H_
 #define SOP_IO_FILE_UTIL_H_
 
+#include <functional>
 #include <string>
 
 namespace sop {
@@ -30,13 +37,26 @@ bool WriteFileAtomic(const std::string& path, const std::string& bytes,
 /// `path` itself (the newest), older ones are `path.1`, `path.2`, ...
 std::string GenerationPath(const std::string& path, int generation);
 
-/// Shifts existing generations one slot older ahead of a new publish at
-/// `path`: path.(keep-2) -> path.(keep-1), ..., path -> path.1, so the
-/// caller's subsequent WriteFileAtomic(path, ...) leaves the previous
-/// `keep - 1` complete files intact. Each shift is a single rename(2), so
-/// a crash mid-rotation loses at most ordering, never file contents.
-/// keep <= 1 is a no-op (only the newest generation is retained).
-void RotateGenerations(const std::string& path, int keep);
+/// Publishes `bytes` as the newest of `generations` checkpoint files at
+/// `path`. Existing generations first shift one slot older (path.(g-2) ->
+/// path.(g-1), ..., path -> path.1), one rename(2) each, so a crash
+/// mid-rotation loses at most ordering, never a complete file; then the
+/// bytes are written with WriteFileAtomic. Consults the armed
+/// FaultInjector: kCheckpointWrite skips the save (false, and the previous
+/// files stay valid), kCheckpointBytes corrupts the bytes first (framing
+/// catches it on restore).
+bool PublishGeneration(const std::string& path, std::string bytes,
+                       int generations, std::string* error);
+
+/// Walks `path`'s `generations` files newest first (at least one) and
+/// returns the first generation that reads and that `decode` accepts, or
+/// -1 with `*error` naming each generation's failure. An armed
+/// kCheckpointRead fault fails one generation's read.
+int ReadNewestGeneration(
+    const std::string& path, int generations,
+    const std::function<bool(const std::string& bytes, std::string* error)>&
+        decode,
+    std::string* error);
 
 }  // namespace io
 }  // namespace sop

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string_view>
 #include <thread>
 #include <tuple>
@@ -16,12 +17,13 @@
 #include <vector>
 
 #include "sop/common/clock.h"
-#include "sop/common/fault.h"
 #include "sop/common/frame.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
 #include "sop/io/file_util.h"
+#include "sop/net/frontend.h"
 #include "sop/net/protocol.h"
+#include "sop/net/socket.h"
 #include "sop/obs/trace.h"
 
 namespace sop {
@@ -29,42 +31,8 @@ namespace net {
 
 namespace {
 
-/// One connected client. The reader thread owns protocol dispatch; the
-/// writer thread drains the bounded send queue; everything shared between
-/// them (and the detection loop, which enqueues emissions) sits behind mu.
-struct Conn {
-  explicit Conn(Socket s) : sock(std::move(s)) {}
-
-  Socket sock;
-  std::thread reader;
-  std::thread writer;
-  std::atomic<bool> writer_done{false};  // writer thread has exited
-
-  std::mutex mu;
-  std::condition_variable cv_push;  // writer waits: queue non-empty/closing
-  std::condition_variable cv_pop;   // kBlock enqueuers wait: queue has room
-  std::condition_variable cv_done;  // Stop() waits: writer_done
-
-  struct Outgoing {
-    std::string frame;
-    bool droppable;  // emissions may be shed; control replies never
-  };
-  std::deque<Outgoing> sendq;       // guarded by mu
-  bool closing = false;             // guarded by mu
-  bool hello_done = false;          // guarded by mu (reader-only in practice)
-  // This connection carries inbound replication (we are a standby and a
-  // primary ships state over it). Its loss is primary loss.
-  bool is_repl = false;             // guarded by mu
-  // An emission to this subscriber was shed (or its resume had a gap); the
-  // next delivered emission carries degraded=true so the loss is visible.
-  bool degraded_pending = false;    // guarded by mu
-  // Subscribed query id -> suppress boundary: live emissions at or below
-  // it were already delivered by resume replay and must not repeat.
-  std::map<QueryId, int64_t> subs;  // guarded by mu
-};
-
 struct IngestOp {
-  std::shared_ptr<Conn> conn;
+  FrontConnPtr conn;
   IngestMsg msg;
 };
 
@@ -76,32 +44,37 @@ Fingerprint FingerprintOf(const OutlierQuery& q) {
   return Fingerprint(q.r, q.k, q.win, q.slide);
 }
 
+Frontend::Options FrontOptionsOf(const ServerOptions& o) {
+  Frontend::Options f;
+  f.host = o.host;
+  f.port = o.port;
+  f.max_send_queue = o.max_send_queue;
+  f.send_policy = o.send_policy;
+  f.idle_timeout_ms = o.idle_timeout_ms;
+  f.metrics_prefix = "net/server/";
+  return f;
+}
+
 }  // namespace
 
-struct SopServer::Impl {
-  explicit Impl(ServerOptions opts) : options(std::move(opts)) {}
+struct SopServer::Impl : FrontHandler {
+  explicit Impl(ServerOptions opts)
+      : options(std::move(opts)), front(FrontOptionsOf(options), this) {}
 
   ServerOptions options;
 
   // --- always-on stats (obs may be compiled out) -------------------------
+  // (Connection, frame, byte, shed and idle counts are the front's.)
   struct AtomicStats {
-    std::atomic<uint64_t> connections{0};
-    std::atomic<uint64_t> active_clients{0};
-    std::atomic<uint64_t> frames_in{0};
-    std::atomic<uint64_t> frames_out{0};
-    std::atomic<uint64_t> bytes_in{0};
-    std::atomic<uint64_t> bytes_out{0};
     std::atomic<uint64_t> ingest_batches{0};
     std::atomic<uint64_t> ingest_points{0};
     std::atomic<uint64_t> halo_points{0};
     std::atomic<uint64_t> emissions{0};
-    std::atomic<uint64_t> shed_emissions{0};
     std::atomic<uint64_t> subscribes{0};
     std::atomic<uint64_t> unsubscribes{0};
     std::atomic<uint64_t> protocol_errors{0};
     std::atomic<uint64_t> checkpoints{0};
     std::atomic<uint64_t> checkpoint_failures{0};
-    std::atomic<uint64_t> idle_disconnects{0};
     std::atomic<uint64_t> promotions{0};
     std::atomic<uint64_t> repl_snapshots_sent{0};
     std::atomic<uint64_t> repl_batches_sent{0};
@@ -115,8 +88,6 @@ struct SopServer::Impl {
   AtomicStats stats;
 
   // --- serving state -----------------------------------------------------
-  Socket listener;
-  std::thread accept_thread;
   std::thread detect_thread;
 
   std::atomic<uint32_t> role{static_cast<uint32_t>(ServerRole::kPrimary)};
@@ -138,8 +109,10 @@ struct SopServer::Impl {
   };
   std::map<Fingerprint, RingState> ring;      // guarded by session_mu
 
-  std::mutex conns_mu;
-  std::vector<std::shared_ptr<Conn>> conns;   // guarded by conns_mu
+  // Connections carrying inbound replication (we are a standby and a
+  // primary ships state over them). Losing one is primary loss.
+  std::mutex repl_conns_mu;
+  std::set<const FrontConn*> repl_conns;      // guarded by repl_conns_mu
 
   // Scale-out plane (DESIGN.md Sec. 17): the shard assignment a router
   // declared for this worker. Informational — routing is the router's job
@@ -170,80 +143,54 @@ struct SopServer::Impl {
   bool started = false;
   bool stopped = false;
 
+  // Declared last: it calls back into everything above until it stops.
+  Frontend front;
+
   // --- implementation ----------------------------------------------------
 
   ServerRole RoleNow() const {
     return static_cast<ServerRole>(role.load(std::memory_order_relaxed));
   }
 
-  // Enqueues one frame for `conn`'s writer. Droppable frames respect the
-  // queue bound under the configured overload policy; control frames
-  // bypass the bound (they are request-paced, so the reader's own
-  // backpressure already limits them). Returns false if the frame was
-  // dropped (connection closing, or shed under kDropOldest).
-  bool EnqueueFrame(const std::shared_ptr<Conn>& conn, std::string frame,
-                    bool droppable) {
-    std::unique_lock<std::mutex> lock(conn->mu);
-    if (conn->closing) return false;
-    if (droppable && conn->sendq.size() >= options.max_send_queue) {
-      if (options.send_policy == OverloadPolicy::kDropOldest) {
-        // Shed the oldest queued emission; never a control reply.
-        for (auto it = conn->sendq.begin(); it != conn->sendq.end(); ++it) {
-          if (it->droppable) {
-            conn->sendq.erase(it);
-            conn->degraded_pending = true;
-            stats.shed_emissions.fetch_add(1, std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/shed_emissions", 1);
-            break;
-          }
-        }
-      } else {
-        // kBlock: lossless backpressure into the detection loop.
-        conn->cv_pop.wait(lock, [&] {
-          return conn->closing ||
-                 conn->sendq.size() < options.max_send_queue;
-        });
-        if (conn->closing) return false;
-      }
-    }
-    conn->sendq.push_back(Conn::Outgoing{std::move(frame), droppable});
-    SOP_GAUGE_SET_MAX("net/server/send_queue_depth", conn->sendq.size());
-    conn->cv_push.notify_one();
-    return true;
-  }
-
-  // Marks `conn` closing, wakes its threads, and retires its
-  // subscriptions. On a standby with promote_on_loss, losing the inbound
-  // replication connection is primary loss: promote. Idempotent; callable
-  // from any thread.
-  void CloseConn(const std::shared_ptr<Conn>& conn) {
-    std::vector<QueryId> subs;
-    bool was_repl = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closing) return;
-      conn->closing = true;
-      was_repl = conn->is_repl;
-      subs.reserve(conn->subs.size());
-      for (const auto& entry : conn->subs) subs.push_back(entry.first);
-      conn->subs.clear();
-      conn->cv_push.notify_all();
-      conn->cv_pop.notify_all();
-    }
-    conn->sock.ShutdownBoth();  // unblocks recv/send in reader/writer
+  // Retires a closed connection's subscriptions. On a standby with
+  // promote_on_loss, losing the inbound replication connection is primary
+  // loss: promote.
+  void OnClose(const FrontConnPtr& conn,
+               std::map<int64_t, int64_t> subs) override {
     if (!subs.empty()) {
       std::lock_guard<std::mutex> lock(session_mu);
-      for (const QueryId id : subs) session->RemoveQuery(id);
+      for (const auto& entry : subs) session->RemoveQuery(entry.first);
     }
-    stats.active_clients.fetch_sub(1, std::memory_order_relaxed);
-    SOP_GAUGE_SET("net/server/active_clients",
-                  stats.active_clients.load(std::memory_order_relaxed));
-    SOP_COUNTER_ADD("net/server/disconnects", 1);
+    bool was_repl = false;
+    {
+      std::lock_guard<std::mutex> lock(repl_conns_mu);
+      was_repl = repl_conns.erase(conn.get()) > 0;
+    }
     if (was_repl && options.standby && options.promote_on_loss &&
         !stopping.load(std::memory_order_relaxed) &&
         !killing.load(std::memory_order_relaxed)) {
       Promote();
     }
+  }
+
+  // The front began tearing down: refuse further ingest and release the
+  // readers (and the detection loop) waiting on the ingest queue. Set under
+  // ingest_mu, so a reader that the flag turns away also sees the front's
+  // own stop, and leaves its connection for the drain.
+  void OnTeardown() override {
+    std::lock_guard<std::mutex> lock(ingest_mu);
+    stopping.store(true, std::memory_order_relaxed);
+    ingest_cv_push.notify_all();
+    ingest_cv_pop.notify_all();
+  }
+
+  // Marks `conn` as carrying inbound replication. A connection already
+  // closing stays unmarked, so every mark is cleared by its OnClose.
+  void MarkRepl(const FrontConnPtr& conn) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->closing) return;
+    std::lock_guard<std::mutex> repl_lock(repl_conns_mu);
+    repl_conns.insert(conn.get());
   }
 
   // Standby -> primary: start serving from the last replicated boundary.
@@ -266,48 +213,20 @@ struct SopServer::Impl {
     SOP_COUNTER_ADD("net/server/promotions", 1);
   }
 
-  void WriterLoop(const std::shared_ptr<Conn>& conn) {
-    WriterBody(conn);
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->writer_done.store(true, std::memory_order_release);
-    }
-    conn->cv_done.notify_all();
-  }
-
-  void WriterBody(const std::shared_ptr<Conn>& conn) {
-    for (;;) {
-      Conn::Outgoing out;
-      {
-        std::unique_lock<std::mutex> lock(conn->mu);
-        conn->cv_push.wait(lock, [&] {
-          return conn->closing || !conn->sendq.empty();
-        });
-        // Drain queued frames even when closing: Stop() expects in-flight
-        // acks to reach clients before the socket goes down — but a writer
-        // stuck on a dead peer still exits via SendAll failure below.
-        if (conn->sendq.empty()) return;
-        out = std::move(conn->sendq.front());
-        conn->sendq.pop_front();
-        conn->cv_pop.notify_one();
-      }
-      std::string error;
-      if (!SendAll(conn->sock, out.frame, &error)) {
-        CloseConn(conn);
-        return;
-      }
-      stats.frames_out.fetch_add(1, std::memory_order_relaxed);
-      stats.bytes_out.fetch_add(out.frame.size(), std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/frames_out", 1);
-      SOP_COUNTER_ADD("net/server/bytes_out", out.frame.size());
-    }
-  }
-
-  void SendError(const std::shared_ptr<Conn>& conn, std::string message) {
+  // Counts one protocol error and tells the client why. Returns false, so
+  // a dispatch path that must drop the connection can `return` it.
+  bool SendError(const FrontConnPtr& conn, std::string message) {
     stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
     SOP_COUNTER_ADD("net/server/protocol_errors", 1);
-    EnqueueFrame(conn, EncodeError(ErrorMsg{std::move(message)}),
-                 /*droppable=*/false);
+    front.Send(conn, EncodeError(ErrorMsg{std::move(message)}),
+               /*droppable=*/false);
+    return false;
+  }
+
+  // Framing lost: tell the client why (best effort); the front drops it.
+  void OnFramingError(const FrontConnPtr& conn,
+                      const std::string& error) override {
+    SendError(conn, error);
   }
 
   // Appends one emission to its fingerprint's ring slice, bounded by
@@ -526,29 +445,19 @@ struct SopServer::Impl {
 
   // Handles one complete, CRC-verified frame payload from `conn`.
   // Returns false when the connection must be dropped.
-  bool Dispatch(const std::shared_ptr<Conn>& conn,
-                const std::string& payload) {
+  bool OnFrame(const FrontConnPtr& conn, const std::string& payload) override {
     MsgType type;
     std::string error;
-    if (!PeekType(payload, &type, &error)) {
-      SendError(conn, error);
-      return false;
-    }
+    if (!PeekType(payload, &type, &error)) return SendError(conn, error);
     switch (type) {
       case MsgType::kHello: {
         HelloMsg hello;
         if (!DecodeHello(payload, &hello, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         if (hello.protocol_version != kProtocolVersion) {
-          SendError(conn, "protocol version mismatch: server speaks v" +
-                              std::to_string(kProtocolVersion));
-          return false;
-        }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->hello_done = true;
+          return SendError(conn, "protocol version mismatch: server speaks v" +
+                                     std::to_string(kProtocolVersion));
         }
         HelloAckMsg ack;
         ack.protocol_version = kProtocolVersion;
@@ -561,15 +470,14 @@ struct SopServer::Impl {
           ack.last_boundary = last_boundary;
           ack.next_seq = static_cast<uint64_t>(session->next_seq());
         }
-        EnqueueFrame(conn, EncodeHelloAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeHelloAck(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kIngest: {
         IngestOp op;
         op.conn = conn;
         if (!DecodeIngest(payload, &op.msg, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         if (RoleNow() == ServerRole::kStandby) {
           // A standby's stream position is owned by replication; clients
@@ -577,7 +485,7 @@ struct SopServer::Impl {
           SendError(conn, "standby: ingest is served by the primary");
           IngestAckMsg ack;
           ack.boundary = op.msg.boundary;
-          EnqueueFrame(conn, EncodeIngestAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeIngestAck(ack), /*droppable=*/false);
           return true;
         }
         std::unique_lock<std::mutex> lock(ingest_mu);
@@ -599,13 +507,12 @@ struct SopServer::Impl {
       case MsgType::kSubscribe: {
         SubscribeMsg sub;
         if (!DecodeSubscribe(payload, &sub, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         if (RoleNow() == ServerRole::kStandby) {
           SubscribeAckMsg ack;
           ack.error = "standby: subscriptions are served by the primary";
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
           return true;
         }
         // Pre-validate exactly as SopSession::AddQuery would CHECK: a bad
@@ -618,7 +525,7 @@ struct SopServer::Impl {
           SubscribeAckMsg ack;
           ack.query_id = 0;
           ack.error = verdict;
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
           return true;
         }
         SubscribeAckMsg ack;
@@ -674,17 +581,16 @@ struct SopServer::Impl {
           // control-paced (never shed). Enqueued under session_mu so a
           // concurrent batch's live emissions cannot jump ahead of them.
           for (std::string& f : replay) {
-            EnqueueFrame(conn, std::move(f), /*droppable=*/false);
+            front.Send(conn, std::move(f), /*droppable=*/false);
           }
-          EnqueueFrame(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
         }
         return true;
       }
       case MsgType::kUnsubscribe: {
         UnsubscribeMsg unsub;
         if (!DecodeUnsubscribe(payload, &unsub, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         // A client may only retire its own subscriptions.
         bool owned = false;
@@ -701,15 +607,12 @@ struct SopServer::Impl {
           stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
           SOP_COUNTER_ADD("net/server/unsubscribes", 1);
         }
-        EnqueueFrame(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kPing: {
         PingMsg ping;
-        if (!DecodePing(payload, &ping, &error)) {
-          SendError(conn, error);
-          return false;
-        }
+        if (!DecodePing(payload, &ping, &error)) return SendError(conn, error);
         PongMsg pong;
         pong.token = ping.token;
         pong.role = role.load(std::memory_order_relaxed);
@@ -721,33 +624,18 @@ struct SopServer::Impl {
           std::lock_guard<std::mutex> lock(ingest_mu);
           pong.ingest_queue_depth = ingest_queue.size();
         }
-        {
-          std::vector<std::shared_ptr<Conn>> snapshot;
-          {
-            std::lock_guard<std::mutex> lock(conns_mu);
-            snapshot = conns;
-          }
-          uint64_t depth = 0;
-          for (const std::shared_ptr<Conn>& c : snapshot) {
-            std::lock_guard<std::mutex> lock(c->mu);
-            depth += c->sendq.size();
-          }
-          pong.send_queue_depth = depth;
-        }
-        pong.active_connections =
-            stats.active_clients.load(std::memory_order_relaxed);
-        EnqueueFrame(conn, EncodePong(pong), /*droppable=*/false);
+        pong.send_queue_depth = front.SendQueueDepth();
+        pong.active_connections = front.stats().active;
+        front.Send(conn, EncodePong(pong), /*droppable=*/false);
         return true;
       }
       case MsgType::kReplSnapshot: {
         if (!options.standby) {
-          SendError(conn, "not a standby: replication refused");
-          return false;
+          return SendError(conn, "not a standby: replication refused");
         }
         ReplSnapshotMsg msg;
         if (!DecodeReplSnapshot(payload, &msg, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         if (RoleNow() != ServerRole::kStandby) {
           // Already promoted: a resurrected old primary must not demote
@@ -755,10 +643,7 @@ struct SopServer::Impl {
           SendError(conn, "promoted: no longer accepting replication");
           return false;
         }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->is_repl = true;
-        }
+        MarkRepl(conn);
         // Restore into a fresh session so a failed apply leaves the
         // current one untouched.
         auto fresh = std::make_unique<SopSession>(options.window_type,
@@ -787,27 +672,21 @@ struct SopServer::Impl {
           ack.boundary = last_boundary;
         }
         ack.need_snapshot = !ok;
-        EnqueueFrame(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeReplAck(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kReplBatch: {
         if (!options.standby) {
-          SendError(conn, "not a standby: replication refused");
-          return false;
+          return SendError(conn, "not a standby: replication refused");
         }
         ReplBatchMsg msg;
         if (!DecodeReplBatch(payload, &msg, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         if (RoleNow() != ServerRole::kStandby) {
-          SendError(conn, "promoted: no longer accepting replication");
-          return false;
+          return SendError(conn, "promoted: no longer accepting replication");
         }
-        {
-          std::lock_guard<std::mutex> lock(conn->mu);
-          conn->is_repl = true;
-        }
+        MarkRepl(conn);
         ReplAckMsg ack;
         std::string checkpoint_frame;
         {
@@ -846,7 +725,7 @@ struct SopServer::Impl {
             }
           }
         }
-        EnqueueFrame(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeReplAck(ack), /*droppable=*/false);
         if (!checkpoint_frame.empty()) {
           PublishCheckpoint(std::move(checkpoint_frame));
         }
@@ -855,8 +734,7 @@ struct SopServer::Impl {
       case MsgType::kShardConfig: {
         ShardConfigMsg msg;
         if (!DecodeShardConfig(payload, &msg, &error)) {
-          SendError(conn, error);
-          return false;
+          return SendError(conn, error);
         }
         ShardConfigAckMsg ack;
         {
@@ -879,7 +757,7 @@ struct SopServer::Impl {
           SOP_GAUGE_SET("net/server/shard_index", msg.shard_index);
           SOP_GAUGE_SET("net/server/num_shards", msg.num_shards);
         }
-        EnqueueFrame(conn, EncodeShardConfigAck(ack), /*droppable=*/false);
+        front.Send(conn, EncodeShardConfigAck(ack), /*droppable=*/false);
         return true;
       }
       default:
@@ -891,102 +769,14 @@ struct SopServer::Impl {
     }
   }
 
-  void ReaderLoop(const std::shared_ptr<Conn>& conn) {
-    FrameDecoder decoder;
-    char buf[64 << 10];
-    bool timed_out = false;
-    for (;;) {
-      std::string error;
-      const int64_t n = RecvSomeTimeout(conn->sock, buf, sizeof(buf),
-                                        options.idle_timeout_ms, &error);
-      if (n == kRecvTimedOut) {
-        // Only a mid-frame stall is hostile (slow-loris); a connection
-        // with no partial frame pending is just a quiet subscriber.
-        if (decoder.buffered_bytes() > 0) {
-          stats.idle_disconnects.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/idle_disconnects", 1);
-          timed_out = true;
-          break;
-        }
-        continue;
-      }
-      if (n <= 0) break;  // orderly close or hard error
-      stats.bytes_in.fetch_add(static_cast<uint64_t>(n),
-                               std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/bytes_in", n);
-      decoder.Append(buf, static_cast<size_t>(n));
-      bool drop = false;
-      for (;;) {
-        std::string payload;
-        const FrameDecoder::Status status = decoder.Next(&payload, &error);
-        if (status == FrameDecoder::Status::kNeedMore) break;
-        if (status == FrameDecoder::Status::kError) {
-          // Framing lost: this connection cannot resync. Tell the client
-          // why (best effort) and drop it; the process and every other
-          // connection stay up.
-          SendError(conn, error);
-          drop = true;
-          break;
-        }
-        stats.frames_in.fetch_add(1, std::memory_order_relaxed);
-        SOP_COUNTER_ADD("net/server/frames_in", 1);
-        if (!Dispatch(conn, payload)) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) break;
-    }
-    // During a graceful Stop the reader exits on EOF (ShutdownRead) but
-    // must NOT abort-close the connection: the writer is still draining
-    // queued acks and emissions. Every other exit closes as usual.
-    if (!stopping.load(std::memory_order_relaxed) || timed_out) {
-      CloseConn(conn);
-    }
-  }
-
-  void AcceptLoop() {
-    for (;;) {
-      std::string error;
-      Socket sock = AcceptTcp(listener, &error);
-      if (!sock.valid()) {
-        if (stopping.load(std::memory_order_relaxed)) return;
-        continue;  // transient accept failure; keep serving
-      }
-      if (stopping.load(std::memory_order_relaxed)) return;
-      auto conn = std::make_shared<Conn>(std::move(sock));
-      stats.connections.fetch_add(1, std::memory_order_relaxed);
-      stats.active_clients.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/connections", 1);
-      SOP_GAUGE_SET(
-          "net/server/active_clients",
-          stats.active_clients.load(std::memory_order_relaxed));
-      // Register the connection before its reader can process a frame: a
-      // subscribe handled before this conn is visible in `conns` would let
-      // the next batch's emissions bypass the brand-new subscriber. Stop()
-      // joins the accept thread before it snapshots `conns`, so a conn
-      // registered here always has its threads spawned by then.
-      {
-        std::lock_guard<std::mutex> lock(conns_mu);
-        conns.push_back(conn);
-      }
-      conn->reader = std::thread([this, conn] { ReaderLoop(conn); });
-      conn->writer = std::thread([this, conn] { WriterLoop(conn); });
-    }
-  }
-
   // Fans one batch's session results out to subscribers. Returns how many
   // emission frames were enqueued for `ingester` (reported in its ack).
   uint64_t RouteEmissions(const std::vector<SessionResult>& results,
-                          const std::shared_ptr<Conn>& ingester) {
+                          const FrontConnPtr& ingester) {
     uint64_t to_ingester = 0;
-    std::vector<std::shared_ptr<Conn>> snapshot;
-    {
-      std::lock_guard<std::mutex> lock(conns_mu);
-      snapshot = conns;
-    }
+    const std::vector<FrontConnPtr> snapshot = front.Connections();
     for (const SessionResult& r : results) {
-      for (const std::shared_ptr<Conn>& conn : snapshot) {
+      for (const FrontConnPtr& conn : snapshot) {
         EmissionMsg m;
         {
           std::lock_guard<std::mutex> lock(conn->mu);
@@ -1001,7 +791,7 @@ struct SopServer::Impl {
         m.query_id = r.query_id;
         m.boundary = r.boundary;
         m.outliers = r.outliers;
-        if (EnqueueFrame(conn, EncodeEmission(m), /*droppable=*/true)) {
+        if (front.Send(conn, EncodeEmission(m), /*droppable=*/true)) {
           stats.emissions.fetch_add(1, std::memory_order_relaxed);
           SOP_COUNTER_ADD("net/server/emissions", 1);
           if (conn == ingester) ++to_ingester;
@@ -1011,34 +801,33 @@ struct SopServer::Impl {
     return to_ingester;
   }
 
-  // Publishes one snapshot frame to options.checkpoint_path (atomic
-  // rename), rotating older generations first and consulting the
-  // checkpoint fault sites like the engine does. `blob` was produced
-  // under session_mu by the caller.
+  // Publishes one snapshot frame as the newest checkpoint generation.
+  // `blob` was produced under session_mu by the caller.
   void PublishCheckpoint(std::string blob) {
-    FaultInjector* injector = FaultInjector::Armed();
-    if (injector != nullptr &&
-        injector->ShouldFail(FaultSite::kCheckpointWrite)) {
-      stats.checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/checkpoint_failures", 1);
-      return;  // skipped save; the previous checkpoint stays valid
-    }
-    if (injector != nullptr &&
-        injector->ShouldFail(FaultSite::kCheckpointBytes)) {
-      injector->CorruptBytes(&blob);  // framing catches this on restore
-    }
-    if (options.checkpoint_generations > 1) {
-      io::RotateGenerations(options.checkpoint_path,
-                            options.checkpoint_generations);
-    }
     std::string error;
-    if (io::WriteFileAtomic(options.checkpoint_path, blob, &error)) {
+    if (io::PublishGeneration(options.checkpoint_path, std::move(blob),
+                              options.checkpoint_generations, &error)) {
       stats.checkpoints.fetch_add(1, std::memory_order_relaxed);
       SOP_COUNTER_ADD("net/server/checkpoints", 1);
     } else {
+      // The previous generations stay valid.
       stats.checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
       SOP_COUNTER_ADD("net/server/checkpoint_failures", 1);
     }
+  }
+
+  // Restores one checkpoint file (a kReplSnapshot frame: session state
+  // plus resume ring) into the fresh session. Start() only.
+  bool RestoreCheckpoint(const std::string& blob, std::string* error) {
+    std::string_view payload;
+    ReplSnapshotMsg snap;  // the decoder refuses every other message type
+    if (!UnwrapFrame(blob, &payload, error) ||
+        !DecodeReplSnapshot(payload, &snap, error) ||
+        !session->LoadState(snap.state, error)) {
+      return false;
+    }
+    RestoreRingLocked(snap.ring);
+    return true;
   }
 
   void DetectLoop() {
@@ -1126,7 +915,7 @@ struct SopServer::Impl {
         ack.accepted = 0;
         ack.emissions = 0;
         ack.next_seq = next_seq;
-        EnqueueFrame(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+        front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
         continue;
       }
       SOP_COUNTER_ADD("net/server/ingest_batches", 1);
@@ -1148,7 +937,7 @@ struct SopServer::Impl {
       ack.accepted = batch_size;
       ack.emissions = RouteEmissions(results, op.conn);
       ack.next_seq = next_seq;
-      EnqueueFrame(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+      front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
 
       if (!checkpoint_blob.empty()) {
         PublishCheckpoint(std::move(checkpoint_blob));
@@ -1214,37 +1003,15 @@ bool SopServer::Start(std::string* error) {
   // are retired; the restored history, stream position and resume ring
   // remain, and a reconnecting subscriber resumes from them.
   if (!im.options.checkpoint_path.empty()) {
-    FaultInjector* injector = FaultInjector::Armed();
-    bool loaded = false;
-    for (int g = 0; !loaded && g < im.options.checkpoint_generations; ++g) {
-      const std::string path =
-          io::GenerationPath(im.options.checkpoint_path, g);
-      std::string blob;
-      std::string read_error;
-      if (injector != nullptr &&
-          injector->ShouldFail(FaultSite::kCheckpointRead)) {
-        continue;
-      }
-      if (!io::ReadFileToString(path, &blob, &read_error)) continue;
-      // One kReplSnapshot frame: session state plus resume ring.
-      std::string_view payload;
-      std::string decode_error;
-      MsgType type;
-      ReplSnapshotMsg snap;
-      if (UnwrapFrame(blob, &payload, &decode_error) &&
-          PeekType(payload, &type, &decode_error) &&
-          type == MsgType::kReplSnapshot &&
-          DecodeReplSnapshot(payload, &snap, &decode_error)) {
-        if (im.session->LoadState(snap.state, &decode_error)) {
-          im.RestoreRingLocked(snap.ring);
-          loaded = true;
-        }
-      }
-      if (loaded && g > 0) {
-        SOP_COUNTER_ADD("net/server/checkpoint_fallbacks", 1);
-      }
-    }
-    if (loaded) {
+    std::string restore_error;
+    const int generation = io::ReadNewestGeneration(
+        im.options.checkpoint_path, im.options.checkpoint_generations,
+        [&im](const std::string& blob, std::string* decode_error) {
+          return im.RestoreCheckpoint(blob, decode_error);
+        },
+        &restore_error);
+    if (generation > 0) SOP_COUNTER_ADD("net/server/checkpoint_fallbacks", 1);
+    if (generation >= 0) {
       for (const QueryId id : im.session->RegisteredQueryIds()) {
         im.session->RemoveQuery(id);
       }
@@ -1257,14 +1024,8 @@ bool SopServer::Start(std::string* error) {
     // No restorable generation is not fatal: serve fresh.
   }
 
-  int bound_port = 0;
-  im.listener = ListenTcp(im.options.host, im.options.port, /*backlog=*/64,
-                          &bound_port, error);
-  if (!im.listener.valid()) return false;
-  port_ = bound_port;
-
+  if (!im.front.Start(&port_, error)) return false;
   im.detect_thread = std::thread([&im] { im.DetectLoop(); });
-  im.accept_thread = std::thread([&im] { im.AcceptLoop(); });
   if (replicate) {
     im.repl_thread = std::thread([&im] { im.ReplLoop(); });
   }
@@ -1276,36 +1037,15 @@ void SopServer::Stop() {
   Impl& im = *impl_;
   if (!im.started || im.stopped) return;
   im.stopped = true;
-  im.stopping.store(true, std::memory_order_relaxed);
 
-  // Stop accepting new connections.
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    conns = im.conns;
-  }
-
-  // Graceful drain, in dependency order. 1) Shut the read side of every
-  // connection: readers wake with an orderly EOF and exit without closing
-  // the socket, so queued outbound frames survive.
-  for (const std::shared_ptr<Conn>& conn : conns) conn->sock.ShutdownRead();
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-    im.ingest_cv_pop.notify_all();  // readers blocked on a full queue exit
-  }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  // Graceful drain, in dependency order. 1) Stop accepting, shut the read
+  // side of every connection and join the readers: they exit on EOF
+  // without closing, so queued outbound frames survive. OnTeardown sets
+  // `stopping` and wakes readers blocked on a full ingest queue.
+  im.front.StopReading();
 
   // 2) No producers left: the detection loop drains the ingest queue and
-  // exits, enqueueing the final acks/emissions.
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-  }
+  // exits (`stopping` is set), enqueueing the final acks/emissions.
   if (im.detect_thread.joinable()) im.detect_thread.join();
 
   // 3) Flush replication: the standby gets every batch up to the stop
@@ -1319,34 +1059,11 @@ void SopServer::Stop() {
     im.repl_thread.join();
   }
 
-  // 4) Let writers drain their send queues, then exit via `closing`. A
-  // peer that refuses to read its socket cannot hold shutdown hostage:
-  // past the deadline its connection is aborted.
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->closing = true;
-    conn->cv_push.notify_all();
-    conn->cv_pop.notify_all();
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(2);
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      conn->cv_done.wait_until(lock, deadline, [&] {
-        return conn->writer_done.load(std::memory_order_acquire);
-      });
-    }
-    if (!conn->writer_done.load(std::memory_order_acquire)) {
-      conn->sock.ShutdownBoth();
-    }
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    im.conns.clear();
-  }
-  im.listener.Close();
+  // 4) Let writers drain their send queues. A peer that refuses to read
+  // its socket cannot hold shutdown hostage: past the deadline its
+  // connection is aborted.
+  im.front.DrainWriters(std::chrono::steady_clock::now() +
+                        std::chrono::seconds(2));
 
   // 5) Final checkpoint: a restart resumes from the exact stop point.
   if (!im.options.checkpoint_path.empty() && im.session != nullptr) {
@@ -1359,23 +1076,11 @@ void SopServer::Kill() {
   if (!im.started || im.stopped) return;
   im.stopped = true;
   im.killing.store(true, std::memory_order_relaxed);
-  im.stopping.store(true, std::memory_order_relaxed);
 
   // Abort everything: sockets die mid-frame, queued work is dropped, no
   // final checkpoint — exactly what a crashed process leaves behind.
-  im.listener.ShutdownBoth();
-  if (im.accept_thread.joinable()) im.accept_thread.join();
-  std::vector<std::shared_ptr<Conn>> conns;
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    conns = im.conns;
-  }
-  for (const std::shared_ptr<Conn>& conn : conns) im.CloseConn(conn);
-  {
-    std::lock_guard<std::mutex> lock(im.ingest_mu);
-    im.ingest_cv_push.notify_all();
-    im.ingest_cv_pop.notify_all();
-  }
+  // (OnTeardown sets `stopping` and wakes the detection loop.)
+  im.front.Abort();
   if (im.detect_thread.joinable()) im.detect_thread.join();
   if (im.repl_thread.joinable()) {
     {
@@ -1384,40 +1089,32 @@ void SopServer::Kill() {
     }
     im.repl_thread.join();
   }
-  for (const std::shared_ptr<Conn>& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(im.conns_mu);
-    im.conns.clear();
-  }
-  im.listener.Close();
 }
 
 ServerRole SopServer::role() const { return impl_->RoleNow(); }
 
 ServerStats SopServer::stats() const {
   const Impl::AtomicStats& a = impl_->stats;
+  const Frontend::Stats front = impl_->front.stats();
   ServerStats s;
-  s.connections = a.connections.load(std::memory_order_relaxed);
-  s.active_clients = a.active_clients.load(std::memory_order_relaxed);
-  s.frames_in = a.frames_in.load(std::memory_order_relaxed);
-  s.frames_out = a.frames_out.load(std::memory_order_relaxed);
-  s.bytes_in = a.bytes_in.load(std::memory_order_relaxed);
-  s.bytes_out = a.bytes_out.load(std::memory_order_relaxed);
+  s.connections = front.connections;
+  s.active_clients = front.active;
+  s.frames_in = front.frames_in;
+  s.frames_out = front.frames_out;
+  s.bytes_in = front.bytes_in;
+  s.bytes_out = front.bytes_out;
   s.ingest_batches = a.ingest_batches.load(std::memory_order_relaxed);
   s.ingest_points = a.ingest_points.load(std::memory_order_relaxed);
   s.halo_points = a.halo_points.load(std::memory_order_relaxed);
   s.emissions = a.emissions.load(std::memory_order_relaxed);
-  s.shed_emissions = a.shed_emissions.load(std::memory_order_relaxed);
+  s.shed_emissions = front.shed_emissions;
   s.subscribes = a.subscribes.load(std::memory_order_relaxed);
   s.unsubscribes = a.unsubscribes.load(std::memory_order_relaxed);
   s.protocol_errors = a.protocol_errors.load(std::memory_order_relaxed);
   s.checkpoints = a.checkpoints.load(std::memory_order_relaxed);
   s.checkpoint_failures =
       a.checkpoint_failures.load(std::memory_order_relaxed);
-  s.idle_disconnects = a.idle_disconnects.load(std::memory_order_relaxed);
+  s.idle_disconnects = front.idle_disconnects;
   s.promotions = a.promotions.load(std::memory_order_relaxed);
   s.repl_snapshots_sent =
       a.repl_snapshots_sent.load(std::memory_order_relaxed);

@@ -46,18 +46,21 @@
 // once. When the ring no longer reaches back far enough, the ack carries
 // `gap` and the next live emission is flagged degraded instead of lying.
 //
-// Threading: one accept thread, one reader and one writer thread per
-// connection, an optional replication thread, and one detection thread
+// Threading: the connection front (net/frontend.h) runs the accept
+// thread and one reader and one writer thread per connection; once both
+// have returned, the next accept joins them and drops the connection.
+// Beside it run an optional replication thread and one detection thread
 // that serializes every session operation — boundaries are global, so
 // batches are detected one after another (a batch itself may run on
 // RunLanes, common/thread_pool.h) and everything else is I/O. Readers
 // hand ingest batches to the detection loop through a bounded queue
-// (backpressure propagates to the client's TCP stream); emission delivery
-// goes through bounded per-client send queues governed by the engine's
-// overload policies (detector/engine.h): kBlock applies backpressure to
-// the detection loop, kDropOldest sheds the oldest queued emission and
-// flags the subscriber's next emission `degraded` so the gap is visible.
-// Control replies (acks, errors) are never shed.
+// (backpressure propagates to the client's TCP stream); emission
+// delivery goes through the front's bounded per-client send queues
+// governed by the engine's overload policies (detector/engine.h): kBlock
+// applies backpressure to the detection loop, kDropOldest sheds the
+// oldest queued emission and flags the subscriber's next emission
+// `degraded` so the gap is visible. Control replies (acks, errors)
+// bypass the bound and are never shed.
 //
 // Resilience: malformed frames poison only their own connection (counted,
 // never the process); a reader that stalls mid-frame past
@@ -76,7 +79,6 @@
 #ifndef SOP_NET_SERVER_H_
 #define SOP_NET_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -84,7 +86,6 @@
 #include "sop/common/distance.h"
 #include "sop/detector/engine.h"
 #include "sop/net/protocol.h"
-#include "sop/net/socket.h"
 #include "sop/query/plan.h"
 #include "sop/stream/window.h"
 

@@ -11,7 +11,8 @@
 //     client's recovery — no lost or duplicated emissions,
 //   * halo admission: a post-freeze subscribe with r > halo is refused
 //     with a diagnostic, not silently degraded,
-//   * stale boundaries and bad queries are refused at the router.
+//   * stale boundaries and bad queries are refused at the router, and a
+//     ping reports the router's role and position.
 //
 // All assertions read RouterStats/ServerStats (always-on atomics), never
 // obs counters, so the suite passes identically under -DSOP_NO_OBS.
@@ -856,6 +857,13 @@ TEST(ClusterTest, StaleBoundaryAndBadQueryAreRefused) {
   const RouterStats stats = tc.router->stats();
   EXPECT_EQ(stats.last_boundary, 50);
   EXPECT_GE(stats.protocol_errors, 0u);
+
+  // Health probe through the router's front.
+  net::PongMsg pong;
+  ASSERT_TRUE(client.Ping(&pong, &error)) << error;
+  EXPECT_EQ(static_cast<net::ServerRole>(pong.role), net::ServerRole::kPrimary);
+  EXPECT_EQ(pong.last_boundary, 50);
+  EXPECT_GE(pong.active_connections, 1u);
 }
 
 }  // namespace

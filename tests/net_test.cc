@@ -5,9 +5,13 @@
 //     emits (the sharing-as-a-service contract),
 //   * live subscription churn against a direct SopSession oracle,
 //   * overload shedding (kDropOldest) with the degraded-flag handshake,
-//   * hostile bytes on the wire poison only their own connection,
+//   * hostile bytes on the wire poison only their own connection, on a
+//     lone server's front and on a router's,
+//   * closed connections are released: connect-and-close churn against
+//     either front does not grow the process,
 //   * checkpointed restart resumes the shared stream mid-flight (and a
-//     bare session blob at the checkpoint path is not a checkpoint),
+//     bare session blob at the checkpoint path is not a checkpoint), and
+//     a corrupt newest checkpoint falls back one generation,
 //   * refusal paths: unknown detector, invalid query, stale boundary, a
 //     batch of the wrong dimensionality, a time regression.
 //
@@ -15,15 +19,18 @@
 // checked is skipped under -DSOP_NO_OBS, so the suite passes identically
 // there.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/cluster/router.h"
 #include "sop/common/random.h"
 #include "sop/core/session.h"
 #include "sop/detector/driver.h"
@@ -163,6 +170,36 @@ std::vector<QueryResult> RunLoopback(int port,
         << label << ": " << error;
   }
   return results;
+}
+
+/// A connection front under test: a lone server, or a router before one
+/// worker (the router translates a count deployment for it).
+struct TestFront {
+  std::unique_ptr<SopServer> server;  // the lone server, or the worker
+  std::unique_ptr<cluster::SopRouter> router;
+
+  int port() const { return router ? router->port() : server->port(); }
+  uint64_t protocol_errors() const {
+    return router ? router->stats().protocol_errors
+                  : server->stats().protocol_errors;
+  }
+  ~TestFront() {
+    if (router != nullptr) router->Stop();
+    if (server != nullptr) server->Stop();
+  }
+};
+
+bool StartFront(bool routed, TestFront* front, std::string* error) {
+  ServerOptions options;
+  if (routed) options.window_type = WindowType::kTime;
+  front->server = std::make_unique<SopServer>(options);
+  if (!front->server->Start(error)) return false;
+  if (!routed) return true;
+  cluster::RouterOptions ro;
+  ro.workers.push_back({"127.0.0.1", front->server->port()});
+  ro.partition = cluster::PartitionSpec::Uniform(-6.0, 6.0, 1);
+  front->router = std::make_unique<cluster::SopRouter>(ro);
+  return front->router->Start(error);
 }
 
 // --- loopback equivalence ------------------------------------------------
@@ -362,34 +399,11 @@ TEST(NetTest, DropOldestShedsAndFlagsDegraded) {
 
 // --- hostile bytes -------------------------------------------------------
 
-// Garbage and corrupted frames poison exactly one connection each: counted
-// as protocol errors, never a crash, and never collateral damage to a
-// well-behaved client on the same server.
+// Garbage and corrupted frames poison exactly one connection each:
+// counted as protocol errors, never a crash, and never collateral damage to
+// a well-behaved client on the same front — a lone server's, or a
+// router's.
 TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
-  ServerOptions options;
-  SopServer server(options);
-  std::string error;
-  ASSERT_TRUE(server.Start(&error)) << error;
-
-  {
-    // Pure garbage: framing is lost immediately.
-    Socket raw = ConnectTcp("127.0.0.1", server.port(), &error);
-    ASSERT_TRUE(raw.valid()) << error;
-    ASSERT_TRUE(SendAll(raw, "definitely not a SOPF frame", &error)) << error;
-    ASSERT_TRUE(WaitUntil(
-        [&] { return server.stats().protocol_errors >= 1; }));
-  }
-  {
-    // A bit flip inside a valid frame: CRC catches it.
-    std::string frame = EncodeSubscribe(SubscribeMsg{});
-    frame[frame.size() - 3] ^= 0x20;
-    Socket raw = ConnectTcp("127.0.0.1", server.port(), &error);
-    ASSERT_TRUE(raw.valid()) << error;
-    ASSERT_TRUE(SendAll(raw, frame, &error)) << error;
-    ASSERT_TRUE(WaitUntil(
-        [&] { return server.stats().protocol_errors >= 2; }));
-  }
-
   const std::vector<Point> points = GenPoints(100, false, /*seed=*/5);
   Workload workload(WindowType::kCount);
   const std::vector<OutlierQuery> queries = {OutlierQuery(1.5, 3, 50, 50)};
@@ -397,11 +411,75 @@ TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
   std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", workload);
   const std::vector<QueryResult> expected =
       CollectResults(workload, points, detector.get());
-  const std::vector<QueryResult> actual = RunLoopback(
-      server.port(), queries, SliceCount(points, 50), "post-garbage");
-  server.Stop();
-  testing::ExpectSameResults(expected, actual, "post-garbage");
-  EXPECT_GE(server.stats().protocol_errors, 2u);
+
+  for (const bool routed : {false, true}) {
+    const std::string label = routed ? "router" : "server";
+    TestFront front;
+    std::string error;
+    ASSERT_TRUE(StartFront(routed, &front, &error)) << label << ": " << error;
+    {
+      // Pure garbage: framing is lost immediately.
+      Socket raw = ConnectTcp("127.0.0.1", front.port(), &error);
+      ASSERT_TRUE(raw.valid()) << label << ": " << error;
+      ASSERT_TRUE(SendAll(raw, "definitely not a SOPF frame", &error))
+          << label << ": " << error;
+      ASSERT_TRUE(WaitUntil([&] { return front.protocol_errors() >= 1; }))
+          << label;
+    }
+    {
+      // A bit flip inside a valid frame: CRC catches it.
+      std::string frame = EncodeSubscribe(SubscribeMsg{});
+      frame[frame.size() - 3] ^= 0x20;
+      Socket raw = ConnectTcp("127.0.0.1", front.port(), &error);
+      ASSERT_TRUE(raw.valid()) << label << ": " << error;
+      ASSERT_TRUE(SendAll(raw, frame, &error)) << label << ": " << error;
+      ASSERT_TRUE(WaitUntil([&] { return front.protocol_errors() >= 2; }))
+          << label;
+    }
+
+    const std::vector<QueryResult> actual =
+        RunLoopback(front.port(), queries, SliceCount(points, 50),
+                    label + " post-garbage");
+    testing::ExpectSameResults(expected, actual, label + " post-garbage");
+    EXPECT_EQ(front.protocol_errors(), 2u) << label;
+  }
+}
+
+// --- connection churn ----------------------------------------------------
+
+/// Lines in this process's memory map, or 0 where /proc is missing. Every
+/// thread that ended but was never joined keeps its stack mapped.
+size_t MapLines() {
+  std::string maps;
+  std::string error;
+  if (!io::ReadFileToString("/proc/self/maps", &maps, &error)) return 0;
+  return static_cast<size_t>(std::count(maps.begin(), maps.end(), '\n'));
+}
+
+// A front releases every closed connection: once its reader and writer
+// have returned they are joined and the connection dropped, so
+// connect-and-close churn does not grow the process. An unreleased
+// connection keeps two thread stacks, each with its guard page: about
+// four map lines, so 300 leaked cycles would add about 1,200.
+TEST(NetTest, ClosedConnectionsAreReleased) {
+  if (MapLines() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  constexpr int kCycles = 300;
+  for (const bool routed : {false, true}) {
+    const std::string label = routed ? "router" : "server";
+    TestFront front;
+    std::string error;
+    ASSERT_TRUE(StartFront(routed, &front, &error)) << label << ": " << error;
+    const size_t before = MapLines();
+    for (int i = 0; i < kCycles; ++i) {
+      SopClient client;
+      ASSERT_TRUE(client.Connect("127.0.0.1", front.port(), &error))
+          << label << " cycle " << i << ": " << error;
+      client.Close();
+    }
+    const size_t after = MapLines();
+    EXPECT_LT(after, before + kCycles)
+        << label << ": " << before << " -> " << after << " map lines";
+  }
 }
 
 // --- checkpointed restart ------------------------------------------------
@@ -505,6 +583,65 @@ TEST(NetTest, CheckpointedRestartResumesTheStream) {
     EXPECT_EQ(tail[i].outliers, expected_tail[i].outliers)
         << "emission " << i;
   }
+}
+
+// With checkpoint_generations = 2, a corrupt newest checkpoint costs one
+// generation, not the stream: the restarted server resumes from path.1 at
+// that generation's boundary.
+TEST(NetTest, CorruptNewestCheckpointFallsBackAGeneration) {
+  const std::string path =
+      ::testing::TempDir() + "sop_net_generations.checkpoint";
+  const std::string older = io::GenerationPath(path, 1);
+  std::remove(path.c_str());
+  std::remove(older.c_str());
+
+  const std::vector<Point> points = GenPoints(80, false, /*seed=*/41);
+  const std::vector<Batch> batches = SliceCount(points, 20);
+  ASSERT_EQ(batches.size(), 4u);
+  ServerOptions options;
+  options.checkpoint_path = path;
+  options.checkpoint_every_batches = 2;
+  options.checkpoint_generations = 2;
+  std::string error;
+  {
+    SopServer server(options);
+    ASSERT_TRUE(server.Start(&error)) << error;
+    SopClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+    for (const Batch& b : batches) {
+      IngestAckMsg ack;
+      ASSERT_TRUE(client.Ingest(b.boundary, b.points, &ack, &error)) << error;
+      ASSERT_EQ(ack.accepted, b.points.size());
+    }
+    // No final checkpoint: `path` holds batch 4's boundary, path.1 batch
+    // 2's.
+    server.Kill();
+    EXPECT_EQ(server.stats().checkpoints, 2u);
+  }
+  std::string newest;
+  ASSERT_TRUE(io::ReadFileToString(path, &newest, &error)) << error;
+  newest[newest.size() / 2] ^= 0x10;
+  ASSERT_TRUE(io::WriteFileAtomic(path, newest, &error)) << error;
+
+  obs::Counter& fallbacks = obs::MetricsRegistry::Global().GetCounter(
+      "net/server/checkpoint_fallbacks");
+  const uint64_t fallbacks_before = fallbacks.value();
+  obs::SetEnabled(true);
+  SopServer server(options);
+  const bool started = server.Start(&error);
+  obs::SetEnabled(false);
+  ASSERT_TRUE(started) << error;
+  EXPECT_TRUE(server.stats().resumed);
+  EXPECT_EQ(server.stats().last_boundary, batches[1].boundary);
+  if (obs::kCompiledIn) {
+    EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
+  }
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  EXPECT_EQ(client.server_info().last_boundary, batches[1].boundary);
+  server.Stop();
+  std::remove(path.c_str());
+  std::remove(older.c_str());
 }
 
 // --- refusal paths -------------------------------------------------------

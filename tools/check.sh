@@ -14,7 +14,7 @@
 # with the observability layer compiled out (-DSOP_NO_OBS) to keep the
 # no-op macro expansions honest. Catches the memory bugs the release build
 # hides (RunLanes' helper pool and mcod-grid's index in particular) and
-# the ingest/worker/connection races the overload queue and the server's
+# the ingest/worker/connection races the overload queue and the front's
 # per-connection threads could hide.
 #
 # The asan pass also stretches the randomized fuzz loops — the checkpoint
