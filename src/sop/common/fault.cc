@@ -14,8 +14,6 @@ const char* FaultSiteName(FaultSite site) {
       return "checkpoint-read";
     case FaultSite::kCheckpointBytes:
       return "checkpoint-bytes";
-    case FaultSite::kBatchStall:
-      return "batch-stall";
   }
   return "unknown";
 }
@@ -38,11 +36,6 @@ void FaultInjector::SetRate(FaultSite site, double rate) {
 void FaultInjector::SetMaxFailures(FaultSite site, int64_t max_failures) {
   std::lock_guard<std::mutex> lock(mu_);
   sites_[static_cast<size_t>(site)].max_failures = max_failures;
-}
-
-void FaultInjector::SetStallMillis(int64_t ms) {
-  SOP_CHECK_MSG(ms >= 0, "stall millis must be >= 0");
-  stall_millis_ = ms;
 }
 
 bool FaultInjector::ShouldFail(FaultSite site) {

@@ -1,22 +1,22 @@
 // Deterministic fault injection for resilience tests and drills.
 //
 // A FaultInjector is a seeded random oracle that the runtime consults at
-// well-known failure sites (checkpoint I/O, batch execution). Each site
-// carries an independent failure probability; the per-site decision
-// stream is a pure function of (seed, site, draw index), so a logged seed
-// reproduces the exact same failure schedule — under the same
-// configuration, a flaky run replays byte-for-byte.
+// well-known failure sites (checkpoint I/O). Each site carries an
+// independent failure probability; the per-site decision stream is a pure
+// function of (seed, site, draw index), so a logged seed reproduces the
+// exact same failure schedule — under the same configuration, a flaky run
+// replays byte-for-byte.
 //
 // Injection is strictly opt-in: nothing in the library consults an
 // injector unless one is armed, and the disarmed fast path is a single
 // relaxed atomic load (same discipline as obs/trace.h). Production code
 // never arms one; tests and the sop_cli/sop_server --fault-* flags do.
 //
-// Thread-safety: ShouldFail/CorruptBytes may be called from the engine's
-// ingest and worker threads concurrently; decisions are serialized by an
-// internal mutex (decision *order* across threads is then scheduling-
-// dependent, but per-site streams stay deterministic because each site
-// draws from its own generator).
+// Thread-safety: ShouldFail/CorruptBytes may be called from several
+// threads concurrently (a server publishes checkpoints from more than
+// one); decisions are serialized by an internal mutex (decision *order*
+// across threads is then scheduling-dependent, but per-site streams stay
+// deterministic because each site draws from its own generator).
 
 #ifndef SOP_COMMON_FAULT_H_
 #define SOP_COMMON_FAULT_H_
@@ -36,9 +36,8 @@ enum class FaultSite : int {
   kCheckpointWrite = 0,  // checkpoint file write failure (save skipped)
   kCheckpointRead = 1,   // checkpoint file read failure (load fails cleanly)
   kCheckpointBytes = 2,  // checkpoint bytes corrupted in flight (CRC catches)
-  kBatchStall = 3,       // detector batch stalls (overload policy engages)
 };
-inline constexpr int kNumFaultSites = 4;
+inline constexpr int kNumFaultSites = 3;
 
 /// Human-readable site name ("checkpoint-write", ...).
 const char* FaultSiteName(FaultSite site);
@@ -56,10 +55,6 @@ class FaultInjector {
   /// (-1 = unbounded, the default), e.g. so that only the first checkpoint
   /// read of a drill fails.
   void SetMaxFailures(FaultSite site, int64_t max_failures);
-
-  /// Milliseconds kBatchStall sleeps per injected stall (default 2).
-  void SetStallMillis(int64_t ms);
-  int64_t stall_millis() const { return stall_millis_; }
 
   /// Draws the next decision for `site`: true = fail this operation.
   bool ShouldFail(FaultSite site);
@@ -101,7 +96,6 @@ class FaultInjector {
   mutable std::mutex mu_;
   std::vector<SiteState> sites_;
   Rng corrupt_rng_;
-  int64_t stall_millis_ = 2;
 };
 
 /// RAII arming of the global injector for a scope (tests).

@@ -1,4 +1,4 @@
-// Checksum framing for checkpoint blobs.
+// Checksum framing for checkpoints, session state and wire messages.
 //
 // A frame wraps an opaque payload with enough redundancy to detect every
 // truncation, extension, or bit-level corruption a crashed writer or a bad
@@ -15,7 +15,7 @@
 // trailing garbage, unknown versions, length/CRC mismatches — and reports
 // why through an error string (the library is exception-free). A frame
 // says nothing about what the payload means; payload versioning lives with
-// the payload's own writer (e.g. core/checkpoint.cc).
+// the payload's own writer (e.g. detector/run_checkpoint.cc).
 
 #ifndef SOP_COMMON_FRAME_H_
 #define SOP_COMMON_FRAME_H_

@@ -163,11 +163,6 @@ class KSky {
   /// Stats of the most recent EvaluatePoint call.
   const KSkyScanStats& last_stats() const { return stats_; }
 
-  /// Re-sizes the per-layer scratch after the plan's basis was replaced
-  /// (checkpoint restore adopting the serialized basis). Only legal
-  /// between EvaluatePoint calls.
-  void SyncPlanGeometry() { layer_counts_.Reset(plan_->num_layers()); }
-
  private:
   // Examines one candidate (Alg. 2, skyEvaluate): applies Def. 6 and
   // appends to build_. Returns false when the scan should terminate.

@@ -213,7 +213,7 @@ std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
     ApplyWorkloadChange();
   }
 
-  history_.push_back(HistoryBatch{batch, boundary});
+  history_.push_back(HistoryBatch{boundary, batch});
 
   std::vector<QueryResult> raw;
   if (detector_ != nullptr) {
@@ -245,8 +245,8 @@ void SopSession::Advance(std::vector<Point> batch, int64_t boundary,
 namespace {
 // Session state format version. The payload lives inside a common/frame.h
 // frame, so truncation/corruption is caught before this version is read.
-// v2 adds basis headroom + the live basis' coverage floor; v1 blobs are
-// still accepted (they predate headroom and restore with the defaults).
+// v2 added basis headroom + the live basis' coverage floor. Only the
+// current version is accepted.
 constexpr uint32_t kSessionStateVersion = 2;
 }  // namespace
 
@@ -267,7 +267,7 @@ std::string SopSession::SaveState() const {
     w.WriteI64(q.win);
     w.WriteI64(q.slide);
   }
-  // v2: the configured headroom, then the basis coverage floor — the live
+  // The configured headroom, then the basis coverage floor — the live
   // detector's basis if one exists (the overlay, i.e. the query table
   // above, serializes separately from it on purpose: after overlay swaps
   // the basis is not derivable from the current queries).
@@ -288,17 +288,7 @@ std::string SopSession::SaveState() const {
   w.WriteI64(snapshot.k_env);
   w.WriteI64(snapshot.win);
 
-  w.WriteU64(history_.size());
-  for (const HistoryBatch& b : history_) {
-    w.WriteI64(b.boundary);
-    w.WriteU64(b.points.size());
-    for (const Point& p : b.points) {
-      w.WriteI64(p.seq);
-      w.WriteI64(p.time);
-      w.WriteU64(p.values.size());
-      for (const double v : p.values) w.WriteDouble(v);
-    }
-  }
+  WriteHistory(&w, history_);
   return WrapFrame(w.bytes());
 }
 
@@ -318,9 +308,7 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
   int64_t next_seq = 0;
   int64_t last_boundary = 0;
   if (!r.ReadU32(&version)) return fail("truncated");
-  if (version < 1 || version > kSessionStateVersion) {
-    return fail("unsupported version");
-  }
+  if (version != kSessionStateVersion) return fail("unsupported version");
   if (!r.ReadU32(&window_type) || !r.ReadU32(&metric) ||
       !r.ReadI64(&history_window) || !r.ReadI64(&next_id) ||
       !r.ReadI64(&next_seq) || !r.ReadI64(&last_boundary)) {
@@ -350,80 +338,55 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
     restored.emplace(id, q);
   }
 
-  PlanHeadroom headroom = headroom_;
+  PlanHeadroom headroom;
+  uint64_t num_r = 0;
+  if (!r.ReadBool(&headroom.elastic) || !r.ReadU64(&num_r)) {
+    return fail("truncated headroom");
+  }
+  for (uint64_t i = 0; i < num_r; ++i) {
+    double v = 0.0;
+    if (!r.ReadDouble(&v)) return fail("truncated headroom");
+    if (!std::isfinite(v) || v <= 0.0) return fail("bad headroom radius");
+    headroom.r_values.push_back(v);
+  }
+  if (!r.ReadI64(&headroom.k_slack) || !r.ReadI64(&headroom.win_floor) ||
+      headroom.k_slack < 0 || headroom.win_floor < 0) {
+    return fail("bad headroom");
+  }
   BasisSnapshot snapshot;
-  if (version >= 2) {
-    headroom = PlanHeadroom();
-    uint64_t num_r = 0;
-    if (!r.ReadBool(&headroom.elastic) || !r.ReadU64(&num_r)) {
-      return fail("truncated headroom");
-    }
-    for (uint64_t i = 0; i < num_r; ++i) {
-      double v = 0.0;
-      if (!r.ReadDouble(&v)) return fail("truncated headroom");
-      if (!std::isfinite(v) || v <= 0.0) return fail("bad headroom radius");
-      headroom.r_values.push_back(v);
-    }
-    if (!r.ReadI64(&headroom.k_slack) || !r.ReadI64(&headroom.win_floor) ||
-        headroom.k_slack < 0 || headroom.win_floor < 0) {
-      return fail("bad headroom");
-    }
-    uint64_t num_layers = 0;
-    if (!r.ReadU64(&num_layers)) return fail("truncated basis snapshot");
-    double prev_r = 0.0;
-    for (uint64_t i = 0; i < num_layers; ++i) {
-      double v = 0.0;
-      if (!r.ReadDouble(&v)) return fail("truncated basis snapshot");
-      if (!std::isfinite(v) || v <= prev_r) return fail("bad basis layer");
-      prev_r = v;
-      snapshot.layer_r.push_back(v);
-    }
-    if (!r.ReadI64(&snapshot.k_env) || !r.ReadI64(&snapshot.win)) {
-      return fail("truncated basis snapshot");
-    }
-    if (snapshot.k_env < 0 || snapshot.win < 0 ||
-        (!snapshot.empty() && (snapshot.k_env < 1 || snapshot.win < 1))) {
-      return fail("bad basis snapshot");
-    }
+  uint64_t num_layers = 0;
+  if (!r.ReadU64(&num_layers)) return fail("truncated basis snapshot");
+  double prev_r = 0.0;
+  for (uint64_t i = 0; i < num_layers; ++i) {
+    double v = 0.0;
+    if (!r.ReadDouble(&v)) return fail("truncated basis snapshot");
+    if (!std::isfinite(v) || v <= prev_r) return fail("bad basis layer");
+    prev_r = v;
+    snapshot.layer_r.push_back(v);
+  }
+  if (!r.ReadI64(&snapshot.k_env) || !r.ReadI64(&snapshot.win)) {
+    return fail("truncated basis snapshot");
+  }
+  if (snapshot.k_env < 0 || snapshot.win < 0 ||
+      (!snapshot.empty() && (snapshot.k_env < 1 || snapshot.win < 1))) {
+    return fail("bad basis snapshot");
   }
 
-  uint64_t num_batches = 0;
-  if (!r.ReadU64(&num_batches)) return fail("truncated");
   std::deque<HistoryBatch> history;
+  if (!ReadHistory(&r, &history)) return fail("truncated history");
   int64_t prev_boundary = INT64_MIN;
   // The restored detector holds only these points, so they alone set
   // CheckBatch's state; they must obey its rules, since they replay.
   int64_t dims = -1;
   Timestamp last_time = INT64_MIN;
-  for (uint64_t i = 0; i < num_batches; ++i) {
-    HistoryBatch b;
-    uint64_t num_points = 0;
-    if (!r.ReadI64(&b.boundary) || !r.ReadU64(&num_points)) {
-      return fail("truncated history");
-    }
+  for (const HistoryBatch& b : history) {
     if (b.boundary <= prev_boundary || b.boundary > last_boundary) {
       return fail("history boundaries out of order");
     }
     prev_boundary = b.boundary;
-    for (uint64_t j = 0; j < num_points; ++j) {
-      Point p;
-      uint64_t dims = 0;
-      if (!r.ReadI64(&p.seq) || !r.ReadI64(&p.time) || !r.ReadU64(&dims)) {
-        return fail("truncated history point");
-      }
-      // Read per value rather than resizing to `dims` up front: a corrupt
-      // count fails at the first missing byte instead of allocating.
-      for (uint64_t d = 0; d < dims; ++d) {
-        double v = 0.0;
-        if (!r.ReadDouble(&v)) return fail("truncated history point");
-        p.values.push_back(v);
-      }
-      b.points.push_back(std::move(p));
-    }
     if (!CheckPoints(b.points, window_type_, &dims, &last_time).empty()) {
       return fail("history breaks the stream's dimensionality or time order");
     }
-    history.push_back(std::move(b));
   }
   if (!r.AtEnd()) return fail("trailing bytes");
 

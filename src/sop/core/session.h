@@ -32,11 +32,12 @@
 //
 // SaveState/LoadState serialize the session — registered queries, basis
 // headroom and the live detector's basis coverage, stream position,
-// retained history — as one framed, CRC-checked blob (common/frame.h). A
-// restored session rebuilds its detector lazily by replaying that
-// history; the saved basis coverage is folded into the rebuild's headroom
-// so changes that were overlay-only before the restart stay overlay-only
-// after it.
+// retained history — as one framed, CRC-checked blob (common/frame.h).
+// The history is encoded as a run checkpoint's (common/serialize.h
+// WriteHistory). A restored session rebuilds its detector lazily by
+// replaying that history; the saved basis coverage is folded into the
+// rebuild's headroom so changes that were overlay-only before the restart
+// stay overlay-only after it.
 
 #ifndef SOP_CORE_SESSION_H_
 #define SOP_CORE_SESSION_H_
@@ -50,6 +51,7 @@
 #include <string_view>
 #include <vector>
 
+#include "sop/common/serialize.h"
 #include "sop/core/sop_detector.h"
 #include "sop/query/workload.h"
 
@@ -239,10 +241,6 @@ class SopSession {
   bool dirty_ = false;  // workload changed since detector_ was built
 
   // Retained history: batches in arrival order with their boundaries.
-  struct HistoryBatch {
-    std::vector<Point> points;
-    int64_t boundary;
-  };
   std::deque<HistoryBatch> history_;
 
   DetectorBuilder builder_;  // null = build SopDetector

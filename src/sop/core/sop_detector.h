@@ -24,8 +24,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -95,22 +93,6 @@ class SopDetector : public OutlierDetector {
   /// ClassifyWorkload(next) == kOverlayOnly; returns false (state
   /// unchanged) otherwise — the caller must rebuild-and-replay instead.
   bool ApplyWorkload(Workload next);
-
-  /// Serializes the detector's full streaming state (alive points,
-  /// skybands, safety flags, counters) into a framed, CRC-checksummed
-  /// checkpoint blob (common/frame.h). The workload itself is not stored;
-  /// restore requires an identically configured detector (guarded by a
-  /// workload fingerprint).
-  bool SupportsNativeState() const override { return true; }
-  std::string SaveState() const override;
-
-  /// Restores a checkpoint into a freshly constructed detector (no batches
-  /// advanced yet). Returns false — leaving the detector unusable — when
-  /// the blob is corrupted or truncated (CRC/length mismatch), from a
-  /// different format version, or from a different workload; `*error` (if
-  /// non-null) says which. Processing resumes at the next boundary after
-  /// the checkpointed one.
-  bool LoadState(std::string_view bytes, std::string* error = nullptr) override;
 
   /// Test/debug accessors.
   bool IsAliveForTesting(Seq seq) const { return buffer_.Contains(seq); }

@@ -4,12 +4,4 @@ namespace sop {
 
 OutlierDetector::~OutlierDetector() = default;
 
-bool OutlierDetector::LoadState(std::string_view bytes, std::string* error) {
-  (void)bytes;
-  if (error != nullptr) {
-    *error = std::string(name()) + ": native checkpoint state not supported";
-  }
-  return false;
-}
-
 }  // namespace sop

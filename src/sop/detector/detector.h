@@ -12,8 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "sop/common/point.h"
@@ -29,10 +27,9 @@ struct QueryResult {
   int64_t boundary = 0;
   /// Sequence numbers of the outlier points, ascending.
   std::vector<Seq> outliers;
-  /// True when this emission's window overlaps stream data the engine shed
-  /// under overload (detector/engine.h): the answer is exact over the
-  /// points the detector saw, but the window is missing dropped input.
-  /// Set by the engine, never by detectors.
+  /// Reserved for a delivery path that knows this emission's window is
+  /// missing input. Neither the engine nor any detector sets it;
+  /// perfbench's detect workload still fails a run on a degraded emission.
   bool degraded = false;
 };
 
@@ -59,27 +56,6 @@ class OutlierDetector {
   /// MEM metric; excludes the raw point buffer, which is identical across
   /// detectors — see DESIGN.md Sec. 5).
   virtual size_t MemoryBytes() const = 0;
-
-  /// --- native checkpoint support (optional) ----------------------------
-  /// Detectors that can serialize their streaming state exactly override
-  /// these three (SopDetector does); everyone else inherits the defaults
-  /// and the engine falls back to replaying the retained window tail on
-  /// restore (detector/run_checkpoint.h) — slower to restore, but emission-
-  /// equivalent for any detector that is a deterministic function of its
-  /// window contents.
-
-  /// True when SaveState/LoadState carry the detector's exact state.
-  virtual bool SupportsNativeState() const { return false; }
-
-  /// Serializes the detector's streaming state into a framed, checksummed
-  /// blob (common/frame.h). Returns an empty string when unsupported.
-  virtual std::string SaveState() const { return std::string(); }
-
-  /// Restores a SaveState blob into a freshly constructed detector.
-  /// Returns false with a diagnostic in `*error` (if non-null) when the
-  /// blob is corrupt, truncated, version-mismatched, from a different
-  /// workload, or native state is unsupported.
-  virtual bool LoadState(std::string_view bytes, std::string* error = nullptr);
 };
 
 }  // namespace sop

@@ -7,8 +7,8 @@
 //
 // These free functions are thin wrappers over a default, single-use
 // ExecutionEngine (detector/engine.h), which owns the actual batching
-// loop. Code that wants checkpoints, an overload queue or one engine over
-// several runs constructs an ExecutionEngine directly.
+// loop. Code that wants checkpoints or one engine over several runs
+// constructs an ExecutionEngine directly.
 
 #ifndef SOP_DETECTOR_DRIVER_H_
 #define SOP_DETECTOR_DRIVER_H_

@@ -9,19 +9,16 @@
 // from the detector beyond Advance(): a PartitionedDetector fans its
 // children out on RunLanes by itself (DESIGN.md Sec. 10).
 //
-// Resilience (DESIGN.md Sec. 12): the engine is also where failure is
-// handled. With checkpointing configured the engine periodically writes a
-// crash-consistent RunCheckpoint (detector/run_checkpoint.h) and can
-// resume an interrupted run from one, producing emissions identical to an
-// uninterrupted run. With an overload queue configured the run is
-// pipelined — the calling thread ingests while a worker thread detects —
-// and a full queue either blocks ingest (lossless) or sheds the oldest
-// queued batch (bounded latency; shed batches are counted and the
-// emissions whose windows overlap shed data are flagged `degraded`).
+// Resilience (DESIGN.md Sec. 12): with checkpointing configured the
+// engine keeps the advanced batches that the largest window can still
+// reach and periodically writes them, with the stream position, as a
+// crash-consistent RunCheckpoint (detector/run_checkpoint.h). A resumed
+// run replays that tail through a fresh detector and continues, producing
+// emissions identical to an uninterrupted run.
 //
 // An engine is reusable across runs and detectors. Not thread-safe: one
-// engine drives one run at a time. In pipelined mode the sink runs on the
-// engine's worker thread.
+// engine drives one run at a time, and the sink runs on the calling
+// thread.
 //
 // Contract: this is the single run entry point. Every way of driving a
 // detector over a stream — the RunStream convenience wrappers
@@ -30,16 +27,14 @@
 // observability instrumentation are defined in exactly one place. When
 // observability is enabled (obs/metrics.h), each run additionally records
 // engine/* counters, the engine/batch_ms histogram, per-query
-// query/<i>/{emissions,outliers} counters, and the resilience/* counters
-// into the global registry. A run with default options, no armed
-// injector and checkpointing off behaves bit-identically to the
-// pre-resilience engine.
+// query/<i>/{emissions,outliers} counters, and the resilience/checkpoint_*
+// counters into the global registry. Checkpointing never changes a run's
+// emissions.
 
 #ifndef SOP_DETECTOR_ENGINE_H_
 #define SOP_DETECTOR_ENGINE_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <utility>
@@ -55,8 +50,6 @@
 namespace sop {
 
 /// Callback receiving every QueryResult as it is produced. May be null.
-/// In pipelined (overload-queue) mode it is invoked from the engine's
-/// worker thread.
 using ResultSink = std::function<void(const QueryResult&)>;
 
 /// Periodic crash-consistent checkpointing of the run.
@@ -71,24 +64,9 @@ struct CheckpointOptions {
   int generations = 1;
 };
 
-/// What to do when the overload queue is full.
-enum class OverloadPolicy {
-  kBlock,       // backpressure: ingest waits (lossless)
-  kDropOldest,  // shed the oldest queued batch (bounded latency, lossy)
-};
-
-/// Pipelined execution with a bounded batch queue between ingest and
-/// detection. Disabled (synchronous single-threaded loop) by default.
-struct OverloadOptions {
-  /// Queue capacity in batches; 0 keeps the engine synchronous.
-  size_t max_queue_batches = 0;
-  OverloadPolicy policy = OverloadPolicy::kBlock;
-};
-
-/// Execution knobs, defaulting to a synchronous run without checkpoints.
+/// Execution knobs, defaulting to a run without checkpoints.
 struct ExecOptions {
   CheckpointOptions checkpoint;
-  OverloadOptions overload;
 };
 
 /// Drives detectors over streams under the normative window semantics.
@@ -124,11 +102,14 @@ class ExecutionEngine {
   /// Resumes an interrupted run from `cp` (see LoadRunCheckpoint).
   /// `source` must replay the original stream from its beginning (the
   /// engine skips the records the checkpoint already advanced) and
-  /// `detector` must be freshly constructed for the same workload. On a
+  /// `detector` must be freshly constructed for the same workload. The
+  /// checkpoint's retained tail is replayed through `detector` first (its
+  /// emissions were delivered before the interruption and are dropped), so
+  /// the detector's own counters include the replayed work. On a
   /// checkpoint that does not match (fingerprint/detector/window/span) or
-  /// whose detector state cannot be restored, returns false with a
-  /// diagnostic in `*error` and runs nothing. On success the emissions of
-  /// interrupted-run-then-resume equal those of one uninterrupted run.
+  /// a source shorter than the checkpointed position, returns false with a
+  /// diagnostic in `*error` and advances nothing. On success the emissions
+  /// of interrupted-run-then-resume equal those of one uninterrupted run.
   bool RunResumed(const Workload& workload, StreamSource* source,
                   OutlierDetector* detector, const RunCheckpoint& cp,
                   RunMetrics* metrics, std::string* error,
@@ -136,25 +117,19 @@ class ExecutionEngine {
 
  private:
   struct RunContext;
-  struct Pending;
-  class BatchQueue;
 
-  // Times one Advance() call, records metrics, flags degraded emissions,
-  // maintains replay history, and writes periodic checkpoints.
+  // Times one Advance() call, records metrics, maintains the replay tail,
+  // and writes periodic checkpoints.
   void AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
                     int64_t boundary, const ResultSink& sink);
   void WriteCheckpoint(RunContext* ctx);
   bool ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
                    StreamSource* source, std::string* error);
-  void ProcessPending(RunContext* ctx, Pending pending,
-                      const ResultSink& sink);
   RunMetrics RunLoop(RunContext* ctx, StreamSource* source,
                      const ResultSink& sink);
   RunMetrics RunCountBased(RunContext* ctx, StreamSource* source,
                            const ResultSink& sink);
   RunMetrics RunTimeBased(RunContext* ctx, StreamSource* source,
-                          const ResultSink& sink);
-  RunMetrics RunPipelined(RunContext* ctx, StreamSource* source,
                           const ResultSink& sink);
 
   ExecOptions options_;

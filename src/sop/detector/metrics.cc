@@ -34,18 +34,13 @@ std::string RunMetrics::ToJson() const {
       "\"avg_cpu_ms_per_window\": %.6f, \"p50_batch_ms\": %.6f, "
       "\"p95_batch_ms\": %.6f, \"max_batch_ms\": %.6f, "
       "\"peak_memory_bytes\": %llu, \"total_emissions\": %llu, "
-      "\"total_outliers\": %llu, \"total_points\": %lld, "
-      "\"shed_batches\": %llu, \"shed_points\": %llu, "
-      "\"degraded_emissions\": %llu}",
+      "\"total_outliers\": %llu, \"total_points\": %lld}",
       static_cast<long long>(num_batches), total_cpu_ms,
       avg_cpu_ms_per_window, p50_batch_ms, p95_batch_ms, max_batch_ms,
       static_cast<unsigned long long>(peak_memory_bytes),
       static_cast<unsigned long long>(total_emissions),
       static_cast<unsigned long long>(total_outliers),
-      static_cast<long long>(total_points),
-      static_cast<unsigned long long>(shed_batches),
-      static_cast<unsigned long long>(shed_points),
-      static_cast<unsigned long long>(degraded_emissions));
+      static_cast<long long>(total_points));
   return buf;
 }
 

@@ -42,12 +42,6 @@ struct RunMetrics {
   uint64_t total_outliers = 0;
   /// Total points consumed from the source.
   int64_t total_points = 0;
-  /// Batches shed by the overload queue (drop-oldest policy only).
-  uint64_t shed_batches = 0;
-  /// Points lost inside shed batches.
-  uint64_t shed_points = 0;
-  /// Emissions flagged degraded (window overlapped shed data).
-  uint64_t degraded_emissions = 0;
 
   /// One-line human-readable summary.
   std::string ToString() const;
@@ -63,13 +57,6 @@ class MetricsAccumulator {
   void RecordBatch(double cpu_ms, size_t memory_bytes, uint64_t emissions,
                    uint64_t outliers);
   void RecordPoints(int64_t n) { metrics_.total_points += n; }
-  void RecordShedding(uint64_t batches, uint64_t points) {
-    metrics_.shed_batches += batches;
-    metrics_.shed_points += points;
-  }
-  void RecordDegraded(uint64_t emissions) {
-    metrics_.degraded_emissions += emissions;
-  }
 
   /// Finalizes averages and percentiles and returns the metrics.
   RunMetrics Finish();

@@ -10,7 +10,9 @@ namespace sop {
 namespace {
 
 constexpr uint32_t kRunMagic = 0x53'4f'50'52;  // "SOPR"
-constexpr uint32_t kRunFormatVersion = 1;
+// v2 encodes the history as SopSession state does (WriteHistory); only v2
+// is read.
+constexpr uint32_t kRunFormatVersion = 2;
 
 bool RunError(std::string* error, const char* what) {
   if (error != nullptr) *error = std::string("run checkpoint: ") + what;
@@ -33,18 +35,7 @@ std::string SerializeRunCheckpoint(const RunCheckpoint& cp) {
   w.WriteBool(cp.have_boundary);
   w.WriteI64(cp.next_boundary);
 
-  w.WriteU64(cp.history.size());
-  for (const RunCheckpoint::Batch& b : cp.history) {
-    w.WriteI64(b.boundary);
-    w.WriteU64(b.points.size());
-    for (const Point& p : b.points) {
-      w.WriteI64(p.seq);
-      w.WriteI64(p.time);
-      w.WriteU32(static_cast<uint32_t>(p.values.size()));
-      for (const double v : p.values) w.WriteDouble(v);
-    }
-  }
-  w.WriteBytes(cp.native_state);
+  WriteHistory(&w, cp.history);
   return WrapFrame(w.TakeBytes());
 }
 
@@ -77,32 +68,8 @@ bool DeserializeRunCheckpoint(std::string_view bytes, RunCheckpoint* out,
     return RunError(error, "implausible stream position");
   }
 
-  uint64_t num_batches = 0;
-  if (!r.ReadU64(&num_batches)) return RunError(error, "truncated history");
-  cp.history.reserve(static_cast<size_t>(num_batches));
-  for (uint64_t i = 0; i < num_batches; ++i) {
-    RunCheckpoint::Batch b;
-    uint64_t num_points = 0;
-    if (!r.ReadI64(&b.boundary) || !r.ReadU64(&num_points)) {
-      return RunError(error, "truncated history batch");
-    }
-    b.points.resize(static_cast<size_t>(num_points));
-    for (Point& p : b.points) {
-      uint32_t dims = 0;
-      if (!r.ReadI64(&p.seq) || !r.ReadI64(&p.time) || !r.ReadU32(&dims)) {
-        return RunError(error, "truncated history point");
-      }
-      p.values.resize(dims);
-      for (double& v : p.values) {
-        if (!r.ReadDouble(&v)) {
-          return RunError(error, "truncated history point");
-        }
-      }
-    }
-    cp.history.push_back(std::move(b));
-  }
-  if (!r.ReadBytes(&cp.native_state)) {
-    return RunError(error, "truncated native state");
+  if (!ReadHistory(&r, &cp.history)) {
+    return RunError(error, "truncated history");
   }
   if (!r.AtEnd()) return RunError(error, "trailing bytes in payload");
   *out = std::move(cp);

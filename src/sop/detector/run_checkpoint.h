@@ -9,11 +9,13 @@
 //     semantics,
 //   * stream position — how many points and batches have been advanced and
 //     the boundary bookkeeping needed to continue the batch schedule,
-//   * detector state — either the detector's own native blob (exact, with
-//     counters; SopDetector) or the retained tail of batches within the
-//     largest window's reach, replayed through a fresh detector on restore
-//     (emission-equivalent for every detector, since each algorithm's
-//     answers are a deterministic function of its window contents).
+//   * detector state — the retained tail of batches within the largest
+//     window's reach, replayed through a fresh detector on restore. That
+//     is exact for every detector: each algorithm's answers (SOP's
+//     skybands included) are a deterministic function of its window
+//     contents. The tail is encoded exactly as SopSession's retained
+//     history (common/serialize.h WriteHistory), so every restart in the
+//     system is one mechanism.
 //
 // On disk a checkpoint is one common/frame.h frame (magic + version +
 // length + CRC-32) written atomically via temp-file + rename
@@ -31,11 +33,11 @@
 #define SOP_DETECTOR_RUN_CHECKPOINT_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "sop/common/point.h"
+#include "sop/common/serialize.h"
 #include "sop/stream/window.h"
 
 namespace sop {
@@ -56,17 +58,9 @@ struct RunCheckpoint {
   bool have_boundary = false;   // time-based: first boundary established
   int64_t next_boundary = 0;    // time-based: next boundary to advance at
 
-  /// Replay tail for detectors without native state: the advanced batches
-  /// whose points are still within the largest window's reach.
-  struct Batch {
-    int64_t boundary = 0;
-    std::vector<Point> points;
-  };
-  std::vector<Batch> history;
-
-  /// Native detector blob (itself framed by the detector); empty when the
-  /// detector has no native state support and `history` must be replayed.
-  std::string native_state;
+  /// Replay tail: the advanced batches whose points are still within the
+  /// largest window's reach.
+  std::deque<HistoryBatch> history;
 };
 
 /// Serializes `cp` into one framed, checksummed byte string.

@@ -47,10 +47,16 @@
 #include <thread>
 #include <vector>
 
-#include "sop/detector/engine.h"
 #include "sop/net/socket.h"
 
 namespace sop {
+
+/// What a full per-connection send queue does with one more emission.
+enum class OverloadPolicy {
+  kBlock,       // backpressure: the sender waits (lossless)
+  kDropOldest,  // shed the oldest queued emission (bounded latency, lossy)
+};
+
 namespace net {
 
 /// One client connection. The front owns its socket, threads and send

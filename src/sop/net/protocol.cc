@@ -31,27 +31,6 @@ bool FinishDecode(const BinaryReader& r, std::string* error) {
   return true;
 }
 
-void WritePoint(BinaryWriter* w, const Point& p) {
-  w->WriteI64(p.time);
-  w->WriteU64(p.values.size());
-  for (const double v : p.values) w->WriteDouble(v);
-}
-
-// Reads one ingest point. Values are read one at a time so a corrupt
-// dimension count fails at the first missing byte instead of allocating.
-bool ReadPoint(BinaryReader* r, Point* p, std::string* error) {
-  uint64_t dims = 0;
-  if (!r->ReadI64(&p->time) || !r->ReadU64(&dims)) {
-    return Malformed(error, "truncated point");
-  }
-  for (uint64_t d = 0; d < dims; ++d) {
-    double v = 0.0;
-    if (!r->ReadDouble(&v)) return Malformed(error, "truncated point");
-    p->values.push_back(v);
-  }
-  return true;
-}
-
 std::string Finish(BinaryWriter* w) { return WrapFrame(w->bytes()); }
 
 BinaryWriter Begin(MsgType type) {
@@ -372,7 +351,7 @@ bool DecodeIngest(std::string_view payload, IngestMsg* out,
   out->points.clear();
   for (uint64_t i = 0; i < count; ++i) {
     Point p;
-    if (!ReadPoint(&r, &p, error)) return false;
+    if (!ReadPoint(&r, &p)) return Malformed(error, "truncated point");
     out->points.push_back(std::move(p));
   }
   uint64_t owners = 0;
@@ -520,7 +499,7 @@ bool DecodeReplBatch(std::string_view payload, ReplBatchMsg* out,
   out->points.clear();
   for (uint64_t i = 0; i < points; ++i) {
     Point p;
-    if (!ReadPoint(&r, &p, error)) return false;
+    if (!ReadPoint(&r, &p)) return Malformed(error, "truncated point");
     out->points.push_back(std::move(p));
   }
   uint64_t results = 0;

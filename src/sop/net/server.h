@@ -56,7 +56,7 @@
 // hand ingest batches to the detection loop through a bounded queue
 // (backpressure propagates to the client's TCP stream); emission
 // delivery goes through the front's bounded per-client send queues
-// governed by the engine's overload policies (detector/engine.h): kBlock
+// governed by their OverloadPolicy (net/frontend.h): kBlock
 // applies backpressure to the detection loop, kDropOldest sheds the
 // oldest queued emission and flags the subscriber's next emission
 // `degraded` so the gap is visible. Control replies (acks, errors)
@@ -84,7 +84,7 @@
 #include <string>
 
 #include "sop/common/distance.h"
-#include "sop/detector/engine.h"
+#include "sop/net/frontend.h"
 #include "sop/net/protocol.h"
 #include "sop/query/plan.h"
 #include "sop/stream/window.h"

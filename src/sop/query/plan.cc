@@ -263,43 +263,6 @@ bool WorkloadPlan::ApplyOverlay(Workload next) {
   return true;
 }
 
-bool WorkloadPlan::AdoptBasis(Basis basis) {
-  // Structural validation first: the basis typically arrives from a
-  // checkpoint, and Covers() can only be trusted on a well-formed one.
-  if (basis.layer_r.empty() || basis.max_layer_for_count.empty() ||
-      basis.win <= 0) {
-    return false;
-  }
-  for (size_t i = 0; i < basis.layer_r.size(); ++i) {
-    if (!std::isfinite(basis.layer_r[i]) || basis.layer_r[i] <= 0.0) {
-      return false;
-    }
-    if (i > 0 && basis.layer_r[i] <= basis.layer_r[i - 1]) return false;
-  }
-  int prev_layer = basis.num_layers() + 1;
-  for (const int layer : basis.max_layer_for_count) {
-    if (layer < 0 || layer > basis.num_layers()) return false;
-    if (layer > prev_layer) return false;  // must be non-increasing
-    prev_layer = layer;
-  }
-  const SafetyRequirement* prev = nullptr;
-  for (const SafetyRequirement& req : basis.safety_requirements) {
-    if (req.layer < 1 || req.layer > basis.num_layers()) return false;
-    if (req.k < 1 || req.k > basis.k_max()) return false;
-    if (prev != nullptr && (req.layer <= prev->layer || req.k <= prev->k)) {
-      return false;
-    }
-    prev = &req;
-  }
-  for (const OutlierQuery& q : workload_.queries()) {
-    if (!basis.Covers(q)) return false;
-  }
-  basis_ = std::move(basis);
-  CompileBucketMap();
-  CompileOverlay();
-  return true;
-}
-
 void WorkloadPlan::CompileBucketMap() {
   const std::vector<double>& r = basis_.layer_r;
   bucket_top_ = std::min(std::bit_ceil(4 * r.size()), kMaxLayerBuckets);

@@ -177,12 +177,6 @@ class WorkloadPlan {
   /// Returns false (plan unchanged) unless Classify(next) == kOverlayOnly.
   bool ApplyOverlay(Workload next);
 
-  /// Replaces the basis with `basis` (checkpoint restore: skyband layer
-  /// indices are only meaningful relative to the basis they were saved
-  /// under) and recompiles the overlay against it. Returns false (plan
-  /// unchanged) when `basis` is malformed or does not cover every query.
-  bool AdoptBasis(Basis basis);
-
   /// Number of normalized-distance layers L (== distinct r values,
   /// including headroom reservations).
   int num_layers() const { return basis_.num_layers(); }

@@ -1,7 +1,6 @@
 // Tests for the fault-injection toolkit (common/fault.h), the checksum
-// framing (common/frame.h), the policy-enforcing source wrapper
-// (stream/sanitize.h), and the engine's resilience behaviours: overload
-// degradation with a bounded batch queue.
+// framing (common/frame.h) and the policy-enforcing source wrapper
+// (stream/sanitize.h).
 
 #include <cmath>
 #include <limits>
@@ -11,16 +10,10 @@
 #include "gtest/gtest.h"
 #include "sop/common/fault.h"
 #include "sop/common/frame.h"
-#include "sop/common/random.h"
-#include "sop/detector/engine.h"
-#include "sop/detector/factory.h"
 #include "sop/stream/sanitize.h"
-#include "test_util.h"
 
 namespace sop {
 namespace {
-
-using testing::ExpectSameResults;
 
 // ---------------------------------------------------------------------------
 // FaultInjector
@@ -30,15 +23,15 @@ TEST(FaultInjectorTest, SameSeedReplaysTheSameSchedule) {
   FaultInjector b(42);
   a.SetRate(FaultSite::kCheckpointWrite, 0.3);
   b.SetRate(FaultSite::kCheckpointWrite, 0.3);
-  a.SetRate(FaultSite::kBatchStall, 0.3);
-  b.SetRate(FaultSite::kBatchStall, 0.3);
+  a.SetRate(FaultSite::kCheckpointBytes, 0.3);
+  b.SetRate(FaultSite::kCheckpointBytes, 0.3);
   for (int i = 0; i < 2000; ++i) {
     EXPECT_EQ(a.ShouldFail(FaultSite::kCheckpointWrite),
               b.ShouldFail(FaultSite::kCheckpointWrite))
         << "checkpoint-write draw " << i;
-    EXPECT_EQ(a.ShouldFail(FaultSite::kBatchStall),
-              b.ShouldFail(FaultSite::kBatchStall))
-        << "batch-stall draw " << i;
+    EXPECT_EQ(a.ShouldFail(FaultSite::kCheckpointBytes),
+              b.ShouldFail(FaultSite::kCheckpointBytes))
+        << "checkpoint-bytes draw " << i;
   }
   EXPECT_GT(a.injected(FaultSite::kCheckpointWrite), 0);
   EXPECT_EQ(a.consulted(FaultSite::kCheckpointWrite), 2000);
@@ -49,15 +42,15 @@ TEST(FaultInjectorTest, SitesDrawFromIndependentStreams) {
   // schedule: site decisions are a pure function of (seed, site, index).
   FaultInjector interleaved(7);
   FaultInjector solo(7);
-  interleaved.SetRate(FaultSite::kBatchStall, 0.5);
+  interleaved.SetRate(FaultSite::kCheckpointBytes, 0.5);
   interleaved.SetRate(FaultSite::kCheckpointWrite, 0.5);
-  solo.SetRate(FaultSite::kBatchStall, 0.5);
+  solo.SetRate(FaultSite::kCheckpointBytes, 0.5);
   std::vector<bool> with_noise;
   std::vector<bool> without_noise;
   for (int i = 0; i < 500; ++i) {
     interleaved.ShouldFail(FaultSite::kCheckpointWrite);  // noise draws
-    with_noise.push_back(interleaved.ShouldFail(FaultSite::kBatchStall));
-    without_noise.push_back(solo.ShouldFail(FaultSite::kBatchStall));
+    with_noise.push_back(interleaved.ShouldFail(FaultSite::kCheckpointBytes));
+    without_noise.push_back(solo.ShouldFail(FaultSite::kCheckpointBytes));
   }
   EXPECT_EQ(with_noise, without_noise);
 }
@@ -207,120 +200,6 @@ TEST(SanitizingSourceTest, FailFastEndsTheStreamWithADiagnostic) {
   EXPECT_NE(source.error().find("record 1"), std::string::npos)
       << source.error();
   EXPECT_FALSE(source.Next(&p)) << "stream must stay terminated";
-}
-
-// ---------------------------------------------------------------------------
-// Engine resilience
-
-Workload ResilienceWorkload() {
-  Workload w(WindowType::kCount);
-  w.AddQuery(OutlierQuery(1.0, 2, 16, 4));
-  w.AddQuery(OutlierQuery(2.0, 3, 24, 8));
-  return w;
-}
-
-std::vector<Point> ResilienceStream(int64_t n) {
-  Rng rng(99);
-  std::vector<Point> points;
-  for (Seq s = 0; s < n; ++s) {
-    const double v =
-        rng.Bernoulli(0.15) ? rng.UniformDouble(0, 40) : rng.Normal(12, 1.0);
-    points.emplace_back(s, s, std::vector<double>{v});
-  }
-  return points;
-}
-
-TEST(EngineResilienceTest, BlockingQueueIsLossless) {
-  const Workload w = ResilienceWorkload();
-  const std::vector<Point> points = ResilienceStream(160);
-
-  ExecutionEngine serial;
-  std::unique_ptr<OutlierDetector> serial_detector = CreateDetector("mcod", w);
-  std::vector<QueryResult> expected;
-  serial.Run(w, points, serial_detector.get(),
-             [&expected](const QueryResult& r) { expected.push_back(r); });
-
-  ExecOptions options;
-  options.overload.max_queue_batches = 3;
-  options.overload.policy = OverloadPolicy::kBlock;
-  ExecutionEngine pipelined(options);
-  std::unique_ptr<OutlierDetector> detector = CreateDetector("mcod", w);
-  std::vector<QueryResult> actual;
-  const RunMetrics metrics =
-      pipelined.Run(w, points, detector.get(),
-                    [&actual](const QueryResult& r) { actual.push_back(r); });
-
-  EXPECT_EQ(metrics.shed_batches, 0u);
-  EXPECT_EQ(metrics.degraded_emissions, 0u);
-  ExpectSameResults(expected, actual, "blocking pipeline");
-}
-
-TEST(EngineResilienceTest, DropOldestShedsAndFlagsDegradedUnderStall) {
-  const Workload w = ResilienceWorkload();
-  const std::vector<Point> points = ResilienceStream(400);
-
-  FaultInjector injector(5);
-  injector.SetRate(FaultSite::kBatchStall, 1.0);
-  injector.SetStallMillis(3);
-  ScopedFaultInjection armed(&injector);
-
-  ExecOptions options;
-  options.overload.max_queue_batches = 2;
-  options.overload.policy = OverloadPolicy::kDropOldest;
-  ExecutionEngine engine(options);
-  std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", w);
-  uint64_t degraded_seen = 0;
-  const RunMetrics metrics = engine.Run(
-      w, points, detector.get(), [&degraded_seen](const QueryResult& r) {
-        if (r.degraded) ++degraded_seen;
-      });
-
-  // With every batch stalled and a 2-deep queue, ingest overruns detection
-  // and the oldest batches are shed; windows spanning the shed data are
-  // flagged.
-  EXPECT_GT(metrics.shed_batches, 0u);
-  EXPECT_GT(metrics.shed_points, 0u);
-  EXPECT_GT(metrics.degraded_emissions, 0u);
-  EXPECT_EQ(metrics.degraded_emissions, degraded_seen);
-  EXPECT_GT(injector.injected(FaultSite::kBatchStall), 0);
-}
-
-TEST(EngineResilienceTest, TimeBasedSheddingKeepsTheEmissionCadence) {
-  Workload w(WindowType::kTime);
-  w.AddQuery(OutlierQuery(1.0, 2, 16, 4));
-  w.AddQuery(OutlierQuery(2.0, 3, 24, 8));
-  const std::vector<Point> points = ResilienceStream(400);  // time == seq
-
-  ExecutionEngine serial;
-  std::unique_ptr<OutlierDetector> serial_detector = CreateDetector("mcod", w);
-  std::vector<QueryResult> baseline;
-  serial.Run(w, points, serial_detector.get(),
-             [&baseline](const QueryResult& r) { baseline.push_back(r); });
-
-  FaultInjector injector(6);
-  injector.SetRate(FaultSite::kBatchStall, 1.0);
-  injector.SetStallMillis(3);
-  ScopedFaultInjection armed(&injector);
-
-  ExecOptions options;
-  options.overload.max_queue_batches = 2;
-  options.overload.policy = OverloadPolicy::kDropOldest;
-  ExecutionEngine engine(options);
-  std::unique_ptr<OutlierDetector> detector = CreateDetector("mcod", w);
-  std::vector<QueryResult> degraded_run;
-  const RunMetrics metrics = engine.Run(
-      w, points, detector.get(),
-      [&degraded_run](const QueryResult& r) { degraded_run.push_back(r); });
-
-  EXPECT_GT(metrics.shed_batches, 0u);
-  // Shed time spans still advance the windows (empty filler batches), so
-  // the emission schedule — which queries fire at which boundaries — is
-  // identical to the lossless run even though the answers may differ.
-  ASSERT_EQ(baseline.size(), degraded_run.size());
-  for (size_t i = 0; i < baseline.size(); ++i) {
-    EXPECT_EQ(baseline[i].query_index, degraded_run[i].query_index);
-    EXPECT_EQ(baseline[i].boundary, degraded_run[i].boundary);
-  }
 }
 
 }  // namespace

@@ -70,6 +70,23 @@ TEST(WorkloadTest, AttributeSetsAndDistance) {
   EXPECT_TRUE(full.attributes().empty());
 }
 
+// Run checkpoints refuse to resume under a different workload by this
+// fingerprint.
+TEST(WorkloadTest, FingerprintDistinguishesWorkloads) {
+  const Workload a = MakeWorkload({OutlierQuery(1.0, 2, 16, 4),
+                                   OutlierQuery(2.5, 4, 24, 8),
+                                   OutlierQuery(1.5, 3, 8, 4)});
+  Workload b = a;
+  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+  b.AddQuery(OutlierQuery(9.0, 2, 8, 4));
+  EXPECT_NE(a.Fingerprint(), b.Fingerprint());
+  Workload c(WindowType::kTime);
+  c.AddQuery(a.query(0));
+  c.AddQuery(a.query(1));
+  c.AddQuery(a.query(2));
+  EXPECT_NE(a.Fingerprint(), c.Fingerprint());
+}
+
 TEST(PlanTest, LayersAreSortedUniqueRs) {
   WorkloadPlan plan(MakeWorkload({OutlierQuery(3.0, 2, 100, 10),
                                   OutlierQuery(1.0, 2, 100, 10),
@@ -346,27 +363,6 @@ TEST(PlanDeltaTest, ApplyOverlaySwapsWithoutTouchingBasis) {
   EXPECT_FALSE(plan.ApplyOverlay(grown));
   EXPECT_EQ(plan.workload().num_queries(), 1u);
   EXPECT_TRUE(plan.basis() == before);
-}
-
-TEST(PlanDeltaTest, AdoptBasisRequiresCoverage) {
-  Workload w = MakeWorkload({OutlierQuery(1.0, 3, 100, 10)});
-  WorkloadPlan plan(w);
-
-  // A wider basis (elastic, extra layer, extra k) covers the workload.
-  PlanHeadroom wide = PlanHeadroom::Elastic();
-  wide.r_values = {2.0};
-  wide.k_slack = 2;
-  const WorkloadPlan donor(w, wide);
-  ASSERT_TRUE(plan.AdoptBasis(donor.basis()));
-  EXPECT_EQ(plan.num_layers(), 2);
-  EXPECT_EQ(plan.k_max(), 5);
-  EXPECT_EQ(plan.layer_of_query(0), 1);
-
-  // A basis compiled for a different radius cannot cover r=1.
-  const WorkloadPlan stranger(
-      MakeWorkload({OutlierQuery(4.0, 3, 100, 10)}));
-  EXPECT_FALSE(plan.AdoptBasis(stranger.basis()));
-  EXPECT_EQ(plan.num_layers(), 2);  // unchanged
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Crash-recovery tests for the engine-level run checkpoints
 // (detector/run_checkpoint.h): interrupt/restore emission equivalence for
-// every registered detector under both window types, the corruption
-// matrix every framed checkpoint must reject, and a seed-logged
-// randomized corruption fuzz loop.
+// every registered detector under both window types, one replay tail for
+// every detector, the corruption matrix every framed checkpoint must
+// reject (crafted counts included), and a seed-logged randomized
+// corruption fuzz loop.
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "sop/common/fault.h"
 #include "sop/common/frame.h"
 #include "sop/common/random.h"
+#include "sop/common/serialize.h"
 #include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/detector/run_checkpoint.h"
@@ -174,6 +177,36 @@ TEST(RecoveryTest, ResumeRejectsMismatchedIdentity) {
   EXPECT_NE(error.find("source ended"), std::string::npos) << error;
 }
 
+// Every detector's checkpoint is the same replay tail: at one stream
+// position a `sop` run and a `naive` run write identical checkpoints,
+// apart from the detector's name.
+TEST(RecoveryTest, EveryDetectorCheckpointsTheSameHistory) {
+  const Workload w = CountWorkload();
+  const std::vector<Point> points = TestStream(100, 41);
+  auto checkpoint_of = [&](const std::string& name) {
+    const std::string path =
+        ::testing::TempDir() + "/recovery_history_" + name + ".ck";
+    ExecOptions options;
+    options.checkpoint.path = path;
+    options.checkpoint.every_batches = 6;
+    ExecutionEngine engine(options);
+    std::unique_ptr<OutlierDetector> detector = CreateDetector(name, w);
+    RunAll(&engine, w, points, detector.get());
+    RunCheckpoint cp;
+    std::string error;
+    EXPECT_TRUE(LoadRunCheckpoint(path, &cp, &error)) << error;
+    return cp;
+  };
+  RunCheckpoint sop_cp = checkpoint_of("sop");
+  const RunCheckpoint naive_cp = checkpoint_of("naive");
+  EXPECT_EQ(sop_cp.detector_name, "sop");
+  EXPECT_EQ(naive_cp.detector_name, "naive");
+  EXPECT_EQ(sop_cp.batches_advanced, 24);
+  ASSERT_FALSE(sop_cp.history.empty());
+  sop_cp.detector_name = naive_cp.detector_name;
+  EXPECT_EQ(SerializeRunCheckpoint(sop_cp), SerializeRunCheckpoint(naive_cp));
+}
+
 // Builds one valid serialized checkpoint for the corruption drills.
 std::string ValidCheckpointBytes() {
   RunCheckpoint cp;
@@ -184,13 +217,57 @@ std::string ValidCheckpointBytes() {
   cp.points_advanced = 24;
   cp.batches_advanced = 6;
   cp.last_boundary = 24;
-  RunCheckpoint::Batch b;
+  HistoryBatch b;
   b.boundary = 24;
   for (Seq s = 20; s < 24; ++s) {
     b.points.emplace_back(s, s, std::vector<double>{1.5, -2.5});
   }
   cp.history.push_back(b);
   return SerializeRunCheckpoint(cp);
+}
+
+// A CRC-valid checkpoint whose history claims 2^61 batches, or one batch
+// of 2^61 points, is refused with a diagnostic: nothing is sized from a
+// decoded count, so the decoder runs out of bytes instead of memory.
+TEST(RecoveryTest, CraftedHistoryCountsAreRefused) {
+  RunCheckpoint cp;
+  cp.detector_name = "sop";
+  cp.batch_span = 4;
+  cp.history.push_back(HistoryBatch{4, {Point(3, 3, {1.0})}});
+  std::string_view payload;
+  std::string error;
+  const std::string bytes = SerializeRunCheckpoint(cp);
+  ASSERT_TRUE(UnwrapFrame(bytes, &payload, &error)) << error;
+
+  // The header ahead of the history: magic, version, fingerprint, the
+  // length-prefixed name, window type, batch span, three stream-position
+  // words, the have_boundary byte and next_boundary. Then the batch count,
+  // the first batch's boundary and its point count.
+  const size_t num_batches_at =
+      4 + 4 + 8 + 8 + cp.detector_name.size() + 4 + 4 * 8 + 1 + 8;
+  const size_t num_points_at = num_batches_at + 8 + 8;
+  auto u64_at = [&payload](size_t at) {
+    uint64_t v = 0;
+    std::memcpy(&v, payload.data() + at, sizeof(v));
+    return v;
+  };
+  ASSERT_EQ(u64_at(num_batches_at), 1u);
+  ASSERT_EQ(u64_at(num_batches_at + 8), 4u);
+  ASSERT_EQ(u64_at(num_points_at), 1u);
+
+  const uint64_t huge = uint64_t{1} << 61;
+  for (const size_t at : {num_batches_at, num_points_at}) {
+    std::string patched(payload);
+    std::memcpy(patched.data() + at, &huge, sizeof(huge));
+    const std::string crafted = WrapFrame(patched);
+    RunCheckpoint out;
+    error.clear();
+    bool accepted = true;
+    EXPECT_NO_THROW(accepted = DeserializeRunCheckpoint(crafted, &out, &error))
+        << "count at payload offset " << at;
+    EXPECT_FALSE(accepted) << "count at payload offset " << at;
+    EXPECT_NE(error.find("history"), std::string::npos) << error;
+  }
 }
 
 TEST(RecoveryTest, CorruptionMatrixEveryTruncationRejected) {

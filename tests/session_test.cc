@@ -1,12 +1,15 @@
 // Tests for SopSession: dynamic query registration/removal over a live
 // stream with history replay.
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "sop/common/frame.h"
 #include "sop/common/random.h"
+#include "sop/common/serialize.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
 #include "sop/obs/metrics.h"
@@ -424,6 +427,25 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   SopSession fresh(WindowType::kTime, Metric::kEuclidean, 10);
   ASSERT_TRUE(fresh.LoadState(session.SaveState()));
   EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}), "");
+}
+
+// Only the current state version loads: a complete v1 blob (an empty
+// session, no queries and no history) is refused.
+TEST(SopSessionTest, RefusesOtherStateVersions) {
+  BinaryWriter w;
+  w.WriteU32(1);  // version
+  w.WriteU32(static_cast<uint32_t>(WindowType::kCount));
+  w.WriteU32(static_cast<uint32_t>(Metric::kEuclidean));
+  w.WriteI64(32);         // history window
+  w.WriteI64(1);          // next query id
+  w.WriteI64(0);          // next seq
+  w.WriteI64(INT64_MIN);  // last boundary
+  w.WriteU64(0);          // queries
+  w.WriteU64(0);          // history batches
+  SopSession session(WindowType::kCount, Metric::kEuclidean, 32);
+  std::string error;
+  EXPECT_FALSE(session.LoadState(WrapFrame(w.bytes()), &error));
+  EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
 }
 
 TEST(SopSessionTest, RejectsInvalidQueries) {

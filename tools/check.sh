@@ -7,15 +7,15 @@
 # NaN, infinite or out-of-range double converted to an integer), and
 # builds without NDEBUG, so it is the pass that runs every SOP_DCHECK.
 # Then it runs the concurrency-heavy suites (fault injection, crash
-# recovery, engine pipelining, the serving and scale-out planes, and
-# RunLanes: the SOP detector's point lanes and the partition lanes every
-# multi-attribute and grouped-sop run takes, with SOP, MCOD and mcod-grid
-# children) under ThreadSanitizer, then builds and runs everything again
+# recovery, the serving and scale-out planes, and RunLanes: the SOP
+# detector's point lanes and the partition lanes every multi-attribute
+# and grouped-sop run takes, with SOP, MCOD and mcod-grid children)
+# under ThreadSanitizer, then builds and runs everything again
 # with the observability layer compiled out (-DSOP_NO_OBS) to keep the
 # no-op macro expansions honest. Catches the memory bugs the release build
 # hides (RunLanes' helper pool and mcod-grid's index in particular) and
-# the ingest/worker/connection races the overload queue and the front's
-# per-connection threads could hide.
+# the races the server's ingest queue and the front's per-connection
+# threads could hide.
 #
 # The asan pass also stretches the randomized fuzz loops — the checkpoint
 # fuzz in recovery_test, the wire-frame fuzz in protocol_test, and the
@@ -53,7 +53,7 @@ ctest --preset ubsan -j"$(nproc)" "$@"
 
 configure tsan
 cmake --build --preset tsan -j"$(nproc)"
-ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|checkpoint_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test|sop_detector_test|equivalence_test|ksky_test|multi_attribute_test|partitioned_test' "$@"
+ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test|sop_detector_test|equivalence_test|ksky_test|multi_attribute_test|partitioned_test' "$@"
 
 configure noobs
 cmake --build --preset noobs -j"$(nproc)"

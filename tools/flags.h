@@ -53,7 +53,7 @@ inline std::vector<std::string> SplitCommas(const std::string& s) {
   return parts;
 }
 
-/// Parses one "site=rate" fault spec ("batch-stall=0.01") against
+/// Parses one "site=rate" fault spec ("checkpoint-write=0.5") against
 /// FaultSiteName() and applies it to `injector`.
 inline bool ParseFaultRate(const std::string& spec, FaultInjector* injector) {
   const size_t eq = spec.find('=');

@@ -7,7 +7,6 @@
 //           [--print-outliers] [--aggregate] [--max-print N] [--seed S]
 //           [--on-bad-record fail|skip|clamp] [--quarantine PATH]
 //           [--checkpoint PATH] [--checkpoint-every N] [--resume-from PATH]
-//           [--queue N] [--overload block|drop-oldest]
 //           [--churn-every N] [--kernel scalar|avx2|auto]
 //           [--fault-rate SITE=RATE[,...]] [--fault-seed S] [--fault-max N]
 //
@@ -32,14 +31,13 @@
 //     whose surviving point set is empty exits nonzero rather than running
 //     an empty stream.
 //   --checkpoint PATH writes a crash-consistent run checkpoint every
-//     --checkpoint-every batches; --resume-from PATH resumes one detector
-//     (exactly one --detector) from such a file, producing the same
-//     emissions the uninterrupted run would have.
-//   --queue N pipelines ingest and detection through an N-batch queue;
-//     --overload picks what a full queue does (block = backpressure,
-//     drop-oldest = shed + flag degraded emissions).
+//     --checkpoint-every batches: the stream position plus the batches
+//     the largest window can still reach. --resume-from PATH resumes one
+//     detector (exactly one --detector) from such a file by replaying
+//     those batches, producing the same emissions the uninterrupted run
+//     would have.
 //   --fault-rate arms the deterministic fault injector (common/fault.h),
-//     e.g. --fault-rate batch-stall=0.01,checkpoint-bytes=1; --fault-seed
+//     e.g. --fault-rate checkpoint-write=0.5,checkpoint-bytes=1; --fault-seed
 //     makes the failure schedule reproducible and --fault-max caps the
 //     number of injected failures per site.
 //
@@ -50,7 +48,7 @@
 //     session's overlay-swap path (no history replay); other detectors
 //     rebuild-and-replay. Prints per-churn latency and the session's
 //     change statistics, so the two regimes are directly comparable.
-//     Incompatible with --resume-from/--checkpoint/--queue (engine-only).
+//     Incompatible with --resume-from/--checkpoint (engine-only).
 
 #include <algorithm>
 #include <chrono>
@@ -240,8 +238,6 @@ int main(int argc, char** argv) {
   std::string checkpoint_path;
   int64_t checkpoint_every = 64;
   std::string resume_path;
-  size_t queue_batches = 0;
-  OverloadPolicy overload_policy = OverloadPolicy::kBlock;
   int64_t churn_every = 0;
   std::vector<std::string> fault_specs;
   uint64_t fault_seed = 1;
@@ -296,22 +292,8 @@ int main(int argc, char** argv) {
   flags.I64("--checkpoint-every", &checkpoint_every, "N",
             "checkpoint every N batches", 1);
   flags.Str("--resume-from", &resume_path, "PATH",
-            "resume one detector from a checkpoint file");
-  flags.Size("--queue", &queue_batches, "N",
-             "pipeline ingest/detection through an N-batch queue");
-  flags.Flag("--overload", "block|drop-oldest",
-             "full-queue policy (backpressure, or shed + flag degraded)",
-             [&overload_policy](const std::string& v, std::string* error) {
-               if (v == "block") {
-                 overload_policy = OverloadPolicy::kBlock;
-               } else if (v == "drop-oldest") {
-                 overload_policy = OverloadPolicy::kDropOldest;
-               } else {
-                 *error = "unknown policy";
-                 return false;
-               }
-               return true;
-             });
+            "resume one detector from a checkpoint file (replays its "
+            "retained window tail)");
   flags.I64("--churn-every", &churn_every, "N",
             "dynamic-session mode: remove + re-add one query every N "
             "batches",
@@ -391,8 +373,6 @@ int main(int argc, char** argv) {
   ExecOptions exec_options;
   exec_options.checkpoint.path = checkpoint_path;
   exec_options.checkpoint.every_batches = checkpoint_every;
-  exec_options.overload.max_queue_batches = queue_batches;
-  exec_options.overload.policy = overload_policy;
   ExecutionEngine engine(exec_options);
 
   RunCheckpoint resume_cp;
@@ -431,11 +411,10 @@ int main(int argc, char** argv) {
   }
 
   if (churn_every > 0) {
-    if (!resume_path.empty() || !checkpoint_path.empty() ||
-        queue_batches > 0) {
+    if (!resume_path.empty() || !checkpoint_path.empty()) {
       std::fprintf(stderr,
                    "--churn-every runs a dynamic session; drop "
-                   "--resume-from/--checkpoint/--queue\n");
+                   "--resume-from/--checkpoint\n");
       if (inject) FaultInjector::Disarm();
       return 2;
     }
@@ -464,9 +443,8 @@ int main(int argc, char** argv) {
       if (aggregate) aggregator.Add(r);
       if (!print_outliers || r.outliers.empty()) return;
       if (printed++ >= max_print) return;
-      std::printf("query %zu @ %lld:%s", r.query_index,
-                  static_cast<long long>(r.boundary),
-                  r.degraded ? " (degraded)" : "");
+      std::printf("query %zu @ %lld:", r.query_index,
+                  static_cast<long long>(r.boundary));
       size_t shown = 0;
       for (Seq s : r.outliers) {
         if (++shown > 16) {
@@ -506,16 +484,6 @@ int main(int argc, char** argv) {
     }
     std::printf("[%s] %s\n", name.c_str(), metrics.ToString().c_str());
     std::printf("[%s] %s\n", name.c_str(), metrics.LatencyToString().c_str());
-    if (metrics.shed_batches > 0) {
-      std::printf("[%s] overload shed %llu batch%s (%llu points), "
-                  "%llu degraded emission%s\n",
-                  name.c_str(),
-                  static_cast<unsigned long long>(metrics.shed_batches),
-                  metrics.shed_batches == 1 ? "" : "es",
-                  static_cast<unsigned long long>(metrics.shed_points),
-                  static_cast<unsigned long long>(metrics.degraded_emissions),
-                  metrics.degraded_emissions == 1 ? "" : "s");
-    }
 
     if (want_metrics) {
       // Snapshot-and-reset attributes the registry contents to this run.
