@@ -25,8 +25,11 @@ KSky::KSky(const WorkloadPlan* plan, DistanceFn dist, Options options)
       kernel_(dist_.MakeKernel()),
       options_(options) {
   SOP_CHECK(plan_ != nullptr);
+  SOP_CHECK(plan_->k_max() <= std::numeric_limits<int32_t>::max());
   layer_counts_.Reset(plan_->num_layers());
   batch_dists_.resize(kBatchBlock);
+  pending_.assign(static_cast<size_t>(plan_->num_layers()) + 1, 0);
+  touched_.assign(pending_.size() / 64 + 1, 0);
 }
 
 bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
@@ -35,6 +38,7 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                          const Emission* emission,
                          std::vector<std::vector<Seq>>* outliers) {
   SOP_DCHECK(layer_counts_.IsZero());
+  SOP_DCHECK(touched_layers_ == 0);
   stats_ = KSkyScanStats{};
   build_.Clear();
   layer1_count_ = 0;
@@ -42,7 +46,6 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
   const WindowType type = buffer.type();
   const ColumnStore& cols = buffer.columns();
   const double r_max = plan_->r_max();
-  bool keep_scanning = true;
   uint64_t kernel_hits = 0;  // counted only when obs is on
   uint64_t classified = 0;
 
@@ -54,19 +57,33 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                : cols.time_column()[cols.SlotOf(s)];
   };
 
-  // Consumes the kernel block of the `nb` seqs below `end`. Block position
-  // j (0 = newest) holds candidate seq end-1-j, whose distance sits at
-  // batch_dists_[nb-1-j]. Only candidates inside the dominance frontier
-  // are classified (see ksky.h): `d <= r_{f-1}`, where f is the first
-  // layer whose kept-entry prefix count reaches k_max and r_L = r_max. A
-  // candidate failing it is either nobody's neighbor (farther than r_max,
+  // The succeeding counts the table starts from: none for a first scan.
+  std::span<const LayerCount> seeds;
+  if (!from_scratch) {
+    SOP_DCHECK(p.seq < batch_first_seq);
+    skyband->ExpireBefore(swift_window_start);
+    seeds = skyband->succ();
+    for (const LayerCount& c : seeds) layer_counts_.Add(c.layer, c.count);
+    if (!seeds.empty() && seeds.front().layer == 1) {
+      layer1_count_ = seeds.front().count;
+    }
+  }
+  bool keep_scanning =
+      !(options_.early_termination && layer1_count_ >= plan_->k_max());
+
+  // Consumes the kernel block of the `nb` seqs below `end`, passing each
+  // candidate inside the dominance frontier to `visit` (Count or Examine).
+  // Block position j (0 = newest) holds candidate seq end-1-j, whose
+  // distance sits at batch_dists_[nb-1-j]. Only candidates inside the
+  // frontier are classified (see ksky.h): `d <= r_{f-1}`, where f is the
+  // first layer whose table prefix count reaches k_max and r_L = r_max. A
+  // candidate failing it is either nobody's neighbour (farther than r_max,
   // or NaN: Def. 5 c3) or sits at a layer >= f, where Examine would reject
-  // it without touching any state; so skipping it leaves the Examine
-  // sequence — and the built skyband — unchanged. Returns the block
-  // positions consumed: all of them, or up to and including the hit that
-  // ended the scan.
+  // it without touching any state and Count would add nothing that
+  // truncation keeps. Returns the block positions consumed: all of them,
+  // or up to and including the hit that ended the scan.
   uint8_t hits[kBatchBlock] = {};
-  auto examine_block = [&](Seq end, size_t nb) -> size_t {
+  auto consume_block = [&](Seq end, size_t nb, auto&& visit) -> size_t {
     const int frontier = layer_counts_.LowerBound(plan_->k_max());
     const double r_front = frontier > 1
                                ? plan_->r_of_layer(frontier - 1)
@@ -77,97 +94,78 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
       hits[nh] = static_cast<uint8_t>(j);
       nh += dists[nb - 1 - j] <= r_front ? 1 : 0;
     }
-    size_t consumed = nb;
     for (size_t h = 0; h < nh; ++h) {
       const size_t j = hits[h];
-      const Seq s = end - 1 - static_cast<Seq>(j);
-      if (s == p.seq) continue;  // the probe itself
       const double d = dists[nb - 1 - j];
       SOP_DCHECK(!std::isnan(d));
       ++classified;
-      keep_scanning = Examine(s, key_of(s), plan_->LayerOfDistance(d));
-      if (!keep_scanning) {
-        consumed = j + 1;
-        break;
-      }
+      keep_scanning =
+          visit(end - 1 - static_cast<Seq>(j), plan_->LayerOfDistance(d));
+      if (!keep_scanning) return j + 1;
     }
-    return consumed;
-  };
-  // kernel/hits: the r_max hits among `n` consumed kernel outputs.
-  auto count_hits = [&](const double* dists, size_t n) {
-    for (size_t i = 0; i < n; ++i) kernel_hits += dists[i] <= r_max ? 1 : 0;
-  };
-  // Stats count consumed candidates only, exactly as the per-pair scan
-  // did: a block cut short by termination does not inflate them.
-  auto count_consumed = [&](size_t n) {
-    stats_.candidates_examined += static_cast<int64_t>(n);
-    stats_.distances_computed += static_cast<int64_t>(n);
+    return nb;
   };
 
-  // Scans points with seq in [lo, hi) from newest to oldest ("search from
-  // scratch" / the new-arrivals part of the incremental rescan). Distances
-  // come from the batch kernel, kBatchBlock candidates per call; the
-  // consumption order — and therefore the built skyband — is identical to
-  // the old per-pair scan.
-  auto scan_buffer_range = [&](Seq lo, Seq hi) {
+  // Scans the buffer's points with seq in [lo, hi), which never holds p,
+  // from newest to oldest. Distances come from the batch kernel,
+  // kBatchBlock candidates per call; the consumption order is that of a
+  // per-pair scan, and stats count consumed candidates only, so a block
+  // cut short by termination does not inflate them.
+  auto scan_range = [&](Seq lo, Seq hi, auto&& visit) {
+    SOP_DCHECK(p.seq < lo || p.seq >= hi);
     for (Seq end = hi; end > lo && keep_scanning;) {
       const Seq begin = std::max(lo, end - static_cast<Seq>(kBatchBlock));
       const size_t nb = static_cast<size_t>(end - begin);
       kernel_.BatchDistRange(cols, p, begin, nb, batch_dists_.data());
       SOP_COUNTER_ADD("kernel/batches", 1);
       SOP_COUNTER_ADD("kernel/candidates", nb);
-      const size_t consumed = examine_block(end, nb);
-      const bool probe_consumed =
-          p.seq < end && p.seq >= end - static_cast<Seq>(consumed);
-      count_consumed(consumed - (probe_consumed ? 1 : 0));
+      const size_t consumed = consume_block(end, nb, visit);
+      stats_.candidates_examined += static_cast<int64_t>(consumed);
+      stats_.distances_computed += static_cast<int64_t>(consumed);
       if (SOP_OBS_ENABLED()) {
-        // The consumed positions are the block's newest seqs, whose
-        // distances end the output; p itself is no candidate.
-        count_hits(batch_dists_.data() + (nb - consumed), consumed);
-        if (probe_consumed &&
-            batch_dists_[static_cast<size_t>(p.seq - begin)] <= r_max) {
-          --kernel_hits;
+        // kernel/hits: the r_max hits among the consumed positions, which
+        // are the block's newest seqs, whose distances end the output.
+        const double* dists = batch_dists_.data() + (nb - consumed);
+        for (size_t i = 0; i < consumed; ++i) {
+          kernel_hits += dists[i] <= r_max ? 1 : 0;
         }
       }
       end = begin;
     }
   };
+  auto count = [&](Seq, int layer) { return Count(layer); };
+  auto examine = [&](Seq s, int layer) { return Examine(s, key_of(s), layer); };
 
+  // Succeeding candidates: counted, with the table holding succeeding
+  // counts only. The merged counts wait in build_ until the reset.
+  scan_range(from_scratch ? p.seq + 1 : batch_first_seq, buffer.next_seq(),
+             count);
+  const bool rebuild = from_scratch || touched_layers_ > 0;
+  if (rebuild) MergeCounts(seeds);
+
+  // Preceding candidates: examined against every succeeding count.
   if (from_scratch) {
-    scan_buffer_range(buffer.first_seq(), buffer.next_seq());
-  } else {
-    SOP_DCHECK(p.seq < batch_first_seq);
-    skyband->ExpireBefore(swift_window_start);
-    // Least examination: new arrivals first (all newer than any previous
-    // skyband entry), then the surviving previous entries with their
-    // cached layers. Both sub-sequences are seq-descending, and so is
-    // their concatenation.
-    scan_buffer_range(batch_first_seq, buffer.next_seq());
-    // If no new arrival entered the skyband, the previous entries'
-    // admission decisions replay unchanged (they were made against exactly
-    // these entries, newest-first, and expiry only removed the oldest —
-    // i.e., last-decided — ones). The expired skyband is then already
-    // exact; skip the re-admission pass.
-    if (!build_.empty()) {
-      // The previous entries are read in place: nothing writes `skyband`
-      // until the final Swap. Entries at or beyond the dominance frontier
-      // are consumed without Examine, which would reject them unchanged.
-      const int frontier = layer_counts_.LowerBound(plan_->k_max());
-      for (const SkybandEntry& e : skyband->entries()) {
-        if (!keep_scanning) break;
-        ++stats_.candidates_examined;
-        if (e.layer >= frontier) continue;
-        keep_scanning = Examine(e.seq, e.key, e.layer);
-      }
+    scan_range(buffer.first_seq(), p.seq, examine);
+  } else if (rebuild) {
+    // The previous entries are read in place: nothing writes `skyband`'s
+    // entries until the swap below. Entries at or beyond the dominance
+    // frontier are consumed without Examine, which would reject them
+    // unchanged.
+    const int frontier = layer_counts_.LowerBound(plan_->k_max());
+    for (const SkybandEntry& e : skyband->entries()) {
+      if (!keep_scanning) break;
+      ++stats_.candidates_examined;
+      if (e.layer >= frontier) continue;
+      keep_scanning = Examine(e.seq, e.key, e.layer);
     }
   }
   stats_.terminated_early = !keep_scanning;
 
-  // The layer table holds the entries of build_, the new skyband, unless
-  // an incremental scan kept the previous one (then it holds none).
+  // The table holds the rebuilt entries, unless an incremental scan that
+  // counted no arrival kept the previous ones (then it holds none).
   size_t counted = 0;
-  if (from_scratch || !build_.empty()) {
-    skyband->Swap(&build_);
+  if (rebuild) {
+    skyband->SwapEntries(&build_);
     counted = skyband->size();
   }
   if (SOP_OBS_ENABLED()) {
@@ -177,8 +175,59 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
     counted = ClassifyForEmission(p.seq, key_of(p.seq), *skyband, counted,
                                  *emission, outliers);
   }
-  ResetLayerTable(*skyband, counted);
-  return IsSafeForAll(p, *skyband);
+  ResetLayerTable(seeds, *skyband, counted);
+  if (rebuild) skyband->SwapSucc(&build_);
+  return IsSafeForAll(*skyband);
+}
+
+bool KSky::Count(int32_t layer) {
+  layer_counts_.Add(layer, 1);
+  const size_t l = static_cast<size_t>(layer);
+  if (pending_[l]++ == 0) {
+    const size_t w = l / 64;
+    touched_[w] |= uint64_t{1} << (l % 64);
+    touched_lo_ = std::min(touched_lo_, w);
+    touched_hi_ = std::max(touched_hi_, w);
+    ++touched_layers_;
+  }
+  if (layer == 1) ++layer1_count_;
+  // Layer-1 saturation: see the termination discussion in ksky.h.
+  if (options_.early_termination && layer == 1 &&
+      layer1_count_ >= plan_->k_max()) {
+    return false;
+  }
+  return true;
+}
+
+void KSky::MergeCounts(std::span<const LayerCount> seeds) {
+  const int64_t k_max = plan_->k_max();
+  int64_t sum = 0;
+  // Appends one pair, capped so that the sum stops at k_max; false once
+  // it got there.
+  auto append = [&](int32_t layer, int64_t count) {
+    count = std::min(count, k_max - sum);
+    build_.AppendSucc(layer, static_cast<int32_t>(count));
+    sum += count;
+    return sum < k_max;
+  };
+  size_t i = 0;
+  for (size_t w = touched_lo_; w <= touched_hi_; ++w) {
+    for (uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
+      const auto layer =
+          static_cast<int32_t>(w * 64 + std::countr_zero(bits));
+      for (; i < seeds.size() && seeds[i].layer < layer; ++i) {
+        if (!append(seeds[i].layer, seeds[i].count)) return;
+      }
+      int64_t count = pending_[static_cast<size_t>(layer)];
+      if (i < seeds.size() && seeds[i].layer == layer) {
+        count += seeds[i++].count;
+      }
+      if (!append(layer, count)) return;
+    }
+  }
+  for (; i < seeds.size(); ++i) {
+    if (!append(seeds[i].layer, seeds[i].count)) return;
+  }
 }
 
 size_t KSky::ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
@@ -208,16 +257,32 @@ size_t KSky::ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
   return counted;
 }
 
-void KSky::ResetLayerTable(const LSky& skyband, size_t counted) {
+void KSky::ResetLayerTable(std::span<const LayerCount> seeds,
+                           const LSky& skyband, size_t counted) {
   const unsigned layers = static_cast<unsigned>(layer_counts_.size());
-  if (layers + 1 < counted * std::bit_width(layers)) {
+  const size_t updates = seeds.size() + touched_layers_ + counted;
+  const bool clear = layers + 1 < updates * std::bit_width(layers);
+  if (clear) {
     layer_counts_.Clear();
-    return;
+  } else {
+    for (const LayerCount& c : seeds) layer_counts_.Add(c.layer, -c.count);
+    const std::vector<SkybandEntry>& entries = skyband.entries();
+    for (size_t i = 0; i < counted; ++i) {
+      layer_counts_.Add(entries[i].layer, -1);
+    }
   }
-  const std::vector<SkybandEntry>& entries = skyband.entries();
-  for (size_t i = 0; i < counted; ++i) {
-    layer_counts_.Add(entries[i].layer, -1);
+  if (touched_layers_ == 0) return;
+  for (size_t w = touched_lo_; w <= touched_hi_; ++w) {
+    for (uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
+      const size_t l = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      if (!clear) layer_counts_.Add(static_cast<int>(l), -pending_[l]);
+      pending_[l] = 0;
+    }
+    touched_[w] = 0;
   }
+  touched_lo_ = SIZE_MAX;
+  touched_hi_ = 0;
+  touched_layers_ = 0;
 }
 
 void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits,
@@ -232,8 +297,9 @@ void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits,
 }
 
 bool KSky::Examine(Seq seq, int64_t key, int32_t layer) {
-  // skyEvaluate (Alg. 2): the dominated count is the number of kept points
-  // at layers <= `layer` — all of them are newer than this candidate.
+  // skyEvaluate (Alg. 2): the dominated count is the number of succeeding
+  // neighbours and kept preceding points at layers <= `layer` — all of
+  // them are newer than this candidate.
   const int64_t dominated = layer_counts_.PrefixSum(layer);
   if (dominated >= plan_->k_max()) {
     // Not a skyband point for any group. If it sits in the innermost
@@ -258,29 +324,18 @@ bool KSky::Examine(Seq seq, int64_t key, int32_t layer) {
   return true;
 }
 
-bool KSky::IsSafeForAll(const Point& p, const LSky& skyband) const {
+bool KSky::IsSafeForAll(const LSky& skyband) const {
   const auto& reqs = plan_->safety_requirements();
   SOP_DCHECK(!reqs.empty());
-  // Succeeding entries form the leading (newest-first) prefix.
-  const auto& entries = skyband.entries();
-  // Count succeeding entries per requirement bucket: bucket i covers
-  // layers in (reqs[i-1].layer, reqs[i].layer].
-  req_counts_.assign(reqs.size(), 0);
-  for (const SkybandEntry& e : entries) {
-    if (e.seq <= p.seq) break;
-    // First requirement whose layer bound admits this entry.
-    const auto it = std::lower_bound(
-        reqs.begin(), reqs.end(), e.layer,
-        [](const WorkloadPlan::SafetyRequirement& r, int32_t layer) {
-          return r.layer < layer;
-        });
-    if (it == reqs.end()) continue;  // beyond every group's min layer
-    ++req_counts_[static_cast<size_t>(it - reqs.begin())];
-  }
+  // The staircase ascends in layer: one merge pass over the counts.
+  const std::vector<LayerCount>& succ = skyband.succ();
   int64_t prefix = 0;
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    prefix += req_counts_[i];
-    if (prefix < reqs[i].k) return false;
+  size_t i = 0;
+  for (const WorkloadPlan::SafetyRequirement& req : reqs) {
+    for (; i < succ.size() && succ[i].layer <= req.layer; ++i) {
+      prefix += succ[i].count;
+    }
+    if (prefix < req.k) return false;
   }
   return true;
 }

@@ -2,95 +2,163 @@
 // generalized to the full SOP framework of Sec. 5 (arbitrary r, k, win and
 // slide in one workload).
 //
-// For one point p and one swift-window boundary, K-SKY rebuilds p's LSky by
-// scanning candidate points newest-first ("time-aware prioritization") and
-// keeping each candidate iff it satisfies the Skyband Point Rule (Def. 6):
-// with c = number of already-kept candidates at a layer <= its own,
+// For one point p and one swift-window boundary, K-SKY rebuilds p's
+// evidence (LSky): per-layer counts of p's succeeding neighbours, and the
+// skyband of its preceding ones. Preceding candidates are scanned
+// newest-first ("time-aware prioritization"); each is kept iff it satisfies
+// the Skyband Point Rule (Def. 6): with c = the number of succeeding
+// neighbours plus already-kept preceding candidates at a layer <= its own,
 //   (1) the candidate maps to a layer (distance <= r_max),
 //   (2) c < k_max, and
 //   (3) some k-group with k > c can still use it
 //       (layer <= plan.MaxLayerForCount(c)).
+// Succeeding candidates are not examined at all: each one inside the
+// dominance frontier (below) adds one to its layer's count.
 //
 // Candidate sets ("least examination", Alg. 1 lines 1-6):
-//   * a point evaluated for the first time scans the whole swift window;
-//   * a previously evaluated point scans only this batch's new arrivals
-//     followed by the unexpired entries of its previous skyband — the only
-//     points that can be skyband points now (paper Lemma 2); their cached
-//     layers are reused, so no distance is recomputed.
+//   * a point evaluated for the first time counts the buffer's points newer
+//     than it, then examines the older ones;
+//   * a previously evaluated point starts from its succeeding counts,
+//     counts only this batch's new arrivals (all newer than p), and, if
+//     any arrival was counted, re-examines the unexpired entries of its
+//     previous preceding skyband — the only older points that can be
+//     skyband points now (paper Lemma 2); their cached layers are reused,
+//     so no distance is recomputed. If no arrival was counted, the layer
+//     table below every entry is the one the entries were decided against,
+//     so the expired entries are kept as they are.
 //
-// Termination. The scan stops as soon as layer 1 holds k_max entries:
+// Termination. The scan stops as soon as layer 1 holds k_max neighbours:
 // every remaining candidate x (older, layer >= 1) is then dominated by
-// those k_max entries, so Def. 6 discards it, and — the part that matters
+// those k_max points, so Def. 6 discards it, and — the part that matters
 // for varying windows — x can never influence any query's answer in any
 // window: the k_max dominators are newer than x, hence alive and inside
 // every window that contains x, already saturating every (r, k) threshold
 // at x's layer and beyond. This generalizes Alg. 1's "d <= r_min" rule.
-// (The per-group termination of paper Example 3 additionally stops a group
-// once its inlier status is decided; that shortcut is only sound when all
-// windows are equal, so we do not use it in the general framework.)
+// An incremental scan whose succeeding counts already saturate layer 1
+// stops before its first arrival. (The per-group termination of paper
+// Example 3 additionally stops a group once its inlier status is decided;
+// that shortcut is only sound when all windows are equal, so we do not use
+// it in the general framework.)
 //
-// Dominance frontier. Let f be the first layer whose count of kept
-// entries at layers <= f reaches k_max (L + 1 when none does). A
-// candidate at layer >= f is dominated by at least k_max kept points, so
-// Def. 6 discards it, and Examine does so without changing any state; the
-// scan may therefore skip it, as long as it still counts it as consumed.
-// Kernel blocks are compacted with d <= r_{f-1} (r_max while f = L + 1;
-// nothing while f = 1, which needs early termination off, since layer-1
-// saturation ends the scan first), and the re-admission pass skips
-// previous entries whose cached layer is >= f. f is computed once per
-// 64-candidate block and once before re-admission. Inside that span it
-// can only go stale in the safe direction: kept entries only accumulate,
-// so the true frontier only moves inward, and a candidate that passes the
-// stale test is simply examined as before (rejected by Examine if it is
-// dominated by now). Condition-3 rejections are left to Examine.
+// Dominance frontier. Let f be the first layer whose count in the layer
+// table at layers <= f reaches k_max (L + 1 when none does). A candidate
+// at layer >= f is dominated by at least k_max points, so Def. 6 discards
+// it and counting it would not change the truncated counts (see
+// "Truncation"); the scan may therefore skip it, as long as it still counts
+// it as consumed. Kernel blocks are compacted with d <= r_{f-1} (r_max
+// while f = L + 1; nothing while f = 1, which needs early termination off,
+// since layer-1 saturation ends the scan first), and the re-admission pass
+// skips previous entries whose cached layer is >= f. f is computed once
+// per 64-candidate block and once before re-admission. Inside that span it
+// can only go stale in the safe direction: the table only grows, so the
+// true frontier only moves inward, and a candidate that passes the stale
+// test is simply counted (truncation drops it) or examined as before
+// (rejected by Examine if it is dominated by now). Condition-3 rejections
+// are left to Examine. While succeeding candidates are counted the table
+// holds succeeding counts only: an older point never dominates a newer one.
 //
-// Why LSky::CountWithin is an exact status test (generalized Lemma 3).
-// Claim: for every query q(r, k) and every window w that is a suffix of the
-// swift window, p has >= k neighbors within r inside w iff p's skyband
-// contains >= k entries with layer <= layer(r) and key inside w.
-// ("if" is immediate: entries are neighbors.) For "only if", let y be a
-// neighbor of p inside w with layer l <= layer(r) that is NOT a skyband
-// entry. Then y was either (a) scanned and discarded, (b) skipped by
-// termination, (c) not in the candidate set of an incremental rescan, or
-// (d) dropped from a previous skyband. In every case there were, at that
-// moment, >= min(k_max, k) kept-or-then-skyband points newer than y with
-// layer <= l; induction over (c)/(d) (a dropped point's dominators are
-// newer still) yields >= k *current* skyband entries newer than y with
-// layer <= l. Newer-than-y points inside the swift window are inside w
-// whenever y is (w is a suffix), so the count already reaches k without y.
-// Hence thresholding the skyband count is exact for every (r, k, w).
+// Why the evidence is an exact status test (generalized Lemma 3). Call the
+// skyband S the set of p's alive neighbours a Def-6 scan of the whole swift
+// window keeps, newest first, when each candidate's c counts the *kept*
+// points newer than it. Claim: for every query q(r, k) and every window w
+// that is a suffix of the swift window, p has >= k neighbours within r
+// inside w iff S holds >= k points with layer <= layer(r) inside w. ("if"
+// is immediate: kept points are neighbours.) For "only if", let y be a
+// neighbour of p inside w with layer l <= layer(r) that is NOT in S. Then
+// y was either (a) scanned and discarded, (b) skipped by termination, (c)
+// not in the candidate set of an incremental rescan, or (d) dropped from a
+// previous skyband. In every case there were, at that moment, >= min(k_max,
+// k) kept-or-then-skyband points newer than y with layer <= l; induction
+// over (c)/(d) (a dropped point's dominators are newer still) yields >= k
+// *current* skyband points newer than y with layer <= l. Newer-than-y
+// points inside the swift window are inside w whenever y is (w is a
+// suffix), so the count already reaches k without y. Hence thresholding
+// the skyband count is exact for every (r, k, w).
 //
-// Emission frontier. When the scan ends, the layer table holds exactly the
-// per-layer counts of p's rebuilt skyband (an incremental scan that
-// admitted no arrival re-adds its kept entries first). So the Lemma-3
-// test of every due query comes straight from the table: the caller
-// groups the due queries by (window start, k), widest window first, with
-// ascending layers inside each group. For each group whose window holds
-// p, the scan removes the entries older than the window's start (the
-// skyband's tail, oldest first) and reads f = LowerBound(k), the first
-// layer whose count reaches k; p is an outlier for exactly the group's
-// queries at layers < f. Windows are suffixes of the swift window, so
-// each group only removes entries; a group whose window misses p ends the
-// walk, since every later window is shorter.
+// Fact 1: succeeding neighbours outlive p and lie in every window that
+// holds p. A neighbour y with seq > p.seq has key(y) >= key(p) (keys are
+// monotone in seq), so it expires no earlier than p, and every window
+// (a suffix of the swift window) that holds p holds y. No status test of p
+// reads y's seq or key: only how many such neighbours p has per layer.
+//
+// Fact 2: a count over any set C of true neighbours of p that contains S
+// gives the same Lemma-3 verdicts, and keeps Safe-For-All sound. For each
+// (r, k, w), S's count <= C's count <= the true count, and by the claim
+// S's count reaches k iff the true count does; so C's count reaches k iff
+// the true count does. Safe-For-All read off C's succeeding part is sound
+// because each of those points is a true neighbour that, by Fact 1, stays
+// inside every window holding p for the rest of p's life. So p's evidence
+// may count *every* succeeding neighbour within r_max, kept or not, and
+// the counts never shrink while p lives.
+//
+// Fact 3: an older candidate x at layer l gets the same Def-6 decision
+// under any count c between c_K, the kept points newer than x at layers
+// <= l, and c_A, all of p's alive neighbours newer than x at layers <= l.
+// If c_K = c_A there is nothing to show. Otherwise some newer neighbour y
+// at layer l_y <= l was rejected with count c_y, taken over kept points
+// newer than y at layers <= l_y (a y skipped by termination leaves c_K >=
+// k_max, which rejects x outright). Those points are newer than x at
+// layers <= l, so c >= c_K >= c_y. Either c_y >= k_max, and then c >= k_max
+// rejects x too; or l_y > MaxLayerForCount(c_y), and then, since
+// MaxLayerForCount does not grow with the count, l >= l_y >
+// MaxLayerForCount(c) rejects x for every c < k_max (and c >= k_max
+// rejects it anyway). In both cases every c in [c_K, c_A] rejects x, as
+// c_K does. The scan examines x against all of p's succeeding neighbours
+// plus the kept preceding points newer than x. Going newest first, the
+// kept preceding points equal S's by induction, so that count lies in
+// [c_K, c_A], and x gets exactly its decision in S: the preceding entries
+// are S's preceding part, and with Fact 2 every verdict is exact.
+//
+// Truncation. The counts stop at the first layer f where their running
+// sum reaches k_max, capped so that the sum is exactly k_max. Layers at or
+// beyond f then hold >= k_max >= every k, before and after truncation:
+// every candidate there is rejected by condition (2) either way, every
+// Lemma-3 threshold at those layers is met either way, and every
+// Safe-For-All requirement at those layers (k <= k_max) is met either way.
+// So truncation changes no decision and no verdict, and it bounds the
+// counts at k_max (layer, count) pairs, whatever L is.
+//
+// Merging the counts. A scan adds each counted arrival to the layer table
+// and to per-layer pending counts, and marks its layer in a bitmap. The
+// new counts are the old pairs merged with the marked layers in ascending
+// order, truncated at k_max: O(pairs + arrivals + bitmap words between the
+// lowest and highest marked layer), with no sort.
+//
+// Emission frontier. When the scan ends, the layer table holds p's
+// succeeding counts (not truncated: Fact 2) plus the rebuilt preceding
+// entries (an incremental scan that counted no arrival adds its kept
+// entries first). So the Lemma-3 test of every due query comes straight
+// from the table: the caller groups the due queries by (window start, k),
+// widest window first, with ascending layers inside each group. For each
+// group whose window holds p, the scan removes the entries older than the
+// window's start (the preceding skyband's tail, oldest first) and reads
+// f = LowerBound(k), the first layer whose count reaches k; p is an
+// outlier for exactly the group's queries at layers < f. The succeeding
+// counts stay: by Fact 1 they lie in every window that holds p. Windows
+// are suffixes of the swift window, so each group only removes entries; a
+// group whose window misses p ends the walk, since every later window is
+// shorter.
 //
 // Resetting the table. The table must be zero before the next point. It
-// holds one count per entry left after the emission walk; undoing those
-// touches about log2(L) words each, while a clear writes L + 1 words. The
-// scan takes whichever is fewer: large skybands over few layers clear,
-// small skybands over thousands of layers (Fig. 13) undo.
+// holds one update per seeded pair, per counted layer and per entry left
+// after the emission walk; undoing those touches about log2(L) words
+// each, while a clear writes L + 1 words. The scan takes whichever is
+// fewer: large skybands over few layers clear, small skybands over
+// thousands of layers (Fig. 13) undo.
 //
-// Safe inliers (Sec. 3.2.2 / 4.1 / 4.2). Entries with seq > p.seq are p's
-// *succeeding* neighbors: they can never expire before p. They form the
-// leading prefix of the freshly built skyband (descending seq). If for
-// every k-group g the prefix holds >= k(g) entries with
-// layer <= min_layer(g), then every query classifies p as an inlier in
-// every remaining window of p's life (Safe-For-All): p is excluded from
-// all future evaluation and its evidence is released.
+// Safe inliers (Sec. 3.2.2 / 4.1 / 4.2). By Fact 1 p's succeeding
+// neighbours can never expire before p. If for every k-group g the
+// succeeding counts hold >= k(g) neighbours at layers <= min_layer(g), then
+// every query classifies p as an inlier in every remaining window of p's
+// life (Safe-For-All): p is excluded from all future evaluation and both
+// parts of its evidence are released. The check is one pass over the
+// counts against the plan's requirement staircase.
 
 #ifndef SOP_CORE_KSKY_H_
 #define SOP_CORE_KSKY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sop/common/dist_kernel.h"
@@ -104,17 +172,17 @@ namespace sop {
 
 /// Statistics of one K-SKY scan (exposed for tests and ablations).
 struct KSkyScanStats {
-  /// Candidates whose distance was computed (new candidates only;
-  /// re-admitted old skyband entries reuse their cached layer).
+  /// Candidates whose distance was computed (buffer candidates only;
+  /// re-admitted preceding entries reuse their cached layer).
   int64_t distances_computed = 0;
-  /// Candidates examined in total (distance-computed + cached).
+  /// Candidates consumed in total (distance-computed + cached).
   int64_t candidates_examined = 0;
   /// Whether the scan stopped early via layer-1 saturation.
   bool terminated_early = false;
 };
 
 /// The K-SKY scanner for one workload plan. Holds reusable scratch state;
-/// create one per detector and call EvaluatePoint for each point each
+/// create one per detector lane and call EvaluatePoint for each point each
 /// batch. Not thread-safe.
 class KSky {
  public:
@@ -124,8 +192,8 @@ class KSky {
     /// Stop the scan once layer 1 saturates (Alg. 1 lines 12-13).
     bool early_termination = true;
     /// Apply Def. 6 condition 3 (group-aware pruning); when off, keep
-    /// every candidate dominated by fewer than k_max points (a plain
-    /// (k_max-1)-skyband).
+    /// every preceding candidate dominated by fewer than k_max points (a
+    /// plain (k_max-1)-skyband).
     bool condition3_pruning = true;
   };
 
@@ -147,13 +215,15 @@ class KSky {
   /// Rebuilds `skyband` (p's LSky) for the swift window ending at
   /// `boundary`.
   ///
-  /// `from_scratch` selects the candidate set: true scans the whole buffer
-  /// (first evaluation of p), false scans this batch's arrivals
-  /// [batch_first_seq, buffer.next_seq()) followed by the unexpired
-  /// previous skyband entries. `skyband` is consumed and rebuilt in place.
-  /// With an `emission`, p.seq is then appended to `(*outliers)[slot]` for
-  /// every due query that reports p (see "Emission frontier").
-  /// Returns true iff p is now a Safe-For-All inlier.
+  /// `from_scratch` selects the candidate set: true counts the buffer's
+  /// points newer than p and examines the older ones (first evaluation of
+  /// p; `skyband`'s previous contents are ignored), false counts this
+  /// batch's arrivals [batch_first_seq, buffer.next_seq()) into p's
+  /// succeeding counts and re-examines the unexpired preceding entries.
+  /// `skyband` is rebuilt in place. With an `emission`, p.seq is then
+  /// appended to `(*outliers)[slot]` for every due query that reports p
+  /// (see "Emission frontier"). Returns true iff p is now a Safe-For-All
+  /// inlier.
   bool EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                      Seq batch_first_seq, int64_t swift_window_start,
                      bool from_scratch, LSky* skyband,
@@ -164,30 +234,40 @@ class KSky {
   const KSkyScanStats& last_stats() const { return stats_; }
 
  private:
-  // Examines one candidate (Alg. 2, skyEvaluate): applies Def. 6 and
-  // appends to build_. Returns false when the scan should terminate.
+  // Counts one succeeding neighbour at `layer` into the table and the
+  // pending counts. Returns false when the scan should terminate.
+  bool Count(int32_t layer);
+
+  // Examines one preceding candidate (Alg. 2, skyEvaluate): applies Def. 6
+  // and appends to build_. Returns false when the scan should terminate.
   bool Examine(Seq seq, int64_t key, int32_t layer);
+
+  // Merges `seeds` with the pending counts into build_'s succeeding
+  // counts, truncated at k_max (see "Merging the counts").
+  void MergeCounts(std::span<const LayerCount> seeds);
 
   // Publishes the finished scan's stats to the observability registry
   // (ksky/* counters, kernel/hits, skyband-size histogram). Call only when
   // SOP_OBS_ENABLED(); never affects the scan result. `kernel_hits` counts
   // the r_max hits among the consumed block positions, `classified` the
-  // hits that reached the layer lookup (both exclude p itself).
+  // hits that reached the layer lookup.
   void RecordScanObs(size_t skyband_size, uint64_t kernel_hits,
                      uint64_t classified) const;
 
-  // Safe-For-All check over the freshly built skyband.
-  bool IsSafeForAll(const Point& p, const LSky& skyband) const;
+  // Safe-For-All check over p's succeeding counts.
+  bool IsSafeForAll(const LSky& skyband) const;
 
   // The emission walk (see "Emission frontier") for p = seq with window
-  // key `key`. The table holds skyband entries [0, counted) on entry;
+  // key `key`. The table holds preceding entries [0, counted) on entry;
   // returns how many it holds on exit.
   size_t ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
                              size_t counted, const Emission& emission,
                              std::vector<std::vector<Seq>>* outliers);
 
-  // Zeroes the layer table, which holds skyband entries [0, counted).
-  void ResetLayerTable(const LSky& skyband, size_t counted);
+  // Zeroes the layer table, which holds `seeds`, the pending counts and
+  // preceding entries [0, counted), and clears the pending counts.
+  void ResetLayerTable(std::span<const LayerCount> seeds, const LSky& skyband,
+                       size_t counted);
 
   const WorkloadPlan* plan_;
   DistanceFn dist_;
@@ -201,8 +281,16 @@ class KSky {
   FenwickTree layer_counts_;
   int64_t layer1_count_ = 0;  // cardinality of layer 1 (termination check)
   std::vector<double> batch_dists_;  // per-block kernel output
-  mutable std::vector<int64_t> req_counts_;  // per-safety-requirement counts
-  LSky build_;                               // skyband under construction
+  // Arrivals counted this scan, per layer (see "Merging the counts"):
+  // `pending_[l]` is layer l's count and bit l of `touched_` is set iff it
+  // is nonzero; the marked words lie in [touched_lo_, touched_hi_]. All
+  // zero between points.
+  std::vector<int32_t> pending_;
+  std::vector<uint64_t> touched_;
+  size_t touched_lo_ = SIZE_MAX;
+  size_t touched_hi_ = 0;
+  size_t touched_layers_ = 0;
+  LSky build_;  // evidence under construction
   KSkyScanStats stats_;
 };
 

@@ -16,16 +16,4 @@ size_t LSky::ExpireBefore(int64_t min_key) {
   return removed;
 }
 
-int64_t LSky::CountWithin(int32_t max_layer, int64_t min_key,
-                          int64_t stop_at) const {
-  int64_t count = 0;
-  for (const SkybandEntry& e : entries_) {
-    if (e.key < min_key) break;  // older than the window: prefix ends
-    if (e.layer <= max_layer) {
-      if (++count >= stop_at) break;
-    }
-  }
-  return count;
-}
-
 }  // namespace sop

@@ -36,7 +36,8 @@ SopDetector::SopDetector(const Workload& workload, Options options)
 
 bool SopDetector::ApplyWorkload(Workload next) {
   // ApplyOverlay refuses anything but an overlay-only change, so the
-  // skybands, safety flags and buffer stay valid evidence for `next`.
+  // evidence, safety flags and buffer stay valid for `next`: the basis,
+  // so L and k_max, is unchanged.
   if (!plan_.ApplyOverlay(std::move(next))) return false;
   ++stats_.overlay_swaps;
   SOP_COUNTER_ADD("sop/overlay_swaps", 1);
@@ -85,6 +86,7 @@ std::vector<QueryResult> SopDetector::PrepareEmission(int64_t boundary) {
 void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
                             Lane* lane) {
   PointState& st = StateOf(s);
+  const size_t bytes_before = st.skyband.MemoryBytes();
   const bool safe = lane->ksky.EvaluatePoint(
       buffer_.At(s), buffer_, first_new_seq, swift_start,
       /*from_scratch=*/!st.evaluated, &st.skyband,
@@ -101,6 +103,8 @@ void SopDetector::ScanPoint(Seq s, Seq first_new_seq, int64_t swift_start,
     st.skyband.Release();
     ++stats.safe_points_discovered;
   }
+  lane->evidence_delta += static_cast<int64_t>(st.skyband.MemoryBytes()) -
+                          static_cast<int64_t>(bytes_before);
 }
 
 std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
@@ -127,7 +131,10 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   // Slide the swift window.
   const int64_t swift_start = WindowStart(boundary, plan_.win_max());
   const size_t dropped = buffer_.ExpireBefore(swift_start);
-  for (size_t i = 0; i < dropped; ++i) states_.pop_front();
+  for (size_t i = 0; i < dropped; ++i) {
+    evidence_bytes_ -= states_.front().skyband.MemoryBytes();
+    states_.pop_front();
+  }
 
   // Emissions. The due queries, grouped for the emission frontier: each
   // scan classifies its point for all of them (ksky.h).
@@ -168,6 +175,8 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   // Lanes idle this batch hold zero counters, so folding all is exact.
   int64_t newly_safe = 0;
   for (Lane& lane : lanes_) {
+    evidence_bytes_ += static_cast<size_t>(lane.evidence_delta);  // mod 2^64
+    lane.evidence_delta = 0;
     stats_.ksky_scans += lane.stats.ksky_scans;
     stats_.distances_computed += lane.stats.distances_computed;
     stats_.candidates_examined += lane.stats.candidates_examined;
@@ -215,6 +224,10 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
 }
 
 size_t SopDetector::MemoryBytes() const {
+  return DequeHeapBytes(states_) + last_results_bytes_ + evidence_bytes_;
+}
+
+size_t SopDetector::WalkMemoryBytesForTesting() const {
   size_t bytes = DequeHeapBytes(states_) + last_results_bytes_;
   for (const PointState& st : states_) bytes += st.skyband.MemoryBytes();
   return bytes;

@@ -2,22 +2,29 @@
 // sharing-aware multi-query outlier detector this repository reproduces.
 //
 // One swift skyband query answers the whole workload: per batch (one swift
-// slide), every alive, non-safe point gets one K-SKY scan that rebuilds its
-// LSky and, at an emission boundary, classifies the point for every due
-// query with one thresholded count per (window, k) group, read off the
-// scan's own layer table (ksky.h, "Emission frontier"). CPU is shared
-// (each point scanned once per slide for all queries) and memory is shared
-// (one skyband per point for all queries).
+// slide), every alive, non-safe point gets one K-SKY scan that updates its
+// evidence — per-layer counts of its succeeding neighbours and the skyband
+// of its preceding ones (lsky.h) — and, at an emission boundary, classifies
+// the point for every due query with one thresholded count per (window, k)
+// group, read off the scan's own layer table (ksky.h, "Emission
+// frontier"). CPU is shared (each point scanned once per slide for all
+// queries) and memory is shared (one evidence record per point for all
+// queries).
 //
 // Point lanes. The per-point loop of a batch is independent across
-// points: each point owns its skyband, and only the scan scratch is
+// points: each point owns its evidence, and only the scan scratch is
 // shared. A large batch therefore runs it on lanes (common/thread_pool.h
 // RunLanes): one per hardware thread, each with its own KSky and
 // per-query outlier lists. Scans are pulled newest first, in small chunks
 // from a shared cursor, so each lane's lists are seq-descending; each
 // query's ascending list is a merge of the lanes' lists. Every output —
-// emissions, skybands, safe flags, Stats — is bit-identical for every
+// emissions, evidence, safe flags, Stats — is bit-identical for every
 // lane count.
+//
+// Memory. The detector keeps a running total of its evidence bytes: each
+// lane sums the change its scans made, the batch folds the lanes' sums,
+// and expiry subtracts what the dropped points held. MemoryBytes() is
+// therefore O(1) per batch, not a walk over every alive point.
 
 #ifndef SOP_CORE_SOP_DETECTOR_H_
 #define SOP_CORE_SOP_DETECTOR_H_
@@ -65,8 +72,8 @@ class SopDetector : public OutlierDetector {
   /// A batch runs its per-point loop on more than one lane only when its
   /// scan bound — non-safe points x alive points, the candidates its K-SKY
   /// scans may touch — exceeds this. On the Fig-7 probe that is about
-  /// 1.4 ms of one-lane work, against 0.1 to 0.2 ms to wake the helpers
-  /// and join them (4-vCPU KVM guest).
+  /// 1.1 ms of one-lane work, against 0.1 to 0.2 ms to wake the
+  /// helpers and join them (4-vCPU KVM guest).
   static constexpr int64_t kLaneScanBound = 2'000'000;
 
   explicit SopDetector(const Workload& workload)
@@ -98,6 +105,9 @@ class SopDetector : public OutlierDetector {
   bool IsAliveForTesting(Seq seq) const { return buffer_.Contains(seq); }
   bool IsSafeForTesting(Seq seq) const { return StateOf(seq).safe; }
   const LSky& SkybandForTesting(Seq seq) const { return StateOf(seq).skyband; }
+  /// MemoryBytes() with the evidence bytes summed by a walk over every
+  /// alive point instead of the running total; the two must be equal.
+  size_t WalkMemoryBytesForTesting() const;
 
  private:
   // Per alive point bookkeeping, parallel to buffer_.
@@ -120,6 +130,8 @@ class SopDetector : public OutlierDetector {
     explicit Lane(KSky scanner) : ksky(std::move(scanner)) {}
     KSky ksky;
     Stats stats;  // this batch's scan counters
+    // This batch's change to the evidence bytes of the points it scanned.
+    int64_t evidence_delta = 0;
     // Per emission slot: the points this lane reported, seq-descending.
     std::vector<std::vector<Seq>> outliers;
   };
@@ -143,6 +155,7 @@ class SopDetector : public OutlierDetector {
   int64_t last_boundary_ = INT64_MIN;
   bool received_any_ = false;
   size_t last_results_bytes_ = 0;
+  size_t evidence_bytes_ = 0;  // sum of states_' skyband.MemoryBytes()
   // Per-batch scratch.
   std::vector<Seq> nonsafe_seqs_;
   KSky::Emission emission_;  // this boundary's due queries, grouped

@@ -133,20 +133,22 @@ void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
       ctx->history.pop_front();
     }
   }
-  Stopwatch watch;
+  Stopwatch wall;
+  CpuStopwatch cpu;
   std::vector<QueryResult> results =
       ctx->detector->Advance(std::move(batch), boundary);
-  const double cpu_ms = watch.ElapsedMillis();
+  const double cpu_ms = cpu.ElapsedMillis();
+  const double wall_ms = wall.ElapsedMillis();
   uint64_t outliers = 0;
   for (const QueryResult& r : results) outliers += r.outliers.size();
-  ctx->acc.RecordBatch(cpu_ms, ctx->detector->MemoryBytes(), results.size(),
-                       outliers);
+  ctx->acc.RecordBatch(wall_ms, cpu_ms, ctx->detector->MemoryBytes(),
+                       results.size(), outliers);
   if (obs::Enabled()) {
     SOP_COUNTER_ADD("engine/batches", 1);
     SOP_COUNTER_ADD("engine/points", batch_points);
     SOP_COUNTER_ADD("engine/emissions", results.size());
     SOP_COUNTER_ADD("engine/outliers", outliers);
-    SOP_HISTOGRAM_RECORD("engine/batch_ms", cpu_ms);
+    SOP_HISTOGRAM_RECORD("engine/batch_ms", wall_ms);
     // Per-query attribution: names are computed, so the handles cannot be
     // cached per call site like the macros do; cache them per query index
     // instead (registry handles are lifetime-stable).

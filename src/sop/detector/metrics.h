@@ -1,6 +1,9 @@
 // Run metrics collected by the execution engine: the paper's two
-// evaluation metrics (average CPU time per window, peak memory) plus
-// per-batch latency percentiles and bookkeeping.
+// evaluation metrics (average CPU time per window, peak memory) plus wall
+// time per window, per-batch latency percentiles and bookkeeping. CPU time
+// is the process's, summed over every thread, so a detector that spreads a
+// batch over lanes pays for each of them; wall time is the batch's
+// critical path.
 //
 // Since the observability subsystem landed (obs/, DESIGN.md Sec. 11),
 // RunMetrics is a thin aggregate computed from an obs::Histogram of batch
@@ -24,11 +27,16 @@ namespace sop {
 struct RunMetrics {
   /// Number of swift-window slides (batches) processed.
   int64_t num_batches = 0;
-  /// Total detector CPU time across all batches, milliseconds.
+  /// Total detector CPU time across all batches (every thread of the
+  /// process), milliseconds.
   double total_cpu_ms = 0.0;
-  /// The paper's CPU metric: average processing time per window (ms).
+  /// Total wall time across all batches, milliseconds.
+  double total_wall_ms = 0.0;
+  /// The paper's CPU metric: average CPU time per window (ms).
   double avg_cpu_ms_per_window = 0.0;
-  /// Per-batch latency distribution (ms): median, 95th percentile
+  /// Average wall time per window (ms).
+  double avg_wall_ms_per_window = 0.0;
+  /// Per-batch wall latency distribution (ms): median, 95th percentile
   /// (nearest-rank), and worst batch. Tail latency is what a production
   /// stream job provisions for; the averages above hide it.
   double p50_batch_ms = 0.0;
@@ -54,8 +62,8 @@ struct RunMetrics {
 /// Incremental accumulator used by the execution engine.
 class MetricsAccumulator {
  public:
-  void RecordBatch(double cpu_ms, size_t memory_bytes, uint64_t emissions,
-                   uint64_t outliers);
+  void RecordBatch(double wall_ms, double cpu_ms, size_t memory_bytes,
+                   uint64_t emissions, uint64_t outliers);
   void RecordPoints(int64_t n) { metrics_.total_points += n; }
 
   /// Finalizes averages and percentiles and returns the metrics.
@@ -63,7 +71,7 @@ class MetricsAccumulator {
 
  private:
   RunMetrics metrics_;
-  obs::Histogram batch_ms_;  // one sample per RecordBatch
+  obs::Histogram batch_ms_;  // one wall sample per RecordBatch
 };
 
 }  // namespace sop

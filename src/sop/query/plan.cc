@@ -146,7 +146,7 @@ WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
   }
 
   // Safe-For-All requirements: demand group g demands k(g) succeeding
-  // entries within its smallest r (its min layer); monotonicity of prefix
+  // neighbours within its smallest r (its min layer); monotonicity of prefix
   // counts makes a requirement implied when an earlier layer already
   // demands at least as many entries, so only a strictly increasing
   // staircase remains. (Under elastic headroom this collapses to the

@@ -94,8 +94,8 @@ struct PlanHeadroom {
 /// see core/multi_attribute.h).
 class WorkloadPlan {
  public:
-  /// One Safe-For-All requirement: the skyband must hold at least `k`
-  /// succeeding entries with layer <= `layer` (DESIGN.md Sec. 4.3).
+  /// One Safe-For-All requirement: the point must have at least `k`
+  /// succeeding neighbours with layer <= `layer` (DESIGN.md Sec. 4.3).
   struct SafetyRequirement {
     int layer;
     int64_t k;
@@ -237,8 +237,8 @@ class WorkloadPlan {
 
   /// The pruned Safe-For-All requirement staircase: ascending in both
   /// `layer` and `k`, implied requirements removed. A point is a
-  /// Safe-For-All inlier iff its succeeding skyband prefix satisfies every
-  /// requirement.
+  /// Safe-For-All inlier iff its succeeding counts (core/lsky.h) satisfy
+  /// every requirement.
   const std::vector<SafetyRequirement>& safety_requirements() const {
     return basis_.safety_requirements;
   }

@@ -126,18 +126,27 @@ TEST(DriverTest, SinkReceivesEveryResult) {
 
 TEST(MetricsTest, AccumulatorAveragesPerWindow) {
   MetricsAccumulator acc;
-  acc.RecordBatch(2.0, 100, 1, 5);
-  acc.RecordBatch(4.0, 300, 2, 0);
-  acc.RecordBatch(6.0, 200, 0, 0);
+  // Wall 2/4/6 ms; CPU 7/1/1 ms (lanes can spend more CPU than wall).
+  acc.RecordBatch(2.0, 7.0, 100, 1, 5);
+  acc.RecordBatch(4.0, 1.0, 300, 2, 0);
+  acc.RecordBatch(6.0, 1.0, 200, 0, 0);
   acc.RecordPoints(30);
   const RunMetrics m = acc.Finish();
   EXPECT_EQ(m.num_batches, 3);
-  EXPECT_DOUBLE_EQ(m.avg_cpu_ms_per_window, 4.0);
+  EXPECT_DOUBLE_EQ(m.avg_wall_ms_per_window, 4.0);
+  EXPECT_DOUBLE_EQ(m.total_wall_ms, 12.0);
+  EXPECT_DOUBLE_EQ(m.avg_cpu_ms_per_window, 3.0);
+  EXPECT_DOUBLE_EQ(m.total_cpu_ms, 9.0);
+  // Latency percentiles follow wall time.
+  EXPECT_DOUBLE_EQ(m.max_batch_ms, 6.0);
   EXPECT_EQ(m.peak_memory_bytes, 300u);
   EXPECT_EQ(m.total_emissions, 3u);
   EXPECT_EQ(m.total_outliers, 5u);
   EXPECT_EQ(m.total_points, 30);
-  EXPECT_FALSE(m.ToString().empty());
+  EXPECT_NE(m.ToString().find("cpu/window=3.000ms"), std::string::npos)
+      << m.ToString();
+  EXPECT_NE(m.ToString().find("wall/window=4.000ms"), std::string::npos)
+      << m.ToString();
 }
 
 // The diagnostic sop_cli and sop_server print for a rejected --detector:

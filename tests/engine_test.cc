@@ -225,7 +225,13 @@ TEST(ExecutionEngineTest, ComputesLatencyPercentiles) {
   EXPECT_GT(metrics.p50_batch_ms, 0.0);
   EXPECT_LE(metrics.p50_batch_ms, metrics.p95_batch_ms);
   EXPECT_LE(metrics.p95_batch_ms, metrics.max_batch_ms);
-  EXPECT_LE(metrics.max_batch_ms, metrics.total_cpu_ms);
+  EXPECT_LE(metrics.max_batch_ms, metrics.total_wall_ms);
+  EXPECT_DOUBLE_EQ(metrics.avg_wall_ms_per_window,
+                   metrics.total_wall_ms / 30.0);
+  // CPU is measured on its own clock.
+  EXPECT_GT(metrics.total_cpu_ms, 0.0);
+  EXPECT_DOUBLE_EQ(metrics.avg_cpu_ms_per_window,
+                   metrics.total_cpu_ms / 30.0);
   EXPECT_NE(metrics.LatencyToString().find("p95"), std::string::npos);
 }
 

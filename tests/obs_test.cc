@@ -279,11 +279,17 @@ TEST(ObsRunMetricsTest, ToJsonIsWellFormed) {
   RunMetrics m;
   m.num_batches = 3;
   m.total_cpu_ms = 1.5;
+  m.total_wall_ms = 0.75;
+  m.avg_wall_ms_per_window = 0.25;
   m.total_outliers = 7;
   const std::string json = m.ToJson();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"num_batches\": 3"), std::string::npos);
+  EXPECT_NE(json.find("\"total_cpu_ms\": 1.5"), std::string::npos);
+  EXPECT_NE(json.find("\"total_wall_ms\": 0.75"), std::string::npos);
+  EXPECT_NE(json.find("\"avg_wall_ms_per_window\": 0.25"),
+            std::string::npos);
   EXPECT_NE(json.find("\"total_outliers\": 7"), std::string::npos);
 }
 

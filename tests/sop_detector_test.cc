@@ -196,6 +196,7 @@ struct LaneRun {
   SopDetector::Stats stats;
   std::vector<bool> safe;                       // per alive seq
   std::vector<std::vector<SkybandEntry>> skybands;  // per alive seq
+  std::vector<std::vector<LayerCount>> counts;      // per alive seq
 };
 
 // Point lanes (sop_detector.h) on a Fig-7-shaped input: 100 queries with r
@@ -233,6 +234,7 @@ TEST(SopDetectorLanesTest, EveryLaneCountIsBitIdentical) {
         if (!detector.IsAliveForTesting(s)) continue;
         out.safe.push_back(detector.IsSafeForTesting(s));
         out.skybands.push_back(detector.SkybandForTesting(s).entries());
+        out.counts.push_back(detector.SkybandForTesting(s).succ());
       }
       return out;
     };
@@ -245,6 +247,7 @@ TEST(SopDetectorLanesTest, EveryLaneCountIsBitIdentical) {
       ExpectSameResults(serial.results, fanned.results, at);
       EXPECT_EQ(serial.safe, fanned.safe) << at;
       EXPECT_EQ(serial.skybands, fanned.skybands) << at;
+      EXPECT_EQ(serial.counts, fanned.counts) << at;
       EXPECT_EQ(serial.stats.ksky_scans, fanned.stats.ksky_scans) << at;
       EXPECT_EQ(serial.stats.distances_computed,
                 fanned.stats.distances_computed) << at;

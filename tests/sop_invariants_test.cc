@@ -3,8 +3,9 @@
 // These validate the two load-bearing claims of the design directly,
 // rather than through end-to-end results:
 //   * generalized Lemma 3: for every query (r, k) and every window suffix,
-//     thresholding the skyband count is equivalent to thresholding the
-//     true neighbor count;
+//     thresholding the evidence count (succeeding counts plus the
+//     preceding entries inside the window) is equivalent to thresholding
+//     the true neighbor count;
 //   * Safe-For-All soundness: once a point is flagged safe, it satisfies
 //     every query's neighbor threshold in every later window it occupies.
 
@@ -78,7 +79,8 @@ TEST_P(SopInvariantsTest, SkybandThresholdEqualsBruteForceThreshold) {
               << " at boundary " << boundary;
           continue;
         }
-        const int64_t counted = detector.SkybandForTesting(s).CountWithin(
+        const int64_t counted = testing::CountWithin(
+            detector.SkybandForTesting(s),
             detector.plan().layer_of_query(qi), start, q.k);
         EXPECT_EQ(counted >= q.k, exact_inlier)
             << "point " << s << " query " << q.ToString() << " boundary "
@@ -91,9 +93,10 @@ TEST_P(SopInvariantsTest, SkybandThresholdEqualsBruteForceThreshold) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SopInvariantsTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-// The skyband never retains anything outside the swift window, and its
-// entries are strictly seq-descending with valid layers (structural
-// invariants of LSky maintained by K-SKY).
+// The evidence never retains anything outside the swift window; its
+// entries are older than their point and strictly seq-descending with
+// valid layers, and its succeeding counts ascend in layer and stop at
+// k_max (structural invariants of LSky maintained by K-SKY).
 TEST(SopInvariantsTest, SkybandStructuralInvariants) {
   Workload w(WindowType::kCount);
   w.AddQuery(OutlierQuery(1.0, 3, 16, 4));
@@ -112,16 +115,30 @@ TEST(SopInvariantsTest, SkybandStructuralInvariants) {
       if (!detector.IsAliveForTesting(s) || detector.IsSafeForTesting(s)) {
         continue;
       }
-      const auto& entries = detector.SkybandForTesting(s).entries();
+      const LSky& sky = detector.SkybandForTesting(s);
+      const auto& entries = sky.entries();
       for (size_t i = 0; i < entries.size(); ++i) {
         EXPECT_GE(entries[i].key, swift_start);
-        EXPECT_NE(entries[i].seq, s);  // never its own neighbor
+        EXPECT_LT(entries[i].seq, s);  // preceding only
         EXPECT_GE(entries[i].layer, 1);
         EXPECT_LE(entries[i].layer, detector.plan().num_layers());
         if (i > 0) {
           EXPECT_LT(entries[i].seq, entries[i - 1].seq);
         }
       }
+      const auto& succ = sky.succ();
+      int64_t sum = 0;
+      for (size_t i = 0; i < succ.size(); ++i) {
+        EXPECT_LT(sum, detector.plan().k_max()) << "pair past k_max";
+        EXPECT_GT(succ[i].count, 0);
+        EXPECT_GE(succ[i].layer, 1);
+        EXPECT_LE(succ[i].layer, detector.plan().num_layers());
+        if (i > 0) {
+          EXPECT_GT(succ[i].layer, succ[i - 1].layer);
+        }
+        sum += succ[i].count;
+      }
+      EXPECT_LE(sum, detector.plan().k_max());
     }
   }
 }

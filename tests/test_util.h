@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <ostream>
 #include <random>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "gtest/gtest.h"
 #include "sop/common/point.h"
+#include "sop/core/lsky.h"
 #include "sop/core/sop_detector.h"
 #include "sop/detector/detector.h"
 #include "sop/detector/driver.h"
@@ -50,6 +52,27 @@ inline std::vector<Point> Points1D(const std::vector<Timestamp>& times,
                         std::vector<double>{values[i]});
   }
   return points;
+}
+
+/// Counts p's known neighbours within layer `max_layer` inside the window
+/// starting at `min_key`, read off p's evidence `sky`: every succeeding
+/// count (they lie in every window that holds p) plus the preceding
+/// entries with key >= min_key. Stops counting at `stop_at` (pass the
+/// query's k). Valid only for a window that holds p. This is the
+/// generalized Lemma-3 status test; see core/ksky.h for why it is exact.
+inline int64_t CountWithin(const LSky& sky, int32_t max_layer,
+                           int64_t min_key, int64_t stop_at) {
+  int64_t count = 0;
+  for (const LayerCount& c : sky.succ()) {
+    if (c.layer > max_layer) break;
+    count += c.count;
+  }
+  for (const SkybandEntry& e : sky.entries()) {
+    if (count >= stop_at) break;
+    if (e.key < min_key) break;  // older than the window: prefix ends
+    if (e.layer <= max_layer) ++count;
+  }
+  return std::min(count, stop_at);
 }
 
 /// One-line rendering of a QueryResult for failure messages.
@@ -161,6 +184,15 @@ class ScanBoundProbe : public OutlierDetector {
 };
 
 }  // namespace testing
+
+// Readable gtest failure messages for evidence (found by ADL).
+inline void PrintTo(const LayerCount& c, std::ostream* os) {
+  *os << "(layer " << c.layer << ", count " << c.count << ")";
+}
+inline void PrintTo(const SkybandEntry& e, std::ostream* os) {
+  *os << "(seq " << e.seq << ", key " << e.key << ", layer " << e.layer << ")";
+}
+
 }  // namespace sop
 
 #endif  // SOP_TESTS_TEST_UTIL_H_

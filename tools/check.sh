@@ -53,7 +53,7 @@ ctest --preset ubsan -j"$(nproc)" "$@"
 
 configure tsan
 cmake --build --preset tsan -j"$(nproc)"
-ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test|sop_detector_test|equivalence_test|ksky_test|multi_attribute_test|partitioned_test' "$@"
+ctest --preset tsan -j"$(nproc)" -R 'fault_test|recovery_test|engine_test|stream_test|protocol_test|net_test|ha_test|churn_fuzz_test|kernel_test|partition_test|cluster_test|sim_test|sop_detector_test|evidence_test|equivalence_test|ksky_test|multi_attribute_test|partitioned_test' "$@"
 
 configure noobs
 cmake --build --preset noobs -j"$(nproc)"
