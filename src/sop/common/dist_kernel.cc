@@ -123,9 +123,12 @@ void ScalarBatchGather(Metric metric, const double* const* cols,
   }
 }
 
-void ScalarBatchContig(Metric metric, const double* const* cols,
-                       const double* probe, size_t ndims, size_t slot0,
-                       size_t n, double* out) {
+namespace {
+
+// The keys of the contiguous candidates: each candidate's accumulator
+// before the root (dist_kernel.h, "Keys").
+void ScalarKeys(Metric metric, const double* const* cols, const double* probe,
+                size_t ndims, size_t slot0, size_t n, double* out) {
   for (size_t j = 0; j < n; ++j) out[j] = 0.0;
   switch (metric) {
     case Metric::kEuclidean:
@@ -137,7 +140,6 @@ void ScalarBatchContig(Metric metric, const double* const* cols,
           out[j] += d * d;
         }
       }
-      for (size_t j = 0; j < n; ++j) out[j] = std::sqrt(out[j]);
       break;
     case Metric::kManhattan:
       for (size_t i = 0; i < ndims; ++i) {
@@ -149,6 +151,29 @@ void ScalarBatchContig(Metric metric, const double* const* cols,
       }
       break;
   }
+}
+
+}  // namespace
+
+void ScalarBatchContig(Metric metric, const double* const* cols,
+                       const double* probe, size_t ndims, size_t slot0,
+                       size_t n, double* out) {
+  ScalarKeys(metric, cols, probe, ndims, slot0, n, out);
+  if (metric == Metric::kEuclidean) {
+    for (size_t j = 0; j < n; ++j) out[j] = std::sqrt(out[j]);
+  }
+}
+
+uint64_t ScalarKeysContig(Metric metric, const double* const* cols,
+                          const double* probe, size_t ndims, size_t slot0,
+                          size_t n, double bound, double* keys) {
+  SOP_DCHECK(n <= 64);
+  ScalarKeys(metric, cols, probe, ndims, slot0, n, keys);
+  uint64_t mask = 0;
+  for (size_t j = 0; j < n; ++j) {
+    mask |= static_cast<uint64_t>(keys[j] <= bound ? 1 : 0) << j;
+  }
+  return mask;
 }
 
 }  // namespace kernel_internal
@@ -183,9 +208,23 @@ void DispatchContig(Metric metric, const double* const* cols,
                                      out);
 }
 
+uint64_t DispatchKeys(Metric metric, const double* const* cols,
+                      const double* probe, size_t ndims, size_t slot0,
+                      size_t n, double bound, double* keys) {
+#if defined(SOP_KERNEL_HAVE_AVX2)
+  if (ActiveKernelBackend() == KernelBackend::kAvx2) {
+    return kernel_internal::Avx2KeysContig(metric, cols, probe, ndims, slot0,
+                                           n, bound, keys);
+  }
+#endif
+  return kernel_internal::ScalarKeysContig(metric, cols, probe, ndims, slot0,
+                                           n, bound, keys);
+}
+
 }  // namespace
 
-void DistanceKernel::Stage(const ColumnStore& cols, const Point& probe) const {
+void DistanceKernel::StageProbe(const ColumnStore& cols,
+                                const Point& probe) const {
   if (attributes_.empty()) {
     const size_t nd = cols.num_dims();
     SOP_DCHECK(probe.values.size() == nd);
@@ -221,7 +260,7 @@ void DistanceKernel::StageSlots(const ColumnStore& cols, const Seq* seqs,
 void DistanceKernel::BatchDist(const ColumnStore& cols, const Point& probe,
                                const Seq* seqs, size_t n, double* out) const {
   if (n == 0) return;
-  Stage(cols, probe);
+  StageProbe(cols, probe);
   StageSlots(cols, seqs, n);
   DispatchGather(metric_, col_ptrs_.data(), probe_vals_.data(),
                  col_ptrs_.size(), slot_scratch_.data(), n, out);
@@ -233,7 +272,7 @@ void DistanceKernel::BatchDistRange(const ColumnStore& cols,
   if (n == 0) return;
   SOP_DCHECK(cols.Contains(lo));
   SOP_DCHECK(cols.Contains(lo + static_cast<Seq>(n) - 1));
-  Stage(cols, probe);
+  StageProbe(cols, probe);
   // The alive range occupies at most two contiguous slot segments (one
   // wrap at the ring seam).
   const size_t slot0 = cols.SlotOf(lo);
@@ -244,6 +283,25 @@ void DistanceKernel::BatchDistRange(const ColumnStore& cols,
     DispatchContig(metric_, col_ptrs_.data(), probe_vals_.data(),
                    col_ptrs_.size(), 0, n - seg, out + seg);
   }
+}
+
+uint64_t DistanceKernel::KeyBlock(const ColumnStore& cols, Seq lo, size_t n,
+                                  double bound, double* keys) const {
+  SOP_DCHECK(n >= 1 && n <= 64);
+  SOP_DCHECK(cols.Contains(lo));
+  SOP_DCHECK(cols.Contains(lo + static_cast<Seq>(n) - 1));
+  // At most two contiguous slot segments, as in BatchDistRange; the
+  // second one's bits start at `seg`.
+  const size_t slot0 = cols.SlotOf(lo);
+  const size_t seg = std::min(n, cols.capacity() - slot0);
+  uint64_t mask = DispatchKeys(metric_, col_ptrs_.data(), probe_vals_.data(),
+                               col_ptrs_.size(), slot0, seg, bound, keys);
+  if (seg < n) {
+    mask |= DispatchKeys(metric_, col_ptrs_.data(), probe_vals_.data(),
+                         col_ptrs_.size(), 0, n - seg, bound, keys + seg)
+            << seg;
+  }
+  return mask;
 }
 
 size_t DistanceKernel::PartitionWithinR(const ColumnStore& cols,

@@ -17,6 +17,17 @@
 // IEEE-exact multiply/add/sqrt operations. Detector emissions therefore do
 // not depend on the selected backend; tests/kernel_test.cc enforces this.
 //
+// Keys. KeyBlock returns keys rather than distances: the key of a pair is
+// its accumulator before the root, sum (a_i - b_i)^2 in attribute order for
+// Euclidean (DistanceFn returns sqrt(key)), and the distance itself for
+// Manhattan. The bit-identity contract extends to keys: every backend
+// returns the scalar per-pair accumulation bit for bit, and sqrt(key)
+// equals DistanceFn for Euclidean. It also extends to the mask KeyBlock
+// returns with them, whose bit i is set iff key i <= bound: the AVX2 path
+// compares in the pass that computes the keys, with an ordered compare, so
+// a NaN key sets no bit on any backend. WorkloadPlan maps keys to layers
+// (query/plan.h, "Keys").
+//
 // Backend selection is process-global (SetKernelBackend) and defaults to
 // "auto": the best backend this machine supports. The AVX2 backend is
 // compiled in when the toolchain supports -mavx2 and engaged only if the
@@ -97,17 +108,27 @@ class DistanceKernel {
                           Seq* seqs, size_t n, double r,
                           double* dists) const;
 
+  /// Resolves `probe`'s values and the column base pointers of the bound
+  /// subspace in `cols` for KeyBlock: once per scan, not once per block.
+  /// Stays valid until `cols` changes or another entry point runs.
+  void StageProbe(const ColumnStore& cols, const Point& probe) const;
+
+  /// keys[i] = key(probe, point lo + i) (see "Keys") for i in [0, n),
+  /// 1 <= n <= 64, against the probe last staged with StageProbe: the
+  /// contiguous alive range [lo, lo + n), both ring segments included.
+  /// Returns the mask whose bit i is set iff keys[i] <= bound.
+  uint64_t KeyBlock(const ColumnStore& cols, Seq lo, size_t n, double bound,
+                    double* keys) const;
+
  private:
-  // Resolves probe values and column base pointers for the bound
-  // subspace, and seqs to int32 ring slots, into the scratch arrays.
-  void Stage(const ColumnStore& cols, const Point& probe) const;
+  // Resolves seqs to int32 ring slots into the scratch array.
   void StageSlots(const ColumnStore& cols, const Seq* seqs, size_t n) const;
 
   Metric metric_ = Metric::kEuclidean;
   std::vector<int> attributes_;  // empty = full space
 
-  // Scratch staged per batch (see Stage); mutable so the batch entry
-  // points stay const like DistanceFn::operator().
+  // Scratch staged per batch or per scan (see StageProbe); mutable so the
+  // batch entry points stay const like DistanceFn::operator().
   mutable std::vector<const double*> col_ptrs_;
   mutable std::vector<double> probe_vals_;
   mutable std::vector<int32_t> slot_scratch_;

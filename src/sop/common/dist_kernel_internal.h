@@ -1,10 +1,12 @@
 // Internal batch-loop primitives shared by the portable and AVX2 kernel
 // translation units. Not part of the public API.
 //
-// Both forms take subspace-resolved inputs: `cols[i]` is the base pointer
+// Every form takes subspace-resolved inputs: `cols[i]` is the base pointer
 // of the i-th bound attribute's column and `probe[i]` the probe's value in
 // that attribute, for i in [0, ndims). The gather form reads candidate j
-// at cols[i][slots[j]]; the contiguous form at cols[i][slot0 + j].
+// at cols[i][slots[j]]; the contiguous forms at cols[i][slot0 + j]. The
+// key form writes keys instead of distances (dist_kernel.h, "Keys") and
+// returns the mask whose bit j is set iff keys[j] <= bound; n <= 64.
 
 #ifndef SOP_COMMON_DIST_KERNEL_INTERNAL_H_
 #define SOP_COMMON_DIST_KERNEL_INTERNAL_H_
@@ -22,6 +24,9 @@ void ScalarBatchGather(Metric metric, const double* const* cols,
 void ScalarBatchContig(Metric metric, const double* const* cols,
                        const double* probe, size_t ndims, size_t slot0,
                        size_t n, double* out);
+uint64_t ScalarKeysContig(Metric metric, const double* const* cols,
+                          const double* probe, size_t ndims, size_t slot0,
+                          size_t n, double bound, double* keys);
 
 #if defined(SOP_KERNEL_HAVE_AVX2)
 void Avx2BatchGather(Metric metric, const double* const* cols,
@@ -30,6 +35,9 @@ void Avx2BatchGather(Metric metric, const double* const* cols,
 void Avx2BatchContig(Metric metric, const double* const* cols,
                      const double* probe, size_t ndims, size_t slot0,
                      size_t n, double* out);
+uint64_t Avx2KeysContig(Metric metric, const double* const* cols,
+                        const double* probe, size_t ndims, size_t slot0,
+                        size_t n, double bound, double* keys);
 #endif  // SOP_KERNEL_HAVE_AVX2
 
 }  // namespace sop::kernel_internal

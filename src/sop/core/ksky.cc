@@ -12,10 +12,10 @@
 namespace sop {
 
 namespace {
-// Candidate distances are confirmed through the batch kernel in blocks of
-// this many points: large enough to amortize the batch setup and fill the
-// SIMD lanes, small enough to bound the distances wasted when layer-1
-// saturation terminates a scan mid-block. Block positions fit a uint8_t.
+// Candidate keys come from the batch kernel in blocks of this many points:
+// large enough to amortize the call and fill the SIMD lanes, small enough
+// to bound the keys wasted when layer-1 saturation terminates a scan
+// mid-block. A block's mask is one 64-bit word.
 constexpr size_t kBatchBlock = 64;
 }  // namespace
 
@@ -27,7 +27,7 @@ KSky::KSky(const WorkloadPlan* plan, DistanceFn dist, Options options)
   SOP_CHECK(plan_ != nullptr);
   SOP_CHECK(plan_->k_max() <= std::numeric_limits<int32_t>::max());
   layer_counts_.Reset(plan_->num_layers());
-  batch_dists_.resize(kBatchBlock);
+  block_keys_.resize(kBatchBlock);
   pending_.assign(static_cast<size_t>(plan_->num_layers()) + 1, 0);
   touched_.assign(pending_.size() / 64 + 1, 0);
 }
@@ -38,14 +38,15 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                          const Emission* emission,
                          std::vector<std::vector<Seq>>* outliers) {
   SOP_DCHECK(layer_counts_.IsZero());
-  SOP_DCHECK(touched_layers_ == 0);
+  SOP_DCHECK(touched_lo_ > touched_hi_);
   stats_ = KSkyScanStats{};
   build_.Clear();
   layer1_count_ = 0;
 
   const WindowType type = buffer.type();
   const ColumnStore& cols = buffer.columns();
-  const double r_max = plan_->r_max();
+  const int num_layers = plan_->num_layers();
+  const int64_t k_max = plan_->k_max();
   uint64_t kernel_hits = 0;  // counted only when obs is on
   uint64_t classified = 0;
 
@@ -56,102 +57,108 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
                ? static_cast<int64_t>(s)
                : cols.time_column()[cols.SlotOf(s)];
   };
+  // The key bound of the candidates inside the dominance frontier
+  // `frontier`: K_{f-1}, or -inf (no key) when f = 1.
+  auto bound_inside = [&](int frontier) {
+    return frontier > 1 ? plan_->key_of_layer(frontier - 1)
+                        : -std::numeric_limits<double>::infinity();
+  };
 
-  // The succeeding counts the table starts from: none for a first scan.
+  // The succeeding counts the scan starts from (none for a first scan),
+  // and their truncation layer: the counting frontier (see "Dominance
+  // frontier").
   std::span<const LayerCount> seeds;
+  int count_frontier = num_layers + 1;
   if (!from_scratch) {
     SOP_DCHECK(p.seq < batch_first_seq);
     skyband->ExpireBefore(swift_window_start);
     seeds = skyband->succ();
-    for (const LayerCount& c : seeds) layer_counts_.Add(c.layer, c.count);
+    int64_t sum = 0;
+    for (const LayerCount& c : seeds) sum += c.count;
+    if (sum >= k_max) count_frontier = seeds.back().layer;
     if (!seeds.empty() && seeds.front().layer == 1) {
       layer1_count_ = seeds.front().count;
     }
   }
   bool keep_scanning =
-      !(options_.early_termination && layer1_count_ >= plan_->k_max());
-
-  // Consumes the kernel block of the `nb` seqs below `end`, passing each
-  // candidate inside the dominance frontier to `visit` (Count or Examine).
-  // Block position j (0 = newest) holds candidate seq end-1-j, whose
-  // distance sits at batch_dists_[nb-1-j]. Only candidates inside the
-  // frontier are classified (see ksky.h): `d <= r_{f-1}`, where f is the
-  // first layer whose table prefix count reaches k_max and r_L = r_max. A
-  // candidate failing it is either nobody's neighbour (farther than r_max,
-  // or NaN: Def. 5 c3) or sits at a layer >= f, where Examine would reject
-  // it without touching any state and Count would add nothing that
-  // truncation keeps. Returns the block positions consumed: all of them,
-  // or up to and including the hit that ended the scan.
-  uint8_t hits[kBatchBlock] = {};
-  auto consume_block = [&](Seq end, size_t nb, auto&& visit) -> size_t {
-    const int frontier = layer_counts_.LowerBound(plan_->k_max());
-    const double r_front = frontier > 1
-                               ? plan_->r_of_layer(frontier - 1)
-                               : -std::numeric_limits<double>::infinity();
-    const double* dists = batch_dists_.data();
-    size_t nh = 0;
-    for (size_t j = 0; j < nb; ++j) {  // branch-free compaction
-      hits[nh] = static_cast<uint8_t>(j);
-      nh += dists[nb - 1 - j] <= r_front ? 1 : 0;
-    }
-    for (size_t h = 0; h < nh; ++h) {
-      const size_t j = hits[h];
-      const double d = dists[nb - 1 - j];
-      SOP_DCHECK(!std::isnan(d));
-      ++classified;
-      keep_scanning =
-          visit(end - 1 - static_cast<Seq>(j), plan_->LayerOfDistance(d));
-      if (!keep_scanning) return j + 1;
-    }
-    return nb;
-  };
+      !(options_.early_termination && layer1_count_ >= k_max);
 
   // Scans the buffer's points with seq in [lo, hi), which never holds p,
-  // from newest to oldest. Distances come from the batch kernel,
-  // kBatchBlock candidates per call; the consumption order is that of a
-  // per-pair scan, and stats count consumed candidates only, so a block
-  // cut short by termination does not inflate them.
-  auto scan_range = [&](Seq lo, Seq hi, auto&& visit) {
+  // from newest to oldest, in kernel blocks of kBatchBlock. The kernel
+  // returns each block's keys and the mask of those <= `bound()`, the
+  // block's dominance frontier; bit i is seq begin + i, so the set bits,
+  // highest first, pass each candidate inside the frontier to `visit`
+  // (Count or Examine) in the order of a per-pair scan. A candidate
+  // outside it is either nobody's neighbour (farther than r_max, or NaN:
+  // Def. 5 c3) or sits at a layer >= f, where Examine would reject it
+  // without touching any state and Count would add nothing that
+  // truncation keeps. Stats count consumed candidates only: all of a
+  // block, or its positions down to the hit that ended the scan.
+  kernel_.StageProbe(cols, p);
+  auto scan_range = [&](Seq lo, Seq hi, auto&& bound, auto&& visit) {
     SOP_DCHECK(p.seq < lo || p.seq >= hi);
+    double* keys = block_keys_.data();
     for (Seq end = hi; end > lo && keep_scanning;) {
       const Seq begin = std::max(lo, end - static_cast<Seq>(kBatchBlock));
       const size_t nb = static_cast<size_t>(end - begin);
-      kernel_.BatchDistRange(cols, p, begin, nb, batch_dists_.data());
+      uint64_t mask = kernel_.KeyBlock(cols, begin, nb, bound(), keys);
       SOP_COUNTER_ADD("kernel/batches", 1);
       SOP_COUNTER_ADD("kernel/candidates", nb);
-      const size_t consumed = consume_block(end, nb, visit);
+      size_t consumed = nb;
+      while (mask != 0) {
+        const int i = std::bit_width(mask) - 1;
+        mask ^= uint64_t{1} << i;
+        SOP_DCHECK(!std::isnan(keys[i]));
+        ++classified;
+        keep_scanning = visit(begin + i, plan_->LayerOfKey(keys[i]));
+        if (!keep_scanning) {
+          consumed = nb - static_cast<size_t>(i);
+          break;
+        }
+      }
       stats_.candidates_examined += static_cast<int64_t>(consumed);
       stats_.distances_computed += static_cast<int64_t>(consumed);
       if (SOP_OBS_ENABLED()) {
         // kernel/hits: the r_max hits among the consumed positions, which
-        // are the block's newest seqs, whose distances end the output.
-        const double* dists = batch_dists_.data() + (nb - consumed);
-        for (size_t i = 0; i < consumed; ++i) {
-          kernel_hits += dists[i] <= r_max ? 1 : 0;
+        // are the block's newest seqs, whose keys end the block.
+        const double key_max = plan_->key_of_layer(num_layers);
+        for (size_t i = nb - consumed; i < nb; ++i) {
+          kernel_hits += keys[i] <= key_max ? 1 : 0;
         }
       }
       end = begin;
     }
   };
-  auto count = [&](Seq, int layer) { return Count(layer); };
-  auto examine = [&](Seq s, int layer) { return Examine(s, key_of(s), layer); };
 
-  // Succeeding candidates: counted, with the table holding succeeding
-  // counts only. The merged counts wait in build_ until the reset.
+  // Succeeding candidates: counted inside the fixed counting frontier,
+  // with no table (see "Merging the counts").
+  const double count_bound = bound_inside(count_frontier);
   scan_range(from_scratch ? p.seq + 1 : batch_first_seq, buffer.next_seq(),
-             count);
-  const bool rebuild = from_scratch || touched_layers_ > 0;
-  if (rebuild) MergeCounts(seeds);
+             [count_bound] { return count_bound; },
+             [this](Seq, int layer) { return Count(layer); });
+  const bool rebuild = from_scratch || touched_lo_ <= touched_hi_;
+  if (rebuild) {
+    MergeCounts(seeds);
+    skyband->SwapSucc(&build_);
+  }
+  // The table starts from the merged pairs, or the kept ones when no
+  // arrival was counted: one update per pair.
+  for (const LayerCount& c : skyband->succ()) {
+    layer_counts_.Add(c.layer, c.count);
+  }
 
-  // Preceding candidates: examined against every succeeding count.
+  // Preceding candidates: examined against the table.
   if (from_scratch) {
-    scan_range(buffer.first_seq(), p.seq, examine);
+    scan_range(
+        buffer.first_seq(), p.seq,
+        [&] { return bound_inside(layer_counts_.LowerBound(k_max)); },
+        [&](Seq s, int layer) { return Examine(s, key_of(s), layer); });
   } else if (rebuild) {
     // The previous entries are read in place: nothing writes `skyband`'s
     // entries until the swap below. Entries at or beyond the dominance
     // frontier are consumed without Examine, which would reject them
     // unchanged.
-    const int frontier = layer_counts_.LowerBound(plan_->k_max());
+    const int frontier = layer_counts_.LowerBound(k_max);
     for (const SkybandEntry& e : skyband->entries()) {
       if (!keep_scanning) break;
       ++stats_.candidates_examined;
@@ -175,28 +182,21 @@ bool KSky::EvaluatePoint(const Point& p, const StreamBuffer& buffer,
     counted = ClassifyForEmission(p.seq, key_of(p.seq), *skyband, counted,
                                  *emission, outliers);
   }
-  ResetLayerTable(seeds, *skyband, counted);
-  if (rebuild) skyband->SwapSucc(&build_);
+  ResetLayerTable(*skyband, counted);
   return IsSafeForAll(*skyband);
 }
 
 bool KSky::Count(int32_t layer) {
-  layer_counts_.Add(layer, 1);
   const size_t l = static_cast<size_t>(layer);
-  if (pending_[l]++ == 0) {
-    const size_t w = l / 64;
-    touched_[w] |= uint64_t{1} << (l % 64);
-    touched_lo_ = std::min(touched_lo_, w);
-    touched_hi_ = std::max(touched_hi_, w);
-    ++touched_layers_;
-  }
-  if (layer == 1) ++layer1_count_;
+  const size_t w = l / 64;
+  ++pending_[l];
+  touched_[w] |= uint64_t{1} << (l % 64);
+  touched_lo_ = std::min(touched_lo_, w);
+  touched_hi_ = std::max(touched_hi_, w);
+  layer1_count_ += layer == 1 ? 1 : 0;
   // Layer-1 saturation: see the termination discussion in ksky.h.
-  if (options_.early_termination && layer == 1 &&
-      layer1_count_ >= plan_->k_max()) {
-    return false;
-  }
-  return true;
+  return !(options_.early_termination && layer == 1 &&
+           layer1_count_ >= plan_->k_max());
 }
 
 void KSky::MergeCounts(std::span<const LayerCount> seeds) {
@@ -257,32 +257,27 @@ size_t KSky::ClassifyForEmission(Seq seq, int64_t key, const LSky& skyband,
   return counted;
 }
 
-void KSky::ResetLayerTable(std::span<const LayerCount> seeds,
-                           const LSky& skyband, size_t counted) {
+void KSky::ResetLayerTable(const LSky& skyband, size_t counted) {
   const unsigned layers = static_cast<unsigned>(layer_counts_.size());
-  const size_t updates = seeds.size() + touched_layers_ + counted;
-  const bool clear = layers + 1 < updates * std::bit_width(layers);
-  if (clear) {
+  const std::vector<LayerCount>& pairs = skyband.succ();
+  const size_t updates = pairs.size() + counted;
+  if (layers + 1 < updates * std::bit_width(layers)) {
     layer_counts_.Clear();
   } else {
-    for (const LayerCount& c : seeds) layer_counts_.Add(c.layer, -c.count);
+    for (const LayerCount& c : pairs) layer_counts_.Add(c.layer, -c.count);
     const std::vector<SkybandEntry>& entries = skyband.entries();
     for (size_t i = 0; i < counted; ++i) {
       layer_counts_.Add(entries[i].layer, -1);
     }
   }
-  if (touched_layers_ == 0) return;
   for (size_t w = touched_lo_; w <= touched_hi_; ++w) {
     for (uint64_t bits = touched_[w]; bits != 0; bits &= bits - 1) {
-      const size_t l = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-      if (!clear) layer_counts_.Add(static_cast<int>(l), -pending_[l]);
-      pending_[l] = 0;
+      pending_[w * 64 + static_cast<size_t>(std::countr_zero(bits))] = 0;
     }
     touched_[w] = 0;
   }
   touched_lo_ = SIZE_MAX;
   touched_hi_ = 0;
-  touched_layers_ = 0;
 }
 
 void KSky::RecordScanObs(size_t skyband_size, uint64_t kernel_hits,

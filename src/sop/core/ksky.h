@@ -43,19 +43,32 @@
 // Dominance frontier. Let f be the first layer whose count in the layer
 // table at layers <= f reaches k_max (L + 1 when none does). A candidate
 // at layer >= f is dominated by at least k_max points, so Def. 6 discards
-// it and counting it would not change the truncated counts (see
-// "Truncation"); the scan may therefore skip it, as long as it still counts
-// it as consumed. Kernel blocks are compacted with d <= r_{f-1} (r_max
-// while f = L + 1; nothing while f = 1, which needs early termination off,
-// since layer-1 saturation ends the scan first), and the re-admission pass
-// skips previous entries whose cached layer is >= f. f is computed once
-// per 64-candidate block and once before re-admission. Inside that span it
-// can only go stale in the safe direction: the table only grows, so the
-// true frontier only moves inward, and a candidate that passes the stale
-// test is simply counted (truncation drops it) or examined as before
-// (rejected by Examine if it is dominated by now). Condition-3 rejections
-// are left to Examine. While succeeding candidates are counted the table
-// holds succeeding counts only: an older point never dominates a newer one.
+// it and counting it would not change the truncated counts (Fact 4); the
+// scan may therefore skip it, as long as it still counts it as consumed.
+// The kernel marks the candidates whose key is <= K_{f-1} (see "Keys":
+// K_L while f = L + 1, no key while f = 1, which needs early termination
+// off, since layer-1 saturation ends the scan first); only those reach
+// the layer lookup. The re-admission pass skips previous entries whose
+// cached layer is >= f. Counting reads no table: its frontier is the
+// seeds' truncation layer, L + 1 for a first scan or whenever the seeds
+// sum below k_max, fixed while arrivals are counted. It is never inside
+// the final truncation layer, since counting only adds to the seeds, and
+// by Fact 4 the arrivals it lets through at or beyond that layer change
+// no pair. The examine phase takes f from the table once per 64-candidate
+// block and once before re-admission. Inside that span it can only go
+// stale in the safe direction: the table only grows, so the true frontier
+// only moves inward, and a candidate that passes the stale test is
+// examined as before (rejected by Examine if it is dominated by now).
+// Condition-3 rejections are left to Examine.
+//
+// Keys. The scan takes no root. For each 64-candidate block the kernel
+// returns every candidate's key (query/plan.h, "Keys": the squared sum for
+// Euclidean, the distance for Manhattan) and, from the same pass, the mask
+// of keys <= the frontier's threshold. The plan's thresholds K_m are exact
+// for every key: key <= K_m iff distance <= r_m. So the mask, each layer
+// (WorkloadPlan::LayerOfKey) and kernel/hits (key <= K_L) are what the
+// distances would give. The consume loop walks the mask's set bits,
+// highest (newest) first.
 //
 // Why the evidence is an exact status test (generalized Lemma 3). Call the
 // skyband S the set of p's alive neighbours a Def-6 scan of the whole swift
@@ -104,6 +117,7 @@
 // MaxLayerForCount(c) rejects x for every c < k_max (and c >= k_max
 // rejects it anyway). In both cases every c in [c_K, c_A] rejects x, as
 // c_K does. The scan examines x against all of p's succeeding neighbours
+// (truncated, which changes no decision: see "Truncation" and Fact 5)
 // plus the kept preceding points newer than x. Going newest first, the
 // kept preceding points equal S's by induction, so that count lies in
 // [c_K, c_A], and x gets exactly its decision in S: the preceding entries
@@ -118,33 +132,73 @@
 // So truncation changes no decision and no verdict, and it bounds the
 // counts at k_max (layer, count) pairs, whatever L is.
 //
-// Merging the counts. A scan adds each counted arrival to the layer table
-// and to per-layer pending counts, and marks its layer in a bitmap. The
-// new counts are the old pairs merged with the marked layers in ascending
-// order, truncated at k_max: O(pairs + arrivals + bitmap words between the
-// lowest and highest marked layer), with no sort.
+// Merging the counts. Counting an arrival bumps its layer's pending count
+// and marks the layer in a bitmap; nothing else. The new counts are the
+// old pairs merged with the marked layers in ascending order, truncated at
+// k_max: O(pairs + arrivals + bitmap words between the lowest and highest
+// marked layer), with no sort. Only then does the layer table get the
+// merged pairs, one update per pair (the kept pairs when no arrival was
+// counted). Re-admission, the first scan's examine phase and the emission
+// walk read that table, and by Fact 5 they read what they would read off
+// the untruncated counts.
+//
+// Fact 4: the merged, truncated pairs do not depend on which arrivals at
+// or beyond the final truncation layer were counted. Let A be the
+// arrivals within r_max the scan consumes, and f* the truncation layer of
+// the seeds plus A (the first layer where their running sum reaches
+// k_max; L + 1 if none). Let C, a subset of A, be what was counted: every
+// arrival of A below f*, and, when f* <= L, enough for the seeds plus C to
+// reach k_max at f*. Below f* the seeds plus C and the seeds plus A hold
+// equal counts, whose running sums stay below k_max; at f* both reach
+// k_max, and truncation caps that pair at k_max minus the sum below it;
+// beyond f* neither keeps a pair. So their truncated pairs are equal. The
+// counting frontier f_s, the seeds' truncation layer, counts such a C:
+// f_s >= f*, so every arrival below f* is inside it; and an arrival at f*
+// outside it means f* >= f_s, so f_s = f* and the seeds alone reach k_max
+// there. Hence a frontier that never tightens while counting changes no
+// pair.
+//
+// Fact 5: a table over the truncated pairs has the prefix sums of a table
+// over the untruncated counts (the seeds plus every counted arrival)
+// below the truncation layer f, since truncation only caps the pair at f,
+// and both reach k_max or more at f and beyond. Both get the same entries
+// on top. Examine compares a prefix sum with k_max and, below it, reads
+// MaxLayerForCount of it; a dominance frontier is LowerBound(k_max); an
+// emission test is LowerBound(k) with k <= k_max. Each reads equal values
+// below f and values >= k_max in both from f on. So every Examine
+// decision, every dominance frontier and every emission is unchanged.
+//
+// Fact 6: the counting frontier does not change which candidates a scan
+// consumes. A scan ends early only on layer-1 saturation. Every layer-1
+// arrival is inside the counting frontier: f_s > 1 unless the seeds
+// saturate layer 1, and then the scan ends before its first arrival (or,
+// with early termination off, never ends). So the layer-1 count grows
+// arrival by arrival as if every neighbour were counted, and every scan
+// consumes the same candidates, computes the same keys and terminates at
+// the same one, whatever it counted beyond f*.
 //
 // Emission frontier. When the scan ends, the layer table holds p's
-// succeeding counts (not truncated: Fact 2) plus the rebuilt preceding
-// entries (an incremental scan that counted no arrival adds its kept
-// entries first). So the Lemma-3 test of every due query comes straight
-// from the table: the caller groups the due queries by (window start, k),
-// widest window first, with ascending layers inside each group. For each
-// group whose window holds p, the scan removes the entries older than the
-// window's start (the preceding skyband's tail, oldest first) and reads
-// f = LowerBound(k), the first layer whose count reaches k; p is an
-// outlier for exactly the group's queries at layers < f. The succeeding
-// counts stay: by Fact 1 they lie in every window that holds p. Windows
-// are suffixes of the swift window, so each group only removes entries; a
+// succeeding pairs plus the rebuilt preceding entries (an incremental
+// scan that counted no arrival adds its kept entries first). So the
+// Lemma-3 test of every due query comes straight from the table: the
+// caller groups the due queries by (window start, k), widest window
+// first, with ascending layers inside each group. For each group whose
+// window holds p, the scan removes the entries older than the window's
+// start (the preceding skyband's tail, oldest first) and reads f =
+// LowerBound(k), the first layer whose count reaches k; p is an outlier
+// for exactly the group's queries at layers < f. The succeeding pairs
+// stay: by Fact 1 they lie in every window that holds p. Windows are
+// suffixes of the swift window, so each group only removes entries; a
 // group whose window misses p ends the walk, since every later window is
 // shorter.
 //
 // Resetting the table. The table must be zero before the next point. It
-// holds one update per seeded pair, per counted layer and per entry left
-// after the emission walk; undoing those touches about log2(L) words
-// each, while a clear writes L + 1 words. The scan takes whichever is
-// fewer: large skybands over few layers clear, small skybands over
-// thousands of layers (Fig. 13) undo.
+// holds one update per pair and per entry left after the emission walk;
+// undoing those touches about log2(L) words each, while a clear writes
+// L + 1 words. The scan takes whichever is fewer: large skybands over few
+// layers clear, small skybands over thousands of layers (Fig. 13) undo.
+// The pending counts are cleared through the bitmap, one write per marked
+// layer and per marked word.
 //
 // Safe inliers (Sec. 3.2.2 / 4.1 / 4.2). By Fact 1 p's succeeding
 // neighbours can never expire before p. If for every k-group g the
@@ -234,8 +288,8 @@ class KSky {
   const KSkyScanStats& last_stats() const { return stats_; }
 
  private:
-  // Counts one succeeding neighbour at `layer` into the table and the
-  // pending counts. Returns false when the scan should terminate.
+  // Counts one succeeding neighbour at `layer` into the pending counts.
+  // Returns false when the scan should terminate.
   bool Count(int32_t layer);
 
   // Examines one preceding candidate (Alg. 2, skyEvaluate): applies Def. 6
@@ -264,10 +318,9 @@ class KSky {
                              size_t counted, const Emission& emission,
                              std::vector<std::vector<Seq>>* outliers);
 
-  // Zeroes the layer table, which holds `seeds`, the pending counts and
-  // preceding entries [0, counted), and clears the pending counts.
-  void ResetLayerTable(std::span<const LayerCount> seeds, const LSky& skyband,
-                       size_t counted);
+  // Zeroes the layer table, which holds `skyband`'s pairs and preceding
+  // entries [0, counted), and clears the pending counts.
+  void ResetLayerTable(const LSky& skyband, size_t counted);
 
   const WorkloadPlan* plan_;
   DistanceFn dist_;
@@ -279,17 +332,17 @@ class KSky {
   // dominated-count queries; it is zero between points (see "Resetting
   // the table").
   FenwickTree layer_counts_;
-  int64_t layer1_count_ = 0;  // cardinality of layer 1 (termination check)
-  std::vector<double> batch_dists_;  // per-block kernel output
+  // Untruncated cardinality of layer 1 (termination check).
+  int64_t layer1_count_ = 0;
+  std::vector<double> block_keys_;  // per-block kernel keys
   // Arrivals counted this scan, per layer (see "Merging the counts"):
   // `pending_[l]` is layer l's count and bit l of `touched_` is set iff it
-  // is nonzero; the marked words lie in [touched_lo_, touched_hi_]. All
-  // zero between points.
+  // is nonzero; the marked words lie in [touched_lo_, touched_hi_], which
+  // is empty (lo > hi) iff nothing was counted. All zero between points.
   std::vector<int32_t> pending_;
   std::vector<uint64_t> touched_;
   size_t touched_lo_ = SIZE_MAX;
   size_t touched_hi_ = 0;
-  size_t touched_layers_ = 0;
   LSky build_;  // evidence under construction
   KSkyScanStats stats_;
 };

@@ -144,11 +144,17 @@ std::vector<QueryResult> SopDetector::Advance(std::vector<Point> batch,
   // One K-SKY scan per alive, non-safe point (Alg. 3). Safe points are
   // inliers for every query forever, so only the others can ever be
   // reported.
+  // states_ runs parallel to the buffer: walk it by iterator beside a
+  // running seq rather than index the deque once per point.
   nonsafe_seqs_.clear();
-  for (Seq s = buffer_.first_seq(); s < buffer_.next_seq(); ++s) {
-    if (options_.safe_inlier_pruning && StateOf(s).safe) continue;
-    nonsafe_seqs_.push_back(s);
+  Seq seq = buffer_.first_seq();
+  for (const PointState& st : states_) {
+    if (!(options_.safe_inlier_pruning && st.safe)) {
+      nonsafe_seqs_.push_back(seq);
+    }
+    ++seq;
   }
+  SOP_DCHECK(seq == buffer_.next_seq());
   const int lanes = PrepareLanes(nonsafe_seqs_.size());
   const size_t num_lanes = static_cast<size_t>(lanes);
   for (size_t l = 0; l < num_lanes; ++l) {

@@ -72,8 +72,8 @@ class SopDetector : public OutlierDetector {
   /// A batch runs its per-point loop on more than one lane only when its
   /// scan bound — non-safe points x alive points, the candidates its K-SKY
   /// scans may touch — exceeds this. On the Fig-7 probe that is about
-  /// 1.1 ms of one-lane work, against 0.1 to 0.2 ms to wake the
-  /// helpers and join them (4-vCPU KVM guest).
+  /// 0.75 ms of one-lane work (0.58 to 0.90 ms over ten seeds), against
+  /// 0.1 to 0.2 ms to wake the helpers and join them (4-vCPU KVM guest).
   static constexpr int64_t kLaneScanBound = 2'000'000;
 
   explicit SopDetector(const Workload& workload)

@@ -89,7 +89,7 @@ WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
   basis_.layer_r.erase(
       std::unique(basis_.layer_r.begin(), basis_.layer_r.end()),
       basis_.layer_r.end());
-  CompileBucketMap();
+  CompileKeys();
 
   // Envelopes.
   const int64_t k_env = workload_.MaxK() + headroom.k_slack;
@@ -263,18 +263,30 @@ bool WorkloadPlan::ApplyOverlay(Workload next) {
   return true;
 }
 
-void WorkloadPlan::CompileBucketMap() {
-  const std::vector<double>& r = basis_.layer_r;
-  bucket_top_ = std::min(std::bit_ceil(4 * r.size()), kMaxLayerBuckets);
+void WorkloadPlan::CompileKeys() {
+  // K_m: the largest double whose root is <= r_m (see "Keys" in plan.h).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  layer_key_.clear();
+  for (const double r : basis_.layer_r) {
+    double s = workload_.metric() == Metric::kEuclidean ? r * r : r;
+    while (!(DistanceOfKey(s) <= r)) s = std::nextafter(s, 0.0);
+    while (s < kInf && DistanceOfKey(std::nextafter(s, kInf)) <= r) {
+      s = std::nextafter(s, kInf);
+    }
+    layer_key_.push_back(s);
+  }
+
+  const std::vector<double>& key = layer_key_;
+  bucket_top_ = std::min(std::bit_ceil(4 * key.size()), kMaxLayerBuckets);
   bucket_limit_ = static_cast<double>(bucket_top_);
-  bucket_scale_ = std::max(bucket_limit_ / r.back(),
+  bucket_scale_ = std::max(bucket_limit_ / key.back(),
                            std::numeric_limits<double>::denorm_min());
-  // r is ascending and bucket() non-decreasing, so one merge pass fills
-  // bucket_first_[b] = #{i : bucket(r_i) < b}.
+  // The keys ascend and bucket() is non-decreasing, so one merge pass
+  // fills bucket_first_[b] = #{i : bucket(K_i) < b}.
   bucket_first_.assign(bucket_top_ + 2, 0);
   size_t i = 0;
   for (size_t b = 0; b < bucket_first_.size(); ++b) {
-    while (i < r.size() && BucketOf(r[i]) < b) ++i;
+    while (i < key.size() && BucketOf(key[i]) < b) ++i;
     bucket_first_[b] = static_cast<uint32_t>(i);
   }
 }

@@ -28,6 +28,7 @@
 #ifndef SOP_QUERY_PLAN_H_
 #define SOP_QUERY_PLAN_H_
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -124,7 +125,7 @@ class WorkloadPlan {
     /// Normalized distance of `d` (Def. 4): the 1-based layer index m with
     /// r_{m-1} < d <= r_m, or num_layers()+1 when d exceeds every r. NaN
     /// is nobody's neighbor: it lands beyond every layer too. This is the
-    /// O(log L) reference; the scan uses WorkloadPlan::LayerOfDistance.
+    /// O(log L) reference; the scan uses WorkloadPlan::LayerOfKey.
     int LayerOfDistance(double d) const {
       return LayerBelow(layer_r.data(), 0, layer_r.size(), d);
     }
@@ -198,15 +199,29 @@ class WorkloadPlan {
   /// workload's largest k plus any headroom slack).
   int64_t k_max() const { return basis_.k_max(); }
 
-  /// Normalized distance of an original distance `d` (Def. 4): equal to
-  /// basis().LayerOfDistance(d) for every double d, but O(1) for
-  /// workloads whose r values are spread out (see the bucket map below).
-  int LayerOfDistance(double d) const {
-    const size_t b = BucketOf(d);
+  /// The key threshold of 1-based layer `m`: the largest double s with
+  /// DistanceOfKey(s) <= r_m (see "Keys" below).
+  double key_of_layer(int m) const {
+    return layer_key_[static_cast<size_t>(m - 1)];
+  }
+
+  /// The distance a kernel key stands for (common/dist_kernel.h): sqrt(s)
+  /// for Euclidean, which IEEE rounds correctly and so equals DistanceFn,
+  /// and s itself for Manhattan.
+  double DistanceOfKey(double s) const {
+    return workload_.metric() == Metric::kEuclidean ? std::sqrt(s) : s;
+  }
+
+  /// Normalized distance (Def. 4) of a kernel key `s`: equal to
+  /// basis().LayerOfDistance(DistanceOfKey(s)) for every key (see "Keys"
+  /// below), but O(1) for workloads whose key thresholds are spread out
+  /// (see the bucket map below).
+  int LayerOfKey(double s) const {
+    const size_t b = BucketOf(s);
     const size_t lo = bucket_first_[b];
-    const int layer = Basis::LayerBelow(basis_.layer_r.data(), lo,
-                                        bucket_first_[b + 1] - lo, d);
-    SOP_DCHECK(layer == basis_.LayerOfDistance(d));
+    const int layer = Basis::LayerBelow(layer_key_.data(), lo,
+                                        bucket_first_[b + 1] - lo, s);
+    SOP_DCHECK(layer == basis_.LayerOfDistance(DistanceOfKey(s)));
     return layer;
   }
 
@@ -260,8 +275,9 @@ class WorkloadPlan {
   void ValidateWorkload() const;
   // Recomputes every overlay field from workload_ against basis_.
   void CompileOverlay();
-  // Rebuilds the bucket map from basis_.layer_r.
-  void CompileBucketMap();
+  // Derives layer_key_ from basis_.layer_r and the metric, then the
+  // bucket map over it.
+  void CompileKeys();
 
   // The bucket of `x`: floor(x * s) clamped to [0, B]. Compares before it
   // converts, so a NaN, infinite or out-of-range product is never
@@ -275,20 +291,48 @@ class WorkloadPlan {
   Workload workload_;
   Basis basis_;
 
-  // Bucket map: O(1) LayerOfDistance, derived from basis_.layer_r and
-  // rebuilt wherever the basis is compiled or adopted. B buckets (the
-  // next power of two >= 4L, capped) split [0, r_max] evenly at scale
-  // s = B / r_max, and bucket_first_[b] = #{i : bucket(r_i) < b} for b in
-  // [0, B + 1]. LayerOfDistance(d) runs the lower bound over the r_i in
-  // bucket(d) only. Input domain: every double, not only distances (the
-  // scan passes hits, 0 <= d <= r_max). Exact because bucket() is
-  // non-decreasing over the non-NaN doubles: every r_i before the range
-  // lies below d and every r_i after it lies above d. NaN takes the top
-  // bucket, whose range runs to r_L, so every r_i counts as below it, as
-  // in the reference. r_max = +inf would make s = 0 (and -inf * 0 a NaN),
-  // so s is floored at the smallest positive double; a denormal r_max
-  // makes s = +inf, which maps every d >= 0 (0 * inf is NaN) to the top
-  // bucket: a plain lower bound over all layers.
+  // Keys. The kernel's key of a pair (common/dist_kernel.h) is its
+  // accumulator before the root: s = sum (a_i - b_i)^2 in attribute order
+  // for Euclidean, whose distance is root(s) = sqrt(s), and the distance
+  // itself for Manhattan, whose root is the identity. Every term is a
+  // square or an absolute value and the sum starts at +0, so a key is +0,
+  // positive, +inf or NaN. layer_key_[m - 1] = K_m, the largest double s
+  // with root(s) <= r_m; it exists, since root(+0) = +0 < r_m and the
+  // doubles are finite. Claim: for every key s, s <= K_m iff root(s) <=
+  // r_m. If s <= K_m, then root(s) <= root(K_m) <= r_m, because IEEE sqrt
+  // rounds correctly and is therefore non-decreasing over [-0, +inf]. If
+  // s > K_m, then root(s) > r_m by K_m's maximality. A NaN key fails both
+  // sides. So the lower bound over the K_m (a K_m lies below s iff
+  // !(K_m >= s)) returns the reference layer of root(s), NaN included,
+  // even where two K_m coincide (two r values so small that their squares
+  // underflow alike). Negative keys do not exist; their sqrt is NaN, so
+  // they are outside the claim. K_m comes from fl(r_m * r_m): the walk
+  // steps down while root(s) > r_m, then up while the next double's root
+  // is still <= r_m. Near r^2, consecutive doubles' roots differ by about
+  // half an ulp of r, so fl(r^2), within half an ulp of r^2, is a step or
+  // two from K_m. r_m = +inf gives +inf, and an r_m whose square overflows
+  // steps once, from +inf to DBL_MAX. fl(r_m * r_m) itself is not K_m in
+  // general: for r uniform in [200, 800), K_m lies one ulp above it about
+  // half the time, and a pair whose key is K_m is at distance exactly r_m.
+  // The keys depend only on the basis and the metric, and an overlay swap
+  // keeps both, so they are compiled once per plan.
+  std::vector<double> layer_key_;
+
+  // Bucket map: O(1) LayerOfKey, over the key thresholds. B buckets (the
+  // next power of two >= 4L, capped) split [0, K_L] evenly at scale
+  // s = B / K_L, and bucket_first_[b] = #{i : bucket(K_i) < b} for b in
+  // [0, B + 1]. LayerOfKey(x) runs the lower bound over the K_i in
+  // bucket(x) only. Input domain: every double, not only keys (the scan
+  // passes hits, 0 <= x <= K_L). Exact because bucket() is non-decreasing
+  // over the non-NaN doubles: every K_i before the range lies below x and
+  // every K_i after it lies above x. NaN takes the top bucket, whose range
+  // runs to K_L, so every K_i counts as below it, as in the reference.
+  // K_L = +inf (r_max = +inf) would make s = 0 (and -inf * 0 a NaN), so s
+  // is floored at the smallest positive double; a K_L that is 0 or
+  // denormal makes s = +inf, which maps every x >= 0 (0 * inf is NaN) to
+  // the top bucket: a plain lower bound over all layers. Euclidean keys
+  // crowd the buckets of the inner layers (K_m grows as r_m^2); that
+  // costs lookups, not exactness.
   double bucket_scale_ = 0.0;  // s
   double bucket_limit_ = 0.0;  // B, as a double
   size_t bucket_top_ = 0;      // B

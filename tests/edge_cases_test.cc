@@ -1,9 +1,12 @@
 // Edge-case and misuse tests across the library: alternative metrics,
 // degenerate streams, contract violations (death tests).
 
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
@@ -68,6 +71,115 @@ TEST(NonFiniteCoordinateTest, EveryDetectorMatchesNaive) {
         std::unique_ptr<OutlierDetector> d = CreateDetector(kind, w);
         ExpectSameResults(expected, CollectResults(w, points, d.get()),
                           label + "/" + kind);
+      }
+    }
+  }
+}
+
+// Distances exactly at a query radius, and a rounding step either side.
+// The scan compares keys with per-layer key thresholds (query/plan.h,
+// "Keys") where naive compares distances with r, so a pair whose key sits
+// on a threshold, or an ulp off fl(r^2), is where the two could part.
+//
+// Each radius r is drawn so that the key one ulp above fl(r^2) still has
+// root r: such a pair is at distance exactly r, a neighbour, which a
+// threshold of plain r * r would drop. A seeded search finds 2-d offsets
+// (a, b) whose Euclidean key fl(fl(a^2) + fl(b^2)), or Manhattan key
+// fl(a + b), equals each target: fl(r^2) and its neighbours, or r and its
+// neighbours. Points sit in clusters 8192 apart along a third axis, at the
+// cluster's anchor or at an offset from it, so every anchor-offset pair
+// differs by exactly (a, b, 0). No point can be Safe-For-All (k 200 at
+// r_min exceeds any cluster), so large batches fan out to four lanes.
+struct TieCase {
+  std::vector<double> radii;
+  std::vector<std::pair<double, double>> offsets;
+};
+
+TieCase FindTies(Metric metric, Rng* rng) {
+  const double inf = std::numeric_limits<double>::infinity();
+  TieCase c;
+  while (c.radii.size() < 3) {
+    const double r = rng->UniformDouble(200, 800);
+    if (std::sqrt(std::nextafter(r * r, inf)) == r) c.radii.push_back(r);
+  }
+  for (const double r : c.radii) {
+    const double s = metric == Metric::kEuclidean ? r * r : r;
+    for (const double target : {std::nextafter(s, 0.0), s,
+                                std::nextafter(s, inf),
+                                std::nextafter(std::nextafter(s, inf), inf)}) {
+      bool found = false;
+      for (int attempt = 0; attempt < 10000 && !found; ++attempt) {
+        const double a = r * rng->UniformDouble(0.2, 0.8);
+        double b = metric == Metric::kEuclidean
+                       ? std::sqrt(target - a * a)
+                       : target - a;
+        b = std::nextafter(b, 0.0);
+        for (int step = 0; step < 3 && !found; ++step) {
+          double key = 0.0;
+          if (metric == Metric::kEuclidean) {
+            key += a * a;
+            key += b * b;
+          } else {
+            key += a;
+            key += b;
+          }
+          if (key == target) {
+            c.offsets.emplace_back(a, b);
+            found = true;
+          }
+          b = std::nextafter(b, inf);
+        }
+      }
+      EXPECT_TRUE(found) << MetricName(metric) << " r " << r;
+    }
+  }
+  return c;
+}
+
+TEST(TieTest, SopMatchesNaiveOnThresholdKeys) {
+  constexpr int kClusters = 20;
+  constexpr Seq kPoints = 1500;  // the last batch scans 1500 x 1500 > 2M
+  for (const Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+    Rng rng(metric == Metric::kEuclidean ? 101 : 202);
+    const TieCase ties = FindTies(metric, &rng);
+    ASSERT_EQ(ties.offsets.size(), 12u);
+    for (const WindowType type : {WindowType::kCount, WindowType::kTime}) {
+      Workload w(type, metric);
+      for (const double r : ties.radii) {
+        w.AddQuery(OutlierQuery(r, 10, 1500, 500));
+        w.AddQuery(OutlierQuery(r, 25, 1000, 500));
+      }
+      w.AddQuery(OutlierQuery(100.0, 200, 1500, 500));
+      // A third of the points at an anchor, the rest at its offsets; time
+      // windows get ties and gaps as elsewhere (seq 3j+1 shares its
+      // predecessor's time).
+      std::vector<Point> points;
+      for (Seq s = 0; s < kPoints; ++s) {
+        const double z = 8192.0 * static_cast<double>(rng.NextBelow(kClusters));
+        const size_t pos = rng.NextBelow(ties.offsets.size() * 3 / 2);
+        std::vector<double> v = {0.0, 0.0, z};
+        if (pos < ties.offsets.size()) {
+          v[0] = ties.offsets[pos].first;
+          v[1] = ties.offsets[pos].second;
+        }
+        const Timestamp t =
+            type == WindowType::kCount || s % 3 != 1 ? s : s - 1;
+        points.emplace_back(s, t, std::move(v));
+      }
+      const std::string label =
+          std::string(MetricName(metric)) +
+          (type == WindowType::kCount ? "/count" : "/time");
+      std::unique_ptr<OutlierDetector> naive = CreateDetector("naive", w);
+      const std::vector<QueryResult> expected =
+          CollectResults(w, points, naive.get());
+      ASSERT_FALSE(expected.empty()) << label;
+      for (const int lanes : {1, 4}) {
+        SetScanLanesForTest(lanes);
+        SopDetector sop(w);
+        ExpectSameResults(expected, CollectResults(w, points, &sop),
+                          label + " at " + std::to_string(lanes) + " lanes");
+        SetScanLanesForTest(0);
+        EXPECT_EQ(sop.stats().safe_points_discovered, 0) << label;
       }
     }
   }

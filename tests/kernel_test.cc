@@ -17,11 +17,14 @@
 // seed is printed so failures replay exactly.
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -177,6 +180,27 @@ TEST(KernelBackendTest, ParseAndSelect) {
   EXPECT_EQ(ActiveKernelBackend(), KernelBackend::kScalar);
 }
 
+// The key of a pair by the scalar per-pair accumulation (dist_kernel.h,
+// "Keys"): the attribute-ascending sum of squared (Euclidean) or absolute
+// (Manhattan) differences, with no root.
+double PairKey(Metric metric, const std::vector<int>& attrs, const Point& a,
+               const Point& b) {
+  double sum = 0.0;
+  const size_t n = attrs.empty() ? a.values.size() : attrs.size();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t d = attrs.empty() ? i : static_cast<size_t>(attrs[i]);
+    const double diff = a.values[d] - b.values[d];
+    sum += metric == Metric::kEuclidean ? diff * diff : std::fabs(diff);
+  }
+  return sum;
+}
+
+// Bit-identical keys; any two NaNs count as equal.
+bool SameKey(double a, double b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
 // One fuzz round: builds a random window, compares every kernel entry
 // point against the legacy per-pair DistanceFn, on every supported
 // backend. All comparisons are exact (==): the contract is bit-identity.
@@ -260,6 +284,37 @@ void FuzzKernelOnce(Rng* rng) {
     kernel.BatchDistRange(store, probe, lo, n, range_out.data());
     ASSERT_EQ(range_out, range_expected);
 
+    // Key form over at most 64 of the same candidates, against a bound at
+    // one of their keys (a tie), one ulp off it, or at either infinity.
+    const size_t kn = std::min<size_t>(n, 64);
+    if (kn > 0) {
+      std::vector<double> keys(kn, -1.0);
+      double bound = PairKey(metric, attrs, probe, row_of(lo));
+      switch (rng->NextBelow(4)) {
+        case 0:
+          bound = std::nextafter(bound, 0.0);
+          break;
+        case 1:
+          bound = -std::numeric_limits<double>::infinity();
+          break;
+        case 2:
+          bound = std::numeric_limits<double>::infinity();
+          break;
+      }
+      kernel.StageProbe(store, probe);
+      const uint64_t mask = kernel.KeyBlock(store, lo, kn, bound, keys.data());
+      uint64_t expected_mask = 0;
+      for (size_t i = 0; i < kn; ++i) {
+        const Point& row = row_of(lo + static_cast<Seq>(i));
+        ASSERT_TRUE(SameKey(keys[i], PairKey(metric, attrs, probe, row)));
+        const double root =
+            metric == Metric::kEuclidean ? std::sqrt(keys[i]) : keys[i];
+        ASSERT_EQ(root, range_expected[i]);
+        expected_mask |= static_cast<uint64_t>(keys[i] <= bound ? 1 : 0) << i;
+      }
+      ASSERT_EQ(mask, expected_mask);
+    }
+
     // Range confirmation: radius drawn near the observed distances so both
     // sides of the threshold occur; ties land exactly on a computed value.
     double r = 0.0;
@@ -334,6 +389,70 @@ TEST(KernelEquivalence, DegenerateBatches) {
   // Zero-distance probe (probe identical to the stored point).
   kernel.BatchDist(store, only, one, 1, &out);
   EXPECT_EQ(out, 0.0);
+}
+
+// KeyBlock on every block length 1..64 whose range crosses the ring seam,
+// for both metrics and every supported backend: keys bit-identical to the
+// per-pair accumulation, masks equal to a scalar compare, a NaN coordinate
+// keying NaN and setting no bit, and a bound of -inf setting none at all.
+TEST(KernelKeys, MasksAcrossTheSeamWithNaNs) {
+  ColumnStore store;
+  Rng rng(5);
+  std::vector<Point> rows;
+  // 100 points, then drop 90 and add 60: capacity 128, and the alive seqs
+  // [90, 160) wrap from slot 90 round to slot 31.
+  for (Seq s = 0; s < 160; ++s) {
+    if (s == 100) store.PopFront(90);
+    Point p = MakePoint(s, 3, &rng);
+    if (s % 17 == 5) p.values[1] = std::numeric_limits<double>::quiet_NaN();
+    rows.push_back(p);
+    store.Append(p);
+  }
+  ASSERT_EQ(store.first_seq(), 90);
+  const Point probe = MakePoint(160, 3, &rng);
+  const bool avx2 = KernelBackendSupported(KernelBackend::kAvx2);
+  int crossed = 0;
+  int nans = 0;
+  for (const Metric metric : {Metric::kEuclidean, Metric::kManhattan}) {
+    const DistanceFn dist(metric);
+    const DistanceKernel kernel = dist.MakeKernel();
+    for (int pass = 0; pass < (avx2 ? 2 : 1); ++pass) {
+      ScopedBackend guard(pass == 0 ? KernelBackend::kScalar
+                                    : KernelBackend::kAvx2);
+      kernel.StageProbe(store, probe);
+      for (size_t n = 1; n <= 64; ++n) {
+        for (Seq lo = 90; lo + static_cast<Seq>(n) <= 160; lo += 7) {
+          const double pivot =
+              PairKey(metric, {}, probe, rows[static_cast<size_t>(lo)]);
+          for (const double bound :
+               {pivot, -std::numeric_limits<double>::infinity(), 4.0}) {
+            std::vector<double> keys(n, -1.0);
+            const uint64_t mask =
+                kernel.KeyBlock(store, lo, n, bound, keys.data());
+            uint64_t expected = 0;
+            for (size_t i = 0; i < n; ++i) {
+              const Point& row = rows[static_cast<size_t>(lo) + i];
+              const double key = PairKey(metric, {}, probe, row);
+              ASSERT_TRUE(SameKey(keys[i], key))
+                  << MetricName(metric) << " n " << n << " lo " << lo;
+              nans += std::isnan(key) ? 1 : 0;
+              expected |= static_cast<uint64_t>(key <= bound ? 1 : 0) << i;
+            }
+            ASSERT_EQ(mask, expected)
+                << MetricName(metric) << " n " << n << " lo " << lo
+                << " bound " << bound << " backend "
+                << KernelBackendName(ActiveKernelBackend());
+            if (bound == -std::numeric_limits<double>::infinity()) {
+              ASSERT_EQ(mask, 0u);
+            }
+          }
+          crossed += store.SlotOf(lo) + n > store.capacity() ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(crossed, 100) << "no block crossed the ring seam";
+  EXPECT_GT(nans, 0);
 }
 
 TEST(GridScanState, CachedSpanTracksRadiusChanges) {

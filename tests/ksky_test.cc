@@ -428,6 +428,38 @@ TEST(KSkyTest, FrontierWithCondition3Off) {
   EXPECT_EQ(obs.Get("ksky/classified"), IfObs(6));
 }
 
+TEST(KSkyTest, CountingFrontierStaysAtTheSeeds) {
+  // k_max 2, layers r 1 / 5, and p first, so all 130 candidates are
+  // counted. The first block's layer-2 hits (120, 110) already fill the
+  // counts at layer 2, but counting reads no table: the later block's
+  // layer-2 hits (60, 50) are classified too, and truncation drops them
+  // (ksky.h, Fact 4).
+  KSkyHarness h({{1.0, 2, 1000, 10}, {5.0, 2, 1000, 10}},
+                FarExcept(130, {{120, 3.0}, {110, 3.0}, {60, 3.0}, {50, 3.0}}),
+                KSky::Options(), Probe::kFirst);
+  LSky skyband;
+  {
+    ObsCounters obs;
+    h.Scan(&skyband);
+    EXPECT_EQ(skyband.succ(), (Counts{{2, 2}}));
+    EXPECT_TRUE(skyband.entries().empty());
+    EXPECT_FALSE(h.stats().terminated_early);
+    EXPECT_EQ(h.stats().candidates_examined, 130);
+    EXPECT_EQ(obs.Get("kernel/hits"), IfObs(4));
+    EXPECT_EQ(obs.Get("ksky/classified"), IfObs(4));
+  }
+  // A rescan counts inside the seeds' truncation layer, 2: of three
+  // arrivals within r_max, only the one at layer 1 is classified.
+  {
+    ObsCounters obs;
+    h.Rescan({3.0, 0.5, 3.0}, 0, &skyband);
+    EXPECT_EQ(skyband.succ(), (Counts{{1, 1}, {2, 1}}));
+    EXPECT_EQ(h.stats().distances_computed, 3);
+    EXPECT_EQ(obs.Get("kernel/hits"), IfObs(3));
+    EXPECT_EQ(obs.Get("ksky/classified"), IfObs(1));
+  }
+}
+
 // Candidates beyond the largest r are nobody's neighbor and never enter
 // the skyband (Def. 5 condition 3).
 TEST(KSkyTest, FarPointsIgnored) {

@@ -105,18 +105,25 @@ TEST(PlanTest, NormalizedDistancePerDef4) {
   WorkloadPlan plan(MakeWorkload({OutlierQuery(1.0, 3, 100, 10),
                                   OutlierQuery(2.0, 3, 100, 10),
                                   OutlierQuery(3.0, 3, 100, 10)}));
-  EXPECT_EQ(plan.LayerOfDistance(0.0), 1);
-  EXPECT_EQ(plan.LayerOfDistance(1.0), 1);  // inclusive upper bound
-  EXPECT_EQ(plan.LayerOfDistance(1.5), 2);
-  EXPECT_EQ(plan.LayerOfDistance(2.0), 2);
-  EXPECT_EQ(plan.LayerOfDistance(3.0), 3);
-  EXPECT_EQ(plan.LayerOfDistance(3.1), 4);  // beyond every r: not a neighbor
+  const WorkloadPlan::Basis& basis = plan.basis();
+  EXPECT_EQ(basis.LayerOfDistance(0.0), 1);
+  EXPECT_EQ(basis.LayerOfDistance(1.0), 1);  // inclusive upper bound
+  EXPECT_EQ(basis.LayerOfDistance(1.5), 2);
+  EXPECT_EQ(basis.LayerOfDistance(2.0), 2);
+  EXPECT_EQ(basis.LayerOfDistance(3.0), 3);
+  EXPECT_EQ(basis.LayerOfDistance(3.1), 4);  // beyond every r: no neighbor
   const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(plan.LayerOfDistance(inf), 4);
-  EXPECT_EQ(plan.LayerOfDistance(-inf), 1);
+  EXPECT_EQ(basis.LayerOfDistance(inf), 4);
+  EXPECT_EQ(basis.LayerOfDistance(-inf), 1);
   // NaN compares false with every r: nobody's neighbor, never layer 1.
-  EXPECT_EQ(plan.LayerOfDistance(std::numeric_limits<double>::quiet_NaN()),
+  EXPECT_EQ(basis.LayerOfDistance(std::numeric_limits<double>::quiet_NaN()),
             4);
+  // The scan's lookup takes squared sums (Euclidean keys).
+  EXPECT_EQ(plan.LayerOfKey(1.0), 1);
+  EXPECT_EQ(plan.LayerOfKey(2.25), 2);
+  EXPECT_EQ(plan.LayerOfKey(4.0), 2);
+  EXPECT_EQ(plan.LayerOfKey(9.0), 3);
+  EXPECT_EQ(plan.LayerOfKey(9.61), 4);
 }
 
 TEST(PlanTest, LayerOfDistanceIsALowerBoundForEveryLayerCount) {
@@ -132,60 +139,139 @@ TEST(PlanTest, LayerOfDistanceIsALowerBoundForEveryLayerCount) {
     for (double d = 0.0; d <= 0.5 * layers + 1.0; d += 0.25) {
       const int expected = static_cast<int>(
           std::lower_bound(rs.begin(), rs.end(), d) - rs.begin()) + 1;
-      EXPECT_EQ(plan.LayerOfDistance(d), expected)
+      EXPECT_EQ(plan.basis().LayerOfDistance(d), expected)
           << layers << " layers, d=" << d;
     }
   }
 }
 
-// The bucket-map lookup must equal the reference lower bound for every
-// double: at, next to and between the thresholds, at both zeros, beyond
-// r_max, at the infinities and at NaN.
-void ExpectBucketMapExact(const std::vector<double>& rs, Rng* rng) {
-  Workload w(WindowType::kCount);
+// The key lookup must equal the reference layer of the key's root for
+// every key, under both metrics: at each key threshold and its 16 nearest
+// doubles either side, at fl(r^2), at both zeros, at denormals, beyond
+// K_L, at +inf and at NaN. A Manhattan key is the distance itself, so any
+// double is one there; a Euclidean key is never negative (its sqrt would
+// be NaN), so negative probes are skipped for it. Each K_m must also be
+// the largest double whose root is <= r_m.
+void ExpectKeyLookupExact(const std::vector<double>& rs, Metric metric,
+                          Rng* rng) {
+  Workload w(WindowType::kCount, metric);
   for (const double r : rs) w.AddQuery(OutlierQuery(r, 2, 100, 10));
   const WorkloadPlan plan(w);
   const WorkloadPlan::Basis& basis = plan.basis();
   const double inf = std::numeric_limits<double>::infinity();
-  std::vector<double> probes = {0.0, -0.0, -1.0, inf, -inf,
-                                std::numeric_limits<double>::quiet_NaN(),
-                                std::numeric_limits<double>::max(),
-                                std::numeric_limits<double>::denorm_min()};
-  for (const double r : basis.layer_r) {
-    probes.push_back(r);
-    probes.push_back(std::nextafter(r, -inf));
-    probes.push_back(std::nextafter(r, inf));
-    probes.push_back(2.0 * r);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double normal = std::numeric_limits<double>::min();
+  std::vector<double> keys = {0.0,
+                              -0.0,
+                              -1.0,
+                              inf,
+                              -inf,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::max(),
+                              tiny,
+                              4 * tiny,
+                              normal,
+                              std::nextafter(normal, 0.0)};
+  for (int m = 1; m <= plan.num_layers(); ++m) {
+    const double r = basis.layer_r[static_cast<size_t>(m - 1)];
+    const double k = plan.key_of_layer(m);
+    ASSERT_LE(plan.DistanceOfKey(k), r) << "layer " << m << ", r " << r;
+    if (k < inf) {
+      ASSERT_GT(plan.DistanceOfKey(std::nextafter(k, inf)), r)
+          << "layer " << m << ", r " << r;
+    }
+    double below = k;
+    double above = k;
+    for (int u = 0; u < 16; ++u) {
+      below = std::nextafter(below, -inf);
+      above = std::nextafter(above, inf);
+      keys.push_back(below);
+      keys.push_back(above);
+    }
+    keys.push_back(k);
+    keys.push_back(2.0 * k);
+    keys.push_back(r * r);
+    keys.push_back(r);
   }
-  const double r_max = plan.r_max();
-  for (int i = 0; i < 1000 && std::isfinite(r_max); ++i) {
-    probes.push_back(rng->UniformDouble(0.0, 1.25 * r_max));
+  const double k_max = plan.key_of_layer(plan.num_layers());
+  for (int i = 0; i < 1000 && std::isfinite(k_max); ++i) {
+    keys.push_back(rng->UniformDouble(0.0, 1.25 * k_max));
   }
-  for (const double d : probes) {
-    ASSERT_EQ(plan.LayerOfDistance(d), basis.LayerOfDistance(d))
-        << rs.size() << " layers, r_max " << r_max << ", d " << d;
+  for (const double key : keys) {
+    if (metric == Metric::kEuclidean && key < 0.0) continue;
+    ASSERT_EQ(plan.LayerOfKey(key),
+              basis.LayerOfDistance(plan.DistanceOfKey(key)))
+        << MetricName(metric) << ", " << rs.size() << " layers, r_max "
+        << plan.r_max() << ", key " << key;
   }
 }
 
-TEST(PlanTest, BucketMapLookupEqualsReference) {
+void ExpectKeyLookupExact(const std::vector<double>& rs, Rng* rng) {
+  ExpectKeyLookupExact(rs, Metric::kEuclidean, rng);
+  ExpectKeyLookupExact(rs, Metric::kManhattan, rng);
+}
+
+TEST(PlanTest, KeyLookupEqualsReference) {
   Rng rng(41);
   for (const int layers : {1, 2, 3, 100, 5000}) {
     std::vector<double> rs;
     for (int m = 0; m < layers; ++m) rs.push_back(rng.UniformDouble(200, 800));
-    ExpectBucketMapExact(rs, &rng);
+    ExpectKeyLookupExact(rs, &rng);
     // Thresholds crowded into one bucket next to sparse ones.
     for (int m = 0; m < layers; ++m) {
       rs[static_cast<size_t>(m)] =
           m % 2 == 0 ? 1.0 + 1e-9 * m : 1.0 + 1000.0 * m;
     }
-    ExpectBucketMapExact(rs, &rng);
+    ExpectKeyLookupExact(rs, &rng);
   }
   const double inf = std::numeric_limits<double>::infinity();
   const double tiny = std::numeric_limits<double>::denorm_min();
-  ExpectBucketMapExact({1.0, 2.0, inf}, &rng);   // r_max = +inf: s floored
-  ExpectBucketMapExact({inf}, &rng);
-  ExpectBucketMapExact({tiny, 4 * tiny}, &rng);  // denormal r_max: s = +inf
-  ExpectBucketMapExact({tiny, 1.0, 1e300}, &rng);
+  ExpectKeyLookupExact({1.0, 2.0, inf}, &rng);   // r_max = +inf: s floored
+  ExpectKeyLookupExact({inf}, &rng);
+  ExpectKeyLookupExact({tiny, 4 * tiny}, &rng);  // denormal r_max: s = +inf
+  ExpectKeyLookupExact({tiny, 1.0, 1e300}, &rng);
+  ExpectKeyLookupExact({1e-160, 3e-155, 1e154, 2e154}, &rng);
+}
+
+TEST(PlanTest, KeyThresholdsAreExactNotSquares) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  // Overflowing, denormal and infinite radii.
+  Workload w(WindowType::kCount);
+  for (const double r : {tiny, 4 * tiny, 1e200, inf}) {
+    w.AddQuery(OutlierQuery(r, 2, 100, 10));
+  }
+  const WorkloadPlan edge(w);
+  EXPECT_EQ(edge.key_of_layer(1), 0.0);  // only an exact 0 is that close
+  EXPECT_EQ(edge.key_of_layer(2), 0.0);
+  EXPECT_EQ(edge.key_of_layer(3), std::numeric_limits<double>::max());
+  EXPECT_EQ(edge.key_of_layer(4), inf);
+  w.set_metric(Metric::kManhattan);
+  const WorkloadPlan manhattan(w);
+  for (int m = 1; m <= 4; ++m) {
+    EXPECT_EQ(manhattan.key_of_layer(m), manhattan.r_of_layer(m));
+  }
+  // For r uniform in [200, 800), about half the thresholds sit one ulp
+  // above fl(r^2): a key there is at distance exactly r.
+  Rng rng(7);
+  Workload uniform(WindowType::kCount);
+  for (int i = 0; i < 2000; ++i) {
+    uniform.AddQuery(OutlierQuery(rng.UniformDouble(200, 800), 2, 100, 10));
+  }
+  const WorkloadPlan plan(uniform);
+  int above = 0;
+  for (int m = 1; m <= plan.num_layers(); ++m) {
+    const double r = plan.r_of_layer(m);
+    const double k = plan.key_of_layer(m);
+    EXPECT_GE(k, std::nextafter(r * r, 0.0)) << "r " << r;
+    EXPECT_LE(k, std::nextafter(r * r, inf)) << "r " << r;
+    if (k > r * r) {
+      ++above;
+      EXPECT_EQ(std::sqrt(k), r);
+    }
+  }
+  EXPECT_GT(above, plan.num_layers() / 3);
+  EXPECT_LT(above, 2 * plan.num_layers() / 3);
 }
 
 TEST(PlanTest, GroupsAndQueryCoordinates) {
