@@ -1,6 +1,6 @@
 // Minimal binary serialization helpers for checkpoints, session state and
-// the wire protocol, plus the one codec of a Point and of the retained
-// window tail (HistoryBatch) that run checkpoints and session state share.
+// the wire protocol, plus the one codec of a Point, which the wire and the
+// retained window tail (stream/stream_tail.h) share.
 //
 // Fixed-width little-endian encoding, no exceptions: writers cannot fail;
 // readers return false on truncated or malformed input and the caller
@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -105,25 +104,6 @@ void WritePoint(BinaryWriter* w, const Point& p);
 /// are read one at a time, so a corrupt dimension count fails at the first
 /// missing byte instead of allocating.
 bool ReadPoint(BinaryReader* r, Point* p);
-
-/// One advanced batch of a retained window tail: the points that entered
-/// the windows at `boundary`. Run checkpoints (detector/run_checkpoint.h)
-/// and session state (core/session.h) keep the tail as a deque of these,
-/// and rebuild a detector by replaying it.
-struct HistoryBatch {
-  int64_t boundary = 0;
-  std::vector<Point> points;
-};
-
-/// Writes `history`: a u64 batch count; per batch its boundary and a u64
-/// point count; per point its seq, then WritePoint.
-void WriteHistory(BinaryWriter* w, const std::deque<HistoryBatch>& history);
-
-/// Appends what WriteHistory wrote to `*history`. No allocation is sized
-/// from a decoded count: every batch, point and value is read one at a
-/// time, so a corrupt count fails at the first missing byte. Returns false
-/// on truncation.
-bool ReadHistory(BinaryReader* r, std::deque<HistoryBatch>* history);
 
 }  // namespace sop
 

@@ -7,24 +7,22 @@
 
 #include "sop/common/check.h"
 #include "sop/common/frame.h"
-#include "sop/common/memory.h"
-#include "sop/common/serialize.h"
 #include "sop/obs/trace.h"
 
 namespace sop {
 
 SopSession::SopSession(WindowType window_type, Metric metric,
                        int64_t history_window)
-    : window_type_(window_type),
-      metric_(metric),
-      history_window_(history_window) {
+    : metric_(metric),
+      history_window_(history_window),
+      tail_(window_type) {
   SOP_CHECK_MSG(history_window_ > 0, "history window must be positive");
 }
 
 QueryId SopSession::AddQuery(const OutlierQuery& query) {
   SOP_CHECK_MSG(query.attribute_set == 0,
                 "SopSession supports the full attribute space only");
-  Workload probe(window_type_, metric_);
+  Workload probe(tail_.window_type(), metric_);
   probe.AddQuery(query);
   SOP_CHECK_MSG(probe.Validate().empty(), probe.Validate().c_str());
   const QueryId id = next_id_++;
@@ -70,7 +68,7 @@ void SopSession::SetBasisHeadroom(PlanHeadroom headroom) {
 Workload SopSession::BuildWorkload(std::vector<QueryId>* ids) const {
   ids->clear();
   ids->reserve(registered_.size());
-  Workload workload(window_type_, metric_);
+  Workload workload(tail_.window_type(), metric_);
   for (const auto& [id, query] : registered_) {
     workload.AddQuery(query);
     ids->push_back(id);
@@ -149,10 +147,12 @@ void SopSession::Rebuild() {
   }
   SOP_CHECK_MSG(detector_ != nullptr, "detector builder returned null");
   // Replay the retained history so freshly added queries see populated
-  // windows. Replay emissions are internal; the live batch that triggered
-  // this change has not joined the history yet, so the caller's results
-  // come from its own Advance through the new detector.
-  for (const HistoryBatch& batch : history_) {
+  // windows. Replay emissions are internal. The newest retained batch is
+  // the live one that triggered this change: the caller's results come
+  // from its own Advance through the new detector.
+  const std::deque<HistoryBatch>& history = tail_.batches();
+  for (size_t i = 0; i + 1 < history.size(); ++i) {
+    const HistoryBatch& batch = history[i];
     SOP_COUNTER_ADD("session/replayed_batches", 1);
     SOP_COUNTER_ADD("session/replayed_points", batch.points.size());
     ++change_stats_.replayed_batches;
@@ -161,66 +161,23 @@ void SopSession::Rebuild() {
   }
 }
 
-namespace {
-
-// CheckBatch's rules over `points`, advancing the stream's dimensionality
-// (`*dims`, -1 before the first point) and latest time as it goes.
-std::string CheckPoints(const std::vector<Point>& points, WindowType type,
-                        int64_t* dims, Timestamp* last_time) {
-  for (const Point& p : points) {
-    const auto point_dims = static_cast<int64_t>(p.values.size());
-    if (*dims < 0) *dims = point_dims;
-    if (point_dims != *dims) {
-      return "point has " + std::to_string(point_dims) +
-             " dimensions, the stream has " + std::to_string(*dims);
-    }
-    if (type == WindowType::kTime && p.time < *last_time) {
-      return "point time " + std::to_string(p.time) +
-             " is below the previous point's " + std::to_string(*last_time);
-    }
-    *last_time = p.time;
-  }
-  return "";
-}
-
-}  // namespace
-
-std::string SopSession::CheckBatch(const std::vector<Point>& batch) const {
-  int64_t dims = dims_;
-  Timestamp last_time = last_time_;
-  return CheckPoints(batch, window_type_, &dims, &last_time);
-}
-
 std::vector<SessionResult> SopSession::Advance(std::vector<Point> batch,
                                                int64_t boundary) {
-  SOP_CHECK_MSG(boundary > last_boundary_, "boundaries must increase");
-  const std::string refusal =
-      CheckPoints(batch, window_type_, &dims_, &last_time_);
-  SOP_CHECK_MSG(refusal.empty(), refusal.c_str());
-  last_boundary_ = boundary;
-  for (Point& p : batch) p.seq = next_seq_++;
-
-  // Trim history no future replay can need, then realize any pending
-  // workload change. Ordering matters: the change is applied before the
-  // live batch joins the history, so a rebuild replays exactly the
-  // pre-change history and the live batch is advanced exactly once — by
-  // the post-change detector.
-  while (!history_.empty() &&
-         history_.front().boundary <= boundary - history_window_) {
-    history_.pop_front();
-  }
+  // The tail checks the batch, numbers its points, keeps it and trims what
+  // no future replay can need; then any pending workload change is
+  // realized. So a rebuild replays exactly the batches kept at the live
+  // boundary, and the live batch is advanced once, by the new detector.
+  tail_.Push(&batch, boundary, history_window_);
   if (dirty_ || (detector_ == nullptr && !registered_.empty())) {
     ApplyWorkloadChange();
   }
-
-  history_.push_back(HistoryBatch{boundary, batch});
 
   std::vector<QueryResult> raw;
   if (detector_ != nullptr) {
     raw = detector_->Advance(std::move(batch), boundary);
   }
 
-  SOP_GAUGE_SET("session/history_batches", history_.size());
+  SOP_GAUGE_SET("session/history_batches", tail_.batches().size());
 
   std::vector<SessionResult> results;
   results.reserve(raw.size());
@@ -245,20 +202,18 @@ void SopSession::Advance(std::vector<Point> batch, int64_t boundary,
 namespace {
 // Session state format version. The payload lives inside a common/frame.h
 // frame, so truncation/corruption is caught before this version is read.
-// v2 added basis headroom + the live basis' coverage floor. Only the
-// current version is accepted.
-constexpr uint32_t kSessionStateVersion = 2;
+// v2 added basis headroom + the live basis' coverage floor; v3 holds the
+// StreamTail, without seqs. Only the current version is accepted.
+constexpr uint32_t kSessionStateVersion = 3;
 }  // namespace
 
 std::string SopSession::SaveState() const {
   BinaryWriter w;
   w.WriteU32(kSessionStateVersion);
-  w.WriteU32(static_cast<uint32_t>(window_type_));
+  w.WriteU32(static_cast<uint32_t>(tail_.window_type()));
   w.WriteU32(static_cast<uint32_t>(metric_));
   w.WriteI64(history_window_);
   w.WriteI64(next_id_);
-  w.WriteI64(next_seq_);
-  w.WriteI64(last_boundary_);
   w.WriteU64(registered_.size());
   for (const auto& [id, q] : registered_) {
     w.WriteI64(id);
@@ -288,7 +243,7 @@ std::string SopSession::SaveState() const {
   w.WriteI64(snapshot.k_env);
   w.WriteI64(snapshot.win);
 
-  WriteHistory(&w, history_);
+  tail_.Write(&w);
   return WrapFrame(w.bytes());
 }
 
@@ -305,16 +260,13 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
   uint32_t metric = 0;
   int64_t history_window = 0;
   int64_t next_id = 0;
-  int64_t next_seq = 0;
-  int64_t last_boundary = 0;
   if (!r.ReadU32(&version)) return fail("truncated");
   if (version != kSessionStateVersion) return fail("unsupported version");
   if (!r.ReadU32(&window_type) || !r.ReadU32(&metric) ||
-      !r.ReadI64(&history_window) || !r.ReadI64(&next_id) ||
-      !r.ReadI64(&next_seq) || !r.ReadI64(&last_boundary)) {
+      !r.ReadI64(&history_window) || !r.ReadI64(&next_id)) {
     return fail("truncated");
   }
-  if (window_type != static_cast<uint32_t>(window_type_) ||
+  if (window_type != static_cast<uint32_t>(tail_.window_type()) ||
       metric != static_cast<uint32_t>(metric_) ||
       history_window != history_window_) {
     return fail("saved under a different session configuration");
@@ -332,7 +284,7 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
     }
     if (id <= prev_id || id >= next_id) return fail("bad query id");
     prev_id = id;
-    Workload probe(window_type_, metric_);
+    Workload probe(tail_.window_type(), metric_);
     probe.AddQuery(q);
     if (!probe.Validate().empty()) return fail("invalid saved query");
     restored.emplace(id, q);
@@ -372,48 +324,26 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
     return fail("bad basis snapshot");
   }
 
-  std::deque<HistoryBatch> history;
-  if (!ReadHistory(&r, &history)) return fail("truncated history");
-  int64_t prev_boundary = INT64_MIN;
-  // The restored detector holds only these points, so they alone set
-  // CheckBatch's state; they must obey its rules, since they replay.
-  int64_t dims = -1;
-  Timestamp last_time = INT64_MIN;
-  for (const HistoryBatch& b : history) {
-    if (b.boundary <= prev_boundary || b.boundary > last_boundary) {
-      return fail("history boundaries out of order");
-    }
-    prev_boundary = b.boundary;
-    if (!CheckPoints(b.points, window_type_, &dims, &last_time).empty()) {
-      return fail("history breaks the stream's dimensionality or time order");
-    }
-  }
+  StreamTail tail(tail_.window_type());
+  const std::string refusal = tail.Read(&r);
+  if (!refusal.empty()) return fail(refusal.c_str());
   if (!r.AtEnd()) return fail("trailing bytes");
 
   registered_ = std::move(restored);
-  history_ = std::move(history);
-  dims_ = dims;
-  last_time_ = last_time;
+  tail_ = std::move(tail);
   next_id_ = next_id;
-  next_seq_ = next_seq;
-  last_boundary_ = last_boundary;
   headroom_ = std::move(headroom);
   restored_basis_ = std::move(snapshot);
   detector_.reset();
   sop_detector_ = nullptr;
   detector_query_ids_.clear();
-  dirty_ = true;  // next Advance rebuilds and replays the restored history
+  dirty_ = true;  // next Advance rebuilds and replays the restored tail
   return true;
 }
 
 size_t SopSession::MemoryBytes() const {
-  size_t bytes = detector_ != nullptr ? detector_->MemoryBytes() : 0;
-  bytes += DequeHeapBytes(history_);
-  for (const HistoryBatch& b : history_) {
-    bytes += VectorHeapBytes(b.points);
-    for (const Point& p : b.points) bytes += VectorHeapBytes(p.values);
-  }
-  return bytes;
+  return (detector_ != nullptr ? detector_->MemoryBytes() : 0) +
+         tail_.MemoryBytes();
 }
 
 }  // namespace sop

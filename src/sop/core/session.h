@@ -31,10 +31,9 @@
 // from the detector.
 //
 // SaveState/LoadState serialize the session — registered queries, basis
-// headroom and the live detector's basis coverage, stream position,
-// retained history — as one framed, CRC-checked blob (common/frame.h).
-// The history is encoded as a run checkpoint's (common/serialize.h
-// WriteHistory). A restored session rebuilds its detector lazily by
+// headroom and the live detector's basis coverage, and its StreamTail
+// (stream position and retained history) — as one framed, CRC-checked blob
+// (common/frame.h). A restored session rebuilds its detector lazily by
 // replaying that history; the saved basis coverage is folded into the
 // rebuild's headroom so changes that were overlay-only before the restart
 // stay overlay-only after it.
@@ -43,7 +42,6 @@
 #define SOP_CORE_SESSION_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -51,9 +49,9 @@
 #include <string_view>
 #include <vector>
 
-#include "sop/common/serialize.h"
 #include "sop/core/sop_detector.h"
 #include "sop/query/workload.h"
+#include "sop/stream/stream_tail.h"
 
 namespace sop {
 
@@ -123,15 +121,14 @@ class SopSession {
   const OutlierQuery* FindQuery(QueryId id) const;
 
   /// The last boundary Advance accepted — INT64_MIN before the first batch.
-  /// Survives SaveState/LoadState, so a restored session's host can keep
-  /// enforcing boundary monotonicity where the stream actually left off.
-  int64_t last_boundary() const { return last_boundary_; }
+  /// Survives SaveState/LoadState, as does every CheckBatch rule.
+  int64_t last_boundary() const { return tail_.last_boundary(); }
 
   /// The arrival sequence number the next accepted point will get — equal
   /// to the total number of points ever accepted. Survives SaveState/
   /// LoadState; the serving layer reports it in acks so a scale-out router
   /// can keep its local->global sequence maps anchored (cluster/router.h).
-  Seq next_seq() const { return next_seq_; }
+  Seq next_seq() const { return tail_.next_seq(); }
 
   /// Replaces the detector factory (default: SopDetector). Takes effect at
   /// the next rebuild; call before the first Advance for a uniform run.
@@ -157,13 +154,13 @@ class SopSession {
   /// How workload changes have been realized so far.
   const SessionChangeStats& change_stats() const { return change_stats_; }
 
-  /// Why Advance must refuse `batch`, or "" if it may take it. Every point
-  /// needs the stream's dimensionality, which the first accepted point
-  /// fixes whether or not a query is registered (history replays into
-  /// later detectors). In a time-window session no point's time may be
-  /// below the previous accepted point's. A restored session takes both
-  /// from its retained history, the only points its detector will hold.
-  std::string CheckBatch(const std::vector<Point>& batch) const;
+  /// Why Advance must refuse `batch` at `boundary`, or "" (StreamTail::
+  /// Check). The first accepted point fixes the stream's dimensionality
+  /// even with no query registered (history replays into later detectors).
+  std::string CheckBatch(const std::vector<Point>& batch,
+                         int64_t boundary) const {
+    return tail_.Check(batch, boundary);
+  }
 
   /// Feeds a batch ending at `boundary` (boundaries must be multiples of
   /// every registered slide's gcd — use slide values with a common
@@ -216,13 +213,13 @@ class SopSession {
   };
 
   // Realizes pending workload changes (dirty_) through the cheapest safe
-  // path. Called by Advance before the live batch is appended to history,
-  // so a rebuild replays exactly the pre-change history and the live batch
-  // is advanced once, by the new detector.
+  // path. Called by Advance after the live batch joined the tail, so a
+  // rebuild replays exactly the batches kept at the live boundary and the
+  // live batch is advanced once, by the new detector.
   void ApplyWorkloadChange();
 
-  // Rebuilds detector_ from the registered queries and replays the whole
-  // retained history through it.
+  // Rebuilds detector_ from the registered queries and replays every
+  // retained batch but the newest (the live one) through it.
   void Rebuild();
 
   // Builds the current workload; fills `ids` with the id of each workload
@@ -233,15 +230,12 @@ class SopSession {
   // everything a restored incarnation's basis covered.
   PlanHeadroom EffectiveHeadroom(const Workload& workload) const;
 
-  WindowType window_type_;
   Metric metric_;
   int64_t history_window_;
   QueryId next_id_ = 1;
   std::map<QueryId, OutlierQuery> registered_;  // insertion-ordered by id
   bool dirty_ = false;  // workload changed since detector_ was built
-
-  // Retained history: batches in arrival order with their boundaries.
-  std::deque<HistoryBatch> history_;
+  StreamTail tail_;
 
   DetectorBuilder builder_;  // null = build SopDetector
   SopDetector::Options sop_options_;  // for the default SopDetector path
@@ -251,12 +245,6 @@ class SopSession {
   SopDetector* sop_detector_ = nullptr;  // detector_, iff default-built
   std::vector<QueryId> detector_query_ids_;  // workload index -> id
   SessionChangeStats change_stats_;
-  int64_t last_boundary_ = INT64_MIN;
-  Seq next_seq_ = 0;
-  // CheckBatch's state: the stream's dimensionality (-1 before the first
-  // point) and the latest accepted point's time.
-  int64_t dims_ = -1;
-  Timestamp last_time_ = INT64_MIN;
 };
 
 }  // namespace sop

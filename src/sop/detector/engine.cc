@@ -1,6 +1,6 @@
 #include "sop/detector/engine.h"
 
-#include <deque>
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -18,30 +18,20 @@ struct ExecutionEngine::RunContext {
       : workload(&workload_in),
         detector(detector_in),
         batch_span(workload_in.SlideGcd()),
-        max_window(workload_in.MaxWindow()),
-        checkpoint_enabled(!options.checkpoint.path.empty()) {}
+        // A window at the next boundary, one span on, reaches back
+        // MaxWindow() - span past the last one. Without checkpoints: none.
+        reach(options.checkpoint.path.empty() ? 0
+              : std::max<int64_t>(workload_in.MaxWindow() - batch_span, 0)),
+        tail(workload_in.window_type()) {}
 
   const Workload* workload;
   OutlierDetector* detector;
   int64_t batch_span;
-  int64_t max_window;
+  int64_t reach;
 
   MetricsAccumulator acc;
-
-  // Stream position. `next_seq` is the seq the next ingested point gets;
-  // `points_advanced` counts only points inside advanced batches (a resumed
-  // run re-reads the trailing partial batch).
-  Seq next_seq = 0;
-  int64_t points_advanced = 0;
   int64_t batches_advanced = 0;
-  int64_t last_boundary = 0;
-  bool have_boundary = false;  // time-based: boundary schedule established
-  int64_t next_boundary = 0;   // time-based: next boundary to advance at
-
-  // Crash-consistency. `history` is the replay tail, kept only while
-  // checkpointing.
-  bool checkpoint_enabled;
-  std::deque<HistoryBatch> history;
+  StreamTail tail;  // the stream position and the replay tail
 };
 
 ExecutionEngine::ExecutionEngine(ExecOptions options) : options_(options) {
@@ -54,14 +44,9 @@ void ExecutionEngine::WriteCheckpoint(RunContext* ctx) {
   RunCheckpoint cp;
   cp.workload_fingerprint = ctx->workload->Fingerprint();
   cp.detector_name = ctx->detector->name();
-  cp.window_type = ctx->workload->window_type();
   cp.batch_span = ctx->batch_span;
-  cp.points_advanced = ctx->points_advanced;
   cp.batches_advanced = ctx->batches_advanced;
-  cp.last_boundary = ctx->last_boundary;
-  cp.have_boundary = ctx->have_boundary;
-  cp.next_boundary = ctx->next_boundary;
-  cp.history = ctx->history;
+  cp.tail = ctx->tail;
   std::string error;
   if (!SaveRunCheckpoint(options_.checkpoint.path, cp, &error,
                          options_.checkpoint.generations)) {
@@ -85,17 +70,27 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
     return fail("checkpoint was taken by detector '" + cp.detector_name +
                 "', not '" + ctx->detector->name() + "'");
   }
-  if (cp.window_type != ctx->workload->window_type()) {
+  if (cp.tail.window_type() != ctx->workload->window_type()) {
     return fail("window type mismatch");
   }
   if (cp.batch_span != ctx->batch_span) {
     return fail("batch span mismatch");
   }
+  // Every boundary this engine advances is a multiple of the span, and in
+  // count windows it is the number of points advanced.
+  const int64_t last = cp.tail.last_boundary();
+  if (last == StreamTail::kNoBoundary || last % ctx->batch_span != 0 ||
+      last > INT64_MAX - ctx->batch_span ||
+      (ctx->workload->window_type() == WindowType::kCount &&
+       last != cp.tail.next_seq())) {
+    return fail("the tail ends at boundary " + std::to_string(last) +
+                ", off this run's batch schedule");
+  }
 
   // Skip the source records the checkpoint already advanced; the trailing
   // partial batch of the interrupted run is re-read.
   Point discard;
-  for (int64_t i = 0; i < cp.points_advanced; ++i) {
+  for (Seq i = 0; i < cp.tail.next_seq(); ++i) {
     if (!source->Next(&discard)) {
       return fail("source ended before the checkpointed position "
                   "(resumed against a different stream?)");
@@ -106,17 +101,12 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
   // the (already delivered) emissions. Exact for every detector, since
   // each one's answers are a deterministic function of its window
   // contents.
-  for (const HistoryBatch& b : cp.history) {
+  for (const HistoryBatch& b : cp.tail.batches()) {
     ctx->detector->Advance(b.points, b.boundary);
   }
 
-  ctx->next_seq = cp.points_advanced;
-  ctx->points_advanced = cp.points_advanced;
   ctx->batches_advanced = cp.batches_advanced;
-  ctx->last_boundary = cp.last_boundary;
-  ctx->have_boundary = cp.have_boundary;
-  ctx->next_boundary = cp.next_boundary;
-  if (ctx->checkpoint_enabled) ctx->history = cp.history;
+  ctx->tail = cp.tail;
   SOP_COUNTER_ADD("resilience/checkpoint_restores", 1);
   return true;
 }
@@ -124,15 +114,7 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
 void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
                                    int64_t boundary, const ResultSink& sink) {
   const size_t batch_points = batch.size();
-  if (ctx->checkpoint_enabled) {
-    // Retain the batch (before handing it to the detector) while any future
-    // window can still reach into it, mirroring the detector's own expiry.
-    ctx->history.push_back(HistoryBatch{boundary, batch});
-    const int64_t horizon = boundary - ctx->max_window;
-    while (!ctx->history.empty() && ctx->history.front().boundary <= horizon) {
-      ctx->history.pop_front();
-    }
-  }
+  ctx->tail.Push(&batch, boundary, ctx->reach);
   Stopwatch wall;
   CpuStopwatch cpu;
   std::vector<QueryResult> results =
@@ -168,11 +150,8 @@ void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
   if (sink) {
     for (const QueryResult& r : results) sink(r);
   }
-  ctx->points_advanced += static_cast<int64_t>(batch_points);
   ++ctx->batches_advanced;
-  ctx->last_boundary = boundary;
-  if (ctx->have_boundary) ctx->next_boundary = boundary + ctx->batch_span;
-  if (ctx->checkpoint_enabled &&
+  if (!options_.checkpoint.path.empty() &&
       ctx->batches_advanced % options_.checkpoint.every_batches == 0) {
     WriteCheckpoint(ctx);
   }
@@ -185,11 +164,11 @@ RunMetrics ExecutionEngine::RunCountBased(RunContext* ctx,
   batch.reserve(static_cast<size_t>(ctx->batch_span));
   Point p;
   while (source->Next(&p)) {
-    p.seq = ctx->next_seq++;
     ctx->acc.RecordPoints(1);
     batch.push_back(std::move(p));
     if (static_cast<int64_t>(batch.size()) == ctx->batch_span) {
-      AdvanceBatch(ctx, std::move(batch), ctx->next_seq, sink);
+      AdvanceBatch(ctx, std::move(batch),
+                   ctx->tail.next_seq() + ctx->batch_span, sink);
       batch = {};
       batch.reserve(static_cast<size_t>(ctx->batch_span));
     }
@@ -200,36 +179,28 @@ RunMetrics ExecutionEngine::RunCountBased(RunContext* ctx,
 
 RunMetrics ExecutionEngine::RunTimeBased(RunContext* ctx, StreamSource* source,
                                          const ResultSink& sink) {
+  // A resumed run goes on one span after the tail's last boundary; a
+  // fresh one at the first boundary strictly after its first point's time.
+  int64_t next_boundary = ctx->tail.last_boundary() + ctx->batch_span;
   std::vector<Point> batch;
-  Timestamp last_time = 0;
   bool read_any = false;
   Point p;
   while (source->Next(&p)) {
-    if (read_any) {
-      SOP_CHECK_MSG(p.time >= last_time,
-                    "time-based streams must have non-decreasing timestamps");
+    if (!read_any && ctx->tail.last_boundary() == StreamTail::kNoBoundary) {
+      next_boundary = FirstBoundaryAtOrAfter(p.time + 1, ctx->batch_span);
     }
     read_any = true;
-    last_time = p.time;
-    if (!ctx->have_boundary) {
-      // The first boundary strictly after the first point's timestamp.
-      ctx->next_boundary = FirstBoundaryAtOrAfter(p.time + 1, ctx->batch_span);
-      ctx->have_boundary = true;
-    }
-    while (p.time >= ctx->next_boundary) {
-      // AdvanceBatch moves next_boundary forward one span.
-      AdvanceBatch(ctx, std::move(batch), ctx->next_boundary, sink);
+    while (p.time >= next_boundary) {
+      AdvanceBatch(ctx, std::move(batch), next_boundary, sink);
       batch = {};
+      next_boundary += ctx->batch_span;
     }
-    p.seq = ctx->next_seq++;
     ctx->acc.RecordPoints(1);
     batch.push_back(std::move(p));
   }
-  // `read_any` (not have_boundary) gates the flush so that resuming a run
-  // that was already complete does not re-advance its final boundary.
-  if (ctx->have_boundary && read_any) {
-    AdvanceBatch(ctx, std::move(batch), ctx->next_boundary, sink);
-  }
+  // `read_any` gates the flush so that resuming a run that was already
+  // complete does not re-advance its final boundary.
+  if (read_any) AdvanceBatch(ctx, std::move(batch), next_boundary, sink);
   return ctx->acc.Finish();
 }
 

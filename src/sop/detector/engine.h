@@ -9,12 +9,12 @@
 // from the detector beyond Advance(): a PartitionedDetector fans its
 // children out on RunLanes by itself (DESIGN.md Sec. 10).
 //
-// Resilience (DESIGN.md Sec. 12): with checkpointing configured the
-// engine keeps the advanced batches that the largest window can still
-// reach and periodically writes them, with the stream position, as a
-// crash-consistent RunCheckpoint (detector/run_checkpoint.h). A resumed
-// run replays that tail through a fresh detector and continues, producing
-// emissions identical to an uninterrupted run.
+// Resilience (DESIGN.md Sec. 12): a run's position is a StreamTail. With
+// checkpointing configured the tail keeps the advanced batches that the
+// next boundary's windows can still reach, and the engine periodically
+// writes it as a crash-consistent RunCheckpoint (detector/run_checkpoint.h).
+// A resumed run replays that tail through a fresh detector and continues,
+// producing emissions identical to an uninterrupted run.
 //
 // An engine is reusable across runs and detectors. Not thread-safe: one
 // engine drives one run at a time, and the sink runs on the calling
@@ -85,13 +85,13 @@ class ExecutionEngine {
   /// batch (stream length not a multiple of the gcd) is never emitted. For
   /// time-based workloads, batches cover gcd-sized time spans; empty spans
   /// still advance the windows, and the run ends at the first boundary
-  /// covering the last point.
+  /// covering the last point. A batch that breaks StreamTail::Check aborts.
   ///
   /// Detector time is measured around Advance() only; source decoding and
-  /// result sinking are excluded. It is wall-clock time across every
-  /// thread the batch ran on (a partitioned detector's child lanes,
-  /// SopDetector's point lanes), i.e. the per-batch critical path, not
-  /// the CPU summed over threads.
+  /// result sinking are excluded. RunMetrics reports it twice: as process
+  /// CPU time, summed over every thread the batch ran on (a partitioned
+  /// detector's child lanes, SopDetector's point lanes), and as wall-clock
+  /// time, the per-batch critical path.
   RunMetrics Run(const Workload& workload, StreamSource* source,
                  OutlierDetector* detector, const ResultSink& sink = {});
 
@@ -107,9 +107,10 @@ class ExecutionEngine {
   /// emissions were delivered before the interruption and are dropped), so
   /// the detector's own counters include the replayed work. On a
   /// checkpoint that does not match (fingerprint/detector/window/span) or
-  /// a source shorter than the checkpointed position, returns false with a
-  /// diagnostic in `*error` and advances nothing. On success the emissions
-  /// of interrupted-run-then-resume equal those of one uninterrupted run.
+  /// whose tail ends off this run's batch schedule, or a source shorter
+  /// than the checkpointed position, returns false with a diagnostic in
+  /// `*error` and advances nothing. On success the emissions of
+  /// interrupted-run-then-resume equal those of one uninterrupted run.
   bool RunResumed(const Workload& workload, StreamSource* source,
                   OutlierDetector* detector, const RunCheckpoint& cp,
                   RunMetrics* metrics, std::string* error,
@@ -118,8 +119,8 @@ class ExecutionEngine {
  private:
   struct RunContext;
 
-  // Times one Advance() call, records metrics, maintains the replay tail,
-  // and writes periodic checkpoints.
+  // Pushes the batch onto the tail, times one Advance() call, records
+  // metrics, and writes periodic checkpoints.
   void AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
                     int64_t boundary, const ResultSink& sink);
   void WriteCheckpoint(RunContext* ctx);

@@ -1,7 +1,6 @@
 #include "sop/detector/run_checkpoint.h"
 
 #include "sop/common/frame.h"
-#include "sop/common/serialize.h"
 #include "sop/io/file_util.h"
 #include "sop/obs/trace.h"
 
@@ -10,9 +9,9 @@ namespace sop {
 namespace {
 
 constexpr uint32_t kRunMagic = 0x53'4f'50'52;  // "SOPR"
-// v2 encodes the history as SopSession state does (WriteHistory); only v2
-// is read.
-constexpr uint32_t kRunFormatVersion = 2;
+// v3 holds the stream tail (StreamTail::Write, as SopSession state does)
+// in place of v2's stream position and per-point seqs; only v3 is read.
+constexpr uint32_t kRunFormatVersion = 3;
 
 bool RunError(std::string* error, const char* what) {
   if (error != nullptr) *error = std::string("run checkpoint: ") + what;
@@ -27,15 +26,10 @@ std::string SerializeRunCheckpoint(const RunCheckpoint& cp) {
   w.WriteU32(kRunFormatVersion);
   w.WriteU64(cp.workload_fingerprint);
   w.WriteBytes(cp.detector_name);
-  w.WriteU32(cp.window_type == WindowType::kCount ? 0 : 1);
+  w.WriteU32(cp.tail.window_type() == WindowType::kCount ? 0 : 1);
   w.WriteI64(cp.batch_span);
-  w.WriteI64(cp.points_advanced);
   w.WriteI64(cp.batches_advanced);
-  w.WriteI64(cp.last_boundary);
-  w.WriteBool(cp.have_boundary);
-  w.WriteI64(cp.next_boundary);
-
-  WriteHistory(&w, cp.history);
+  cp.tail.Write(&w);
   return WrapFrame(w.TakeBytes());
 }
 
@@ -57,20 +51,16 @@ bool DeserializeRunCheckpoint(std::string_view bytes, RunCheckpoint* out,
   if (!r.ReadU64(&cp.workload_fingerprint) ||
       !r.ReadBytes(&cp.detector_name) || !r.ReadU32(&window_type) ||
       window_type > 1 || !r.ReadI64(&cp.batch_span) ||
-      !r.ReadI64(&cp.points_advanced) || !r.ReadI64(&cp.batches_advanced) ||
-      !r.ReadI64(&cp.last_boundary) || !r.ReadBool(&cp.have_boundary) ||
-      !r.ReadI64(&cp.next_boundary)) {
+      !r.ReadI64(&cp.batches_advanced)) {
     return RunError(error, "truncated header");
   }
-  cp.window_type = window_type == 0 ? WindowType::kCount : WindowType::kTime;
-  if (cp.batch_span <= 0 || cp.points_advanced < 0 ||
-      cp.batches_advanced < 0) {
+  if (cp.batch_span <= 0 || cp.batches_advanced < 0) {
     return RunError(error, "implausible stream position");
   }
-
-  if (!ReadHistory(&r, &cp.history)) {
-    return RunError(error, "truncated history");
-  }
+  cp.tail =
+      StreamTail(window_type == 0 ? WindowType::kCount : WindowType::kTime);
+  const std::string refusal = cp.tail.Read(&r);
+  if (!refusal.empty()) return RunError(error, refusal.c_str());
   if (!r.AtEnd()) return RunError(error, "trailing bytes in payload");
   *out = std::move(cp);
   return true;

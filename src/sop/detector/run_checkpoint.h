@@ -7,21 +7,18 @@
 //   * identity guards — workload fingerprint, detector name, window type
 //     and batch span; restore refuses a checkpoint taken under different
 //     semantics,
-//   * stream position — how many points and batches have been advanced and
-//     the boundary bookkeeping needed to continue the batch schedule,
-//   * detector state — the retained tail of batches within the largest
-//     window's reach, replayed through a fresh detector on restore. That
-//     is exact for every detector: each algorithm's answers (SOP's
-//     skybands included) are a deterministic function of its window
-//     contents. The tail is encoded exactly as SopSession's retained
-//     history (common/serialize.h WriteHistory), so every restart in the
-//     system is one mechanism.
+//   * the run's StreamTail: its position continues the batch schedule
+//     (the source skips next_seq() records; time windows go on one span
+//     after last_boundary()), and its retained batches are replayed
+//     through a fresh detector, which is exact for every detector. It has
+//     SopSession state's codec, so every restart is one mechanism.
 //
 // On disk a checkpoint is one common/frame.h frame (magic + version +
 // length + CRC-32) written atomically via temp-file + rename
 // (io/file_util.h), so a crashed writer can never leave a half-written
 // checkpoint where a reader will trust it; LoadRunCheckpoint rejects
-// truncated, corrupted, or cross-version files with a diagnostic.
+// truncated, corrupted, or cross-version files and tails that break a
+// stream rule with a diagnostic.
 //
 // Save/Load publish and restore through io::PublishGeneration and
 // io::ReadNewestGeneration, which consult the armed FaultInjector
@@ -33,41 +30,30 @@
 #define SOP_DETECTOR_RUN_CHECKPOINT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 
-#include "sop/common/serialize.h"
-#include "sop/stream/window.h"
+#include "sop/stream/stream_tail.h"
 
 namespace sop {
 
 /// Snapshot of one engine run in progress. See file comment.
 struct RunCheckpoint {
-  /// Identity guards.
+  /// Identity guards. The window type is the tail's.
   uint64_t workload_fingerprint = 0;
   std::string detector_name;
-  WindowType window_type = WindowType::kCount;
   int64_t batch_span = 0;
 
-  /// Stream position: points contained in advanced batches (the resumed
-  /// run skips this many source records) and the boundary schedule.
-  int64_t points_advanced = 0;
-  int64_t batches_advanced = 0;
-  int64_t last_boundary = 0;
-  bool have_boundary = false;   // time-based: first boundary established
-  int64_t next_boundary = 0;    // time-based: next boundary to advance at
-
-  /// Replay tail: the advanced batches whose points are still within the
-  /// largest window's reach.
-  std::deque<HistoryBatch> history;
+  int64_t batches_advanced = 0;  // for the checkpoint cadence
+  /// The stream position and the replay tail.
+  StreamTail tail{WindowType::kCount};
 };
 
 /// Serializes `cp` into one framed, checksummed byte string.
 std::string SerializeRunCheckpoint(const RunCheckpoint& cp);
 
 /// Parses a framed checkpoint. Returns false with a diagnostic in `*error`
-/// on any truncation, corruption, or version mismatch.
+/// on any truncation, corruption, version mismatch, or refused tail.
 bool DeserializeRunCheckpoint(std::string_view bytes, RunCheckpoint* out,
                               std::string* error);
 

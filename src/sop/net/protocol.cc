@@ -264,7 +264,6 @@ std::string EncodePong(const PongMsg& msg) {
 
 std::string EncodeReplSnapshot(const ReplSnapshotMsg& msg) {
   BinaryWriter w = Begin(MsgType::kReplSnapshot);
-  w.WriteI64(msg.boundary);
   w.WriteBytes(msg.state);
   w.WriteU64(msg.ring.size());
   for (const ResumeRingShard& shard : msg.ring) WriteRingShard(&w, shard);
@@ -474,8 +473,7 @@ bool DecodeReplSnapshot(std::string_view payload, ReplSnapshotMsg* out,
   BinaryReader r(payload);
   if (!ConsumeType(&r, MsgType::kReplSnapshot, error)) return false;
   uint64_t count = 0;
-  if (!r.ReadI64(&out->boundary) || !r.ReadBytes(&out->state) ||
-      !r.ReadU64(&count)) {
+  if (!r.ReadBytes(&out->state) || !r.ReadU64(&count)) {
     return Malformed(error, "truncated repl-snapshot");
   }
   out->ring.clear();

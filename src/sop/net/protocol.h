@@ -56,8 +56,9 @@ namespace net {
 /// the shard-config handshake and per-point owner flags on ingest. v4 adds
 /// the session arrival counter (`next_seq`) to hello and ingest acks, the
 /// anchor a scale-out router realigns its sequence maps against after a
-/// worker outage.
-inline constexpr uint32_t kProtocolVersion = 4;
+/// worker outage. v5 drops the snapshot's boundary word: the session state
+/// inside it carries the stream position (core/session.h).
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// Upper bound on one frame's payload, enforced on both send and receive.
 /// Large enough for ~100k ingested points per batch, small enough that a
@@ -245,10 +246,9 @@ struct ResumeRingShard {
 };
 
 struct ReplSnapshotMsg {
-  /// Boundary the session blob captures (kNoResume for an empty session).
-  int64_t boundary = kNoResume;
   /// SopSession::SaveState blob — already framed and CRC'd internally, so
-  /// a standby validates it twice (frame CRC + blob CRC) before applying.
+  /// a standby validates it twice (frame CRC + blob CRC) and LoadState's
+  /// tail rules before applying. It carries the stream position.
   std::string state;
   /// The primary's resume ring at that boundary, shipped whole so a
   /// freshly promoted standby can serve resumes for emissions it never

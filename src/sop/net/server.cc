@@ -92,14 +92,13 @@ struct SopServer::Impl : FrontHandler {
 
   std::atomic<uint32_t> role{static_cast<uint32_t>(ServerRole::kPrimary)};
 
-  // The session, its stream position and the resume ring. Advance/AddQuery/
-  // RemoveQuery/SaveState and every ring read/write serialize here; the
-  // detection loop holds it for the duration of each batch, and a
+  // The session (and its stream position) and the resume ring. Advance/
+  // AddQuery/RemoveQuery/SaveState and every ring read/write serialize here;
+  // the detection loop holds it for the duration of each batch, and a
   // subscribe-with-resume holds it across ring replay + registration so no
   // batch can interleave (that atomicity is the exactly-once guarantee).
   std::mutex session_mu;
   std::unique_ptr<SopSession> session;        // guarded by session_mu
-  int64_t last_boundary;                      // guarded by session_mu
   int64_t batches_since_checkpoint = 0;       // guarded by session_mu
 
   // Retained emissions per query fingerprint, newest at the back.
@@ -213,11 +212,15 @@ struct SopServer::Impl : FrontHandler {
     SOP_COUNTER_ADD("net/server/promotions", 1);
   }
 
+  void CountProtocolError() {
+    stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    SOP_COUNTER_ADD("net/server/protocol_errors", 1);
+  }
+
   // Counts one protocol error and tells the client why. Returns false, so
   // a dispatch path that must drop the connection can `return` it.
   bool SendError(const FrontConnPtr& conn, std::string message) {
-    stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("net/server/protocol_errors", 1);
+    CountProtocolError();
     front.Send(conn, EncodeError(ErrorMsg{std::move(message)}),
                /*droppable=*/false);
     return false;
@@ -257,7 +260,6 @@ struct SopServer::Impl : FrontHandler {
   // file (doubly CRC'd: the frame and the blob inside it). session_mu held.
   std::string BuildSnapshotFrameLocked() {
     ReplSnapshotMsg msg;
-    msg.boundary = last_boundary;
     msg.state = session->SaveState();
     msg.ring.reserve(ring.size());
     for (const auto& kv : ring) {
@@ -467,7 +469,7 @@ struct SopServer::Impl : FrontHandler {
         ack.detector = options.detector;
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
-          ack.last_boundary = last_boundary;
+          ack.last_boundary = session->last_boundary();
           ack.next_seq = static_cast<uint64_t>(session->next_seq());
         }
         front.Send(conn, EncodeHelloAck(ack), /*droppable=*/false);
@@ -618,7 +620,7 @@ struct SopServer::Impl : FrontHandler {
         pong.role = role.load(std::memory_order_relaxed);
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
-          pong.last_boundary = last_boundary;
+          pong.last_boundary = session->last_boundary();
         }
         {
           std::lock_guard<std::mutex> lock(ingest_mu);
@@ -654,6 +656,7 @@ struct SopServer::Impl : FrontHandler {
         const bool ok = msg.state.empty()
                             ? true  // empty primary: fresh session as-is
                             : fresh->LoadState(msg.state, &load_error);
+        if (!ok) CountProtocolError();
         ReplAckMsg ack;
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
@@ -662,14 +665,13 @@ struct SopServer::Impl : FrontHandler {
               fresh->RemoveQuery(id);
             }
             session = std::move(fresh);
-            last_boundary = session->last_boundary();
             RestoreRingLocked(msg.ring);
             batches_since_checkpoint = 0;
             stats.repl_snapshots_applied.fetch_add(
                 1, std::memory_order_relaxed);
             SOP_COUNTER_ADD("net/server/repl_snapshots_applied", 1);
           }
-          ack.boundary = last_boundary;
+          ack.boundary = session->last_boundary();
         }
         ack.need_snapshot = !ok;
         front.Send(conn, EncodeReplAck(ack), /*droppable=*/false);
@@ -691,13 +693,18 @@ struct SopServer::Impl : FrontHandler {
         std::string checkpoint_frame;
         {
           std::lock_guard<std::mutex> session_lock(session_mu);
+          const int64_t last_boundary = session->last_boundary();
+          ack.boundary = last_boundary;
           if (msg.boundary <= last_boundary) {
             // Stale duplicate (resent across a resync): already applied.
-            ack.boundary = last_boundary;
           } else if (msg.prev_boundary != last_boundary) {
             // Chain broken — batches were lost between the primary and
             // us. Demand a snapshot rather than apply a gapped stream.
-            ack.boundary = last_boundary;
+            ack.need_snapshot = true;
+          } else if (!session->CheckBatch(msg.points, msg.boundary).empty()) {
+            // A batch the primary's session could not have accepted: apply
+            // nothing, and resync from a snapshot.
+            CountProtocolError();
             ack.need_snapshot = true;
           } else {
             const uint64_t batch_size = msg.points.size();
@@ -705,12 +712,11 @@ struct SopServer::Impl : FrontHandler {
             // nothing; the primary's own emissions arrive in msg.results
             // and keep the ring bit-identical to the primary's.
             session->Advance(std::move(msg.points), msg.boundary);
-            last_boundary = msg.boundary;
             for (const EmissionRecord& rec : msg.results) {
               AppendRingLocked(rec.query, rec.boundary, rec.degraded,
                                rec.outliers);
             }
-            ack.boundary = last_boundary;
+            ack.boundary = msg.boundary;
             stats.ingest_batches.fetch_add(1, std::memory_order_relaxed);
             stats.ingest_points.fetch_add(batch_size,
                                           std::memory_order_relaxed);
@@ -860,16 +866,11 @@ struct SopServer::Impl : FrontHandler {
       uint64_t next_seq = 0;
       {
         std::lock_guard<std::mutex> lock(session_mu);
-        // Pre-validate what SopSession::Advance would CHECK: boundaries
-        // must strictly increase, and the points must pass CheckBatch. Bad
-        // wire input gets an error reply, not a process abort.
-        refusal = op.msg.boundary > last_boundary
-                      ? session->CheckBatch(op.msg.points)
-                      : "ingest boundary " + std::to_string(op.msg.boundary) +
-                            " does not advance the stream";
+        // Pre-validate what SopSession::Advance would CHECK. Bad wire input
+        // gets an error reply, not a process abort.
+        refusal = session->CheckBatch(op.msg.points, op.msg.boundary);
         if (refusal.empty()) {
-          prev_boundary = last_boundary;
-          last_boundary = op.msg.boundary;
+          prev_boundary = session->last_boundary();
           SOP_TRACE("net/server/advance_ms");
           results = session->Advance(std::move(op.msg.points),
                                      op.msg.boundary);
@@ -995,7 +996,6 @@ bool SopServer::Start(std::string* error) {
                                             im.options.metric,
                                             im.options.history_window);
   im.ConfigureSession(im.session.get());
-  im.last_boundary = kNoResume;
 
   // Resume from the previous incarnation's checkpoint when one exists,
   // walking the generations newest-first past corrupt or missing files.
@@ -1015,9 +1015,6 @@ bool SopServer::Start(std::string* error) {
       for (const QueryId id : im.session->RegisteredQueryIds()) {
         im.session->RemoveQuery(id);
       }
-      // Boundary monotonicity resumes where the stream left off — a
-      // stale ingest must be refused, not CHECK the session.
-      im.last_boundary = im.session->last_boundary();
       im.stats.resumed.store(true, std::memory_order_relaxed);
       SOP_COUNTER_ADD("net/server/resumes", 1);
     }
@@ -1142,7 +1139,7 @@ ServerStats SopServer::stats() const {
       s.basis_extends = c.basis_extends;
       s.rebuild_changes = c.rebuilds;
       s.replayed_points = c.replayed_points;
-      s.last_boundary = impl_->last_boundary;
+      s.last_boundary = impl_->session->last_boundary();
     }
   }
   return s;

@@ -34,8 +34,8 @@
 // into a live session, refuses ingest/subscribe while standing by, and —
 // with promote_on_loss — promotes itself to primary the moment the
 // replication connection dies, serving from the last replicated boundary.
-// Replication is self-healing: a broken chain or failed apply NAKs
-// (ReplAck.need_snapshot) and the primary ships a fresh snapshot.
+// Replication is self-healing: a broken chain or a refused batch or
+// snapshot NAKs (ReplAck.need_snapshot) and the primary ships a fresh one.
 //
 // Exactly-once resume: the server retains the last `resume_ring` emissions
 // per query fingerprint (r, k, win, slide). A reconnecting subscriber
@@ -69,8 +69,8 @@
 // configured the server periodically saves a full snapshot — session state
 // plus resume ring, as one kReplSnapshot frame — keeping the last
 // `checkpoint_generations` files; a restarted server restores the newest
-// generation that decodes cleanly (then falls back to older ones), so one
-// corrupt file costs one checkpoint interval, not the run.
+// generation that loads cleanly (then falls back to older ones), so one
+// corrupt or refused file costs one checkpoint interval, not the run.
 //
 // Observability: net/server/* counters, gauges and histograms (see
 // DESIGN.md Sec. 13) when obs is enabled, plus an always-on ServerStats
@@ -208,7 +208,7 @@ struct ServerStats {
   uint64_t resume_gaps = 0;              // resumes past the ring's reach
   bool resumed = false;            // Start() restored a session checkpoint
   ServerRole role = ServerRole::kPrimary;  // current role (promotion moves it)
-  int64_t last_boundary = kNoResume;       // stream position
+  int64_t last_boundary = kNoResume;       // the session's stream position
   // --- scale-out plane (DESIGN.md Sec. 17) --------------------------------
   bool sharded = false;            // a router declared a shard config
   uint32_t shard_index = 0;        // valid when sharded

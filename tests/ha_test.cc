@@ -18,7 +18,9 @@
 //   * idle timeout disconnects mid-frame stalls (slow loris) but never a
 //     quiet-but-healthy subscriber,
 //   * the health plane reports role, stream position and queue depths,
-//     and a standby refuses ingest/subscribe until promoted.
+//     and a standby refuses ingest/subscribe until promoted,
+//   * a standby refuses a replicated batch that breaks the stream's
+//     rules instead of applying it.
 //
 // All assertions read ServerStats (always-on atomics), never obs counters,
 // so the suite passes identically under -DSOP_NO_OBS.
@@ -782,6 +784,79 @@ TEST(HaTest, PingReportsRoleAndPositionStandbyRefusesWrites) {
   // is asserted across minutes of virtual time in
   // SimTest.StandbyWithoutPromotionStaysStandbyOnVirtualClock — no
   // wall-clock wait here.
+  standby.Stop();
+}
+
+// --- replication input rules ---------------------------------------------
+
+// A standby applies a replicated batch only if the primary's session could
+// have accepted it. A crafted kReplBatch whose points have two
+// dimensionalities, or a time regression under time windows, is refused:
+// the standby counts a protocol error, asks for a snapshot and applies
+// nothing. It keeps answering, and a real primary's replication applies
+// afterwards.
+TEST(HaTest, StandbyRefusesReplBatchesThatBreakTheStreamRules) {
+  std::string error;
+  ServerOptions standby_options;
+  standby_options.window_type = WindowType::kTime;
+  standby_options.standby = true;
+  SopServer standby(standby_options);
+  ASSERT_TRUE(standby.Start(&error)) << error;
+
+  RawConn raw;
+  raw.sock = ConnectTcp("127.0.0.1", standby.port(), &error);
+  ASSERT_TRUE(raw.sock.valid()) << error;
+  const std::vector<std::vector<Point>> crafted = {
+      {Point(0, 1, {1.0}), Point(0, 2, {1.0, 2.0})},  // two dimensionalities
+      {Point(0, 3, {1.0}), Point(0, 2, {1.0})},       // time regression
+  };
+  for (const std::vector<Point>& points : crafted) {
+    ReplBatchMsg batch;
+    batch.prev_boundary = kNoResume;  // chains onto the empty standby
+    batch.boundary = 20;
+    batch.points = points;
+    ASSERT_TRUE(SendAll(raw.sock, EncodeReplBatch(batch), &error)) << error;
+    std::string payload;
+    ASSERT_TRUE(raw.ReadFrame(&payload));
+    ReplAckMsg ack;
+    ASSERT_TRUE(DecodeReplAck(payload, &ack, &error)) << error;
+    EXPECT_TRUE(ack.need_snapshot);
+    EXPECT_EQ(ack.boundary, kNoResume);
+  }
+  EXPECT_EQ(standby.stats().repl_batches_applied, 0u);
+  EXPECT_EQ(standby.stats().protocol_errors, crafted.size());
+  EXPECT_EQ(standby.stats().last_boundary, kNoResume);
+
+  SopClient probe;
+  ASSERT_TRUE(probe.Connect("127.0.0.1", standby.port(), &error)) << error;
+  PongMsg pong;
+  ASSERT_TRUE(probe.Ping(&pong, &error)) << error;
+  EXPECT_EQ(pong.role, static_cast<uint32_t>(ServerRole::kStandby));
+  EXPECT_EQ(pong.last_boundary, kNoResume);
+
+  ServerOptions primary_options;
+  primary_options.window_type = WindowType::kTime;
+  primary_options.replicate_host = "127.0.0.1";
+  primary_options.replicate_port = standby.port();
+  SopServer primary(primary_options);
+  ASSERT_TRUE(primary.Start(&error)) << error;
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", primary.port(), &error)) << error;
+  const std::vector<Batch> batches =
+      SliceTime(GenPoints(64, true, /*seed=*/89), 20);
+  ASSERT_GE(batches.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    IngestAckMsg ack;
+    ASSERT_TRUE(
+        client.Ingest(batches[i].boundary, batches[i].points, &ack, &error))
+        << error;
+    ASSERT_EQ(ack.accepted, batches[i].points.size());
+  }
+  EXPECT_TRUE(WaitUntil([&] {
+    return standby.stats().last_boundary == batches[1].boundary;
+  }));
+  EXPECT_GE(standby.stats().repl_batches_applied, 1u);
+  primary.Stop();
   standby.Stop();
 }
 

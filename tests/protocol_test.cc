@@ -259,7 +259,6 @@ ResumeRingShard MakeShard(double r, int64_t k, int64_t win, int64_t slide,
 
 TEST(ProtocolTest, ReplSnapshotRoundTrip) {
   ReplSnapshotMsg msg;
-  msg.boundary = 900;
   msg.state = std::string("opaque\0blob", 11);  // embedded NUL survives
   ResumeRingShard a = MakeShard(1.5, 4, 200, 50, 700);
   a.entries.push_back({800, false, {1, 2, 3}});
@@ -274,7 +273,6 @@ TEST(ProtocolTest, ReplSnapshotRoundTrip) {
   const std::string frame = EncodeReplSnapshot(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
   ASSERT_TRUE(DecodeReplSnapshot(payload, &out, &error)) << error;
-  EXPECT_EQ(out.boundary, 900);
   EXPECT_EQ(out.state, msg.state);
   ASSERT_EQ(out.ring.size(), 2u);
   EXPECT_EQ(out.ring[0].query.r, 1.5);
@@ -569,7 +567,6 @@ TEST(ProtocolTest, CorruptionFuzzNeverCrashes) {
   repl_batch.results.push_back(
       MakeRecord(1.0, 3, 500, 100, 1000, false, {7, 8}));
   ReplSnapshotMsg repl_snap;
-  repl_snap.boundary = 1000;
   repl_snap.state = std::string(256, '\x5a');
   ResumeRingShard fuzz_shard = MakeShard(1.0, 3, 500, 100, 800);
   fuzz_shard.entries.push_back({900, true, {5}});

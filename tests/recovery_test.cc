@@ -1,9 +1,11 @@
 // Crash-recovery tests for the engine-level run checkpoints
 // (detector/run_checkpoint.h): interrupt/restore emission equivalence for
-// every registered detector under both window types, one replay tail for
-// every detector, the corruption matrix every framed checkpoint must
-// reject (crafted counts included), and a seed-logged randomized
-// corruption fuzz loop.
+// every registered detector under both window types (an empty replay tail
+// included), one replay tail for every detector, the crafted-tail matrix
+// every consumer of a stream tail must refuse (run checkpoints, session
+// state, server checkpoint files and standby snapshots), the corruption
+// matrix every framed checkpoint must reject (crafted counts included),
+// and a seed-logged randomized corruption fuzz loop.
 
 #include <chrono>
 #include <cstdint>
@@ -19,10 +21,14 @@
 #include "sop/common/frame.h"
 #include "sop/common/random.h"
 #include "sop/common/serialize.h"
+#include "sop/core/session.h"
 #include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/detector/run_checkpoint.h"
 #include "sop/io/file_util.h"
+#include "sop/net/protocol.h"
+#include "sop/net/server.h"
+#include "sop/net/socket.h"
 #include "test_util.h"
 
 namespace sop {
@@ -111,7 +117,7 @@ void CheckResumeEquivalence(const std::string& name, const Workload& w,
 
   std::vector<QueryResult> expected_tail;
   for (const QueryResult& r : baseline) {
-    if (r.boundary > cp.last_boundary) expected_tail.push_back(r);
+    if (r.boundary > cp.tail.last_boundary()) expected_tail.push_back(r);
   }
   ASSERT_FALSE(expected_tail.empty())
       << "checkpoint too late to exercise resume";
@@ -134,6 +140,26 @@ TEST(RecoveryTest, EveryDetectorResumesIdenticallyTimeBased) {
   for (const std::string& name : KnownDetectorNames()) {
     CheckResumeEquivalence(name, w, points, path);
   }
+}
+
+// A workload whose largest window is below the slide gcd never reaches
+// back past the next boundary: its checkpoints retain no batch, and every
+// detector still resumes identically.
+TEST(RecoveryTest, EveryDetectorResumesIdenticallyWithAnEmptyTail) {
+  Workload w(WindowType::kCount);
+  w.AddQuery(OutlierQuery(1.0, 2, 6, 8));
+  w.AddQuery(OutlierQuery(2.5, 3, 4, 8));
+  const std::vector<Point> points = TestStream(128, 23);
+  const std::string path = ::testing::TempDir() + "/recovery_empty.ck";
+  for (const std::string& name : KnownDetectorNames()) {
+    CheckResumeEquivalence(name, w, points, path);
+  }
+  RunCheckpoint cp;
+  std::string error;
+  ASSERT_TRUE(LoadRunCheckpoint(path, &cp, &error)) << error;
+  EXPECT_TRUE(cp.tail.batches().empty());
+  EXPECT_EQ(cp.tail.next_seq(), cp.tail.last_boundary());
+  EXPECT_GT(cp.tail.next_seq(), 0);
 }
 
 TEST(RecoveryTest, ResumeRejectsMismatchedIdentity) {
@@ -179,7 +205,8 @@ TEST(RecoveryTest, ResumeRejectsMismatchedIdentity) {
 
 // Every detector's checkpoint is the same replay tail: at one stream
 // position a `sop` run and a `naive` run write identical checkpoints,
-// apart from the detector's name.
+// apart from the detector's name. The tail holds the W/G - 1 batches a
+// window at the next boundary can reach: 24 / 4 - 1 = 5 on CountWorkload.
 TEST(RecoveryTest, EveryDetectorCheckpointsTheSameHistory) {
   const Workload w = CountWorkload();
   const std::vector<Point> points = TestStream(100, 41);
@@ -202,9 +229,27 @@ TEST(RecoveryTest, EveryDetectorCheckpointsTheSameHistory) {
   EXPECT_EQ(sop_cp.detector_name, "sop");
   EXPECT_EQ(naive_cp.detector_name, "naive");
   EXPECT_EQ(sop_cp.batches_advanced, 24);
-  ASSERT_FALSE(sop_cp.history.empty());
+  EXPECT_EQ(sop_cp.tail.next_seq(), 96);
+  EXPECT_EQ(sop_cp.tail.last_boundary(), 96);
+  ASSERT_EQ(sop_cp.tail.batches().size(), 5u);
+  EXPECT_EQ(sop_cp.tail.batches().front().boundary, 80);
+  EXPECT_EQ(sop_cp.tail.batches().front().points.front().seq, 76);
   sop_cp.detector_name = naive_cp.detector_name;
   EXPECT_EQ(SerializeRunCheckpoint(sop_cp), SerializeRunCheckpoint(naive_cp));
+}
+
+// A count-window tail after `batches` batches of 4 two-dimensional points,
+// retaining the batches within `reach`.
+StreamTail PushedTail(int64_t batches, int64_t reach) {
+  StreamTail tail(WindowType::kCount);
+  for (int64_t i = 0; i < batches; ++i) {
+    std::vector<Point> batch;
+    for (int j = 0; j < 4; ++j) {
+      batch.emplace_back(0, i * 4 + j, std::vector<double>{1.5, -2.5});
+    }
+    tail.Push(&batch, (i + 1) * 4, reach);
+  }
+  return tail;
 }
 
 // Builds one valid serialized checkpoint for the corruption drills.
@@ -212,39 +257,31 @@ std::string ValidCheckpointBytes() {
   RunCheckpoint cp;
   cp.workload_fingerprint = 0x1234'5678'9abc'def0ULL;
   cp.detector_name = "mcod";
-  cp.window_type = WindowType::kCount;
   cp.batch_span = 4;
-  cp.points_advanced = 24;
   cp.batches_advanced = 6;
-  cp.last_boundary = 24;
-  HistoryBatch b;
-  b.boundary = 24;
-  for (Seq s = 20; s < 24; ++s) {
-    b.points.emplace_back(s, s, std::vector<double>{1.5, -2.5});
-  }
-  cp.history.push_back(b);
+  cp.tail = PushedTail(6, 4);  // keeps the batch at 24
   return SerializeRunCheckpoint(cp);
 }
 
-// A CRC-valid checkpoint whose history claims 2^61 batches, or one batch
-// of 2^61 points, is refused with a diagnostic: nothing is sized from a
+// A CRC-valid checkpoint whose tail claims 2^61 batches, or one batch of
+// 2^61 points, is refused with a diagnostic: nothing is sized from a
 // decoded count, so the decoder runs out of bytes instead of memory.
 TEST(RecoveryTest, CraftedHistoryCountsAreRefused) {
   RunCheckpoint cp;
   cp.detector_name = "sop";
   cp.batch_span = 4;
-  cp.history.push_back(HistoryBatch{4, {Point(3, 3, {1.0})}});
+  cp.tail = PushedTail(1, 4);
   std::string_view payload;
   std::string error;
   const std::string bytes = SerializeRunCheckpoint(cp);
   ASSERT_TRUE(UnwrapFrame(bytes, &payload, &error)) << error;
 
-  // The header ahead of the history: magic, version, fingerprint, the
-  // length-prefixed name, window type, batch span, three stream-position
-  // words, the have_boundary byte and next_boundary. Then the batch count,
-  // the first batch's boundary and its point count.
+  // The header ahead of the tail: magic, version, fingerprint, the
+  // length-prefixed name, window type, batch span and batches advanced.
+  // Then the tail's next seq, last boundary and batch count, the first
+  // batch's boundary and its point count.
   const size_t num_batches_at =
-      4 + 4 + 8 + 8 + cp.detector_name.size() + 4 + 4 * 8 + 1 + 8;
+      4 + 4 + 8 + 8 + cp.detector_name.size() + 4 + 8 + 8 + 8 + 8;
   const size_t num_points_at = num_batches_at + 8 + 8;
   auto u64_at = [&payload](size_t at) {
     uint64_t v = 0;
@@ -253,7 +290,7 @@ TEST(RecoveryTest, CraftedHistoryCountsAreRefused) {
   };
   ASSERT_EQ(u64_at(num_batches_at), 1u);
   ASSERT_EQ(u64_at(num_batches_at + 8), 4u);
-  ASSERT_EQ(u64_at(num_points_at), 1u);
+  ASSERT_EQ(u64_at(num_points_at), 4u);
 
   const uint64_t huge = uint64_t{1} << 61;
   for (const size_t at : {num_batches_at, num_points_at}) {
@@ -266,7 +303,251 @@ TEST(RecoveryTest, CraftedHistoryCountsAreRefused) {
     EXPECT_NO_THROW(accepted = DeserializeRunCheckpoint(crafted, &out, &error))
         << "count at payload offset " << at;
     EXPECT_FALSE(accepted) << "count at payload offset " << at;
-    EXPECT_NE(error.find("history"), std::string::npos) << error;
+    EXPECT_NE(error.find("truncated tail"), std::string::npos) << error;
+  }
+}
+
+// --- crafted tails -------------------------------------------------------
+//
+// Each tail below has a valid CRC and breaks one rule of a stream's
+// position. Every consumer that decodes a tail refuses it with a
+// diagnostic instead of replaying it into a detector's CHECKs: a run
+// checkpoint (DeserializeRunCheckpoint, or RunResumed for the rows only the
+// engine's batch schedule rules out), session state (LoadState), a
+// server's checkpoint file (Start falls back a generation) and a standby's
+// kReplSnapshot (a NAK, the session untouched).
+
+struct CraftedTail {
+  std::string row;
+  WindowType type = WindowType::kCount;
+  Seq next_seq = 0;
+  int64_t last_boundary = 0;
+  std::vector<HistoryBatch> batches;
+  // A session's host may pick any boundary, so only the engine refuses it.
+  bool engine_only = false;
+};
+
+// `n` points of `dims` values at times `t0`, `t0` + 1, ...
+std::vector<Point> Points(int n, int dims, Timestamp t0) {
+  std::vector<Point> points;
+  for (int i = 0; i < n; ++i) {
+    points.emplace_back(0, t0 + i, std::vector<double>(dims, 1.0));
+  }
+  return points;
+}
+
+std::vector<CraftedTail> CraftedTails() {
+  const WindowType count = WindowType::kCount;
+  const WindowType time = WindowType::kTime;
+  return {
+      {"a repeated boundary", count, 8, 8,
+       {{8, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
+      {"two dimensionalities", count, 8, 8,
+       {{4, Points(4, 1, 0)}, {8, Points(4, 2, 4)}}},
+      {"a time regression", time, 2, 4,
+       {{4, {Point(0, 3, {1.0}), Point(0, 2, {1.0})}}}},
+      {"more points than the next seq", count, 4, 8,
+       {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
+      {"a negative next seq", count, -4, 8, {}},
+      {"a batch after the last boundary", count, 8, 4,
+       {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
+      {"a time-window boundary off the span", time, 2, 6,
+       {{6, Points(2, 1, 4)}}, /*engine_only=*/true},
+      {"a count-window boundary past the points advanced", count, 8, 100,
+       {{96, Points(4, 1, 0)}, {100, Points(4, 1, 4)}}, /*engine_only=*/true},
+      {"a time-window boundary with no next one", time, 0, INT64_MAX - 3, {},
+       /*engine_only=*/true},
+  };
+}
+
+// `t` in StreamTail::Write's layout.
+std::string TailBytes(const CraftedTail& t) {
+  BinaryWriter w;
+  w.WriteI64(t.next_seq);
+  w.WriteI64(t.last_boundary);
+  w.WriteU64(t.batches.size());
+  for (const HistoryBatch& b : t.batches) {
+    w.WriteI64(b.boundary);
+    w.WriteU64(b.points.size());
+    for (const Point& p : b.points) WritePoint(&w, p);
+  }
+  return w.TakeBytes();
+}
+
+// `framed`, whose payload ends in an empty tail, with `t` in its place.
+std::string WithTail(const std::string& framed, const CraftedTail& t) {
+  const size_t kEmptyTailBytes = 8 + 8 + 8;
+  std::string_view payload;
+  std::string error;
+  EXPECT_TRUE(UnwrapFrame(framed, &payload, &error)) << error;
+  EXPECT_GE(payload.size(), kEmptyTailBytes);
+  return WrapFrame(std::string(payload.substr(
+                       0, payload.size() - kEmptyTailBytes)) +
+                   TailBytes(t));
+}
+
+const int64_t kHistoryWindow = net::ServerOptions().history_window;
+
+std::string SessionStateWith(const CraftedTail& t) {
+  return WithTail(
+      SopSession(t.type, Metric::kEuclidean, kHistoryWindow).SaveState(), t);
+}
+
+// A session of `type` that has accepted four 1-d points at boundary 4.
+std::unique_ptr<SopSession> AdvancedSession(WindowType type) {
+  auto session =
+      std::make_unique<SopSession>(type, Metric::kEuclidean, kHistoryWindow);
+  session->Advance(Points(4, 1, 0), 4);
+  return session;
+}
+
+TEST(RecoveryTest, CraftedTailsAreRefusedByRunCheckpoints) {
+  for (const CraftedTail& t : CraftedTails()) {
+    SCOPED_TRACE(t.row);
+    const Workload w =
+        t.type == WindowType::kCount ? CountWorkload() : TimeWorkload();
+    ASSERT_EQ(w.SlideGcd(), 4);
+    RunCheckpoint valid;
+    valid.workload_fingerprint = w.Fingerprint();
+    valid.batch_span = 4;
+    valid.batches_advanced = 2;
+    valid.tail = StreamTail(t.type);
+    const std::string bytes = WithTail(SerializeRunCheckpoint(valid), t);
+    RunCheckpoint cp;
+    std::string error;
+    const bool decoded = DeserializeRunCheckpoint(bytes, &cp, &error);
+    EXPECT_EQ(decoded, t.engine_only) << error;
+    if (!decoded) {
+      EXPECT_NE(error.find("tail"), std::string::npos) << error;
+      continue;
+    }
+    for (const std::string& name : KnownDetectorNames()) {
+      cp.detector_name = name;
+      std::unique_ptr<OutlierDetector> detector = CreateDetector(name, w);
+      VectorSource source(TestStream(128, 5));
+      ExecutionEngine engine;
+      RunMetrics metrics;
+      size_t emitted = 0;
+      error.clear();
+      EXPECT_FALSE(engine.RunResumed(w, &source, detector.get(), cp,
+                                     &metrics, &error,
+                                     [&emitted](const QueryResult&) {
+                                       ++emitted;
+                                     }))
+          << name;
+      EXPECT_NE(error.find("schedule"), std::string::npos) << name << error;
+      EXPECT_EQ(emitted, 0u) << name;
+    }
+  }
+}
+
+TEST(RecoveryTest, CraftedTailsAreRefusedBySessionState) {
+  for (const CraftedTail& t : CraftedTails()) {
+    if (t.engine_only) continue;
+    SCOPED_TRACE(t.row);
+    std::unique_ptr<SopSession> session = AdvancedSession(t.type);
+    session->AddQuery(OutlierQuery(1.0, 2, 8, 4));
+    std::string error;
+    EXPECT_FALSE(session->LoadState(SessionStateWith(t), &error));
+    EXPECT_NE(error.find("session state: "), std::string::npos) << error;
+    EXPECT_NE(error.find("tail"), std::string::npos) << error;
+    // Untouched: the stream goes on where it was.
+    EXPECT_EQ(session->last_boundary(), 4);
+    EXPECT_EQ(session->next_seq(), 4);
+    EXPECT_EQ(session->num_queries(), 1u);
+    EXPECT_EQ(session->Advance(Points(4, 1, 4), 8).size(), 1u);
+  }
+}
+
+// A restored tail may sit at any next seq: a batch whose seqs would pass
+// the largest one is refused instead of wrapping.
+TEST(RecoveryTest, ATailNearTheLastSeqRefusesABatchThatOverflowsIt) {
+  const CraftedTail t{"near the last seq", WindowType::kCount,
+                      INT64_MAX - 2, 8, {}};
+  SopSession session(t.type, Metric::kEuclidean, kHistoryWindow);
+  std::string error;
+  ASSERT_TRUE(session.LoadState(SessionStateWith(t), &error)) << error;
+  EXPECT_NE(session.CheckBatch(Points(4, 1, 0), 12).find("overflows"),
+            std::string::npos);
+  EXPECT_EQ(session.CheckBatch(Points(2, 1, 0), 12), "");
+}
+
+TEST(RecoveryTest, CraftedTailsAreRefusedByServerCheckpointFiles) {
+  const std::string path = ::testing::TempDir() + "/recovery_server.ck";
+  for (const CraftedTail& t : CraftedTails()) {
+    if (t.engine_only) continue;
+    SCOPED_TRACE(t.row);
+    net::ReplSnapshotMsg older;
+    older.state = AdvancedSession(t.type)->SaveState();
+    net::ReplSnapshotMsg newest;
+    newest.state = SessionStateWith(t);
+    std::string error;
+    ASSERT_TRUE(io::WriteFileAtomic(io::GenerationPath(path, 1),
+                                    net::EncodeReplSnapshot(older), &error));
+    ASSERT_TRUE(
+        io::WriteFileAtomic(path, net::EncodeReplSnapshot(newest), &error));
+
+    net::ServerOptions options;
+    options.window_type = t.type;
+    options.checkpoint_path = path;
+    options.checkpoint_generations = 2;
+    net::SopServer server(options);
+    ASSERT_TRUE(server.Start(&error)) << error;
+    EXPECT_TRUE(server.stats().resumed);
+    EXPECT_EQ(server.stats().last_boundary, 4);
+    server.Kill();
+  }
+  std::remove(path.c_str());
+  std::remove(io::GenerationPath(path, 1).c_str());
+}
+
+// Sends `frame` on `sock` and reads the reply frame's payload.
+bool Exchange(const net::Socket& sock, const std::string& frame,
+              std::string* reply) {
+  std::string error;
+  if (!net::SendAll(sock, frame, &error)) return false;
+  net::FrameDecoder decoder;
+  char buf[4096];
+  while (decoder.Next(reply, &error) == net::FrameDecoder::Status::kNeedMore) {
+    const int64_t n = net::RecvSome(sock, buf, sizeof buf, &error);
+    if (n <= 0) return false;
+    decoder.Append(buf, static_cast<size_t>(n));
+  }
+  return !reply->empty();
+}
+
+TEST(RecoveryTest, CraftedTailsAreRefusedByStandbySnapshots) {
+  for (const CraftedTail& t : CraftedTails()) {
+    if (t.engine_only) continue;
+    SCOPED_TRACE(t.row);
+    net::ServerOptions options;
+    options.window_type = t.type;
+    options.standby = true;
+    net::SopServer standby(options);
+    std::string error;
+    ASSERT_TRUE(standby.Start(&error)) << error;
+    net::Socket sock = net::ConnectTcp("127.0.0.1", standby.port(), &error);
+    ASSERT_TRUE(sock.valid()) << error;
+
+    net::ReplSnapshotMsg snapshot;
+    snapshot.state = AdvancedSession(t.type)->SaveState();
+    std::string reply;
+    net::ReplAckMsg ack;
+    ASSERT_TRUE(Exchange(sock, net::EncodeReplSnapshot(snapshot), &reply));
+    ASSERT_TRUE(net::DecodeReplAck(reply, &ack, &error)) << error;
+    EXPECT_FALSE(ack.need_snapshot);
+    EXPECT_EQ(ack.boundary, 4);
+
+    snapshot.state = SessionStateWith(t);
+    ASSERT_TRUE(Exchange(sock, net::EncodeReplSnapshot(snapshot), &reply));
+    ASSERT_TRUE(net::DecodeReplAck(reply, &ack, &error)) << error;
+    EXPECT_TRUE(ack.need_snapshot);
+    EXPECT_EQ(ack.boundary, 4);
+    const net::ServerStats stats = standby.stats();
+    EXPECT_EQ(stats.repl_snapshots_applied, 1u);
+    EXPECT_EQ(stats.protocol_errors, 1u);
+    EXPECT_EQ(stats.last_boundary, 4);
+    standby.Stop();
   }
 }
 
@@ -276,8 +557,9 @@ TEST(RecoveryTest, CorruptionMatrixEveryTruncationRejected) {
   std::string error;
   ASSERT_TRUE(DeserializeRunCheckpoint(bytes, &cp, &error)) << error;
   EXPECT_EQ(cp.detector_name, "mcod");
-  EXPECT_EQ(cp.history.size(), 1u);
-  EXPECT_EQ(cp.history[0].points.size(), 4u);
+  ASSERT_EQ(cp.tail.batches().size(), 1u);
+  EXPECT_EQ(cp.tail.batches()[0].points.size(), 4u);
+  EXPECT_EQ(cp.tail.batches()[0].points[0].seq, 20);
 
   for (size_t len = 0; len < bytes.size(); ++len) {
     error.clear();

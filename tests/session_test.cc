@@ -394,46 +394,51 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
 }
 
 // The first accepted point fixes the dimensionality, with no query
-// registered too, and time windows refuse a time regression (ties pass).
-// A restored session takes both from its retained history alone.
+// registered too, time windows refuse a time regression (ties pass), and
+// boundaries must increase. A restored session takes the point rules from
+// its retained history alone.
 TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   auto at = [](Timestamp t, std::vector<double> v) {
     return Point(0, t, std::move(v));
   };
   auto refusal = [](const SopSession& s, const std::vector<Point>& batch,
-                    const std::string& reason) {
-    return s.CheckBatch(batch).find(reason) != std::string::npos;
+                    int64_t boundary, const std::string& reason) {
+    return s.CheckBatch(batch, boundary).find(reason) != std::string::npos;
   };
   SopSession session(WindowType::kTime, Metric::kEuclidean, 10);
-  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(5, {1.0, 2.0})},
+  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(5, {1.0, 2.0})}, 10,
                       "dimensions"));
-  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(4, {1.0})}, "below"));
+  EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(4, {1.0})}, 10, "below"));
   session.Advance({at(3, {1.0, 1.0}), at(4, {2.0, 2.0})}, 10);
-  EXPECT_TRUE(refusal(session, {at(12, {1.0})}, "dimensions"));
-  EXPECT_TRUE(refusal(session, {at(3, {1.0, 1.0})}, "below"));
-  EXPECT_EQ(session.CheckBatch({at(4, {1.0, 1.0})}), "");
+  EXPECT_TRUE(refusal(session, {at(12, {1.0})}, 20, "dimensions"));
+  EXPECT_TRUE(refusal(session, {at(3, {1.0, 1.0})}, 20, "below"));
+  EXPECT_TRUE(refusal(session, {at(12, {1.0, 1.0})}, 10, "does not advance"));
+  EXPECT_EQ(session.CheckBatch({at(4, {1.0, 1.0})}, 20), "");
   EXPECT_DEATH(session.Advance({at(12, {1.0})}, 20), "dimensions");
 
   // History now holds only the batch ending at 20.
   session.Advance({at(15, {1.0, 1.0})}, 20);
   SopSession restored(WindowType::kTime, Metric::kEuclidean, 10);
   ASSERT_TRUE(restored.LoadState(session.SaveState()));
-  EXPECT_TRUE(refusal(restored, {at(16, {1.0})}, "dimensions"));
-  EXPECT_TRUE(refusal(restored, {at(14, {1.0, 1.0})}, "below"));
-  EXPECT_EQ(restored.CheckBatch({at(15, {1.0, 1.0})}), "");
+  EXPECT_EQ(restored.last_boundary(), 20);
+  EXPECT_EQ(restored.next_seq(), 3);
+  EXPECT_TRUE(refusal(restored, {at(16, {1.0})}, 30, "dimensions"));
+  EXPECT_TRUE(refusal(restored, {at(14, {1.0, 1.0})}, 30, "below"));
+  EXPECT_TRUE(refusal(restored, {at(15, {1.0, 1.0})}, 20, "does not advance"));
+  EXPECT_EQ(restored.CheckBatch({at(15, {1.0, 1.0})}, 30), "");
 
   // History trimmed to an empty batch: the restored stream starts fresh.
   session.Advance({}, 40);
   SopSession fresh(WindowType::kTime, Metric::kEuclidean, 10);
   ASSERT_TRUE(fresh.LoadState(session.SaveState()));
-  EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}), "");
+  EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}, 50), "");
 }
 
-// Only the current state version loads: a complete v1 blob (an empty
-// session, no queries and no history) is refused.
+// Only the current state version loads: a complete v2 blob (an empty
+// session, no queries, no headroom, no history) is refused.
 TEST(SopSessionTest, RefusesOtherStateVersions) {
   BinaryWriter w;
-  w.WriteU32(1);  // version
+  w.WriteU32(2);  // version
   w.WriteU32(static_cast<uint32_t>(WindowType::kCount));
   w.WriteU32(static_cast<uint32_t>(Metric::kEuclidean));
   w.WriteI64(32);         // history window
@@ -441,6 +446,13 @@ TEST(SopSessionTest, RefusesOtherStateVersions) {
   w.WriteI64(0);          // next seq
   w.WriteI64(INT64_MIN);  // last boundary
   w.WriteU64(0);          // queries
+  w.WriteBool(false);     // headroom: not elastic,
+  w.WriteU64(0);          // no radii,
+  w.WriteI64(0);          // no k slack,
+  w.WriteI64(0);          // no window floor
+  w.WriteU64(0);          // basis snapshot: no layers,
+  w.WriteI64(0);          // no k envelope,
+  w.WriteI64(0);          // no window
   w.WriteU64(0);          // history batches
   SopSession session(WindowType::kCount, Metric::kEuclidean, 32);
   std::string error;

@@ -1,9 +1,10 @@
-// Unit tests for sop/stream: window arithmetic, the sliding buffer, and
-// sources.
+// Unit tests for sop/stream: window arithmetic, the sliding buffer, the
+// stream tail's numbering and trim, and sources.
 
 #include "gtest/gtest.h"
 #include "sop/stream/source.h"
 #include "sop/stream/stream_buffer.h"
+#include "sop/stream/stream_tail.h"
 #include "sop/stream/window.h"
 #include "test_util.h"
 
@@ -31,6 +32,35 @@ TEST(WindowTest, FirstBoundaryAtOrAfter) {
   EXPECT_EQ(FirstBoundaryAtOrAfter(-5, 10), 0);
   EXPECT_EQ(FirstBoundaryAtOrAfter(-10, 10), -10);
   EXPECT_EQ(FirstBoundaryAtOrAfter(-11, 10), -10);
+}
+
+// Push numbers the points on from next_seq() and keeps exactly the batches
+// above boundary - reach: none at reach 0, and all of them when that
+// horizon would fall below INT64_MIN.
+TEST(StreamTailTest, PushNumbersPointsAndTrimsAtTheReach) {
+  auto push = [](StreamTail* tail, int64_t boundary, int64_t reach) {
+    std::vector<Point> batch = {Point(0, boundary, {1.0}),
+                                Point(0, boundary, {2.0})};
+    tail->Push(&batch, boundary, reach);
+    return batch.front().seq;
+  };
+  StreamTail none(WindowType::kTime);
+  EXPECT_EQ(push(&none, 10, 0), 0);
+  EXPECT_EQ(push(&none, 20, 0), 2);
+  EXPECT_TRUE(none.batches().empty());
+  EXPECT_EQ(none.next_seq(), 4);
+  EXPECT_EQ(none.last_boundary(), 20);
+
+  StreamTail kept(WindowType::kTime);
+  for (const int64_t boundary : {10, 20, 30, 40}) push(&kept, boundary, 20);
+  ASSERT_EQ(kept.batches().size(), 2u);
+  EXPECT_EQ(kept.batches().front().boundary, 30);
+  EXPECT_EQ(kept.batches().front().points.front().seq, 4);
+
+  StreamTail low(WindowType::kTime);
+  push(&low, INT64_MIN + 1, 20);
+  push(&low, INT64_MIN + 2, 20);
+  EXPECT_EQ(low.batches().size(), 2u);
 }
 
 TEST(StreamBufferTest, AppendAndAccess) {

@@ -143,14 +143,7 @@ int RunSessionChurn(const std::string& name, const sop::Workload& workload,
       std::printf("query %lld @ %lld:",
                   static_cast<long long>(r.query_id),
                   static_cast<long long>(r.boundary));
-      size_t shown = 0;
-      for (Seq s : r.outliers) {
-        if (++shown > 16) {
-          std::printf(" ... (%zu total)", r.outliers.size());
-          break;
-        }
-        std::printf(" %lld", static_cast<long long>(s));
-      }
+      for (Seq s : r.outliers) std::printf(" %lld", static_cast<long long>(s));
       std::printf("\n");
     }
     if (batches % static_cast<uint64_t>(churn_every) == 0) {
@@ -445,14 +438,7 @@ int main(int argc, char** argv) {
       if (printed++ >= max_print) return;
       std::printf("query %zu @ %lld:", r.query_index,
                   static_cast<long long>(r.boundary));
-      size_t shown = 0;
-      for (Seq s : r.outliers) {
-        if (++shown > 16) {
-          std::printf(" ... (%zu total)", r.outliers.size());
-          break;
-        }
-        std::printf(" %lld", static_cast<long long>(s));
-      }
+      for (Seq s : r.outliers) std::printf(" %lld", static_cast<long long>(s));
       std::printf("\n");
     };
     RunMetrics metrics;
