@@ -1,19 +1,21 @@
-// micro_churn: subscribe/unsubscribe cost under the session's tiered
-// workload-change path — overlay swap vs rebuild-and-replay.
+// micro_churn: subscribe/unsubscribe cost under the session's two
+// workload-change paths — overlay swap vs rebuild-and-replay.
 //
 // Both configurations run the identical stream, base workload and churn
 // schedule (one query removed + re-registered every few batches) through
 // SopSession; the only difference is how changes are realized:
 //
-//   overlay   the default in-process SopDetector path: with elastic basis
-//             headroom every churn is an in-place overlay swap — no
+//   overlay   the default in-process SopDetector path: on the session's
+//             elastic basis every churn is an in-place overlay swap — no
 //             detector rebuild, no history replay;
-//   rebuild   a DetectorBuilder hook around the same SOP algorithm, which
-//             is exactly the pre-tiered behavior: every churn recompiles
-//             the detector and replays the retained history.
+//   rebuild   a DetectorBuilder hook around the same SOP algorithm: every
+//             churn recompiles the detector and replays the retained
+//             history.
 //
-// Emission totals are asserted equal, so the latency columns compare the
-// same answers. Output: a table, RESULT lines, and BENCH_churn.json.
+// Both configurations assign the same query ids, and every emission (query
+// id, boundary and outlier seqs) is asserted equal, so the latency columns
+// compare the same answers; the bench exits nonzero otherwise. Output: a
+// table, RESULT lines, and BENCH_churn.json.
 //
 //   RESULT bench=micro_churn config=... churns=... churn_mean_ms=...
 //          churn_max_ms=... steady_mean_ms=... replayed_points=...
@@ -46,7 +48,7 @@ Workload BaseWorkload() {
 
 struct Outcome {
   uint64_t batches = 0;
-  uint64_t emissions = 0;
+  std::vector<SessionResult> emissions;
   uint64_t churns = 0;
   double steady_mean_ms = 0.0;
   double churn_mean_ms = 0.0;
@@ -64,7 +66,7 @@ Outcome RunConfig(const std::string& config,
   SopSession session(WindowType::kCount, Metric::kEuclidean,
                      base.MaxWindow());
   if (config == "rebuild") {
-    // The pre-tiered path: an opaque builder, so every change replays.
+    // An opaque builder, so every change rebuilds and replays.
     session.SetDetectorBuilder([](const Workload& w) {
       return CreateDetector("sop", w);
     });
@@ -87,7 +89,7 @@ Outcome RunConfig(const std::string& config,
         points.begin() + static_cast<ptrdiff_t>(start) +
             static_cast<ptrdiff_t>(kBatch));
     const auto t0 = Clock::now();
-    const std::vector<SessionResult> results =
+    std::vector<SessionResult> results =
         session.Advance(std::move(batch), boundary);
     const double ms =
         std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -101,9 +103,7 @@ Outcome RunConfig(const std::string& config,
       ++steady_batches;
     }
     ++out.batches;
-    for (const SessionResult& r : results) {
-      if (!r.outliers.empty()) ++out.emissions;
-    }
+    for (SessionResult& r : results) out.emissions.push_back(std::move(r));
     if (out.batches % static_cast<uint64_t>(churn_every) == 0) {
       const size_t j = static_cast<size_t>(out.churns % ids.size());
       session.RemoveQuery(ids[j]);
@@ -118,6 +118,21 @@ Outcome RunConfig(const std::string& config,
   out.rebuilds = session.change_stats().rebuilds;
   out.replayed_points = session.change_stats().replayed_points;
   return out;
+}
+
+// Index of the first emission where `a` and `b` differ in query id,
+// boundary or outlier seqs, or the shorter length when one is a prefix of
+// the other; -1 when they are equal.
+int64_t FirstDifference(const std::vector<SessionResult>& a,
+                        const std::vector<SessionResult>& b) {
+  const size_t n = std::min(a.size(), b.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (a[i].query_id != b[i].query_id || a[i].boundary != b[i].boundary ||
+        a[i].outliers != b[i].outliers) {
+      return static_cast<int64_t>(i);
+    }
+  }
+  return a.size() == b.size() ? -1 : static_cast<int64_t>(n);
 }
 
 }  // namespace
@@ -141,16 +156,15 @@ int main() {
               "emissions");
 
   std::string json = "{\n  \"bench\": \"micro_churn\",\n  \"configs\": [\n";
-  uint64_t emissions[2] = {0, 0};
+  std::vector<SessionResult> emissions[2];
   const char* configs[2] = {"overlay", "rebuild"};
   for (int c = 0; c < 2; ++c) {
-    const Outcome out = RunConfig(configs[c], points, churn_every);
-    emissions[c] = out.emissions;
+    Outcome out = RunConfig(configs[c], points, churn_every);
     std::printf("%-8s %8llu %10.3f %14.3f %13.3f %12llu %10llu\n",
                 configs[c], static_cast<unsigned long long>(out.churns),
                 out.steady_mean_ms, out.churn_mean_ms, out.churn_max_ms,
                 static_cast<unsigned long long>(out.replayed_points),
-                static_cast<unsigned long long>(out.emissions));
+                static_cast<unsigned long long>(out.emissions.size()));
     std::printf("RESULT bench=micro_churn config=%s churns=%llu "
                 "churn_mean_ms=%.3f churn_max_ms=%.3f steady_mean_ms=%.3f "
                 "overlay_changes=%llu rebuilds=%llu replayed_points=%llu\n",
@@ -171,18 +185,20 @@ int main() {
                   static_cast<unsigned long long>(out.overlay_changes),
                   static_cast<unsigned long long>(out.rebuilds),
                   static_cast<unsigned long long>(out.replayed_points),
-                  static_cast<unsigned long long>(out.emissions),
+                  static_cast<unsigned long long>(out.emissions.size()),
                   c == 0 ? "," : "");
     json += buf;
+    emissions[c] = std::move(out.emissions);
   }
   json += "  ]\n}\n";
 
-  if (emissions[0] != emissions[1]) {
+  const int64_t diff = FirstDifference(emissions[0], emissions[1]);
+  if (diff >= 0) {
     std::fprintf(stderr,
-                 "FAIL: emission totals differ (overlay %llu, rebuild "
-                 "%llu) — the two paths must answer identically\n",
-                 static_cast<unsigned long long>(emissions[0]),
-                 static_cast<unsigned long long>(emissions[1]));
+                 "FAIL: emission %lld differs (overlay %zu emissions, "
+                 "rebuild %zu) — the two paths must answer identically\n",
+                 static_cast<long long>(diff), emissions[0].size(),
+                 emissions[1].size());
     return 1;
   }
 

@@ -77,8 +77,10 @@ double Partitioner::range_hi(int shard) const {
   return spec_.cuts[static_cast<size_t>(shard)];
 }
 
-double HaloFromBasis(const Workload& workload, const PlanHeadroom& headroom) {
-  return WorkloadPlan(workload, headroom).r_max();
+double HaloFromBasis(const Workload& workload) {
+  double r_max = 0.0;
+  for (const OutlierQuery& q : workload.queries()) r_max = std::max(r_max, q.r);
+  return r_max;
 }
 
 }  // namespace cluster

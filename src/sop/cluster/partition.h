@@ -13,9 +13,9 @@
 // and q lands inside the owner's halo — the owner shard computes p's
 // neighbor count over its complete neighbor set, and its verdict equals
 // the single-node verdict. The halo width therefore has to dominate every
-// radius the deployment will ever serve, which is exactly what the
-// workload basis r_max (query/plan.h) — including any PlanHeadroom
-// reservations — provides. HaloFromBasis does that derivation.
+// radius the deployment will ever serve: the largest subscribed radius,
+// which is also the workload basis r_max (query/plan.h). HaloFromBasis
+// does that derivation.
 //
 // The first shard's range extends to -infinity and the last one's to
 // +infinity, so every finite value (and +/-inf and NaN inputs, which
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "sop/common/point.h"
-#include "sop/query/plan.h"
 #include "sop/query/workload.h"
 
 namespace sop {
@@ -89,9 +88,9 @@ class Partitioner {
 };
 
 /// Halo width that keeps a partitioned deployment exact for `workload`:
-/// the compiled basis r_max under `headroom` (so reserved future radii are
-/// covered too). The workload must validate; call sites gate on that.
-double HaloFromBasis(const Workload& workload, const PlanHeadroom& headroom);
+/// its largest radius, the r_max its compiled basis would have. The
+/// workload must validate; call sites gate on that.
+double HaloFromBasis(const Workload& workload);
 
 }  // namespace cluster
 }  // namespace sop

@@ -598,11 +598,11 @@ struct SopRouter::Impl : net::FrontHandler {
   }
 
   void HandleSubscribe(Op& op) {
-    // Halo admission: with auto sizing the width tracks the compiled
-    // basis r_max of the live query set until the first routed batch
-    // freezes it; after that (or with an explicit width) any query whose
-    // radius exceeds the halo would see incomplete neighborhoods at
-    // region edges, so it is refused instead of silently degrading.
+    // Halo admission: with auto sizing the width tracks the largest radius
+    // of the live query set until the first routed batch freezes it;
+    // after that (or with an explicit width) any query whose radius
+    // exceeds the halo would see incomplete neighborhoods at region edges,
+    // so it is refused instead of silently degrading.
     double width = halo.load(std::memory_order_relaxed);
     if (options.halo < 0.0 && !halo_frozen) {
       Workload wl(options.window_type, options.metric);
@@ -612,7 +612,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       wl.AddQuery(op.query);
       if (wl.Validate().empty()) {
-        width = std::max(width, HaloFromBasis(wl, options.headroom));
+        width = std::max(width, HaloFromBasis(wl));
         halo.store(width, std::memory_order_relaxed);
       }
     }
@@ -622,7 +622,7 @@ struct SopRouter::Impl : net::FrontHandler {
       ack.error = "query radius " + std::to_string(op.query.r) +
                   " exceeds the cluster halo width " + std::to_string(width) +
                   (halo_frozen ? " (frozen at first ingest; redeploy with "
-                                 "--halo or headroom radii covering it)"
+                                 "a --halo covering it)"
                                : "");
       front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
       return;
@@ -893,9 +893,7 @@ struct SopRouter::Impl : net::FrontHandler {
     // Prune the sequence maps past the merge horizon: no future window
     // can reach keys older than boundary - retention.
     const int64_t retention =
-        options.seq_retention > 0
-            ? options.seq_retention
-            : max_win + std::max<int64_t>(options.headroom.win_floor, 0);
+        options.seq_retention > 0 ? options.seq_retention : max_win;
     const int64_t horizon = boundary - retention;
     for (SeqMap& sm : seq_maps) {
       while (!sm.entries.empty() && sm.entries.front().key < horizon) {

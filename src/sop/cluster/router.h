@@ -50,11 +50,12 @@
 // retired at once. Behind the front run the route loop and one thread per
 // worker.
 //
-// Halo sizing: `halo` < 0 (auto) derives the width from the compiled
-// workload basis r_max under `headroom`, growing as queries arrive —
-// until the first batch is routed, which freezes it (replicas already
-// shipped cannot be widened retroactively). A later subscribe with
-// r > halo is refused with a diagnostic instead of silently degrading.
+// Halo sizing: `halo` < 0 (auto) makes the width the largest subscribed
+// radius (the workload basis r_max), growing as queries arrive — until
+// the first batch is routed, which freezes it (replicas already shipped
+// cannot be widened retroactively). A later subscribe with r > halo is
+// refused with a diagnostic instead of silently degrading; a deployment
+// that expects wider radii later sets `halo` explicitly.
 //
 // Degradation: if a worker stays unreachable past its client's bounded
 // recovery, the router keeps serving — merged emissions carry
@@ -89,7 +90,6 @@
 #include "sop/common/distance.h"
 #include "sop/net/client.h"
 #include "sop/net/protocol.h"
-#include "sop/query/plan.h"
 #include "sop/stream/window.h"
 
 namespace sop {
@@ -115,12 +115,9 @@ struct RouterOptions {
   /// workers.size(). PartitionSpec::Uniform is the common constructor.
   PartitionSpec partition;
 
-  /// Halo width; < 0 derives it from the workload basis r_max under
-  /// `headroom` as queries arrive (frozen at the first routed batch).
+  /// Halo width; < 0 makes it the largest subscribed radius as queries
+  /// arrive (frozen at the first routed batch).
   double halo = -1.0;
-  /// Headroom for the auto-halo basis compilation: reserved radii widen
-  /// the halo now so later subscribes at those radii stay admissible.
-  PlanHeadroom headroom = PlanHeadroom::Elastic();
 
   /// Bounded client -> route-loop queue (stream ops). A full queue blocks
   /// readers, backpressuring the ingesting client's TCP stream.
@@ -133,8 +130,8 @@ struct RouterOptions {
   size_t max_send_queue = 256;
 
   /// Retention for the local->global sequence maps, in window-key units
-  /// past the merged stream position; 0 sizes it automatically from the
-  /// largest subscribed window (+ headroom.win_floor).
+  /// past the merged stream position; 0 sizes it automatically to the
+  /// largest subscribed window.
   int64_t seq_retention = 0;
 
   /// Worker-client recovery template (endpoints are filled per worker).

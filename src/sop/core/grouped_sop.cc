@@ -4,8 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "sop/common/check.h"
-
 namespace sop {
 
 namespace {
@@ -34,41 +32,5 @@ GroupedSopDetector::GroupedSopDetector(const Workload& workload,
                           [options](const Workload& sub) {
                             return std::make_unique<SopDetector>(sub, options);
                           }) {}
-
-bool GroupedSopDetector::ApplyWorkload(const Workload& next) {
-  if (next.num_queries() == 0 || !next.Validate().empty()) return false;
-  // Re-partition exactly as construction did (children ascend in k).
-  const std::vector<int> keys = KGroupKeys(next);
-  const size_t num_parts =
-      static_cast<size_t>(*std::max_element(keys.begin(), keys.end())) + 1;
-  if (num_parts != num_children()) return false;
-  std::vector<Workload> subs;
-  subs.reserve(num_parts);
-  for (size_t c = 0; c < num_parts; ++c) {
-    Workload sub = next;
-    sub.ClearQueries();
-    subs.push_back(std::move(sub));
-  }
-  std::vector<std::vector<size_t>> maps(num_parts);
-  for (size_t i = 0; i < next.num_queries(); ++i) {
-    const size_t part = static_cast<size_t>(keys[i]);
-    subs[part].AddQuery(next.query(i));
-    maps[part].push_back(i);
-  }
-  // Classify every child before mutating any: all-or-nothing.
-  for (size_t c = 0; c < num_parts; ++c) {
-    // Children are SopDetectors by construction.
-    auto* child = static_cast<SopDetector*>(mutable_child(c));
-    if (child->ClassifyWorkload(subs[c]) != PlanDelta::kOverlayOnly) {
-      return false;
-    }
-  }
-  for (size_t c = 0; c < num_parts; ++c) {
-    auto* child = static_cast<SopDetector*>(mutable_child(c));
-    SOP_CHECK(child->ApplyWorkload(std::move(subs[c])));
-    set_child_mapping(c, std::move(maps[c]));
-  }
-  return true;
-}
 
 }  // namespace sop

@@ -26,14 +26,6 @@ class GroupedSopDetector : public PartitionedDetector {
   explicit GroupedSopDetector(const Workload& workload)
       : GroupedSopDetector(workload, SopDetector::Options()) {}
   GroupedSopDetector(const Workload& workload, SopDetector::Options options);
-
-  /// In-place overlay swap, mirroring SopDetector::ApplyWorkload: succeeds
-  /// iff `next` has the same number of k-groups and every group's
-  /// sub-workload is overlay-only for its child detector (classification
-  /// runs on every child before any child is mutated, so failure leaves
-  /// the detector unchanged). Returns false when the caller must
-  /// rebuild-and-replay instead.
-  bool ApplyWorkload(const Workload& next);
 };
 
 }  // namespace sop

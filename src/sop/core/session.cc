@@ -1,7 +1,5 @@
 #include "sop/core/session.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -54,17 +52,6 @@ void SopSession::SetDetectorBuilder(DetectorBuilder builder) {
   dirty_ = true;
 }
 
-void SopSession::UseSopDetector(SopDetector::Options options) {
-  builder_ = nullptr;
-  sop_options_ = options;
-  sop_options_.headroom = PlanHeadroom();  // the session owns headroom
-  dirty_ = true;
-}
-
-void SopSession::SetBasisHeadroom(PlanHeadroom headroom) {
-  headroom_ = std::move(headroom);
-}
-
 Workload SopSession::BuildWorkload(std::vector<QueryId>* ids) const {
   ids->clear();
   ids->reserve(registered_.size());
@@ -74,21 +61,6 @@ Workload SopSession::BuildWorkload(std::vector<QueryId>* ids) const {
     ids->push_back(id);
   }
   return workload;
-}
-
-PlanHeadroom SopSession::EffectiveHeadroom(const Workload& workload) const {
-  PlanHeadroom headroom = headroom_;
-  if (!restored_basis_.empty()) {
-    // Reserve the dead incarnation's layers and envelopes so everything
-    // its basis covered stays overlay-only in this incarnation too.
-    headroom.r_values.insert(headroom.r_values.end(),
-                             restored_basis_.layer_r.begin(),
-                             restored_basis_.layer_r.end());
-    headroom.k_slack = std::max<int64_t>(
-        headroom.k_slack, restored_basis_.k_env - workload.MaxK());
-    headroom.win_floor = std::max(headroom.win_floor, restored_basis_.win);
-  }
-  return headroom;
 }
 
 void SopSession::ApplyWorkloadChange() {
@@ -104,29 +76,18 @@ void SopSession::ApplyWorkloadChange() {
   }
   std::vector<QueryId> ids;
   Workload workload = BuildWorkload(&ids);
-  if (sop_detector_ != nullptr) {
-    const PlanDelta delta = sop_detector_->ClassifyWorkload(workload);
-    if (delta == PlanDelta::kOverlayOnly) {
-      SOP_CHECK(sop_detector_->ApplyWorkload(std::move(workload)));
-      detector_query_ids_ = std::move(ids);
-      ++change_stats_.overlay_changes;
-      SOP_COUNTER_ADD("session/change/overlay", 1);
-      return;
-    }
-    if (delta == PlanDelta::kBasisExtend) {
-      ++change_stats_.basis_extends;
-      SOP_COUNTER_ADD("session/change/basis_extend", 1);
-      // Growing the basis is a deliberate recompile: stop carrying a dead
-      // incarnation's coverage forward.
-      restored_basis_.clear();
-    }
+  if (sop_detector_ != nullptr && sop_detector_->CoversWorkload(workload)) {
+    SOP_CHECK(sop_detector_->ApplyWorkload(std::move(workload)));
+    detector_query_ids_ = std::move(ids);
+    ++change_stats_.overlay_changes;
+    SOP_COUNTER_ADD("session/change/overlay", 1);
+    return;
   }
   Rebuild();
 }
 
 void SopSession::Rebuild() {
   SOP_TRACE("session/rebuild_ms");
-  SOP_COUNTER_ADD("session/rebuilds", 1);
   SOP_COUNTER_ADD("session/change/rebuild", 1);
   ++change_stats_.rebuilds;
   detector_.reset();
@@ -139,8 +100,8 @@ void SopSession::Rebuild() {
   if (builder_ != nullptr) {
     detector_ = builder_(workload);
   } else {
-    SopDetector::Options options = sop_options_;
-    options.headroom = EffectiveHeadroom(workload);
+    SopDetector::Options options;
+    options.elastic_basis = true;
     auto sop = std::make_unique<SopDetector>(workload, options);
     sop_detector_ = sop.get();
     detector_ = std::move(sop);
@@ -202,9 +163,9 @@ void SopSession::Advance(std::vector<Point> batch, int64_t boundary,
 namespace {
 // Session state format version. The payload lives inside a common/frame.h
 // frame, so truncation/corruption is caught before this version is read.
-// v2 added basis headroom + the live basis' coverage floor; v3 holds the
-// StreamTail, without seqs. Only the current version is accepted.
-constexpr uint32_t kSessionStateVersion = 3;
+// v4 holds the guards, the query table and the StreamTail. Only the
+// current version is accepted.
+constexpr uint32_t kSessionStateVersion = 4;
 }  // namespace
 
 std::string SopSession::SaveState() const {
@@ -222,27 +183,6 @@ std::string SopSession::SaveState() const {
     w.WriteI64(q.win);
     w.WriteI64(q.slide);
   }
-  // The configured headroom, then the basis coverage floor — the live
-  // detector's basis if one exists (the overlay, i.e. the query table
-  // above, serializes separately from it on purpose: after overlay swaps
-  // the basis is not derivable from the current queries).
-  w.WriteBool(headroom_.elastic);
-  w.WriteU64(headroom_.r_values.size());
-  for (const double r : headroom_.r_values) w.WriteDouble(r);
-  w.WriteI64(headroom_.k_slack);
-  w.WriteI64(headroom_.win_floor);
-  BasisSnapshot snapshot = restored_basis_;
-  if (sop_detector_ != nullptr) {
-    const WorkloadPlan::Basis& basis = sop_detector_->plan().basis();
-    snapshot.layer_r = basis.layer_r;
-    snapshot.k_env = basis.k_max();
-    snapshot.win = basis.win;
-  }
-  w.WriteU64(snapshot.layer_r.size());
-  for (const double r : snapshot.layer_r) w.WriteDouble(r);
-  w.WriteI64(snapshot.k_env);
-  w.WriteI64(snapshot.win);
-
   tail_.Write(&w);
   return WrapFrame(w.bytes());
 }
@@ -290,40 +230,6 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
     restored.emplace(id, q);
   }
 
-  PlanHeadroom headroom;
-  uint64_t num_r = 0;
-  if (!r.ReadBool(&headroom.elastic) || !r.ReadU64(&num_r)) {
-    return fail("truncated headroom");
-  }
-  for (uint64_t i = 0; i < num_r; ++i) {
-    double v = 0.0;
-    if (!r.ReadDouble(&v)) return fail("truncated headroom");
-    if (!std::isfinite(v) || v <= 0.0) return fail("bad headroom radius");
-    headroom.r_values.push_back(v);
-  }
-  if (!r.ReadI64(&headroom.k_slack) || !r.ReadI64(&headroom.win_floor) ||
-      headroom.k_slack < 0 || headroom.win_floor < 0) {
-    return fail("bad headroom");
-  }
-  BasisSnapshot snapshot;
-  uint64_t num_layers = 0;
-  if (!r.ReadU64(&num_layers)) return fail("truncated basis snapshot");
-  double prev_r = 0.0;
-  for (uint64_t i = 0; i < num_layers; ++i) {
-    double v = 0.0;
-    if (!r.ReadDouble(&v)) return fail("truncated basis snapshot");
-    if (!std::isfinite(v) || v <= prev_r) return fail("bad basis layer");
-    prev_r = v;
-    snapshot.layer_r.push_back(v);
-  }
-  if (!r.ReadI64(&snapshot.k_env) || !r.ReadI64(&snapshot.win)) {
-    return fail("truncated basis snapshot");
-  }
-  if (snapshot.k_env < 0 || snapshot.win < 0 ||
-      (!snapshot.empty() && (snapshot.k_env < 1 || snapshot.win < 1))) {
-    return fail("bad basis snapshot");
-  }
-
   StreamTail tail(tail_.window_type());
   const std::string refusal = tail.Read(&r);
   if (!refusal.empty()) return fail(refusal.c_str());
@@ -332,8 +238,6 @@ bool SopSession::LoadState(std::string_view bytes, std::string* error) {
   registered_ = std::move(restored);
   tail_ = std::move(tail);
   next_id_ = next_id;
-  headroom_ = std::move(headroom);
-  restored_basis_ = std::move(snapshot);
   detector_.reset();
   sop_detector_ = nullptr;
   detector_query_ids_.clear();

@@ -3,18 +3,16 @@
 //
 // The paper's motivating scenario has analysts submitting and retiring
 // outlier requests continuously. SopSession realizes each workload change
-// through a tiered path that takes the cheapest safe route (DESIGN.md
-// Sec. 14):
+// by one rule (DESIGN.md Sec. 14):
 //
-//   1. Overlay swap — when the default SopDetector is in use and the new
-//      workload is covered by the detector's compiled basis (remove any
-//      query; add a query whose r is an existing layer, k fits the k
-//      envelope and win fits the swift window), the per-query overlay is
-//      recompiled in place between batches: no rebuild, no history replay,
-//      O(|queries|) cost. The session compiles its detectors with elastic
-//      basis headroom by default (see SetBasisHeadroom) precisely so this
-//      path covers every same-layer add.
-//   2. Rebuild-and-replay — everything else (basis growth, custom
+//   1. Overlay swap — when the default SopDetector is in use and its live
+//      basis covers the new workload (remove any query; add a query whose
+//      r is an existing layer, k fits the k envelope and win fits the
+//      swift window), the per-query overlay is recompiled in place between
+//      batches: no rebuild, no history replay, O(|queries|) cost. The
+//      session always compiles the elastic basis (WorkloadPlan) precisely
+//      so this path covers every same-layer add.
+//   2. Rebuild-and-replay — anything else (basis growth, custom
 //      DetectorBuilder hooks): compile a fresh detector and replay the
 //      retained history window through it, so a freshly added query
 //      immediately sees a fully populated window (up to the retention
@@ -26,17 +24,15 @@
 // By default the session compiles SopDetector (the paper's algorithm); a
 // DetectorBuilder hook swaps in any OutlierDetector factory (the serving
 // layer, net/server.h, uses it to host every detector the string factory
-// knows). Workload changes under a builder hook are always realized as
-// rebuild-and-replay, so the hook needs nothing beyond plain Advance()
-// from the detector.
+// knows other than sop). Workload changes under a builder hook are always
+// realized as rebuild-and-replay, so the hook needs nothing beyond plain
+// Advance() from the detector.
 //
-// SaveState/LoadState serialize the session — registered queries, basis
-// headroom and the live detector's basis coverage, and its StreamTail
-// (stream position and retained history) — as one framed, CRC-checked blob
-// (common/frame.h). A restored session rebuilds its detector lazily by
-// replaying that history; the saved basis coverage is folded into the
-// rebuild's headroom so changes that were overlay-only before the restart
-// stay overlay-only after it.
+// SaveState/LoadState serialize the session — registered queries and its
+// StreamTail (stream position and retained history) — as one framed,
+// CRC-checked blob (common/frame.h). A restored session rebuilds its
+// detector lazily by replaying that history, under the elastic basis of
+// the restored queries.
 
 #ifndef SOP_CORE_SESSION_H_
 #define SOP_CORE_SESSION_H_
@@ -78,16 +74,12 @@ using DetectorBuilder =
 using SessionResultSink = std::function<void(const SessionResult&)>;
 
 /// How the session has realized workload changes so far (also exported as
-/// session/change/{overlay,basis_extend,rebuild} and session/replayed_*
-/// obs counters).
+/// session/change/{overlay,rebuild} and session/replayed_* obs counters).
 struct SessionChangeStats {
   /// Changes applied as in-place overlay swaps (or by dropping the last
   /// query): no detector rebuild, no history replay.
   uint64_t overlay_changes = 0;
-  /// Rebuilds that were forced by basis growth specifically (a new r
-  /// layer, k beyond the envelope, win beyond the swift window).
-  uint64_t basis_extends = 0;
-  /// All rebuild-and-replay realizations (includes basis_extends).
+  /// Rebuild-and-replay realizations, the first compile included.
   uint64_t rebuilds = 0;
   /// History batches / points re-advanced by those rebuilds.
   uint64_t replayed_batches = 0;
@@ -130,26 +122,13 @@ class SopSession {
   /// can keep its local->global sequence maps anchored (cluster/router.h).
   Seq next_seq() const { return tail_.next_seq(); }
 
-  /// Replaces the detector factory (default: SopDetector). Takes effect at
-  /// the next rebuild; call before the first Advance for a uniform run.
-  /// Sessions with a builder hook always realize workload changes as
-  /// rebuild-and-replay (the hook's detectors are opaque); pass nullptr —
-  /// or call UseSopDetector — to return to the default in-process
-  /// SopDetector and its tiered change path.
+  /// Replaces the detector factory (default: SopDetector on the elastic
+  /// basis). Takes effect at the next rebuild; call before the first
+  /// Advance for a uniform run. Sessions with a builder hook always
+  /// realize workload changes as rebuild-and-replay (the hook's detectors
+  /// are opaque); pass nullptr to return to the default SopDetector and
+  /// its overlay swaps.
   void SetDetectorBuilder(DetectorBuilder builder);
-
-  /// Routes detector construction through the in-process SopDetector with
-  /// `options`, clearing any DetectorBuilder, so the tiered change path
-  /// (overlay swaps) is available. `options.headroom` is ignored: the
-  /// session owns basis headroom (SetBasisHeadroom).
-  void UseSopDetector(SopDetector::Options options);
-
-  /// Sets the basis headroom compiled into future SopDetector rebuilds
-  /// (default: PlanHeadroom::Elastic(), making every same-layer add
-  /// overlay-only). Takes effect at the next rebuild; has no effect under
-  /// a DetectorBuilder hook. Pass PlanHeadroom() for the exact paper
-  /// basis, which trades cheap adds for maximal skyband pruning.
-  void SetBasisHeadroom(PlanHeadroom headroom);
 
   /// How workload changes have been realized so far.
   const SessionChangeStats& change_stats() const { return change_stats_; }
@@ -183,8 +162,8 @@ class SopSession {
   size_t MemoryBytes() const;
 
   /// Serializes the session — configuration guards, registered queries,
-  /// basis headroom and coverage, stream position, retained history — into
-  /// one framed, checksummed blob.
+  /// stream position, retained history — into one framed, checksummed
+  /// blob.
   std::string SaveState() const;
 
   /// Restores a SaveState blob into a freshly constructed session whose
@@ -196,26 +175,11 @@ class SopSession {
   bool LoadState(std::string_view bytes, std::string* error = nullptr);
 
  private:
-  // The coverage floor of a previous incarnation's basis (from LoadState):
-  // enough to re-derive, via headroom, a basis that covers at least what
-  // the saved one covered.
-  struct BasisSnapshot {
-    std::vector<double> layer_r;
-    int64_t k_env = 0;
-    int64_t win = 0;
-
-    bool empty() const { return layer_r.empty(); }
-    void clear() {
-      layer_r.clear();
-      k_env = 0;
-      win = 0;
-    }
-  };
-
-  // Realizes pending workload changes (dirty_) through the cheapest safe
-  // path. Called by Advance after the live batch joined the tail, so a
-  // rebuild replays exactly the batches kept at the live boundary and the
-  // live batch is advanced once, by the new detector.
+  // Realizes pending workload changes (dirty_): an overlay swap when the
+  // live basis covers them, else a rebuild. Called by Advance after the
+  // live batch joined the tail, so a rebuild replays exactly the batches
+  // kept at the live boundary and the live batch is advanced once, by the
+  // new detector.
   void ApplyWorkloadChange();
 
   // Rebuilds detector_ from the registered queries and replays every
@@ -226,10 +190,6 @@ class SopSession {
   // index.
   Workload BuildWorkload(std::vector<QueryId>* ids) const;
 
-  // The headroom for the next rebuild: headroom_, widened to keep covering
-  // everything a restored incarnation's basis covered.
-  PlanHeadroom EffectiveHeadroom(const Workload& workload) const;
-
   Metric metric_;
   int64_t history_window_;
   QueryId next_id_ = 1;
@@ -238,9 +198,6 @@ class SopSession {
   StreamTail tail_;
 
   DetectorBuilder builder_;  // null = build SopDetector
-  SopDetector::Options sop_options_;  // for the default SopDetector path
-  PlanHeadroom headroom_ = PlanHeadroom::Elastic();
-  BasisSnapshot restored_basis_;  // non-empty: folded into the next rebuild
   std::unique_ptr<OutlierDetector> detector_;
   SopDetector* sop_detector_ = nullptr;  // detector_, iff default-built
   std::vector<QueryId> detector_query_ids_;  // workload index -> id

@@ -28,7 +28,7 @@ void SetScanLanesForTest(int lanes) {
 }
 
 SopDetector::SopDetector(const Workload& workload, Options options)
-    : plan_(workload, options.headroom),
+    : plan_(workload, options.elastic_basis),
       options_(options),
       buffer_(workload.window_type()) {
   lanes_.emplace_back(KSky(&plan_, workload.MakeDistanceFn(0), options.ksky));

@@ -50,10 +50,10 @@ class SopDetector : public OutlierDetector {
   /// switches these off individually.
   struct Options {
     KSky::Options ksky;
-    /// Extra basis slack compiled into the plan so anticipated workload
-    /// changes stay overlay-only (see PlanHeadroom). Defaults to none:
-    /// the exact paper basis.
-    PlanHeadroom headroom;
+    /// Compile the elastic basis (WorkloadPlan) instead of the exact paper
+    /// basis, so every same-layer add within the k and window envelopes is
+    /// an overlay swap. SopSession sets it; everything else runs the paper's.
+    bool elastic_basis = false;
     /// Skip Safe-For-All inliers in every future batch (Alg. 3 line 2) and
     /// release their evidence.
     bool safe_inlier_pruning = true;
@@ -88,17 +88,17 @@ class SopDetector : public OutlierDetector {
   const WorkloadPlan& plan() const { return plan_; }
   const Stats& stats() const { return stats_; }
 
-  /// Classifies replacing this detector's workload with `next` against the
-  /// compiled basis (see PlanDelta).
-  PlanDelta ClassifyWorkload(const Workload& next) const {
-    return plan_.Classify(next);
+  /// True iff the compiled basis covers `next` (WorkloadPlan::Covers), so
+  /// ApplyWorkload(next) would succeed.
+  bool CoversWorkload(const Workload& next) const {
+    return plan_.Covers(next);
   }
 
   /// Swaps the per-query overlay in place: the detector answers `next`
   /// from the next boundary on, without touching buffered points, skyband
   /// evidence or safety flags. Only legal between batches and only when
-  /// ClassifyWorkload(next) == kOverlayOnly; returns false (state
-  /// unchanged) otherwise — the caller must rebuild-and-replay instead.
+  /// CoversWorkload(next); returns false (state unchanged) otherwise — the
+  /// caller must rebuild-and-replay instead.
   bool ApplyWorkload(Workload next);
 
   /// Test/debug accessors.

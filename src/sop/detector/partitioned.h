@@ -53,18 +53,6 @@ class PartitionedDetector : public OutlierDetector {
   /// Lets subclasses refine the display name once children exist.
   void set_name(std::string name) { name_ = std::move(name); }
 
-  /// Mutable child access for subclasses that know the concrete child type
-  /// (e.g. for in-place overlay swaps). Index must be < num_children().
-  OutlierDetector* mutable_child(size_t i) {
-    return children_[i].detector.get();
-  }
-
-  /// Replaces child `i`'s local-to-global query index remapping after a
-  /// subclass re-partitioned the workload in place.
-  void set_child_mapping(size_t i, std::vector<size_t> local_to_global) {
-    children_[i].local_to_global = std::move(local_to_global);
-  }
-
  private:
   struct Child {
     std::unique_ptr<OutlierDetector> detector;

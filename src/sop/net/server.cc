@@ -292,20 +292,15 @@ struct SopServer::Impl : FrontHandler {
 
   // Points the session's detector compilation at options.detector, exactly
   // as Start() does — also used to configure the fresh session a standby
-  // builds for each applied snapshot.
+  // builds for each applied snapshot. "sop" keeps the session's own
+  // SopDetector, so subscribe/unsubscribe can take the overlay-swap path
+  // instead of always rebuilding and replaying history.
   void ConfigureSession(SopSession* s) const {
     const std::string detector_name = options.detector;
-    if (detector_name == "sop") {
-      // Route through the session's in-process SopDetector so subscribe/
-      // unsubscribe can take the overlay-swap path instead of always
-      // rebuilding and replaying history.
-      s->UseSopDetector(SopDetector::Options());
-    } else {
-      s->SetDetectorBuilder([detector_name](const Workload& workload) {
-        return CreateDetector(detector_name, workload);
-      });
-    }
-    s->SetBasisHeadroom(options.headroom);
+    if (detector_name == "sop") return;
+    s->SetDetectorBuilder([detector_name](const Workload& workload) {
+      return CreateDetector(detector_name, workload);
+    });
   }
 
   void MarkNeedSnapshot() {
@@ -1136,7 +1131,6 @@ ServerStats SopServer::stats() const {
     if (impl_->session != nullptr) {
       const SessionChangeStats& c = impl_->session->change_stats();
       s.overlay_changes = c.overlay_changes;
-      s.basis_extends = c.basis_extends;
       s.rebuild_changes = c.rebuilds;
       s.replayed_points = c.replayed_points;
       s.last_boundary = impl_->session->last_boundary();

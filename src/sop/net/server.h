@@ -9,13 +9,13 @@
 //                  the ingesting client receives an ack (its RTT is the
 //                  end-to-end ingest latency),
 //   subscriptions  clients register/retire outlier queries live through
-//                  the session's tiered change path: with the default
-//                  "sop" detector, a subscribe at an already-served
-//                  radius (and any unsubscribe) is an in-place overlay
-//                  swap — no rebuild, no history replay — while basis
-//                  growth or other detector names fall back to
-//                  rebuild-and-replay so a fresh subscriber still starts
-//                  with a populated window,
+//                  the session: with the default "sop" detector, a
+//                  change its live basis covers (a subscribe at an
+//                  already-served radius, any unsubscribe) is an in-place
+//                  overlay swap — no rebuild, no history replay — while
+//                  anything else, or another detector name, rebuilds and
+//                  replays so a fresh subscriber still starts with a
+//                  populated window,
 //   emissions      every due query's outliers are pushed to exactly the
 //                  clients subscribed to that query,
 //   health         kPing from any client answers with the server's role,
@@ -86,7 +86,6 @@
 #include "sop/common/distance.h"
 #include "sop/net/frontend.h"
 #include "sop/net/protocol.h"
-#include "sop/query/plan.h"
 #include "sop/stream/window.h"
 
 namespace sop {
@@ -102,20 +101,15 @@ struct ServerOptions {
   /// Session configuration every client shares.
   WindowType window_type = WindowType::kCount;
   Metric metric = Metric::kEuclidean;
-  /// Detector factory name (KnownDetectorNames()); the session compiles
-  /// the live query set through CreateDetector(detector, workload).
+  /// Detector factory name (KnownDetectorNames()). For "sop" the session
+  /// compiles its own SopDetector on the elastic basis, so a subscribe at
+  /// an already-served radius is an overlay swap; any other name compiles
+  /// the live query set through CreateDetector(detector, workload) and
+  /// rebuilds and replays on every change.
   std::string detector = "sop";
   /// History retention for replay on workload changes, in window-key units
   /// (see SopSession). Bound it by the largest window you intend to serve.
   int64_t history_window = 4096;
-
-  /// Basis headroom for the session's SopDetector compilations (see
-  /// SopSession::SetBasisHeadroom). The elastic default makes every
-  /// subscribe at an already-served radius an in-place overlay swap — no
-  /// rebuild, no history replay. Pass PlanHeadroom() for the exact paper
-  /// basis. Ignored for non-SOP detector names (they always
-  /// rebuild-and-replay).
-  PlanHeadroom headroom = PlanHeadroom::Elastic();
 
   /// Per-client send queue capacity (frames) and full-queue policy.
   /// kDropOldest sheds only emissions, never control replies.
@@ -190,7 +184,6 @@ struct ServerStats {
   // How the session realized workload changes (SessionChangeStats): overlay
   // swaps vs rebuild-and-replay, and the total replay cost paid so far.
   uint64_t overlay_changes = 0;
-  uint64_t basis_extends = 0;
   uint64_t rebuild_changes = 0;
   uint64_t replayed_points = 0;
   uint64_t protocol_errors = 0;    // malformed frames / messages / plans

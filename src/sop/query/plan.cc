@@ -12,8 +12,9 @@ namespace {
 
 // One evidence demand against the basis: "keep enough skyband evidence to
 // answer a query at this layer with this k". Real queries contribute their
-// own (layer, k); headroom contributes virtual demands so anticipated
-// queries are provisioned the same way real ones are.
+// own (layer, k); the elastic basis adds one virtual demand per layer at
+// the k envelope, so every covered future query is provisioned the same
+// way real ones are.
 struct BasisDemand {
   int layer;
   int64_t k;
@@ -24,18 +25,6 @@ struct BasisDemand {
 constexpr size_t kMaxLayerBuckets = size_t{1} << 16;
 
 }  // namespace
-
-const char* PlanDeltaName(PlanDelta delta) {
-  switch (delta) {
-    case PlanDelta::kOverlayOnly:
-      return "overlay-only";
-    case PlanDelta::kBasisExtend:
-      return "basis-extend";
-    case PlanDelta::kRebuild:
-      return "rebuild";
-  }
-  return "unknown";
-}
 
 int WorkloadPlan::Basis::LayerOfRadius(double r) const {
   // Exact double equality on purpose: a query "reuses a layer" only when
@@ -71,20 +60,14 @@ bool WorkloadPlan::Basis::Covers(const OutlierQuery& q) const {
   return (it - 1)->k >= q.k;
 }
 
-WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
+WorkloadPlan::WorkloadPlan(Workload workload, bool elastic)
     : workload_(std::move(workload)) {
   ValidateWorkload();
-  SOP_CHECK(headroom.k_slack >= 0 && headroom.win_floor >= 0);
-  for (const double r : headroom.r_values) {
-    SOP_CHECK_MSG(std::isfinite(r) && r > 0.0,
-                  "PlanHeadroom r values must be positive and finite");
-  }
   const auto& queries = workload_.queries();
 
-  // Layers: ascending unique r values, real and reserved.
-  basis_.layer_r.reserve(queries.size() + headroom.r_values.size());
+  // Layers: ascending unique r values.
+  basis_.layer_r.reserve(queries.size());
   for (const OutlierQuery& q : queries) basis_.layer_r.push_back(q.r);
-  for (const double r : headroom.r_values) basis_.layer_r.push_back(r);
   std::sort(basis_.layer_r.begin(), basis_.layer_r.end());
   basis_.layer_r.erase(
       std::unique(basis_.layer_r.begin(), basis_.layer_r.end()),
@@ -92,24 +75,19 @@ WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
   CompileKeys();
 
   // Envelopes.
-  const int64_t k_env = workload_.MaxK() + headroom.k_slack;
-  basis_.win = std::max(workload_.MaxWindow(), headroom.win_floor);
+  const int64_t k_env = workload_.MaxK();
+  basis_.win = workload_.MaxWindow();
 
-  // Demands: real queries plus headroom reservations. Elastic provisions
-  // the full envelope at every layer (the plain (k_env - 1)-skyband of
-  // Lemma 1); otherwise each reserved r is provisioned to the envelope.
+  // Demands: the real queries, plus, when elastic, the full envelope at
+  // every layer (the plain (k_env - 1)-skyband of Lemma 1).
   std::vector<BasisDemand> demands;
   demands.reserve(queries.size() + basis_.layer_r.size());
   for (const OutlierQuery& q : queries) {
     demands.push_back({basis_.LayerOfRadius(q.r), q.k});
   }
-  if (headroom.elastic) {
+  if (elastic) {
     for (int m = 1; m <= basis_.num_layers(); ++m) {
       demands.push_back({m, k_env});
-    }
-  } else {
-    for (const double r : headroom.r_values) {
-      demands.push_back({basis_.LayerOfRadius(r), k_env});
     }
   }
 
@@ -149,7 +127,7 @@ WorkloadPlan::WorkloadPlan(Workload workload, const PlanHeadroom& headroom)
   // neighbours within its smallest r (its min layer); monotonicity of prefix
   // counts makes a requirement implied when an earlier layer already
   // demands at least as many entries, so only a strictly increasing
-  // staircase remains. (Under elastic headroom this collapses to the
+  // staircase remains. (Under the elastic basis this collapses to the
   // single requirement {layer 1, k_env}: the one condition every covered
   // future query can rely on.)
   {
@@ -232,32 +210,30 @@ void WorkloadPlan::CompileOverlay() {
   slide_gcd_ = workload_.SlideGcd();
 }
 
-PlanDelta WorkloadPlan::Classify(const Workload& next) const {
-  if (next.num_queries() == 0 || !next.Validate().empty()) {
-    return PlanDelta::kRebuild;
-  }
+bool WorkloadPlan::Covers(const Workload& next) const {
+  if (next.num_queries() == 0 || !next.Validate().empty()) return false;
   if (next.window_type() != workload_.window_type() ||
       next.metric() != workload_.metric()) {
-    return PlanDelta::kRebuild;
+    return false;
   }
   // The plan is compiled for one attribute set (one distance function); a
   // different set makes the stored skyband distances meaningless.
   const int attrs = workload_.queries().front().attribute_set;
   for (const OutlierQuery& q : next.queries()) {
-    if (q.attribute_set != attrs) return PlanDelta::kRebuild;
+    if (q.attribute_set != attrs) return false;
   }
   if (next.attribute_sets()[static_cast<size_t>(attrs)] !=
       workload_.attribute_sets()[static_cast<size_t>(attrs)]) {
-    return PlanDelta::kRebuild;
+    return false;
   }
   for (const OutlierQuery& q : next.queries()) {
-    if (!basis_.Covers(q)) return PlanDelta::kBasisExtend;
+    if (!basis_.Covers(q)) return false;
   }
-  return PlanDelta::kOverlayOnly;
+  return true;
 }
 
 bool WorkloadPlan::ApplyOverlay(Workload next) {
-  if (Classify(next) != PlanDelta::kOverlayOnly) return false;
+  if (!Covers(next)) return false;
   workload_ = std::move(next);
   CompileOverlay();
   return true;

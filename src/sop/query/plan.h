@@ -16,14 +16,16 @@
 //     only decides how kept evidence is *read* at emission time, so it
 //     can be swapped between batches without touching detector state.
 //
-// Workload changes are classified against the basis (PlanDelta): a change
-// every query of which the basis covers is overlay-only (by the
-// generalized Lemmas 1-3, see ksky.h, the live skybands are already
-// sufficient evidence); a change that needs a new layer, a deeper k, or a
-// wider window extends the basis and therefore requires rebuild-and-
-// replay (normalized-distance bucketing changes, and skyband pruning may
-// have discarded now-needed evidence). PlanHeadroom widens the basis at
-// compile time so anticipated changes stay overlay-only.
+// A workload change is checked against the basis (Covers): a change every
+// query of which the basis covers is overlay-only (by the generalized
+// Lemmas 1-3, see ksky.h, the live skybands are already sufficient
+// evidence); anything else, a new layer, a deeper k, a wider window or a
+// structural change, needs a new basis and therefore rebuild-and-replay
+// (normalized-distance bucketing changes, and skyband pruning may have
+// discarded now-needed evidence). Whoever compiles the plan picks one of
+// two fixed basis policies: the exact paper basis, or the elastic basis
+// that keeps every layer to the full k envelope so every same-layer add
+// within it stays overlay-only.
 
 #ifndef SOP_QUERY_PLAN_H_
 #define SOP_QUERY_PLAN_H_
@@ -37,58 +39,6 @@
 #include "sop/query/workload.h"
 
 namespace sop {
-
-/// How a workload change relates to a compiled plan's basis.
-enum class PlanDelta {
-  /// Every query of the new workload is covered by the existing basis:
-  /// the overlay can be recompiled in place, detector evidence untouched.
-  kOverlayOnly,
-  /// Some query needs basis growth (new r layer, k beyond the envelope,
-  /// window beyond the swift window, or evidence the Def-6 table already
-  /// pruned): the detector must be rebuilt and history replayed.
-  kBasisExtend,
-  /// The workloads are not comparable at all (window type, metric or
-  /// attribute-set change, or an empty/invalid target): full rebuild.
-  kRebuild,
-};
-
-/// Human-readable name of `delta`.
-const char* PlanDeltaName(PlanDelta delta);
-
-/// Caller-supplied slack compiled into the basis so anticipated workload
-/// changes classify as kOverlayOnly instead of forcing rebuild-and-replay.
-/// Headroom trades steady-state pruning for change cost: a wider basis
-/// keeps more evidence per point (see DESIGN.md Sec. 14.4).
-struct PlanHeadroom {
-  /// Cover every (existing layer, k <= k envelope) combination: the basis
-  /// keeps the full (k_max - 1)-skyband of Lemma 1 instead of the
-  /// workload-pruned Def-6 subset, and Safe-For-All tightens to the one
-  /// requirement every future query can rely on. Any AddQuery whose r is
-  /// an existing layer, k fits the envelope and win fits the swift window
-  /// is then overlay-only.
-  bool elastic = false;
-  /// Extra r values reserved as layers (each provisioned to the full k
-  /// envelope, like an anticipated query at that radius).
-  std::vector<double> r_values;
-  /// Raises the k envelope this much above the workload's largest k.
-  int64_t k_slack = 0;
-  /// Swift-window floor, in window-key units (covers adds up to this win).
-  int64_t win_floor = 0;
-
-  /// The dynamic-workload default: elastic with no extra reservations.
-  static PlanHeadroom Elastic() {
-    PlanHeadroom h;
-    h.elastic = true;
-    return h;
-  }
-
-  /// True when this headroom widens nothing (the exact paper basis).
-  bool none() const {
-    return !elastic && r_values.empty() && k_slack == 0 && win_floor == 0;
-  }
-
-  friend bool operator==(const PlanHeadroom&, const PlanHeadroom&) = default;
-};
 
 /// Immutable plan compiled from a validated workload whose queries all use
 /// the same attribute set (multi-attribute workloads are split upstream;
@@ -160,26 +110,30 @@ class WorkloadPlan {
     friend bool operator==(const Basis&, const Basis&) = default;
   };
 
-  /// Compiles `workload` with the exact paper basis (no headroom).
-  /// Check-fails if the workload is invalid or mixes attribute sets.
-  explicit WorkloadPlan(Workload workload)
-      : WorkloadPlan(std::move(workload), PlanHeadroom()) {}
-
-  /// Compiles `workload` with `headroom` widening the basis.
-  WorkloadPlan(Workload workload, const PlanHeadroom& headroom);
+  /// Compiles `workload` with the exact paper basis, or with the elastic
+  /// one when `elastic`: every layer is then provisioned to the full k
+  /// envelope, so the basis keeps the plain (k_max - 1)-skyband of Lemma 1
+  /// instead of the workload-pruned Def-6 subset, and Safe-For-All
+  /// tightens to the one requirement every covered future query can rely
+  /// on. Any add whose r is an existing layer, k fits the envelope and win
+  /// fits the swift window is then covered. Check-fails if the workload is
+  /// invalid or mixes attribute sets.
+  explicit WorkloadPlan(Workload workload, bool elastic = false);
 
   const Workload& workload() const { return workload_; }
   const Basis& basis() const { return basis_; }
 
-  /// Classifies replacing this plan's workload with `next` (see PlanDelta).
-  PlanDelta Classify(const Workload& next) const;
+  /// True iff `next` can replace this plan's workload as an overlay swap:
+  /// it is a valid, non-empty workload with the same window type, metric
+  /// and attribute set, and the basis covers every one of its queries.
+  bool Covers(const Workload& next) const;
 
   /// Recompiles the overlay for `next` against the unchanged basis.
-  /// Returns false (plan unchanged) unless Classify(next) == kOverlayOnly.
+  /// Returns false (plan unchanged) unless Covers(next).
   bool ApplyOverlay(Workload next);
 
-  /// Number of normalized-distance layers L (== distinct r values,
-  /// including headroom reservations).
+  /// Number of normalized-distance layers L (== distinct r values of the
+  /// workload the basis was compiled for).
   int num_layers() const { return basis_.num_layers(); }
   /// The r threshold of 1-based layer `m`.
   double r_of_layer(int m) const {
@@ -196,7 +150,7 @@ class WorkloadPlan {
   /// The k of 0-based group `g`.
   int64_t k_of_group(int g) const { return group_k_[static_cast<size_t>(g)]; }
   /// The k envelope: the largest k the basis retains evidence for (the
-  /// workload's largest k plus any headroom slack).
+  /// compiled workload's largest k).
   int64_t k_max() const { return basis_.k_max(); }
 
   /// The key threshold of 1-based layer `m`: the largest double s with
@@ -258,8 +212,8 @@ class WorkloadPlan {
     return basis_.safety_requirements;
   }
 
-  /// Swift-query window size: the largest query window, widened by any
-  /// headroom floor (Sec. 4.1).
+  /// Swift-query window size: the compiled workload's largest query window
+  /// (Sec. 4.1).
   int64_t win_max() const { return basis_.win; }
   /// Swift-query slide: gcd of the query slides (Sec. 4.2).
   int64_t slide_gcd() const { return slide_gcd_; }

@@ -1,11 +1,10 @@
 // What to do with a malformed input record.
 //
-// Every ingest surface — the CSV loader (io/csv.h), the sanitizing source
-// wrapper (stream/sanitize.h), and the CLI's --on-bad-record flag — shares
-// this three-way policy. "Malformed" covers non-finite attribute values
-// (NaN/Inf), attribute-count mismatches against the stream's established
-// dimensionality, out-of-order timestamps, and (for textual sources)
-// unparseable records.
+// The CSV loader (io/csv.h) applies this three-way policy, and the CLI's
+// --on-bad-record flag selects it. "Malformed" covers non-finite attribute
+// values (NaN/Inf), attribute-count mismatches against the stream's
+// established dimensionality, out-of-order timestamps, and unparseable
+// records.
 //
 // The policies trade answer completeness against availability:
 //   * kFailFast       reject the whole load/stream at the first bad record

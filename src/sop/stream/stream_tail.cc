@@ -25,9 +25,17 @@ std::string StreamTail::Check(const std::vector<Point>& batch,
       return "point has " + std::to_string(point_dims) +
              " dimensions, the stream has " + std::to_string(dims);
     }
-    if (type_ == WindowType::kTime && p.time < last_time) {
-      return "point time " + std::to_string(p.time) +
-             " is below the previous point's " + std::to_string(last_time);
+    if (type_ == WindowType::kTime) {
+      if (p.time < last_time) {
+        return "point time " + std::to_string(p.time) +
+               " is below the previous point's " + std::to_string(last_time);
+      }
+      // The window ending at `boundary` covers times below it.
+      if (p.time >= boundary) {
+        return "point time " + std::to_string(p.time) +
+               " is at or past its batch's boundary " +
+               std::to_string(boundary);
+      }
     }
     last_time = p.time;
   }

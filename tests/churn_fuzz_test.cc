@@ -1,8 +1,11 @@
-// Workload-churn fuzz: randomized AddQuery/RemoveQuery/Advance
+// Workload-churn fuzz: randomized AddQuery/RemoveQuery/restore/Advance
 // interleavings through SopSession, for every factory detector and both
-// window types. After every batch the session's emissions must be
-// identical to those of a fresh detector compiled from the then-current
-// workload and replayed over the full stream — i.e. no workload change may
+// window types. A restore saves the session's state and loads it into a
+// fresh session with the same builder; half of the time it then retires
+// and re-registers every query, as a server does on restart and
+// promotion. After every batch the session's emissions must be identical
+// to those of a fresh detector compiled from the then-current workload and
+// replayed over the full stream — i.e. no workload change or restore may
 // leave any trace in the answers, whether the session realized it as an
 // overlay swap or as rebuild-and-replay.
 //
@@ -80,13 +83,17 @@ void FuzzOne(const std::string& name, WindowType window_type, Rng* rng,
       name + (window_type == WindowType::kCount ? "/count" : "/time");
   SCOPED_TRACE("detector " + label + " seed " + std::to_string(seed));
 
-  SopSession session(window_type, Metric::kEuclidean,
-                     /*history_window=*/1 << 20);
-  if (name != "sop") {
-    session.SetDetectorBuilder([name](const Workload& w) {
-      return CreateDetector(name, w);
-    });
-  }
+  auto make_session = [&]() {
+    auto s = std::make_unique<SopSession>(window_type, Metric::kEuclidean,
+                                          /*history_window=*/1 << 20);
+    if (name != "sop") {
+      s->SetDetectorBuilder([name](const Workload& w) {
+        return CreateDetector(name, w);
+      });
+    }
+    return s;
+  };
+  std::unique_ptr<SopSession> session = make_session();
 
   std::map<QueryId, OutlierQuery> registered;  // mirrors the session's view
   struct Batch {
@@ -119,19 +126,38 @@ void FuzzOne(const std::string& name, WindowType window_type, Rng* rng,
   };
 
   while (std::chrono::steady_clock::now() < deadline) {
-    const uint64_t op = rng->NextBelow(4);
+    const uint64_t op = rng->NextBelow(5);
     if (op == 0 && registered.size() < 6) {
       const OutlierQuery q = RandomQuery(rng);
-      const QueryId id = session.AddQuery(q);
+      const QueryId id = session->AddQuery(q);
       registered.emplace(id, q);
       oracle_stale = true;
     } else if (op == 1 && !registered.empty()) {
       auto it = registered.begin();
       std::advance(it, static_cast<int64_t>(rng->NextBelow(
                            registered.size())));
-      ASSERT_TRUE(session.RemoveQuery(it->first));
+      ASSERT_TRUE(session->RemoveQuery(it->first));
       registered.erase(it);
       oracle_stale = true;
+    } else if (op == 2) {
+      // Restore: the next Advance rebuilds and replays the restored tail,
+      // which holds the whole stream.
+      std::unique_ptr<SopSession> restored = make_session();
+      std::string error;
+      ASSERT_TRUE(restored->LoadState(session->SaveState(), &error))
+          << label << ": " << error;
+      session = std::move(restored);
+      if (rng->NextBelow(2) == 0) {
+        for (const auto& [id, q] : registered) {
+          ASSERT_TRUE(session->RemoveQuery(id));
+        }
+        std::map<QueryId, OutlierQuery> renamed;
+        for (const auto& [id, q] : registered) {
+          renamed.emplace(session->AddQuery(q), q);
+        }
+        registered = std::move(renamed);
+        oracle_stale = true;  // the oracle's ids are the retired ones
+      }
     } else {
       // Advance one batch. Count windows need exactly kQuantum points per
       // quantum (boundary = cumulative count); time windows take any size,
@@ -159,7 +185,7 @@ void FuzzOne(const std::string& name, WindowType window_type, Rng* rng,
       for (Point& p : batch) p.seq = next_seq++;
 
       const std::vector<SessionResult> actual_raw =
-          session.Advance(batch, boundary);
+          session->Advance(batch, boundary);
 
       if (oracle_stale) {
         rebuild_oracle();

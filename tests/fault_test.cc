@@ -1,16 +1,12 @@
-// Tests for the fault-injection toolkit (common/fault.h), the checksum
-// framing (common/frame.h) and the policy-enforcing source wrapper
-// (stream/sanitize.h).
+// Tests for the fault-injection toolkit (common/fault.h) and the checksum
+// framing (common/frame.h).
 
-#include <cmath>
-#include <limits>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/common/fault.h"
 #include "sop/common/frame.h"
-#include "sop/stream/sanitize.h"
 
 namespace sop {
 namespace {
@@ -139,67 +135,6 @@ TEST(FrameTest, RejectsTruncationTrailingBytesAndBitFlips) {
         << "accepted flip in byte " << byte;
     EXPECT_FALSE(error.empty());
   }
-}
-
-// ---------------------------------------------------------------------------
-// SanitizingSource
-
-std::vector<Point> DirtyStream() {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<Point> points;
-  points.emplace_back(0, 10, std::vector<double>{1.0, 2.0});
-  points.emplace_back(0, 11, std::vector<double>{nan, 2.0});    // non-finite
-  points.emplace_back(0, 12, std::vector<double>{3.0});         // wrong dims
-  points.emplace_back(0, 5, std::vector<double>{4.0, 4.0});     // time goes back
-  points.emplace_back(0, 13, std::vector<double>{5.0, 6.0});
-  return points;
-}
-
-TEST(SanitizingSourceTest, SkipQuarantineDropsAndCounts) {
-  VectorSource inner(DirtyStream());
-  SanitizingSource source(&inner, RecordPolicy::kSkipQuarantine);
-  std::vector<Point> out;
-  Point p;
-  while (source.Next(&p)) out.push_back(p);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].time, 10);
-  EXPECT_EQ(out[1].time, 13);
-  EXPECT_EQ(source.stats().accepted, 2u);
-  EXPECT_EQ(source.stats().quarantined, 3u);
-  EXPECT_TRUE(source.error().empty());
-}
-
-TEST(SanitizingSourceTest, ClampRepairFixesWhatItCanDropsTheRest) {
-  VectorSource inner(DirtyStream());
-  SanitizingSource source(&inner, RecordPolicy::kClampRepair);
-  std::vector<Point> out;
-  Point p;
-  while (source.Next(&p)) out.push_back(p);
-  // The non-finite value and the time regression are repairable; the
-  // dimensionality change is not.
-  ASSERT_EQ(out.size(), 4u);
-  Timestamp last = out.front().time;
-  for (const Point& q : out) {
-    EXPECT_GE(q.time, last);
-    last = q.time;
-    ASSERT_EQ(q.values.size(), 2u);
-    for (double v : q.values) EXPECT_TRUE(std::isfinite(v));
-  }
-  EXPECT_EQ(source.stats().repaired, 2u);
-  EXPECT_EQ(source.stats().quarantined, 1u);
-}
-
-TEST(SanitizingSourceTest, FailFastEndsTheStreamWithADiagnostic) {
-  VectorSource inner(DirtyStream());
-  SanitizingSource source(&inner, RecordPolicy::kFailFast);
-  std::vector<Point> out;
-  Point p;
-  while (source.Next(&p)) out.push_back(p);
-  EXPECT_EQ(out.size(), 1u);
-  EXPECT_FALSE(source.error().empty());
-  EXPECT_NE(source.error().find("record 1"), std::string::npos)
-      << source.error();
-  EXPECT_FALSE(source.Next(&p)) << "stream must stay terminated";
 }
 
 }  // namespace

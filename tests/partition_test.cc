@@ -130,11 +130,12 @@ TEST(PartitionTest, HaloFromBasisIsWorkloadRMax) {
   wl.AddQuery(OutlierQuery(7.5, 2, 200, 50));
   wl.AddQuery(OutlierQuery(3.0, 8, 100, 100));
   ASSERT_TRUE(wl.Validate().empty());
-  // The exact-paper basis has r_max == the largest subscribed radius; a
-  // halo that wide makes every owned verdict exact (partition.h).
-  EXPECT_DOUBLE_EQ(HaloFromBasis(wl, PlanHeadroom()), 7.5);
-  // Elastic headroom may only widen it.
-  EXPECT_GE(HaloFromBasis(wl, PlanHeadroom::Elastic()), 7.5);
+  // The largest subscribed radius, which is the compiled basis' r_max
+  // under either basis policy; a halo that wide makes every owned verdict
+  // exact (partition.h).
+  EXPECT_DOUBLE_EQ(HaloFromBasis(wl), 7.5);
+  EXPECT_DOUBLE_EQ(HaloFromBasis(wl), WorkloadPlan(wl).r_max());
+  EXPECT_DOUBLE_EQ(HaloFromBasis(wl), WorkloadPlan(wl, true).r_max());
 }
 
 // Brute-force oracle: the distance from value v to shard s's region.

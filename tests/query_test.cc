@@ -351,36 +351,35 @@ TEST(PlanDeltaTest, ClassifiesOverlayExtendAndRebuild) {
       {OutlierQuery(1.0, 3, 100, 10), OutlierQuery(2.0, 2, 100, 10)});
   WorkloadPlan plan(w);
 
-  // Removing a query: always overlay-only.
+  // Removing a query: always covered.
   Workload removed = MakeWorkload({OutlierQuery(1.0, 3, 100, 10)});
-  EXPECT_EQ(plan.Classify(removed), PlanDelta::kOverlayOnly);
+  EXPECT_TRUE(plan.Covers(removed));
 
   // Adding at an existing layer, k and win inside the compiled basis.
   Workload same_layer = w;
   same_layer.AddQuery(OutlierQuery(1.0, 2, 50, 10));
-  EXPECT_EQ(plan.Classify(same_layer), PlanDelta::kOverlayOnly);
+  EXPECT_TRUE(plan.Covers(same_layer));
 
-  // New radius: new layer -> basis extend.
+  // New radius: new layer.
   Workload new_r = w;
   new_r.AddQuery(OutlierQuery(1.5, 2, 100, 10));
-  EXPECT_EQ(plan.Classify(new_r), PlanDelta::kBasisExtend);
+  EXPECT_FALSE(plan.Covers(new_r));
 
   // k beyond the compiled envelope.
   Workload big_k = w;
   big_k.AddQuery(OutlierQuery(1.0, 4, 100, 10));
-  EXPECT_EQ(plan.Classify(big_k), PlanDelta::kBasisExtend);
+  EXPECT_FALSE(plan.Covers(big_k));
 
   // Window beyond the swift envelope.
   Workload big_win = w;
   big_win.AddQuery(OutlierQuery(1.0, 2, 200, 10));
-  EXPECT_EQ(plan.Classify(big_win), PlanDelta::kBasisExtend);
+  EXPECT_FALSE(plan.Covers(big_win));
 
-  // Structural mismatches: rebuild.
+  // Structural mismatches.
   Workload time_windows(WindowType::kTime);
   time_windows.AddQuery(OutlierQuery(1.0, 3, 100, 10));
-  EXPECT_EQ(plan.Classify(time_windows), PlanDelta::kRebuild);
-  EXPECT_EQ(plan.Classify(Workload(WindowType::kCount)),
-            PlanDelta::kRebuild);
+  EXPECT_FALSE(plan.Covers(time_windows));
+  EXPECT_FALSE(plan.Covers(Workload(WindowType::kCount)));
 }
 
 TEST(PlanDeltaTest, ExactBasisRejectsSameLayerAddBeyondItsEvidence) {
@@ -393,40 +392,12 @@ TEST(PlanDeltaTest, ExactBasisRejectsSameLayerAddBeyondItsEvidence) {
   grown.AddQuery(OutlierQuery(2.0, 5, 100, 10));
 
   WorkloadPlan exact(w);
-  EXPECT_EQ(exact.Classify(grown), PlanDelta::kBasisExtend);
+  EXPECT_FALSE(exact.Covers(grown));
 
   // The elastic basis keeps every layer alive to the full k envelope, so
   // the same add becomes overlay-only.
-  WorkloadPlan elastic(w, PlanHeadroom::Elastic());
-  EXPECT_EQ(elastic.Classify(grown), PlanDelta::kOverlayOnly);
-}
-
-TEST(PlanDeltaTest, HeadroomReservesLayersAndKSlack) {
-  Workload w = MakeWorkload({OutlierQuery(1.0, 2, 100, 10)});
-
-  PlanHeadroom reserve_r;
-  reserve_r.r_values = {3.0};
-  WorkloadPlan with_r(w, reserve_r);
-  EXPECT_EQ(with_r.num_layers(), 2);
-  Workload at_reserved = w;
-  at_reserved.AddQuery(OutlierQuery(3.0, 2, 100, 10));
-  EXPECT_EQ(with_r.Classify(at_reserved), PlanDelta::kOverlayOnly);
-
-  PlanHeadroom slack = PlanHeadroom::Elastic();
-  slack.k_slack = 3;
-  WorkloadPlan with_slack(w, slack);
-  EXPECT_EQ(with_slack.k_max(), 5);
-  Workload deeper = w;
-  deeper.AddQuery(OutlierQuery(1.0, 5, 100, 10));
-  EXPECT_EQ(with_slack.Classify(deeper), PlanDelta::kOverlayOnly);
-
-  PlanHeadroom floor;
-  floor.win_floor = 400;
-  WorkloadPlan with_floor(w, floor);
-  EXPECT_EQ(with_floor.win_max(), 400);
-  Workload wider = w;
-  wider.AddQuery(OutlierQuery(1.0, 2, 300, 10));
-  EXPECT_EQ(with_floor.Classify(wider), PlanDelta::kOverlayOnly);
+  WorkloadPlan elastic(w, /*elastic=*/true);
+  EXPECT_TRUE(elastic.Covers(grown));
 }
 
 TEST(PlanDeltaTest, ApplyOverlaySwapsWithoutTouchingBasis) {
@@ -443,7 +414,7 @@ TEST(PlanDeltaTest, ApplyOverlaySwapsWithoutTouchingBasis) {
   EXPECT_EQ(plan.layer_of_query(0), 2);  // r=2 is still layer 2
   EXPECT_EQ(plan.num_layers(), 2);       // both layers remain compiled
 
-  // A basis-extending next leaves the plan unchanged and returns false.
+  // An uncovered next leaves the plan unchanged and returns false.
   Workload grown = removed;
   grown.AddQuery(OutlierQuery(5.0, 2, 100, 10));
   EXPECT_FALSE(plan.ApplyOverlay(grown));

@@ -346,6 +346,8 @@ std::vector<CraftedTail> CraftedTails() {
        {{4, Points(4, 1, 0)}, {8, Points(4, 2, 4)}}},
       {"a time regression", time, 2, 4,
        {{4, {Point(0, 3, {1.0}), Point(0, 2, {1.0})}}}},
+      {"a time past its batch's boundary", time, 1, 4,
+       {{4, {Point(0, 100, {1.0})}}}},
       {"more points than the next seq", count, 4, 8,
        {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
       {"a negative next seq", count, -4, 8, {}},

@@ -224,10 +224,10 @@ TEST(SopSessionTest, SinkOverloadMatchesVectorOverload) {
   }
 }
 
-// THE contract of the tiered change path (ISSUE acceptance criterion): on
-// the default SopDetector, adding a query whose r is an existing layer
-// (k within the envelope) and removing any query are overlay swaps — the
-// session/replayed_points counter must not move.
+// The contract of the overlay path: on the default SopDetector, adding a
+// query whose r is an existing layer (k within the envelope) and removing
+// any query are overlay swaps — the session/replayed_points counter must
+// not move.
 TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().Reset();
@@ -264,7 +264,7 @@ TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
 
 // A new r layer (or k beyond the envelope) is NOT overlay-safe — skyband
 // pruning may already have discarded the evidence the new layer needs — so
-// those adds must be realized as basis-extend rebuilds, and counted.
+// those adds must be realized as rebuilds, and counted.
 TEST(SopSessionTest, BasisGrowthForcesRebuildAndIsCounted) {
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().Reset();
@@ -273,42 +273,20 @@ TEST(SopSessionTest, BasisGrowthForcesRebuildAndIsCounted) {
   SopSession session(WindowType::kCount, Metric::kEuclidean, 64);
   session.AddQuery(OutlierQuery(1.5, 3, 16, 4));
   Drive(&session, points, 4, 0, 8);
+  EXPECT_EQ(session.change_stats().rebuilds, 1u);  // the initial compile
 
   // New radius: new layer.
   session.AddQuery(OutlierQuery(2.5, 2, 16, 4));
   Drive(&session, points, 4, 8, 16);
-  EXPECT_EQ(session.change_stats().basis_extends, 1u);
   EXPECT_EQ(session.change_stats().rebuilds, 2u);
 
   // Existing radius but k above the compiled envelope.
   session.AddQuery(OutlierQuery(1.5, 7, 16, 4));
   Drive(&session, points, 4, 16, 24);
-  EXPECT_EQ(session.change_stats().basis_extends, 2u);
   EXPECT_EQ(session.change_stats().rebuilds, 3u);
-  EXPECT_EQ(CounterValue("session/change/basis_extend"), IfObs(2));
+  EXPECT_EQ(CounterValue("session/change/rebuild"), IfObs(3));
   EXPECT_GT(session.change_stats().replayed_points, 0u);
   EXPECT_EQ(session.change_stats().overlay_changes, 0u);
-}
-
-// Under the exact paper basis (no headroom) removals — and re-adds of
-// queries the basis was compiled for — are still overlay swaps.
-TEST(SopSessionTest, ExactBasisStillOverlaysRemovalsAndReAdds) {
-  const std::vector<Point> points = SessionStream(128, 29);
-  SopSession session(WindowType::kCount, Metric::kEuclidean, 64);
-  session.SetBasisHeadroom(PlanHeadroom());  // exact basis
-  session.AddQuery(OutlierQuery(1.5, 2, 16, 4));
-  const QueryId churned = session.AddQuery(OutlierQuery(3.0, 4, 24, 8));
-  Drive(&session, points, 4, 0, 12);
-
-  ASSERT_TRUE(session.RemoveQuery(churned));
-  Drive(&session, points, 4, 12, 16);
-  EXPECT_EQ(session.change_stats().overlay_changes, 1u);
-
-  session.AddQuery(OutlierQuery(3.0, 4, 24, 8));  // was a compiled demand
-  Drive(&session, points, 4, 16, 20);
-  EXPECT_EQ(session.change_stats().overlay_changes, 2u);
-  EXPECT_EQ(session.change_stats().rebuilds, 1u);
-  EXPECT_EQ(session.change_stats().replayed_points, 0u);
 }
 
 // Regression for the old Rebuild() boundary dance: an AddQuery landing
@@ -365,9 +343,9 @@ TEST(SopSessionTest, AddOnEmissionBoundaryEmitsExactlyOnce) {
   }
 }
 
-// A restored session folds the saved basis coverage into its next rebuild,
-// so a change that was overlay-only before the restart stays overlay-only
-// after it.
+// A restored session rebuilds on the elastic basis of its restored
+// queries, so a same-layer add within their envelopes is an overlay swap
+// after the restart too.
 TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
   const std::vector<Point> points = SessionStream(128, 37);
   SopSession saved(WindowType::kCount, Metric::kEuclidean, 64);
@@ -394,9 +372,9 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
 }
 
 // The first accepted point fixes the dimensionality, with no query
-// registered too, time windows refuse a time regression (ties pass), and
-// boundaries must increase. A restored session takes the point rules from
-// its retained history alone.
+// registered too, time windows refuse a time regression (ties pass) and a
+// point at or past its batch's boundary, and boundaries must increase. A
+// restored session takes the point rules from its retained history alone.
 TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   auto at = [](Timestamp t, std::vector<double> v) {
     return Point(0, t, std::move(v));
@@ -409,6 +387,8 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(5, {1.0, 2.0})}, 10,
                       "dimensions"));
   EXPECT_TRUE(refusal(session, {at(5, {1.0}), at(4, {1.0})}, 10, "below"));
+  EXPECT_TRUE(refusal(session, {at(50, {1.0})}, 10, "past its batch's"));
+  EXPECT_TRUE(refusal(session, {at(9, {1.0}), at(10, {1.0})}, 10, "past"));
   session.Advance({at(3, {1.0, 1.0}), at(4, {2.0, 2.0})}, 10);
   EXPECT_TRUE(refusal(session, {at(12, {1.0})}, 20, "dimensions"));
   EXPECT_TRUE(refusal(session, {at(3, {1.0, 1.0})}, 20, "below"));
@@ -425,6 +405,7 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   EXPECT_TRUE(refusal(restored, {at(16, {1.0})}, 30, "dimensions"));
   EXPECT_TRUE(refusal(restored, {at(14, {1.0, 1.0})}, 30, "below"));
   EXPECT_TRUE(refusal(restored, {at(15, {1.0, 1.0})}, 20, "does not advance"));
+  EXPECT_TRUE(refusal(restored, {at(30, {1.0, 1.0})}, 30, "past"));
   EXPECT_EQ(restored.CheckBatch({at(15, {1.0, 1.0})}, 30), "");
 
   // History trimmed to an empty batch: the restored stream starts fresh.
@@ -434,30 +415,46 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}, 50), "");
 }
 
-// Only the current state version loads: a complete v2 blob (an empty
-// session, no queries, no headroom, no history) is refused.
+// Only the current state version loads: complete v2 and v3 blobs (an
+// empty session: no queries, no headroom, no basis coverage, no history)
+// are refused.
 TEST(SopSessionTest, RefusesOtherStateVersions) {
-  BinaryWriter w;
-  w.WriteU32(2);  // version
-  w.WriteU32(static_cast<uint32_t>(WindowType::kCount));
-  w.WriteU32(static_cast<uint32_t>(Metric::kEuclidean));
-  w.WriteI64(32);         // history window
-  w.WriteI64(1);          // next query id
-  w.WriteI64(0);          // next seq
-  w.WriteI64(INT64_MIN);  // last boundary
-  w.WriteU64(0);          // queries
-  w.WriteBool(false);     // headroom: not elastic,
-  w.WriteU64(0);          // no radii,
-  w.WriteI64(0);          // no k slack,
-  w.WriteI64(0);          // no window floor
-  w.WriteU64(0);          // basis snapshot: no layers,
-  w.WriteI64(0);          // no k envelope,
-  w.WriteI64(0);          // no window
-  w.WriteU64(0);          // history batches
-  SopSession session(WindowType::kCount, Metric::kEuclidean, 32);
-  std::string error;
-  EXPECT_FALSE(session.LoadState(WrapFrame(w.bytes()), &error));
-  EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+  auto header = [](BinaryWriter* w, uint32_t version) {
+    w->WriteU32(version);
+    w->WriteU32(static_cast<uint32_t>(WindowType::kCount));
+    w->WriteU32(static_cast<uint32_t>(Metric::kEuclidean));
+    w->WriteI64(32);  // history window
+    w->WriteI64(1);   // next query id
+  };
+  auto headroom_and_coverage = [](BinaryWriter* w) {
+    w->WriteBool(false);  // headroom: not elastic,
+    w->WriteU64(0);       // no radii,
+    w->WriteI64(0);       // no k slack,
+    w->WriteI64(0);       // no window floor
+    w->WriteU64(0);       // basis snapshot: no layers,
+    w->WriteI64(0);       // no k envelope,
+    w->WriteI64(0);       // no window
+  };
+  BinaryWriter v2;
+  header(&v2, 2);
+  v2.WriteI64(0);          // next seq
+  v2.WriteI64(INT64_MIN);  // last boundary
+  v2.WriteU64(0);          // queries
+  headroom_and_coverage(&v2);
+  v2.WriteU64(0);  // history batches
+  BinaryWriter v3;
+  header(&v3, 3);
+  v3.WriteU64(0);  // queries
+  headroom_and_coverage(&v3);
+  v3.WriteI64(0);          // tail: next seq,
+  v3.WriteI64(INT64_MIN);  // last boundary,
+  v3.WriteU64(0);          // no batches
+  for (const BinaryWriter* blob : {&v2, &v3}) {
+    SopSession session(WindowType::kCount, Metric::kEuclidean, 32);
+    std::string error;
+    EXPECT_FALSE(session.LoadState(WrapFrame(blob->bytes()), &error));
+    EXPECT_NE(error.find("unsupported version"), std::string::npos) << error;
+  }
 }
 
 TEST(SopSessionTest, RejectsInvalidQueries) {

@@ -39,8 +39,8 @@ TEST(WindowTest, FirstBoundaryAtOrAfter) {
 // horizon would fall below INT64_MIN.
 TEST(StreamTailTest, PushNumbersPointsAndTrimsAtTheReach) {
   auto push = [](StreamTail* tail, int64_t boundary, int64_t reach) {
-    std::vector<Point> batch = {Point(0, boundary, {1.0}),
-                                Point(0, boundary, {2.0})};
+    std::vector<Point> batch = {Point(0, boundary - 1, {1.0}),
+                                Point(0, boundary - 1, {2.0})};
     tail->Push(&batch, boundary, reach);
     return batch.front().seq;
   };
@@ -61,6 +61,31 @@ TEST(StreamTailTest, PushNumbersPointsAndTrimsAtTheReach) {
   push(&low, INT64_MIN + 1, 20);
   push(&low, INT64_MIN + 2, 20);
   EXPECT_EQ(low.batches().size(), 2u);
+}
+
+// A time window ending at a boundary covers times below it, so a point at
+// or past its batch's boundary is refused, by Check and by Read alike.
+TEST(StreamTailTest, RefusesATimeAtOrPastTheBoundary) {
+  StreamTail tail(WindowType::kTime);
+  EXPECT_NE(tail.Check({Point(0, 50, {1.0})}, 10).find("past"),
+            std::string::npos);
+  EXPECT_NE(tail.Check({Point(0, 10, {1.0})}, 10).find("past"),
+            std::string::npos);
+  EXPECT_EQ(tail.Check({Point(0, 9, {1.0})}, 10), "");
+  // Count windows number points by arrival; their times are free.
+  EXPECT_EQ(StreamTail(WindowType::kCount).Check({Point(0, 50, {1.0})}, 10),
+            "");
+
+  BinaryWriter w;
+  w.WriteI64(1);   // next seq
+  w.WriteI64(10);  // last boundary
+  w.WriteU64(1);   // one batch,
+  w.WriteI64(10);  // at boundary 10,
+  w.WriteU64(1);   // of one point
+  WritePoint(&w, Point(0, 50, {1.0}));
+  BinaryReader r(w.bytes());
+  EXPECT_NE(tail.Read(&r).find("past"), std::string::npos);
+  EXPECT_EQ(tail.next_seq(), 0);  // untouched
 }
 
 TEST(StreamBufferTest, AppendAndAccess) {

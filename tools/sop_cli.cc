@@ -91,9 +91,7 @@ int RunSessionChurn(const std::string& name, const sop::Workload& workload,
 
   SopSession session(workload.window_type(), workload.metric(),
                      workload.MaxWindow());
-  if (name == "sop") {
-    session.UseSopDetector(SopDetector::Options());
-  } else {
+  if (name != "sop") {
     session.SetDetectorBuilder([name](const Workload& w) {
       return CreateDetector(name, w);
     });
@@ -201,12 +199,11 @@ int RunSessionChurn(const std::string& name, const sop::Workload& workload,
               steady_ms_max,
               churn_batches > 0 ? churn_ms / churn_batches : 0.0,
               churn_ms_max);
-  std::printf("[%s] churn: %llu overlay swaps, %llu rebuilds "
-              "(%llu basis extends), replayed %llu batches / %llu points\n",
+  std::printf("[%s] churn: %llu overlay swaps, %llu rebuilds, "
+              "replayed %llu batches / %llu points\n",
               name.c_str(),
               static_cast<unsigned long long>(change.overlay_changes),
               static_cast<unsigned long long>(change.rebuilds),
-              static_cast<unsigned long long>(change.basis_extends),
               static_cast<unsigned long long>(change.replayed_batches),
               static_cast<unsigned long long>(change.replayed_points));
   return 0;

@@ -5,7 +5,6 @@
 //              [--host H] [--port P] [--detector NAME]
 //              [--window-type count|time] [--metric euclidean|manhattan]
 //              [--domain LO:HI | --cuts C[,C...]] [--halo auto|WIDTH]
-//              [--headroom-r R[,R...]] [--headroom-win N]
 //              [--worker-queue N] [--send-queue N] [--ingest-queue N]
 //              [--seq-retention N] [--metrics] [--metrics-out FILE]
 //
@@ -162,7 +161,7 @@ int main(int argc, char** argv) {
                return true;
              });
   flags.Flag("--halo", "auto|WIDTH",
-             "halo width; auto derives it from the workload basis r_max "
+             "halo width; auto uses the largest subscribed radius "
              "(frozen at the first routed batch)",
              [&options](const std::string& v, std::string* error) {
                if (v == "auto") {
@@ -178,23 +177,6 @@ int main(int argc, char** argv) {
                options.halo = w;
                return true;
              });
-  flags.Flag("--headroom-r", "R[,R...]",
-             "reserve basis radii: widens an auto halo now so later "
-             "subscribes at those radii stay admissible",
-             [&options](const std::string& v, std::string* error) {
-               for (const std::string& spec : cli::SplitCommas(v)) {
-                 char* end = nullptr;
-                 const double r = std::strtod(spec.c_str(), &end);
-                 if (end == nullptr || *end != '\0' || !(r > 0.0)) {
-                   *error = "bad radius '" + spec + "'";
-                   return false;
-                 }
-                 options.headroom.r_values.push_back(r);
-               }
-               return true;
-             });
-  flags.I64("--headroom-win", &options.headroom.win_floor, "N",
-            "reserve window span in the merge horizon", 0);
   flags.Size("--worker-queue", &options.max_worker_queue, "N",
              "per-worker job queue cap");
   flags.Size("--send-queue", &options.max_send_queue, "N",

@@ -7,8 +7,7 @@
 //              [--overload block|drop-oldest] [--ingest-queue N]
 //              [--checkpoint PATH] [--checkpoint-every N]
 //              [--checkpoint-generations N]
-//              [--exact-basis] [--headroom-r R[,R...]] [--headroom-k N]
-//              [--headroom-win N] [--idle-timeout MS]
+//              [--idle-timeout MS]
 //              [--replicate-to HOST:PORT | --standby [--promote-on-loss]]
 //              [--metrics] [--metrics-out FILE]
 //              [--kernel scalar|avx2|auto]
@@ -68,13 +67,7 @@ int main(int argc, char** argv) {
       "Serve shared outlier detection over TCP (DESIGN.md Sec. 13): clients\n"
       "ingest point batches, subscribe/unsubscribe queries live, and receive\n"
       "per-query emissions. Runs until SIGINT/SIGTERM; prints the bound port\n"
-      "on stdout (--port 0 picks an ephemeral one).\n"
-      "\n"
-      "Basis headroom (sop detector only): the default elastic\n"
-      "basis makes every subscribe at an already-served radius an in-place\n"
-      "overlay swap. --exact-basis compiles the paper's exact plan instead\n"
-      "(maximal pruning, rebuild-heavy churn); --headroom-r/-k/-win reserve\n"
-      "extra radii / skyband depth / window span on top.");
+      "on stdout (--port 0 picks an ephemeral one).");
   flags.Str("--host", &options.host, "H", "bind address");
   flags.Int("--port", &options.port, "P", "bind port (0 = ephemeral)", 0);
   flags.Flag("--detector", "NAME", "detector hosting the shared session",
@@ -164,26 +157,6 @@ int main(int argc, char** argv) {
                "standby: promote to primary when the replication "
                "connection drops",
                [&options] { options.promote_on_loss = true; });
-  flags.Switch("--exact-basis",
-               "compile the paper's exact plan instead of the elastic basis",
-               [&options] { options.headroom.elastic = false; });
-  flags.Flag("--headroom-r", "R[,R...]", "reserve extra basis radii",
-             [&options](const std::string& v, std::string* error) {
-               for (const std::string& spec : cli::SplitCommas(v)) {
-                 char* end = nullptr;
-                 const double r = std::strtod(spec.c_str(), &end);
-                 if (end == nullptr || *end != '\0' || !(r > 0.0)) {
-                   *error = "bad radius '" + spec + "'";
-                   return false;
-                 }
-                 options.headroom.r_values.push_back(r);
-               }
-               return true;
-             });
-  flags.I64("--headroom-k", &options.headroom.k_slack, "N",
-            "reserve extra skyband depth", 0);
-  flags.I64("--headroom-win", &options.headroom.win_floor, "N",
-            "reserve extra window span", 0);
   flags.Bool("--metrics", &want_metrics,
              "enable observability; dump the counter registry on shutdown");
   flags.Str("--metrics-out", &metrics_out, "PATH",
@@ -266,11 +239,10 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.protocol_errors),
                static_cast<unsigned long long>(stats.checkpoints));
   std::fprintf(stderr,
-               "workload changes: %llu overlay swaps, %llu rebuilds "
-               "(%llu basis extends), %llu points replayed\n",
+               "workload changes: %llu overlay swaps, %llu rebuilds, "
+               "%llu points replayed\n",
                static_cast<unsigned long long>(stats.overlay_changes),
                static_cast<unsigned long long>(stats.rebuild_changes),
-               static_cast<unsigned long long>(stats.basis_extends),
                static_cast<unsigned long long>(stats.replayed_points));
   if (options.standby || !options.replicate_host.empty()) {
     std::fprintf(stderr,
