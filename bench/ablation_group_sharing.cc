@@ -11,7 +11,7 @@
 #include "figure.h"
 #include "sop/core/grouped_sop.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 
 int main() {
   using namespace sop;
@@ -44,11 +44,12 @@ int main() {
     gen::SyntheticOptions data;
     data.seed = 20160626;
     gen::SyntheticSource s1(kStream, data);
-    const RunMetrics m_int = RunStream(workload, &s1, &integrated);
+    const RunMetrics m_int =
+        ExecutionEngine().Run(workload, &s1, &integrated);
 
     GroupedSopDetector grouped(workload);
     gen::SyntheticSource s2(kStream, data);
-    const RunMetrics m_grp = RunStream(workload, &s2, &grouped);
+    const RunMetrics m_grp = ExecutionEngine().Run(workload, &s2, &grouped);
 
     std::printf("%10zu %16.3f %16.3f %16.3f %16.3f %10zu\n", num_queries,
                 m_int.avg_cpu_ms_per_window, m_grp.avg_cpu_ms_per_window,

@@ -17,7 +17,7 @@
 #include "bench_data.h"
 #include "figure.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 
 namespace {
 
@@ -76,7 +76,8 @@ bool RunAblation(const char* label, const Workload& workload,
     gen::SyntheticOptions source_options;
     source_options.seed = 20160626;
     gen::SyntheticSource source(stream_n, source_options);
-    const RunMetrics metrics = RunStream(workload, &source, &detector);
+    const RunMetrics metrics =
+        ExecutionEngine().Run(workload, &source, &detector);
     if (first) {
       reference_outliers = metrics.total_outliers;
       first = false;

@@ -3,7 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/obs/metrics.h"
 
 namespace sop {
@@ -96,7 +96,7 @@ void FigureRunner::Run(const std::vector<size_t>& workload_sizes,
           CreateDetector(name, workload);
       std::unique_ptr<StreamSource> source = stream_factory();
       cells[si][ki].metrics =
-          RunStream(workload, source.get(), detector.get());
+          ExecutionEngine().Run(workload, source.get(), detector.get());
       cells[si][ki].ran = true;
       // Incremental progress line so partial runs still carry data.
       std::printf("  [cell %s @ %zu queries: %s]\n", name.c_str(),

@@ -10,7 +10,7 @@
 
 #include "bench_data.h"
 #include "figure.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 
 int main() {
@@ -49,12 +49,14 @@ int main() {
 
     std::unique_ptr<OutlierDetector> linear = CreateDetector("mcod", workload);
     gen::SttSource s1(kStream, data);
-    const RunMetrics m_linear = RunStream(workload, &s1, linear.get());
+    const RunMetrics m_linear =
+        ExecutionEngine().Run(workload, &s1, linear.get());
 
     std::unique_ptr<OutlierDetector> grid =
         CreateDetector("mcod-grid", workload);
     gen::SttSource s2(kStream, data);
-    const RunMetrics m_grid = RunStream(workload, &s2, grid.get());
+    const RunMetrics m_grid =
+        ExecutionEngine().Run(workload, &s2, grid.get());
 
     if (m_linear.total_outliers != m_grid.total_outliers) {
       std::printf("ERROR: result mismatch between variants!\n");

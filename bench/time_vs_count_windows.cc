@@ -9,7 +9,7 @@
 
 #include "bench_data.h"
 #include "figure.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 
 int main() {
@@ -46,7 +46,8 @@ int main() {
       gen::SyntheticOptions data;
       data.seed = 20160626;  // time_step defaults to 1 unit per point
       gen::SyntheticSource source(kStream, data);
-      const RunMetrics m = RunStream(workload, &source, detector.get());
+      const RunMetrics m =
+          ExecutionEngine().Run(workload, &source, detector.get());
       cpu[i] = m.avg_cpu_ms_per_window;
       mem[i] = static_cast<double>(m.peak_memory_bytes) / 1048576.0;
       outliers[i] = m.total_outliers;

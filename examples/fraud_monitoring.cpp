@@ -87,14 +87,13 @@ query 700 15 12000 2000
   // first flagger.
   std::vector<uint64_t> flags(workload.num_queries(), 0);
   std::map<Seq, size_t> first_flagger;
-  const RunMetrics metrics =
-      RunStream(workload, &source, detector.get(),
-                [&](const QueryResult& result) {
-                  flags[result.query_index] += result.outliers.size();
-                  for (Seq s : result.outliers) {
-                    first_flagger.emplace(s, result.query_index);
-                  }
-                });
+  const RunMetrics metrics = ExecutionEngine().Run(
+      workload, &source, detector.get(), [&](const QueryResult& result) {
+        flags[result.query_index] += result.outliers.size();
+        for (Seq s : result.outliers) {
+          first_flagger.emplace(s, result.query_index);
+        }
+      });
 
   std::printf("Processed %lld transactions in %lld window slides\n",
               static_cast<long long>(metrics.total_points),

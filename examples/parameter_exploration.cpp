@@ -41,7 +41,7 @@ int main() {
   std::unique_ptr<OutlierDetector> sop =
       CreateDetector("sop", workload);
   auto source = make_source();
-  const RunMetrics sop_metrics = RunStream(
+  const RunMetrics sop_metrics = ExecutionEngine().Run(
       workload, source.get(), sop.get(), [&](const QueryResult& result) {
         outliers[result.query_index] += result.outliers.size();
         ++evaluated[result.query_index];
@@ -71,7 +71,7 @@ int main() {
       CreateDetector("leap", workload);
   auto source2 = make_source();
   const RunMetrics leap_metrics =
-      RunStream(workload, source2.get(), leap.get());
+      ExecutionEngine().Run(workload, source2.get(), leap.get());
 
   std::printf("\nShared SOP run:        %8.2f ms/slide, peak %7.2f MB\n",
               sop_metrics.avg_cpu_ms_per_window,

@@ -6,7 +6,8 @@
 // Walks through the whole public API surface — everything an application
 // needs comes from the single umbrella header sop/sop.h: build a Workload,
 // create the detector through the factory by name, run a stream through
-// the driver, consume per-query results, and read the run metrics.
+// ExecutionEngine::Run, consume per-query results, and read the run
+// metrics.
 
 #include <cstdio>
 #include <memory>
@@ -42,7 +43,7 @@ int main() {
   data.seed = 42;
   gen::SyntheticSource source(12000, data);
   uint64_t emissions = 0;
-  const RunMetrics metrics = RunStream(
+  const RunMetrics metrics = ExecutionEngine().Run(
       workload, &source, detector.get(), [&](const QueryResult& result) {
         // Print the first few emissions in full, then just count.
         if (++emissions <= 6) {

@@ -36,13 +36,12 @@ int main() {
       CreateDetector("sop", workload);
   std::vector<uint64_t> flags(workload.num_queries(), 0);
   std::vector<std::set<Seq>> distinct(workload.num_queries());
-  const RunMetrics metrics =
-      RunStream(workload, &source, detector.get(),
-                [&](const QueryResult& result) {
-                  flags[result.query_index] += result.outliers.size();
-                  distinct[result.query_index].insert(result.outliers.begin(),
-                                                      result.outliers.end());
-                });
+  const RunMetrics metrics = ExecutionEngine().Run(
+      workload, &source, detector.get(), [&](const QueryResult& result) {
+        flags[result.query_index] += result.outliers.size();
+        distinct[result.query_index].insert(result.outliers.begin(),
+                                            result.outliers.end());
+      });
 
   std::printf("Monitored %lld trades (%d symbols, %.1f%% injected "
               "anomalies)\n",

@@ -46,9 +46,7 @@ struct Job {
 };
 
 // The client front runs the server's rules (net/frontend.h) with
-// lossless backpressure and no idle timeout, and records no registry
-// metrics: net/server/* belongs to the workers, which may share the
-// process.
+// lossless backpressure and no idle timeout.
 net::Frontend::Options FrontOptionsOf(const RouterOptions& o) {
   net::Frontend::Options f;
   f.host = o.host;
@@ -451,7 +449,6 @@ struct SopRouter::Impl : net::FrontHandler {
           if (recovered > 0) {
             stats.worker_reconnects.fetch_add(recovered,
                                               std::memory_order_relaxed);
-            SOP_COUNTER_ADD("cluster/route/worker_reconnects", recovered);
           }
           if (w->points_counter != nullptr && obs::Enabled()) {
             w->points_counter->Add(job.points.size());
@@ -651,7 +648,6 @@ struct SopRouter::Impl : net::FrontHandler {
     }
     max_win = std::max(max_win, op.query.win);
     stats.subscribes.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("cluster/route/subscribes", 1);
     net::SubscribeAckMsg ack;
     ack.query_id = qid;
     front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
@@ -674,7 +670,6 @@ struct SopRouter::Impl : net::FrontHandler {
       front.Send(op.conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
     }
     stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("cluster/route/unsubscribes", 1);
   }
 
   void HandleBatch(Op& op) {
@@ -706,8 +701,6 @@ struct SopRouter::Impl : net::FrontHandler {
         job.config.halo = partitioner->halo();
         PushJob(w.get(), std::move(job));
       }
-      SOP_GAUGE_SET("cluster/route/halo_width_milli",
-                    static_cast<int64_t>(partitioner->halo() * 1000.0));
     }
 
     SOP_TRACE("cluster/route/batch_ms");
@@ -744,10 +737,6 @@ struct SopRouter::Impl : net::FrontHandler {
     stats.ingest_points.fetch_add(count, std::memory_order_relaxed);
     stats.routed_points.fetch_add(copies, std::memory_order_relaxed);
     stats.halo_points.fetch_add(halo_copies, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("cluster/route/batches", 1);
-    SOP_COUNTER_ADD("cluster/route/points", count);
-    SOP_COUNTER_ADD("cluster/route/routed_points", copies);
-    SOP_COUNTER_ADD("cluster/route/halo_points", halo_copies);
 
     std::vector<size_t> expected(parts);
     for (size_t i = 0; i < parts; ++i) expected[i] = routed[i].size();
@@ -798,7 +787,6 @@ struct SopRouter::Impl : net::FrontHandler {
       // shard's verdicts forever would otherwise stall every query — but
       // every merged emission is marked degraded until it heals.
       stats.worker_failures.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("cluster/merge/worker_failures", 1);
     }
     // Health flag, not a latch: set while any shard's verdicts are missing
     // or its sequence map is desynced, cleared again once a batch
@@ -847,11 +835,8 @@ struct SopRouter::Impl : net::FrontHandler {
         m.outliers.push_back(e.global);
       }
     }
-    if (dropped_halo > 0) {
-      stats.dropped_halo_outliers.fetch_add(dropped_halo,
-                                            std::memory_order_relaxed);
-      SOP_COUNTER_ADD("cluster/merge/dropped_halo_outliers", dropped_halo);
-    }
+    stats.dropped_halo_outliers.fetch_add(dropped_halo,
+                                          std::memory_order_relaxed);
 
     // Emit in canonical (boundary, query) order; map iteration gives it.
     uint64_t to_ingester = 0;
@@ -875,8 +860,6 @@ struct SopRouter::Impl : net::FrontHandler {
     }
     stats.merged_emissions.fetch_add(emitted, std::memory_order_relaxed);
     stats.merged_boundaries.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("cluster/merge/emissions", emitted);
-    SOP_COUNTER_ADD("cluster/merge/boundaries", 1);
     last_boundary.store(boundary, std::memory_order_relaxed);
 
     // Ack after the batch's emissions: same contract as the single

@@ -138,7 +138,10 @@ struct RouterOptions {
   net::ReconnectOptions worker_reconnect;
 };
 
-/// Monotonic counters since Start(), always on (independent of obs).
+/// Monotonic counters since Start(), always on (independent of obs): the
+/// one source of the router's counts. The global obs registry holds only
+/// what no field does: the cluster/route/batch_ms and cluster/merge/merge_ms
+/// timings, the route queue's peak depth and per-worker points and lag.
 struct RouterStats {
   uint64_t connections = 0;        // accepted client sockets, lifetime
   uint64_t active_clients = 0;     // currently connected

@@ -71,7 +71,6 @@ void SopSession::ApplyWorkloadChange() {
     sop_detector_ = nullptr;
     detector_query_ids_.clear();
     ++change_stats_.overlay_changes;
-    SOP_COUNTER_ADD("session/change/overlay", 1);
     return;
   }
   std::vector<QueryId> ids;
@@ -80,7 +79,6 @@ void SopSession::ApplyWorkloadChange() {
     SOP_CHECK(sop_detector_->ApplyWorkload(std::move(workload)));
     detector_query_ids_ = std::move(ids);
     ++change_stats_.overlay_changes;
-    SOP_COUNTER_ADD("session/change/overlay", 1);
     return;
   }
   Rebuild();
@@ -88,7 +86,6 @@ void SopSession::ApplyWorkloadChange() {
 
 void SopSession::Rebuild() {
   SOP_TRACE("session/rebuild_ms");
-  SOP_COUNTER_ADD("session/change/rebuild", 1);
   ++change_stats_.rebuilds;
   detector_.reset();
   sop_detector_ = nullptr;
@@ -114,8 +111,6 @@ void SopSession::Rebuild() {
   const std::deque<HistoryBatch>& history = tail_.batches();
   for (size_t i = 0; i + 1 < history.size(); ++i) {
     const HistoryBatch& batch = history[i];
-    SOP_COUNTER_ADD("session/replayed_batches", 1);
-    SOP_COUNTER_ADD("session/replayed_points", batch.points.size());
     ++change_stats_.replayed_batches;
     change_stats_.replayed_points += batch.points.size();
     detector_->Advance(batch.points, batch.boundary);

@@ -73,8 +73,9 @@ using DetectorBuilder =
 /// ResultSink (detector/engine.h) for streaming consumption.
 using SessionResultSink = std::function<void(const SessionResult&)>;
 
-/// How the session has realized workload changes so far (also exported as
-/// session/change/{overlay,rebuild} and session/replayed_* obs counters).
+/// How the session has realized workload changes so far: the one source of
+/// these counts (the obs registry keeps only the session/rebuild_ms timing
+/// and the session/history_batches gauge).
 struct SessionChangeStats {
   /// Changes applied as in-place overlay swaps (or by dropping the last
   /// query): no detector rebuild, no history replay.

@@ -32,6 +32,12 @@ struct ExecutionEngine::RunContext {
   MetricsAccumulator acc;
   int64_t batches_advanced = 0;
   StreamTail tail;  // the stream position and the replay tail
+  // A resumed run's source need not be the checkpointed stream, so its
+  // batches are checked before the push and the first refused one ends the
+  // run with `refusal` set. A fresh run's source is already ordered (the
+  // CSV loader, a generator), so Push CHECKs it.
+  bool resumed = false;
+  std::string refusal;
 };
 
 ExecutionEngine::ExecutionEngine(ExecOptions options) : options_(options) {
@@ -111,9 +117,12 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
   return true;
 }
 
-void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
+bool ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
                                    int64_t boundary, const ResultSink& sink) {
-  const size_t batch_points = batch.size();
+  if (ctx->resumed) {
+    ctx->refusal = ctx->tail.Check(batch, boundary);
+    if (!ctx->refusal.empty()) return false;
+  }
   ctx->tail.Push(&batch, boundary, ctx->reach);
   Stopwatch wall;
   CpuStopwatch cpu;
@@ -126,10 +135,6 @@ void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
   ctx->acc.RecordBatch(wall_ms, cpu_ms, ctx->detector->MemoryBytes(),
                        results.size(), outliers);
   if (obs::Enabled()) {
-    SOP_COUNTER_ADD("engine/batches", 1);
-    SOP_COUNTER_ADD("engine/points", batch_points);
-    SOP_COUNTER_ADD("engine/emissions", results.size());
-    SOP_COUNTER_ADD("engine/outliers", outliers);
     SOP_HISTOGRAM_RECORD("engine/batch_ms", wall_ms);
     // Per-query attribution: names are computed, so the handles cannot be
     // cached per call site like the macros do; cache them per query index
@@ -155,6 +160,7 @@ void ExecutionEngine::AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
       ctx->batches_advanced % options_.checkpoint.every_batches == 0) {
     WriteCheckpoint(ctx);
   }
+  return true;
 }
 
 RunMetrics ExecutionEngine::RunCountBased(RunContext* ctx,
@@ -167,8 +173,10 @@ RunMetrics ExecutionEngine::RunCountBased(RunContext* ctx,
     ctx->acc.RecordPoints(1);
     batch.push_back(std::move(p));
     if (static_cast<int64_t>(batch.size()) == ctx->batch_span) {
-      AdvanceBatch(ctx, std::move(batch),
-                   ctx->tail.next_seq() + ctx->batch_span, sink);
+      if (!AdvanceBatch(ctx, std::move(batch),
+                        ctx->tail.next_seq() + ctx->batch_span, sink)) {
+        break;
+      }
       batch = {};
       batch.reserve(static_cast<size_t>(ctx->batch_span));
     }
@@ -191,7 +199,9 @@ RunMetrics ExecutionEngine::RunTimeBased(RunContext* ctx, StreamSource* source,
     }
     read_any = true;
     while (p.time >= next_boundary) {
-      AdvanceBatch(ctx, std::move(batch), next_boundary, sink);
+      if (!AdvanceBatch(ctx, std::move(batch), next_boundary, sink)) {
+        return ctx->acc.Finish();
+      }
       batch = {};
       next_boundary += ctx->batch_span;
     }
@@ -236,7 +246,12 @@ bool ExecutionEngine::RunResumed(const Workload& workload,
   SOP_CHECK(source != nullptr && detector != nullptr && metrics != nullptr);
   RunContext ctx(options_, workload, detector);
   if (!ApplyResume(&ctx, cp, source, error)) return false;
+  ctx.resumed = true;
   *metrics = RunLoop(&ctx, source, sink);
+  if (!ctx.refusal.empty()) {
+    if (error != nullptr) *error = "resume: " + ctx.refusal;
+    return false;
+  }
   return true;
 }
 

@@ -1,10 +1,9 @@
-// ExecutionEngine: the driver layer of the layered execution path
+// ExecutionEngine: the run layer of the layered execution path
 //
-//   driver (this file)  ->  partition (PartitionedDetector)  ->  index
+//   engine (this file)  ->  partition (PartitionedDetector)  ->  index
 //
-// The engine owns the batching/emission loop that used to live inside
-// RunStream (detector/driver.h, now a thin wrapper): it slices the stream
-// into swift-slide batches, times every Advance() call, tracks per-batch
+// The engine owns the batching/emission loop: it slices the stream into
+// swift-slide batches, times every Advance() call, tracks per-batch
 // latency percentiles, and forwards results to the sink. It needs nothing
 // from the detector beyond Advance(): a PartitionedDetector fans its
 // children out on RunLanes by itself (DESIGN.md Sec. 10).
@@ -21,12 +20,12 @@
 // thread.
 //
 // Contract: this is the single run entry point. Every way of driving a
-// detector over a stream — the RunStream convenience wrappers
-// (detector/driver.h), sop_cli, the bench harness — funnels through
-// ExecutionEngine::Run, so window semantics, timing methodology, and
-// observability instrumentation are defined in exactly one place. When
-// observability is enabled (obs/metrics.h), each run additionally records
-// engine/* counters, the engine/batch_ms histogram, per-query
+// detector over a stream — sop_cli, the benches, the examples, the tests —
+// calls ExecutionEngine::Run, so window semantics, timing methodology, and
+// observability instrumentation are defined in exactly one place. A run's
+// counts (batches, points, emissions, outliers) have one source, its
+// RunMetrics. When observability is enabled (obs/metrics.h), each run
+// also records the engine/batch_ms histogram, per-query
 // query/<i>/{emissions,outliers} counters, and the resilience/checkpoint_*
 // counters into the global registry. Checkpointing never changes a run's
 // emissions.
@@ -109,8 +108,12 @@ class ExecutionEngine {
   /// checkpoint that does not match (fingerprint/detector/window/span) or
   /// whose tail ends off this run's batch schedule, or a source shorter
   /// than the checkpointed position, returns false with a diagnostic in
-  /// `*error` and advances nothing. On success the emissions of
-  /// interrupted-run-then-resume equal those of one uninterrupted run.
+  /// `*error` and advances nothing. Unlike Run, a source batch that breaks
+  /// StreamTail::Check (the source is not the checkpointed stream) is
+  /// refused, not aborted on: the run ends before it, `*metrics` covers
+  /// the batches advanced, and it returns false with "resume: <refusal>".
+  /// On success the emissions of interrupted-run-then-resume equal those
+  /// of one uninterrupted run.
   bool RunResumed(const Workload& workload, StreamSource* source,
                   OutlierDetector* detector, const RunCheckpoint& cp,
                   RunMetrics* metrics, std::string* error,
@@ -120,8 +123,9 @@ class ExecutionEngine {
   struct RunContext;
 
   // Pushes the batch onto the tail, times one Advance() call, records
-  // metrics, and writes periodic checkpoints.
-  void AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
+  // metrics, and writes periodic checkpoints. False when a resumed run
+  // refuses the batch (RunContext::refusal); nothing is advanced then.
+  bool AdvanceBatch(RunContext* ctx, std::vector<Point> batch,
                     int64_t boundary, const ResultSink& sink);
   void WriteCheckpoint(RunContext* ctx);
   bool ApplyResume(RunContext* ctx, const RunCheckpoint& cp,

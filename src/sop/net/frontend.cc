@@ -1,10 +1,8 @@
 #include "sop/net/frontend.h"
 
-#include <type_traits>
 #include <utility>
 
 #include "sop/net/protocol.h"
-#include "sop/obs/metrics.h"
 
 namespace sop {
 namespace net {
@@ -14,87 +12,19 @@ namespace {
 // One listen backlog for every front.
 constexpr int kListenBacklog = 128;
 
-// One of the front's registry metrics, named by its owner and bound on
-// first use while obs is enabled: like a SOP_COUNTER_ADD site it registers
-// only what it records.
-template <typename M>
-class OwnedMetric {
- public:
-  OwnedMetric(const std::string& prefix, const char* name)
-      : name_(prefix.empty() ? std::string() : prefix + name) {}
+// Counts one event (or `n` bytes) on an always-on counter.
+void Add(std::atomic<uint64_t>& counter, uint64_t n = 1) {
+  counter.fetch_add(n, std::memory_order_relaxed);
+}
 
-  // Null while obs is off, or when the owner named no prefix.
-  M* get() {
-    if (name_.empty() || !obs::Enabled()) return nullptr;
-    M* m = bound_.load(std::memory_order_acquire);
-    if (m != nullptr) return m;
-    obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-    if constexpr (std::is_same_v<M, obs::Counter>) {
-      m = &registry.GetCounter(name_);
-    } else {
-      m = &registry.GetGauge(name_);
-    }
-    bound_.store(m, std::memory_order_release);
-    return m;
-  }
-
- private:
-  const std::string name_;
-  std::atomic<M*> bound_{nullptr};
-};
-
-// An always-on count mirrored into its registry counter.
-struct Count : OwnedMetric<obs::Counter> {
-  using OwnedMetric::OwnedMetric;
-  void Add(uint64_t n) {
-    value.fetch_add(n, std::memory_order_relaxed);
-    if (obs::Counter* c = get()) c->Add(n);
-  }
-  uint64_t load() const { return value.load(std::memory_order_relaxed); }
-
-  std::atomic<uint64_t> value{0};
-};
+uint64_t Load(const std::atomic<uint64_t>& counter) {
+  return counter.load(std::memory_order_relaxed);
+}
 
 }  // namespace
 
-struct Frontend::Counters {
-  explicit Counters(const std::string& prefix)
-      : connections(prefix, "connections"),
-        disconnects(prefix, "disconnects"),
-        frames_in(prefix, "frames_in"),
-        frames_out(prefix, "frames_out"),
-        bytes_in(prefix, "bytes_in"),
-        bytes_out(prefix, "bytes_out"),
-        shed_emissions(prefix, "shed_emissions"),
-        idle_disconnects(prefix, "idle_disconnects"),
-        active_clients(prefix, "active_clients"),
-        send_queue_depth(prefix, "send_queue_depth") {}
-
-  // Every accepted connection counts one connection, and its close one
-  // disconnect; a connection still open at a graceful drain never closes.
-  uint64_t active() const { return connections.load() - disconnects.load(); }
-  void PublishActive() {
-    if (obs::Gauge* g = active_clients.get()) {
-      g->Set(static_cast<int64_t>(active()));
-    }
-  }
-
-  Count connections;
-  Count disconnects;
-  Count frames_in;
-  Count frames_out;
-  Count bytes_in;
-  Count bytes_out;
-  Count shed_emissions;
-  Count idle_disconnects;
-  OwnedMetric<obs::Gauge> active_clients;
-  OwnedMetric<obs::Gauge> send_queue_depth;
-};
-
 Frontend::Frontend(Options options, FrontHandler* handler)
-    : options_(std::move(options)),
-      handler_(handler),
-      counters_(std::make_unique<Counters>(options_.metrics_prefix)) {}
+    : options_(std::move(options)), handler_(handler) {}
 
 Frontend::~Frontend() { Abort(); }
 
@@ -117,7 +47,7 @@ bool Frontend::Send(const FrontConnPtr& conn, std::string frame,
         if (it->droppable) {
           conn->sendq.erase(it);
           conn->degraded_pending = true;
-          counters_->shed_emissions.Add(1);
+          Add(counters_.shed_emissions);
           break;
         }
       }
@@ -130,9 +60,6 @@ bool Frontend::Send(const FrontConnPtr& conn, std::string frame,
     }
   }
   conn->sendq.push_back(FrontConn::Outgoing{std::move(frame), droppable});
-  if (obs::Gauge* g = counters_->send_queue_depth.get()) {
-    g->SetMax(static_cast<int64_t>(conn->sendq.size()));
-  }
   conn->cv_push.notify_one();
   return true;
 }
@@ -148,8 +75,7 @@ void Frontend::Close(const FrontConnPtr& conn) {
     conn->cv_pop.notify_all();
   }
   conn->sock.ShutdownBoth();  // unblocks recv/send in reader/writer
-  counters_->disconnects.Add(1);
-  counters_->PublishActive();
+  Add(counters_.disconnects);
   handler_->OnClose(conn, std::move(subs));
 }
 
@@ -168,16 +94,18 @@ uint64_t Frontend::SendQueueDepth() const {
 }
 
 Frontend::Stats Frontend::stats() const {
-  const Counters& c = *counters_;
+  const Counters& c = counters_;
   Stats s;
-  s.connections = c.connections.load();
-  s.active = c.active();
-  s.frames_in = c.frames_in.load();
-  s.frames_out = c.frames_out.load();
-  s.bytes_in = c.bytes_in.load();
-  s.bytes_out = c.bytes_out.load();
-  s.shed_emissions = c.shed_emissions.load();
-  s.idle_disconnects = c.idle_disconnects.load();
+  s.connections = Load(c.connections);
+  // Every accepted connection counts one connection, and its close one
+  // disconnect; a connection still open at a graceful drain never closes.
+  s.active = s.connections - Load(c.disconnects);
+  s.frames_in = Load(c.frames_in);
+  s.frames_out = Load(c.frames_out);
+  s.bytes_in = Load(c.bytes_in);
+  s.bytes_out = Load(c.bytes_out);
+  s.shed_emissions = Load(c.shed_emissions);
+  s.idle_disconnects = Load(c.idle_disconnects);
   return s;
 }
 
@@ -201,8 +129,8 @@ void Frontend::WriterLoop(const FrontConnPtr& conn) {
       Close(conn);
       break;
     }
-    counters_->frames_out.Add(1);
-    counters_->bytes_out.Add(out.frame.size());
+    Add(counters_.frames_out);
+    Add(counters_.bytes_out, out.frame.size());
   }
   {
     std::lock_guard<std::mutex> lock(conn->mu);
@@ -224,12 +152,12 @@ void Frontend::ReaderLoop(const FrontConnPtr& conn) {
       // Only a mid-frame stall is hostile (slow-loris); a connection with
       // no partial frame pending is just a quiet subscriber.
       if (decoder.buffered_bytes() == 0) continue;
-      counters_->idle_disconnects.Add(1);
+      Add(counters_.idle_disconnects);
       timed_out = true;
       break;
     }
     if (n <= 0) break;  // orderly close or hard error
-    counters_->bytes_in.Add(static_cast<uint64_t>(n));
+    Add(counters_.bytes_in, static_cast<uint64_t>(n));
     decoder.Append(buf, static_cast<size_t>(n));
     std::string payload;
     while (!drop) {
@@ -241,7 +169,7 @@ void Frontend::ReaderLoop(const FrontConnPtr& conn) {
         handler_->OnFramingError(conn, error);
         drop = true;
       } else {
-        counters_->frames_in.Add(1);
+        Add(counters_.frames_in);
         drop = !handler_->OnFrame(conn, payload);
       }
     }
@@ -261,8 +189,7 @@ void Frontend::AcceptLoop() {
     if (stopping_.load(std::memory_order_relaxed)) return;
     if (!sock.valid()) continue;  // transient accept failure; keep serving
     auto conn = std::make_shared<FrontConn>(std::move(sock));
-    counters_->connections.Add(1);
-    counters_->PublishActive();
+    Add(counters_.connections);
     // Reap first: a connection whose reader and writer have both returned
     // is joined (immediately: the threads are done) and dropped.
     std::vector<FrontConnPtr> reaped;

@@ -27,10 +27,10 @@
 //               (every connection closed at once). Each owner keeps its
 //               own shutdown order around these steps.
 //
-// The front records its registry metrics under its owner's
-// `metrics_prefix` while obs is enabled; the always-on counts are in
-// stats(). Owners implement FrontHandler: they get each frame, each
-// close, and the start of teardown.
+// The front's counts are always on, kept per front and read by stats();
+// it records nothing in the global obs registry. Owners implement
+// FrontHandler: they get each frame, each close, and the start of
+// teardown.
 
 #ifndef SOP_NET_FRONTEND_H_
 #define SOP_NET_FRONTEND_H_
@@ -128,12 +128,6 @@ class Frontend {
     OverloadPolicy send_policy = OverloadPolicy::kBlock;
     /// Drop a connection stalled mid-frame this long (ms); -1 disables.
     int idle_timeout_ms = -1;
-    /// Registry name prefix of the front's obs metrics (connections,
-    /// disconnects, frames_in/out, bytes_in/out, shed_emissions,
-    /// idle_disconnects; gauges active_clients, send_queue_depth). Each
-    /// is bound on first use while obs is enabled, so the front registers
-    /// only what it records. Empty records none.
-    std::string metrics_prefix;
   };
 
   /// Always-on counts since Start (obs may be compiled out).
@@ -205,8 +199,18 @@ class Frontend {
   mutable std::mutex conns_mu_;
   std::vector<FrontConnPtr> conns_;  // guarded by conns_mu_
 
-  struct Counters;
-  std::unique_ptr<Counters> counters_;
+  // The always-on counts behind stats(), relaxed atomics.
+  struct Counters {
+    std::atomic<uint64_t> connections{0};
+    std::atomic<uint64_t> disconnects{0};
+    std::atomic<uint64_t> frames_in{0};
+    std::atomic<uint64_t> frames_out{0};
+    std::atomic<uint64_t> bytes_in{0};
+    std::atomic<uint64_t> bytes_out{0};
+    std::atomic<uint64_t> shed_emissions{0};
+    std::atomic<uint64_t> idle_disconnects{0};
+  };
+  Counters counters_;
   std::thread accept_thread_;
 };
 

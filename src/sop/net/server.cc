@@ -51,7 +51,6 @@ Frontend::Options FrontOptionsOf(const ServerOptions& o) {
   f.max_send_queue = o.max_send_queue;
   f.send_policy = o.send_policy;
   f.idle_timeout_ms = o.idle_timeout_ms;
-  f.metrics_prefix = "net/server/";
   return f;
 }
 
@@ -63,18 +62,20 @@ struct SopServer::Impl : FrontHandler {
 
   ServerOptions options;
 
-  // --- always-on stats (obs may be compiled out) -------------------------
+  // --- always-on stats: the one source of the server's counts -----------
   // (Connection, frame, byte, shed and idle counts are the front's.)
   struct AtomicStats {
     std::atomic<uint64_t> ingest_batches{0};
     std::atomic<uint64_t> ingest_points{0};
     std::atomic<uint64_t> halo_points{0};
+    std::atomic<uint64_t> rejected_points{0};
     std::atomic<uint64_t> emissions{0};
     std::atomic<uint64_t> subscribes{0};
     std::atomic<uint64_t> unsubscribes{0};
     std::atomic<uint64_t> protocol_errors{0};
     std::atomic<uint64_t> checkpoints{0};
     std::atomic<uint64_t> checkpoint_failures{0};
+    std::atomic<uint64_t> checkpoint_fallbacks{0};
     std::atomic<uint64_t> promotions{0};
     std::atomic<uint64_t> repl_snapshots_sent{0};
     std::atomic<uint64_t> repl_batches_sent{0};
@@ -209,12 +210,10 @@ struct SopServer::Impl : FrontHandler {
                  std::memory_order_relaxed);
     }
     stats.promotions.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("net/server/promotions", 1);
   }
 
   void CountProtocolError() {
     stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    SOP_COUNTER_ADD("net/server/protocol_errors", 1);
   }
 
   // Counts one protocol error and tells the client why. Returns false, so
@@ -318,7 +317,6 @@ struct SopServer::Impl : FrontHandler {
       repl_queue.clear();
       repl_need_snapshot = true;
       stats.repl_resyncs.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/repl_resyncs", 1);
     } else {
       repl_queue.push_back(std::move(frame));
     }
@@ -427,14 +425,11 @@ struct SopServer::Impl : FrontHandler {
       }
       if (is_snapshot) {
         stats.repl_snapshots_sent.fetch_add(1, std::memory_order_relaxed);
-        SOP_COUNTER_ADD("net/server/repl_snapshots_sent", 1);
       } else {
         stats.repl_batches_sent.fetch_add(1, std::memory_order_relaxed);
-        SOP_COUNTER_ADD("net/server/repl_batches_sent", 1);
       }
       if (ack.need_snapshot) {
         stats.repl_resyncs.fetch_add(1, std::memory_order_relaxed);
-        SOP_COUNTER_ADD("net/server/repl_resyncs", 1);
         MarkNeedSnapshot();
       }
     }
@@ -564,16 +559,11 @@ struct SopServer::Impl : FrontHandler {
             if (ack.gap) conn->degraded_pending = true;
           }
           stats.subscribes.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/subscribes", 1);
           if (ack.gap) {
             stats.resume_gaps.fetch_add(1, std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/resume_gaps", 1);
           }
-          if (!replay.empty()) {
-            stats.resume_replayed.fetch_add(replay.size(),
-                                            std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/resume_replayed", replay.size());
-          }
+          stats.resume_replayed.fetch_add(replay.size(),
+                                          std::memory_order_relaxed);
           // Replayed emissions precede the ack on the wire; both are
           // control-paced (never shed). Enqueued under session_mu so a
           // concurrent batch's live emissions cannot jump ahead of them.
@@ -602,7 +592,6 @@ struct SopServer::Impl : FrontHandler {
         }
         if (ack.ok) {
           stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/unsubscribes", 1);
         }
         front.Send(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
         return true;
@@ -664,7 +653,6 @@ struct SopServer::Impl : FrontHandler {
             batches_since_checkpoint = 0;
             stats.repl_snapshots_applied.fetch_add(
                 1, std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/repl_snapshots_applied", 1);
           }
           ack.boundary = session->last_boundary();
         }
@@ -717,7 +705,6 @@ struct SopServer::Impl : FrontHandler {
                                           std::memory_order_relaxed);
             stats.repl_batches_applied.fetch_add(1,
                                                  std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/repl_batches_applied", 1);
             if (!options.checkpoint_path.empty() &&
                 ++batches_since_checkpoint >=
                     options.checkpoint_every_batches) {
@@ -753,10 +740,6 @@ struct SopServer::Impl : FrontHandler {
             shard_set = true;
             ack.ok = true;
           }
-        }
-        if (ack.ok) {
-          SOP_GAUGE_SET("net/server/shard_index", msg.shard_index);
-          SOP_GAUGE_SET("net/server/num_shards", msg.num_shards);
         }
         front.Send(conn, EncodeShardConfigAck(ack), /*droppable=*/false);
         return true;
@@ -794,7 +777,6 @@ struct SopServer::Impl : FrontHandler {
         m.outliers = r.outliers;
         if (front.Send(conn, EncodeEmission(m), /*droppable=*/true)) {
           stats.emissions.fetch_add(1, std::memory_order_relaxed);
-          SOP_COUNTER_ADD("net/server/emissions", 1);
           if (conn == ingester) ++to_ingester;
         }
       }
@@ -809,11 +791,9 @@ struct SopServer::Impl : FrontHandler {
     if (io::PublishGeneration(options.checkpoint_path, std::move(blob),
                               options.checkpoint_generations, &error)) {
       stats.checkpoints.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/checkpoints", 1);
     } else {
       // The previous generations stay valid.
       stats.checkpoint_failures.fetch_add(1, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/checkpoint_failures", 1);
     }
   }
 
@@ -872,11 +852,7 @@ struct SopServer::Impl : FrontHandler {
           stats.ingest_batches.fetch_add(1, std::memory_order_relaxed);
           stats.ingest_points.fetch_add(batch_size,
                                         std::memory_order_relaxed);
-          if (halo_size > 0) {
-            stats.halo_points.fetch_add(halo_size,
-                                        std::memory_order_relaxed);
-            SOP_COUNTER_ADD("net/server/halo_points", halo_size);
-          }
+          stats.halo_points.fetch_add(halo_size, std::memory_order_relaxed);
           // Retain every emission for reconnect resume (and replication),
           // keyed by the query's parameters — connection-scoped ids die
           // with their connection.
@@ -904,7 +880,7 @@ struct SopServer::Impl : FrontHandler {
       }
 
       if (!refusal.empty()) {
-        SOP_COUNTER_ADD("net/server/rejected_points", batch_size);
+        stats.rejected_points.fetch_add(batch_size, std::memory_order_relaxed);
         SendError(op.conn, std::move(refusal));
         IngestAckMsg ack;
         ack.boundary = op.msg.boundary;
@@ -914,7 +890,6 @@ struct SopServer::Impl : FrontHandler {
         front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
         continue;
       }
-      SOP_COUNTER_ADD("net/server/ingest_batches", 1);
 
       if (replicate) {
         ReplBatchMsg rb;
@@ -1005,13 +980,14 @@ bool SopServer::Start(std::string* error) {
           return im.RestoreCheckpoint(blob, decode_error);
         },
         &restore_error);
-    if (generation > 0) SOP_COUNTER_ADD("net/server/checkpoint_fallbacks", 1);
+    if (generation > 0) {
+      im.stats.checkpoint_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    }
     if (generation >= 0) {
       for (const QueryId id : im.session->RegisteredQueryIds()) {
         im.session->RemoveQuery(id);
       }
       im.stats.resumed.store(true, std::memory_order_relaxed);
-      SOP_COUNTER_ADD("net/server/resumes", 1);
     }
     // No restorable generation is not fatal: serve fresh.
   }
@@ -1098,6 +1074,7 @@ ServerStats SopServer::stats() const {
   s.ingest_batches = a.ingest_batches.load(std::memory_order_relaxed);
   s.ingest_points = a.ingest_points.load(std::memory_order_relaxed);
   s.halo_points = a.halo_points.load(std::memory_order_relaxed);
+  s.rejected_points = a.rejected_points.load(std::memory_order_relaxed);
   s.emissions = a.emissions.load(std::memory_order_relaxed);
   s.shed_emissions = front.shed_emissions;
   s.subscribes = a.subscribes.load(std::memory_order_relaxed);
@@ -1106,6 +1083,8 @@ ServerStats SopServer::stats() const {
   s.checkpoints = a.checkpoints.load(std::memory_order_relaxed);
   s.checkpoint_failures =
       a.checkpoint_failures.load(std::memory_order_relaxed);
+  s.checkpoint_fallbacks =
+      a.checkpoint_fallbacks.load(std::memory_order_relaxed);
   s.idle_disconnects = front.idle_disconnects;
   s.promotions = a.promotions.load(std::memory_order_relaxed);
   s.repl_snapshots_sent =

@@ -72,9 +72,11 @@
 // generation that loads cleanly (then falls back to older ones), so one
 // corrupt or refused file costs one checkpoint interval, not the run.
 //
-// Observability: net/server/* counters, gauges and histograms (see
-// DESIGN.md Sec. 13) when obs is enabled, plus an always-on ServerStats
-// snapshot for tests and tooling.
+// Observability: ServerStats is the one source of the server's counts, and
+// it is always on (obs may be compiled out): every server in a process
+// keeps its own. The global obs registry holds only what no stats field
+// does: the net/server/advance_ms histogram and the ingest_queue_depth
+// peak gauge (DESIGN.md Sec. 13).
 
 #ifndef SOP_NET_SERVER_H_
 #define SOP_NET_SERVER_H_
@@ -165,8 +167,9 @@ struct ServerOptions {
   int idle_timeout_ms = -1;
 };
 
-/// Monotonic counters since Start(), readable at any time (independent of
-/// the obs layer, which may be compiled out).
+/// Monotonic counters since Start(), readable at any time: the one source
+/// of this server's counts (independent of the obs layer, which may be
+/// compiled out).
 struct ServerStats {
   uint64_t connections = 0;        // accepted sockets, lifetime
   uint64_t active_clients = 0;     // currently connected
@@ -177,6 +180,7 @@ struct ServerStats {
   uint64_t ingest_batches = 0;     // batches advanced through the session
   uint64_t ingest_points = 0;
   uint64_t halo_points = 0;        // of those, halo replicas (owner flag 0)
+  uint64_t rejected_points = 0;    // in batches refused by StreamTail::Check
   uint64_t emissions = 0;          // emission frames enqueued to clients
   uint64_t shed_emissions = 0;     // emission frames dropped under overload
   uint64_t subscribes = 0;
@@ -189,6 +193,7 @@ struct ServerStats {
   uint64_t protocol_errors = 0;    // malformed frames / messages / plans
   uint64_t checkpoints = 0;        // checkpoint files published
   uint64_t checkpoint_failures = 0;
+  uint64_t checkpoint_fallbacks = 0;  // restored an older generation
   uint64_t idle_disconnects = 0;   // mid-frame stalls timed out
   // --- high availability --------------------------------------------------
   uint64_t promotions = 0;               // standby -> primary transitions

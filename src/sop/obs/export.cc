@@ -1,9 +1,8 @@
 #include "sop/obs/export.h"
 
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <vector>
 
 namespace sop {
 namespace obs {
@@ -102,91 +101,6 @@ std::string ToJson(const Snapshot& snapshot) {
   }
   out += "}}";
   return out;
-}
-
-std::string ToCsv(const Snapshot& snapshot) {
-  std::string out = "kind,name,field,value\n";
-  char buf[256];
-  for (const auto& [name, value] : snapshot.counters) {
-    std::snprintf(buf, sizeof(buf), "counter,%s,value,%" PRIu64 "\n",
-                  name.c_str(), value);
-    out += buf;
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    std::snprintf(buf, sizeof(buf), "gauge,%s,value,%" PRId64 "\n",
-                  name.c_str(), value);
-    out += buf;
-  }
-  for (const auto& [name, stats] : snapshot.histograms) {
-    for (const HistField& f : HistogramFields(stats)) {
-      std::snprintf(buf, sizeof(buf), "histogram,%s,%s,%s\n", name.c_str(),
-                    f.name, FormatDouble(f.value).c_str());
-      out += buf;
-    }
-  }
-  return out;
-}
-
-std::string ToText(const Snapshot& snapshot) {
-  std::string out;
-  char buf[256];
-  if (!snapshot.counters.empty()) {
-    out += "counters:\n";
-    for (const auto& [name, value] : snapshot.counters) {
-      std::snprintf(buf, sizeof(buf), "  %-40s %20" PRIu64 "\n", name.c_str(),
-                    value);
-      out += buf;
-    }
-  }
-  if (!snapshot.gauges.empty()) {
-    out += "gauges:\n";
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::snprintf(buf, sizeof(buf), "  %-40s %20" PRId64 "\n", name.c_str(),
-                    value);
-      out += buf;
-    }
-  }
-  if (!snapshot.histograms.empty()) {
-    out += "histograms:\n";
-    for (const auto& [name, h] : snapshot.histograms) {
-      std::snprintf(buf, sizeof(buf),
-                    "  %-40s count=%" PRIu64
-                    " mean=%.3f p50=%.3f p95=%.3f p99=%.3f max=%.3f\n",
-                    name.c_str(), h.count, h.mean, h.p50, h.p95, h.p99, h.max);
-      out += buf;
-    }
-  }
-  if (out.empty()) out = "(no metrics recorded)\n";
-  return out;
-}
-
-bool WriteSnapshotFile(const Snapshot& snapshot, const std::string& path,
-                       std::string* error) {
-  std::string body;
-  const auto ends_with = [&path](const char* suffix) {
-    const size_t n = std::strlen(suffix);
-    return path.size() >= n && path.compare(path.size() - n, n, suffix) == 0;
-  };
-  if (ends_with(".json")) {
-    body = ToJson(snapshot);
-    body += "\n";
-  } else if (ends_with(".csv")) {
-    body = ToCsv(snapshot);
-  } else {
-    body = ToText(snapshot);
-  }
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  const bool closed = std::fclose(f) == 0;
-  if (!(ok && closed)) {
-    if (error != nullptr) *error = "short write to " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace obs

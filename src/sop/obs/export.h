@@ -1,6 +1,6 @@
-// Snapshot exporters: JSON (machine ingestion), CSV (spreadsheets /
-// plotting), and aligned human-readable text. All three render the same
-// Snapshot; none touch the registry, so exporting is safe while recording
+// Snapshot exporter: one JSON object per Snapshot, what every tool writes
+// (sop_cli, sop_server and sop_router's --metrics-out, the figure benches).
+// It does not touch the registry, so exporting is safe while recording
 // continues.
 
 #ifndef SOP_OBS_EXPORT_H_
@@ -18,19 +18,6 @@ namespace obs {
 /// p99}}}. Names are JSON-escaped; numbers are finite (empty histograms
 /// render as zeros).
 std::string ToJson(const Snapshot& snapshot);
-
-/// CSV with header `kind,name,field,value`; counters and gauges emit one
-/// `value` row, histograms one row per statistic.
-std::string ToCsv(const Snapshot& snapshot);
-
-/// Aligned "name value" lines grouped by kind, for terminal consumption.
-std::string ToText(const Snapshot& snapshot);
-
-/// Writes `snapshot` to `path`, picking the format from the extension:
-/// ".json" -> JSON, ".csv" -> CSV, anything else -> text. Returns false
-/// and fills `*error` (if non-null) when the file cannot be written.
-bool WriteSnapshotFile(const Snapshot& snapshot, const std::string& path,
-                       std::string* error);
 
 /// Escapes `s` for use inside a JSON string literal (quotes not added).
 std::string JsonEscape(const std::string& s);

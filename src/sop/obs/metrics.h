@@ -17,11 +17,14 @@
 //     histograms take a mutex, and are therefore reserved for per-batch /
 //     per-scan granularity rather than per-candidate.
 //
-// The registry is process-global on purpose: instrumentation sites live in
-// layers (K-SKY, LSky, the grid index) that know nothing about which
-// detector instance or run they belong to. Run-scoped attribution is done
-// by the driver: snapshot + reset around each run (see sop_cli
-// --metrics-out and bench/figure.cc).
+// The registry is process-global on purpose: it is for layers that know
+// nothing about which instance or run they belong to (K-SKY, LSky, the
+// kernel, the grid index, the baselines, per-query and resilience counts)
+// and for the timing histograms. An instance that knows itself (a server,
+// a router, a front, a session, an engine run) keeps its counts in its own
+// stats struct, the one source of each count; the registry holds no copy.
+// Run-scoped attribution is done by the caller: snapshot + reset around
+// each run (see sop_cli --metrics-out and bench/figure.cc).
 
 #ifndef SOP_OBS_METRICS_H_
 #define SOP_OBS_METRICS_H_

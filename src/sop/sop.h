@@ -8,9 +8,8 @@
 //   * Building detectors   CreateDetector("sop" | "leap" | ...),
 //                          KnownDetectorNames (detector/factory.h)
 //   * Running streams      ExecutionEngine::Run — the one batching/emission
-//                          loop — plus the RunStream convenience wrappers
-//                          and the ResultSink callback (detector/engine.h,
-//                          detector/driver.h)
+//                          loop — and the ResultSink callback
+//                          (detector/engine.h)
 //   * Dynamic workloads    SopSession: add/remove queries on a live stream
 //                          (core/session.h)
 //   * Serving              SopServer / SopClient: the shared session over
@@ -48,7 +47,6 @@
 #include "sop/common/random.h"
 #include "sop/core/session.h"
 #include "sop/detector/detector.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/detector/metrics.h"

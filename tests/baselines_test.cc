@@ -7,12 +7,13 @@
 #include "sop/baselines/leap.h"
 #include "sop/baselines/mcod.h"
 #include "sop/baselines/naive.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectMatchesOracle;
 using testing::Points1D;
 
@@ -87,8 +88,8 @@ TEST(LeapDetectorTest, MemoryGrowsWithQueryCount) {
     }
     LeapDetector detector(w);
     size_t peak = 0;
-    RunStream(w, Points1D(std::vector<double>(48, 0.0)), &detector,
-              [](const QueryResult&) {});
+    ExecutionEngine().Run(w, Points1D(std::vector<double>(48, 0.0)),
+                          &detector);
     peak = detector.MemoryBytes();
     return peak;
   };

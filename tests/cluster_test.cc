@@ -15,7 +15,8 @@
 //     ping reports the router's role and position.
 //
 // All assertions read RouterStats/ServerStats (always-on atomics), never
-// obs counters, so the suite passes identically under -DSOP_NO_OBS.
+// obs counters, so the suite passes identically under -DSOP_NO_OBS. One
+// test checks that the global obs registry holds no copy of those counts.
 
 #include <chrono>
 #include <cstdint>
@@ -31,12 +32,12 @@
 #include "sop/cluster/partition.h"
 #include "sop/cluster/router.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/net/client.h"
 #include "sop/net/protocol.h"
 #include "sop/net/server.h"
 #include "sop/net/socket.h"
+#include "sop/obs/metrics.h"
 #include "sop/sim/sim.h"
 #include "sop/stream/window.h"
 #include "test_util.h"
@@ -44,6 +45,8 @@
 namespace sop {
 namespace cluster {
 namespace {
+
+using testing::CollectResults;
 
 using net::IngestAckMsg;
 using net::EmissionMsg;
@@ -764,6 +767,48 @@ TEST(ClusterTest, StopUnderActiveIngestDrains) {
   tc.router->Stop();
   ingester.join();
   EXPECT_GT(tc.router->stats().ingest_batches, 0u);
+}
+
+// A router's counts live in its stats() alone, and each worker's in its
+// own: with obs on, a routed run leaves no cluster/route/*, cluster/merge/*
+// or net/server/* counter in the registry the whole process shares. The
+// timings that no struct holds still record, one per batch.
+TEST(ClusterTest, RoutedCountsHaveOneSourceTheirStats) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().Reset();
+  TestCluster tc;
+  std::string error;
+  ASSERT_TRUE(StartCluster(&tc, 2, "sop", WindowType::kCount, &error))
+      << error;
+  Workload workload(WindowType::kCount);
+  const std::vector<OutlierQuery> queries = TestQueries(false);
+  for (const OutlierQuery& q : queries) workload.AddQuery(q);
+  const std::vector<Batch> batches =
+      Slice(workload, GenPoints(200, false, /*seed=*/13));
+  RunRouted(tc.router->port(), queries, batches, "routed counts");
+  tc.router->Stop();
+  obs::SetEnabled(false);
+
+  const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
+  for (const auto& counter : snap.counters) {
+    for (const char* prefix : {"cluster/route/", "cluster/merge/",
+                               "net/server/"}) {
+      EXPECT_NE(counter.first.rfind(prefix, 0), 0u) << counter.first;
+    }
+  }
+  const RouterStats stats = tc.router->stats();
+  EXPECT_EQ(stats.ingest_batches, batches.size());
+  EXPECT_EQ(stats.merged_boundaries, batches.size());
+  EXPECT_EQ(stats.subscribes, queries.size());
+  EXPECT_EQ(stats.unsubscribes, queries.size());
+  EXPECT_GT(stats.merged_emissions, 0u);
+  if (obs::kCompiledIn) {
+    for (const char* name : {"cluster/route/batch_ms",
+                             "cluster/merge/merge_ms"}) {
+      ASSERT_NE(snap.histograms.find(name), snap.histograms.end()) << name;
+      EXPECT_EQ(snap.histograms.at(name).count, batches.size()) << name;
+    }
+  }
 }
 
 // --- admission and refusal paths -----------------------------------------

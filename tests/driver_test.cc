@@ -1,11 +1,12 @@
-// Tests of the stream driver: batch slicing, emission accounting, metrics.
+// Tests of ExecutionEngine::Run's batching: batch slicing, emission
+// accounting, metrics.
 
 #include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "sop/detector/detector.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/detector/metrics.h"
 #include "test_util.h"
@@ -47,8 +48,8 @@ Workload CountWorkload(int64_t slide) {
 
 TEST(DriverTest, CountBasedBatching) {
   RecordingDetector detector;
-  RunMetrics metrics =
-      RunStream(CountWorkload(3), Points1D({0, 0, 0, 0, 0, 0, 0}), &detector);
+  RunMetrics metrics = ExecutionEngine().Run(
+      CountWorkload(3), Points1D({0, 0, 0, 0, 0, 0, 0}), &detector);
   // 7 points, slide 3: two full batches, trailing point dropped.
   ASSERT_EQ(detector.calls.size(), 2u);
   EXPECT_EQ(detector.calls[0].seqs, (std::vector<Seq>{0, 1, 2}));
@@ -65,7 +66,7 @@ TEST(DriverTest, CountBasedUsesSlideGcdAcrossQueries) {
   w.AddQuery(OutlierQuery(1.0, 1, 100, 4));
   w.AddQuery(OutlierQuery(1.0, 1, 100, 6));
   RecordingDetector detector;
-  RunStream(w, Points1D(std::vector<double>(8, 0.0)), &detector);
+  ExecutionEngine().Run(w, Points1D(std::vector<double>(8, 0.0)), &detector);
   // gcd(4, 6) = 2: boundaries 2, 4, 6, 8.
   ASSERT_EQ(detector.calls.size(), 4u);
   EXPECT_EQ(detector.calls[3].boundary, 8);
@@ -76,7 +77,7 @@ TEST(DriverTest, TimeBasedBatchingWithGapsAndTies) {
   w.AddQuery(OutlierQuery(1.0, 1, 100, 10));
   RecordingDetector detector;
   const std::vector<Timestamp> times = {3, 9, 9, 10, 31};
-  RunStream(w, Points1D(times, {0, 0, 0, 0, 0}), &detector);
+  ExecutionEngine().Run(w, Points1D(times, {0, 0, 0, 0, 0}), &detector);
   // First boundary after t=3 is 10 (covers keys < 10); then 20 and 30
   // (empty), then 40 covering the last point.
   ASSERT_EQ(detector.calls.size(), 4u);
@@ -92,8 +93,8 @@ TEST(DriverTest, TimeBasedBatchingWithGapsAndTies) {
 
 TEST(DriverTest, EmptyStreamProducesNothing) {
   RecordingDetector detector;
-  RunMetrics metrics = RunStream(CountWorkload(2), std::vector<Point>{},
-                                 &detector);
+  RunMetrics metrics =
+      ExecutionEngine().Run(CountWorkload(2), std::vector<Point>{}, &detector);
   EXPECT_TRUE(detector.calls.empty());
   EXPECT_EQ(metrics.num_batches, 0);
   EXPECT_EQ(metrics.total_points, 0);
@@ -117,8 +118,8 @@ TEST(DriverTest, SinkReceivesEveryResult) {
   EmittingDetector detector;
   int sunk = 0;
   RunMetrics metrics =
-      RunStream(CountWorkload(2), Points1D({0, 0, 0, 0}), &detector,
-                [&sunk](const QueryResult&) { ++sunk; });
+      ExecutionEngine().Run(CountWorkload(2), Points1D({0, 0, 0, 0}), &detector,
+                            [&sunk](const QueryResult&) { ++sunk; });
   EXPECT_EQ(sunk, 2);
   EXPECT_EQ(metrics.total_emissions, 2u);
   EXPECT_EQ(metrics.total_outliers, 4u);

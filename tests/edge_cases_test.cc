@@ -11,7 +11,7 @@
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/gen/stt.h"
 #include "sop/stream/stream_buffer.h"
@@ -20,6 +20,7 @@
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectedResults;
 using testing::ExpectSameResults;
 using testing::Points1D;
@@ -267,10 +268,10 @@ TEST(SttAnomalyTest, AnomalyRateDrivesOutlierCount) {
     options.anomaly_rate = rate;
     std::unique_ptr<OutlierDetector> d = CreateDetector("sop", w);
     uint64_t outliers = 0;
-    RunStream(w, gen::GenerateStt(6000, options), d.get(),
-              [&outliers](const QueryResult& r) {
-                outliers += r.outliers.size();
-              });
+    ExecutionEngine().Run(w, gen::GenerateStt(6000, options), d.get(),
+                          [&outliers](const QueryResult& r) {
+                            outliers += r.outliers.size();
+                          });
     return outliers;
   };
   const uint64_t low = run(0.005);

@@ -1,5 +1,5 @@
-// Tests for the layered execution engine: RunLanes, the engine's driver
-// loop (metrics, latency percentiles, RunStream parity) and — the
+// Tests for the layered execution engine: RunLanes, the engine's run loop
+// (metrics, latency percentiles, reuse across runs) and — the
 // load-bearing property — that a PartitionedDetector, whose children run
 // on RunLanes with their own point lanes nested inside, still matches the
 // oracle.
@@ -17,7 +17,6 @@
 #include "sop/core/grouped_sop.h"
 #include "sop/core/multi_attribute.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/engine.h"
 #include "test_util.h"
 
@@ -107,23 +106,6 @@ std::vector<QueryResult> RunWithEngine(ExecutionEngine* engine,
   engine->Run(w, points, detector,
               [&all](const QueryResult& r) { all.push_back(r); });
   return all;
-}
-
-TEST(ExecutionEngineTest, SerialEngineMatchesRunStreamWrapper) {
-  const Workload w = RandomMultiAttributeWorkload(11);
-  const std::vector<Point> points = RandomStream(160, 2, 12);
-  const auto factory = [](const Workload& sub) {
-    return std::make_unique<SopDetector>(sub);
-  };
-  MultiAttributeDetector via_wrapper(w, factory);
-  const std::vector<QueryResult> expected =
-      CollectResults(w, points, &via_wrapper);
-
-  ExecutionEngine engine;
-  MultiAttributeDetector via_engine(w, factory);
-  ExpectSameResults(expected,
-                    RunWithEngine(&engine, w, points, &via_engine),
-                    "serial engine");
 }
 
 // Every partition runs on its own lane. One engine drives all three seeds,

@@ -14,13 +14,13 @@
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectedResults;
 using testing::ExpectSameResults;
 

@@ -24,13 +24,14 @@
 #include "sop/common/random.h"
 #include "sop/core/ksky.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
 #include "sop/stream/stream_buffer.h"
 #include "sop/stream/window.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
+
+using testing::CollectResults;
 
 // One neighbour within r_max of some point.
 struct Neighbour {

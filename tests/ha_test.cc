@@ -40,7 +40,6 @@
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/net/client.h"
 #include "sop/net/protocol.h"
@@ -52,6 +51,8 @@
 namespace sop {
 namespace net {
 namespace {
+
+using testing::CollectResults;
 
 /// Polls `pred` until true or `timeout_ms` elapses.
 bool WaitUntil(const std::function<bool()>& pred, int64_t timeout_ms = 5000) {

@@ -34,7 +34,6 @@
 #include "sop/common/dist_kernel.h"
 #include "sop/common/distance.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/index/grid.h"
 #include "sop/stream/stream_buffer.h"
@@ -42,6 +41,8 @@
 
 namespace sop {
 namespace {
+
+using testing::CollectResults;
 
 Point MakePoint(Seq seq, size_t dims, Rng* rng) {
   std::vector<double> values(dims);

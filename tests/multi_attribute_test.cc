@@ -8,13 +8,13 @@
 #include "sop/common/random.h"
 #include "sop/core/multi_attribute.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectedResults;
 using testing::ExpectSameResults;
 

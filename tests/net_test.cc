@@ -13,11 +13,12 @@
 //     bare session blob at the checkpoint path is not a checkpoint), and
 //     a corrupt newest checkpoint falls back one generation,
 //   * refusal paths: unknown detector, invalid query, stale boundary, a
-//     batch of the wrong dimensionality, a time regression.
+//     batch of the wrong dimensionality, a time regression,
+//   * one source per count: the global obs registry holds no copy of a
+//     server's or its session's counts.
 //
-// Assertions read ServerStats (always-on atomics); the one obs counter
-// checked is skipped under -DSOP_NO_OBS, so the suite passes identically
-// there.
+// Assertions read ServerStats (always-on atomics), so the suite passes
+// identically under -DSOP_NO_OBS.
 
 #include <algorithm>
 #include <chrono>
@@ -33,7 +34,6 @@
 #include "sop/cluster/router.h"
 #include "sop/common/random.h"
 #include "sop/core/session.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/io/file_util.h"
 #include "sop/net/client.h"
@@ -46,6 +46,8 @@
 namespace sop {
 namespace net {
 namespace {
+
+using testing::CollectResults;
 
 /// Polls `pred` until true or `timeout_ms` elapses.
 bool WaitUntil(const std::function<bool()>& pred, int64_t timeout_ms = 5000) {
@@ -624,19 +626,11 @@ TEST(NetTest, CorruptNewestCheckpointFallsBackAGeneration) {
   newest[newest.size() / 2] ^= 0x10;
   ASSERT_TRUE(io::WriteFileAtomic(path, newest, &error)) << error;
 
-  obs::Counter& fallbacks = obs::MetricsRegistry::Global().GetCounter(
-      "net/server/checkpoint_fallbacks");
-  const uint64_t fallbacks_before = fallbacks.value();
-  obs::SetEnabled(true);
   SopServer server(options);
-  const bool started = server.Start(&error);
-  obs::SetEnabled(false);
-  ASSERT_TRUE(started) << error;
+  ASSERT_TRUE(server.Start(&error)) << error;
   EXPECT_TRUE(server.stats().resumed);
+  EXPECT_EQ(server.stats().checkpoint_fallbacks, 1u);
   EXPECT_EQ(server.stats().last_boundary, batches[1].boundary);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(fallbacks.value() - fallbacks_before, 1u);
-  }
   SopClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
   EXPECT_EQ(client.server_info().last_boundary, batches[1].boundary);
@@ -759,6 +753,7 @@ void ExpectRefusedThenServed(const Workload& workload,
   testing::ExpectSameResults(CollectResults(workload, points, detector.get()),
                              actual, reason);
   EXPECT_EQ(server.stats().ingest_batches, batches.size());
+  EXPECT_EQ(server.stats().rejected_points, bad.size());
 }
 
 // The first accepted point fixes the stream's dimensionality: a 3-d batch
@@ -772,15 +767,7 @@ TEST(NetTest, DimensionalityChangeRefusedStreamContinues) {
   std::vector<Point> wide(points.begin() + 50, points.begin() + 100);
   for (Point& p : wide) p.values.push_back(1.0);
 
-  obs::Counter& rejected =
-      obs::MetricsRegistry::Global().GetCounter("net/server/rejected_points");
-  const uint64_t rejected_before = rejected.value();
-  obs::SetEnabled(true);
   ExpectRefusedThenServed(workload, points, wide, 1, "dimensions");
-  obs::SetEnabled(false);
-  if (obs::kCompiledIn) {
-    EXPECT_EQ(rejected.value() - rejected_before, wide.size());
-  }
 }
 
 // In time windows, a point older than the last accepted one is refused:
@@ -798,6 +785,59 @@ TEST(NetTest, TimeRegressionRefusedStreamContinues) {
   late.time -= 1;
   stale.push_back(late);
   ExpectRefusedThenServed(workload, points, stale, 3, "below the previous");
+}
+
+// --- one source per count ------------------------------------------------
+
+// A server's counts live in its stats() alone. The global registry is
+// shared by every server in the process, so with obs on a subscribe, a
+// subscribe that forces a rebuild, ingest and an unsubscribe must leave no
+// net/server/* or session/* counter there.
+TEST(NetTest, ServerCountsHaveOneSourceItsStats) {
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().Reset();
+  SopServer server(ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  const std::vector<Batch> batches =
+      SliceCount(GenPoints(100, false, /*seed=*/5), 50);
+  IngestAckMsg ack;
+  ASSERT_GT(client.Subscribe(OutlierQuery(1.5, 4, 100, 50), &error), 0)
+      << error;
+  ASSERT_TRUE(client.Ingest(batches[0].boundary, batches[0].points, &ack,
+                            &error))
+      << error;
+  // A new radius is outside the live basis: the next batch rebuilds.
+  const int64_t wider = client.Subscribe(OutlierQuery(2.5, 4, 100, 50), &error);
+  ASSERT_GT(wider, 0) << error;
+  ASSERT_TRUE(client.Ingest(batches[1].boundary, batches[1].points, &ack,
+                            &error))
+      << error;
+  ASSERT_TRUE(client.Unsubscribe(wider, &error)) << error;
+  server.Stop();
+  obs::SetEnabled(false);
+
+  for (const auto& counter :
+       obs::MetricsRegistry::Global().TakeSnapshot().counters) {
+    EXPECT_NE(counter.first.rfind("net/server/", 0), 0u) << counter.first;
+    EXPECT_NE(counter.first.rfind("session/", 0), 0u) << counter.first;
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.subscribes, 2u);
+  EXPECT_EQ(stats.unsubscribes, 1u);
+  EXPECT_EQ(stats.ingest_batches, 2u);
+  EXPECT_EQ(stats.ingest_points, 100u);
+  EXPECT_EQ(stats.rebuild_changes, 2u);  // the first compile, the new radius
+  EXPECT_EQ(stats.replayed_points, 50u);  // the first batch, into the rebuild
+  EXPECT_EQ(stats.rejected_points, 0u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_GT(stats.emissions, 0u);
+  EXPECT_EQ(stats.connections, 1u);
+  EXPECT_GE(stats.frames_in, 6u);  // hello, 2 subscribes, 2 ingests, 1 unsub
+  EXPECT_GT(stats.bytes_in, 0u);
+  EXPECT_GT(stats.bytes_out, 0u);
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
 // Tests for the observability subsystem (sop/obs/): registry semantics,
-// exporter round-trips, disabled-mode no-ops, and the core guarantee that
+// the JSON exporter, disabled-mode no-ops, and the core guarantee that
 // enabling metrics never changes detection results.
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/obs/export.h"
@@ -22,6 +19,7 @@
 namespace sop {
 namespace {
 
+using ::sop::testing::CollectResults;
 using ::sop::testing::ExpectSameResults;
 
 // Restores the runtime gate on scope exit so tests cannot leak an enabled
@@ -123,7 +121,7 @@ TEST(ObsRegistryTest, NearestRankPercentileEdgeCases) {
   EXPECT_DOUBLE_EQ(obs::NearestRankPercentile({1.0, 2.0}, 76.0), 2.0);
 }
 
-TEST(ObsExportTest, JsonCsvTextRenderAllMetrics) {
+TEST(ObsExportTest, JsonRendersAllMetrics) {
   obs::MetricsRegistry registry;
   registry.GetCounter("x/events").Add(3);
   registry.GetGauge("x/level").Set(-2);
@@ -143,17 +141,6 @@ TEST(ObsExportTest, JsonCsvTextRenderAllMetrics) {
   EXPECT_NE(json.find("\"x/level\": -2"), std::string::npos);
   EXPECT_NE(json.find("\"x/lat_ms\""), std::string::npos);
   EXPECT_NE(json.find("\"count\": 2"), std::string::npos);
-
-  const std::string csv = obs::ToCsv(snap);
-  EXPECT_NE(csv.find("kind,name,field,value"), std::string::npos);
-  EXPECT_NE(csv.find("counter,x/events,value,3"), std::string::npos);
-  EXPECT_NE(csv.find("gauge,x/level,value,-2"), std::string::npos);
-  EXPECT_NE(csv.find("histogram,x/lat_ms,count,2"), std::string::npos);
-
-  const std::string text = obs::ToText(snap);
-  EXPECT_NE(text.find("x/events"), std::string::npos);
-  EXPECT_NE(text.find("x/level"), std::string::npos);
-  EXPECT_NE(text.find("x/lat_ms"), std::string::npos);
 }
 
 TEST(ObsExportTest, JsonEscapesControlAndQuoteCharacters) {
@@ -162,26 +149,6 @@ TEST(ObsExportTest, JsonEscapesControlAndQuoteCharacters) {
   const std::string json = obs::ToJson(registry.TakeSnapshot());
   EXPECT_NE(json.find("weird\\\"name\\n"), std::string::npos);
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);  // raw quote gone
-}
-
-TEST(ObsExportTest, WriteSnapshotFilePicksFormatByExtension) {
-  obs::MetricsRegistry registry;
-  registry.GetCounter("f/events").Add(9);
-  const obs::Snapshot snap = registry.TakeSnapshot();
-
-  const std::string path =
-      ::testing::TempDir() + "/obs_export_roundtrip.json";
-  std::string error;
-  ASSERT_TRUE(obs::WriteSnapshotFile(snap, path, &error)) << error;
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), obs::ToJson(snap) + "\n");
-  std::remove(path.c_str());
-
-  ASSERT_FALSE(obs::WriteSnapshotFile(snap, "/nonexistent-dir/x.json",
-                                      &error));
-  EXPECT_FALSE(error.empty());
 }
 
 TEST(ObsGateTest, DisabledMacrosRecordNothing) {
@@ -252,12 +219,11 @@ TEST(ObsEngineTest, EngineRecordsRunAndPerQueryCounters) {
 
   const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
   obs::MetricsRegistry::Global().Reset();
-  ASSERT_NE(snap.counters.find("engine/batches"), snap.counters.end());
-  EXPECT_EQ(snap.counters.at("engine/batches"),
-            static_cast<uint64_t>(metrics.num_batches));
-  EXPECT_EQ(snap.counters.at("engine/points"),
-            static_cast<uint64_t>(metrics.total_points));
-  EXPECT_EQ(snap.counters.at("engine/outliers"), metrics.total_outliers);
+  // The run's counts have one source, RunMetrics: the registry keeps no
+  // engine/* counter, only the batch timing.
+  for (const auto& counter : snap.counters) {
+    EXPECT_NE(counter.first.rfind("engine/", 0), 0u) << counter.first;
+  }
   // Both queries emitted at least once, and the per-query counters add up
   // to the engine-wide totals.
   ASSERT_NE(snap.counters.find("query/0/emissions"), snap.counters.end());

@@ -9,7 +9,6 @@
 #include "sop/common/random.h"
 #include "sop/core/grouped_sop.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/detector/partitioned.h"
 #include "test_util.h"
@@ -17,6 +16,7 @@
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectedResults;
 using testing::ExpectSameResults;
 

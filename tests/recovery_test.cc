@@ -203,6 +203,43 @@ TEST(RecoveryTest, ResumeRejectsMismatchedIdentity) {
   EXPECT_NE(error.find("source ended"), std::string::npos) << error;
 }
 
+// A time-window run resumed against another stream of the same length:
+// the skipped prefix is long enough, but the first point after it lies
+// below the checkpointed tail's last time. The resume refuses that batch
+// with StreamTail::Check's diagnostic instead of aborting in Push.
+TEST(RecoveryTest, ResumeRefusesAStreamThatBreaksTheTailsRules) {
+  Workload w(WindowType::kTime);
+  w.AddQuery(OutlierQuery(300, 10, 2000, 500));
+  Rng rng(7);
+  std::vector<Point> checkpointed;
+  std::vector<Point> other;
+  for (Seq i = 0; i < 4000; ++i) {
+    const std::vector<double> v{rng.UniformDouble(0, 5000)};
+    checkpointed.emplace_back(i, i, v);
+    other.emplace_back(i, i / 4, v);
+  }
+  const std::string path = ::testing::TempDir() + "/recovery_other.ck";
+  ExecOptions options;
+  options.checkpoint.path = path;
+  options.checkpoint.every_batches = 3;
+  ExecutionEngine engine(options);
+  std::unique_ptr<OutlierDetector> detector = CreateDetector("sop", w);
+  RunAll(&engine, w, checkpointed, detector.get());
+
+  RunCheckpoint cp;
+  std::string error;
+  ASSERT_TRUE(LoadRunCheckpoint(path, &cp, &error)) << error;
+  ASSERT_EQ(cp.tail.last_boundary(), 3000);
+
+  ExecutionEngine plain;
+  RunMetrics metrics;
+  std::unique_ptr<OutlierDetector> fresh = CreateDetector("sop", w);
+  VectorSource source(other);
+  EXPECT_FALSE(plain.RunResumed(w, &source, fresh.get(), cp, &metrics, &error));
+  EXPECT_EQ(error, "resume: point time 750 is below the previous point's 2999");
+  EXPECT_EQ(metrics.num_batches, 0);
+}
+
 // Every detector's checkpoint is the same replay tail: at one stream
 // position a `sop` run and a `naive` run write identical checkpoints,
 // apart from the detector's name. The tail holds the W/G - 1 batches a

@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "gtest/gtest.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/detector/factory.h"
 #include "sop/report/aggregate.h"
 #include "test_util.h"
@@ -63,7 +63,7 @@ TEST(OutlierAggregatorTest, MatchesDriverEmissions) {
       CreateDetector("sop", w);
   OutlierAggregator agg;
   uint64_t flat_flags = 0;
-  RunStream(w, points, detector.get(), [&](const QueryResult& r) {
+  ExecutionEngine().Run(w, points, detector.get(), [&](const QueryResult& r) {
     agg.Add(r);
     flat_flags += r.outliers.size();
   });

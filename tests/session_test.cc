@@ -12,22 +12,10 @@
 #include "sop/common/serialize.h"
 #include "sop/core/session.h"
 #include "sop/detector/factory.h"
-#include "sop/obs/metrics.h"
 #include "test_util.h"
 
 namespace sop {
 namespace {
-
-// Current value of a global obs counter (0 when never touched).
-uint64_t CounterValue(const std::string& name) {
-  const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
-  const auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
-// Expected value of a global obs counter: under -DSOP_NO_OBS every
-// instrumentation site compiles to nothing, so counters stay at zero.
-constexpr uint64_t IfObs(uint64_t n) { return obs::kCompiledIn ? n : 0; }
 
 std::vector<Point> SessionStream(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -226,19 +214,15 @@ TEST(SopSessionTest, SinkOverloadMatchesVectorOverload) {
 
 // The contract of the overlay path: on the default SopDetector, adding a
 // query whose r is an existing layer (k within the envelope) and removing
-// any query are overlay swaps — the session/replayed_points counter must
-// not move.
+// any query are overlay swaps — change_stats().replayed_points must not
+// move.
 TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
-  obs::SetEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-
   const std::vector<Point> points = SessionStream(128, 21);
   SopSession session(WindowType::kCount, Metric::kEuclidean, 64);
   const QueryId base = session.AddQuery(OutlierQuery(1.5, 3, 16, 4));
   Drive(&session, points, 4, 0, 12);
   EXPECT_EQ(session.change_stats().rebuilds, 1u);  // the initial compile
 
-  const uint64_t replayed_before = CounterValue("session/replayed_points");
   const uint64_t replayed_stat_before =
       session.change_stats().replayed_points;
 
@@ -246,7 +230,6 @@ TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
   const QueryId same_layer = session.AddQuery(OutlierQuery(1.5, 2, 8, 4));
   auto mid = Drive(&session, points, 4, 12, 20);
   EXPECT_TRUE(mid.count(same_layer));
-  EXPECT_EQ(CounterValue("session/replayed_points"), replayed_before);
   EXPECT_EQ(session.change_stats().replayed_points, replayed_stat_before);
   EXPECT_EQ(session.change_stats().overlay_changes, 1u);
 
@@ -255,10 +238,8 @@ TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
   auto late = Drive(&session, points, 4, 20, 28);
   EXPECT_FALSE(late.count(same_layer));
   EXPECT_TRUE(late.count(base));
-  EXPECT_EQ(CounterValue("session/replayed_points"), replayed_before);
   EXPECT_EQ(session.change_stats().replayed_points, replayed_stat_before);
   EXPECT_EQ(session.change_stats().overlay_changes, 2u);
-  EXPECT_EQ(CounterValue("session/change/overlay"), IfObs(2));
   EXPECT_EQ(session.change_stats().rebuilds, 1u);  // still just the compile
 }
 
@@ -266,9 +247,6 @@ TEST(SopSessionTest, OverlayChangesNeverReplayHistory) {
 // pruning may already have discarded the evidence the new layer needs — so
 // those adds must be realized as rebuilds, and counted.
 TEST(SopSessionTest, BasisGrowthForcesRebuildAndIsCounted) {
-  obs::SetEnabled(true);
-  obs::MetricsRegistry::Global().Reset();
-
   const std::vector<Point> points = SessionStream(128, 23);
   SopSession session(WindowType::kCount, Metric::kEuclidean, 64);
   session.AddQuery(OutlierQuery(1.5, 3, 16, 4));
@@ -284,7 +262,6 @@ TEST(SopSessionTest, BasisGrowthForcesRebuildAndIsCounted) {
   session.AddQuery(OutlierQuery(1.5, 7, 16, 4));
   Drive(&session, points, 4, 16, 24);
   EXPECT_EQ(session.change_stats().rebuilds, 3u);
-  EXPECT_EQ(CounterValue("session/change/rebuild"), IfObs(3));
   EXPECT_GT(session.change_stats().replayed_points, 0u);
   EXPECT_EQ(session.change_stats().overlay_changes, 0u);
 }

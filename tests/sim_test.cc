@@ -46,7 +46,6 @@
 #include "sop/cluster/partition.h"
 #include "sop/cluster/router.h"
 #include "sop/common/random.h"
-#include "sop/detector/driver.h"
 #include "sop/detector/factory.h"
 #include "sop/net/client.h"
 #include "sop/net/protocol.h"
@@ -58,6 +57,8 @@
 
 namespace sop {
 namespace {
+
+using testing::CollectResults;
 
 using cluster::PartitionSpec;
 using cluster::RouterOptions;

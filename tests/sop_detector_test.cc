@@ -9,7 +9,6 @@
 #include "gtest/gtest.h"
 #include "sop/common/random.h"
 #include "sop/core/sop_detector.h"
-#include "sop/detector/driver.h"
 #include "sop/gen/synthetic.h"
 #include "sop/gen/workload_gen.h"
 #include "test_util.h"
@@ -17,6 +16,7 @@
 namespace sop {
 namespace {
 
+using testing::CollectResults;
 using testing::ExpectedResults;
 using testing::ExpectMatchesOracle;
 using testing::ExpectSameResults;

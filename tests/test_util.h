@@ -24,7 +24,7 @@
 #include "sop/core/lsky.h"
 #include "sop/core/sop_detector.h"
 #include "sop/detector/detector.h"
-#include "sop/detector/driver.h"
+#include "sop/detector/engine.h"
 #include "sop/query/workload.h"
 #include "sop/stream/window.h"
 
@@ -138,6 +138,17 @@ inline FuzzParams AnnouncedFuzzParams(const char* label,
                static_cast<long long>(params.budget_ms),
                static_cast<unsigned long long>(params.seed));
   return params;
+}
+
+/// Runs `detector` over `points` with a fresh engine and collects every
+/// result.
+inline std::vector<QueryResult> CollectResults(const Workload& workload,
+                                               std::vector<Point> points,
+                                               OutlierDetector* detector) {
+  std::vector<QueryResult> all;
+  ExecutionEngine().Run(workload, std::move(points), detector,
+                        [&all](const QueryResult& r) { all.push_back(r); });
+  return all;
 }
 
 /// Runs `detector` over `points` and checks it against the oracle.

@@ -262,11 +262,15 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.worker_reconnects),
       static_cast<unsigned long long>(stats.worker_failures),
       stats.degraded ? " (stream degraded)" : "");
-  std::fprintf(stderr, "halo width %.6g, %llu/%llu subscribes refused\n",
+  std::fprintf(stderr,
+               "halo width %.6g, %llu/%llu subscribes refused, "
+               "%llu unsubscribes, %llu boundaries merged\n",
                stats.halo,
                static_cast<unsigned long long>(stats.refused_subscribes),
                static_cast<unsigned long long>(stats.refused_subscribes +
-                                               stats.subscribes));
+                                               stats.subscribes),
+               static_cast<unsigned long long>(stats.unsubscribes),
+               static_cast<unsigned long long>(stats.merged_boundaries));
   if (want_metrics || !metrics_out.empty()) {
     const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
     const std::string json = obs::ToJson(snap);

@@ -239,11 +239,34 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(stats.protocol_errors),
                static_cast<unsigned long long>(stats.checkpoints));
   std::fprintf(stderr,
-               "workload changes: %llu overlay swaps, %llu rebuilds, "
-               "%llu points replayed\n",
+               "traffic: %llu frames in (%llu bytes), %llu frames out "
+               "(%llu bytes), %llu idle disconnects, %llu points rejected\n",
+               static_cast<unsigned long long>(stats.frames_in),
+               static_cast<unsigned long long>(stats.bytes_in),
+               static_cast<unsigned long long>(stats.frames_out),
+               static_cast<unsigned long long>(stats.bytes_out),
+               static_cast<unsigned long long>(stats.idle_disconnects),
+               static_cast<unsigned long long>(stats.rejected_points));
+  std::fprintf(stderr,
+               "workload changes: %llu subscribes, %llu unsubscribes, "
+               "%llu overlay swaps, %llu rebuilds, %llu points replayed\n",
+               static_cast<unsigned long long>(stats.subscribes),
+               static_cast<unsigned long long>(stats.unsubscribes),
                static_cast<unsigned long long>(stats.overlay_changes),
                static_cast<unsigned long long>(stats.rebuild_changes),
                static_cast<unsigned long long>(stats.replayed_points));
+  if (!options.checkpoint_path.empty()) {
+    std::fprintf(stderr,
+                 "checkpoints: %llu failures, %llu fallbacks, %s\n",
+                 static_cast<unsigned long long>(stats.checkpoint_failures),
+                 static_cast<unsigned long long>(stats.checkpoint_fallbacks),
+                 stats.resumed ? "resumed from a checkpoint" : "started fresh");
+  }
+  if (stats.sharded) {
+    std::fprintf(stderr, "shard %u of %u, %llu halo points\n",
+                 stats.shard_index, stats.num_shards,
+                 static_cast<unsigned long long>(stats.halo_points));
+  }
   if (options.standby || !options.replicate_host.empty()) {
     std::fprintf(stderr,
                  "ha: role %s, %llu promotions, sent %llu snapshots + "
