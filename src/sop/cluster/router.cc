@@ -13,6 +13,7 @@
 #include "sop/obs/metrics.h"
 #include "sop/obs/trace.h"
 #include "sop/query/workload.h"
+#include "sop/stream/stream_tail.h"
 
 namespace sop {
 namespace cluster {
@@ -81,6 +82,8 @@ struct SopRouter::Impl : net::FrontHandler {
     std::atomic<uint64_t> protocol_errors{0};
     std::atomic<uint64_t> worker_reconnects{0};
     std::atomic<uint64_t> worker_failures{0};
+    std::atomic<uint64_t> worker_bytes_out{0};
+    std::atomic<uint64_t> worker_bytes_in{0};
     std::atomic<bool> degraded{false};
   };
   AtomicStats stats;
@@ -113,7 +116,9 @@ struct SopRouter::Impl : net::FrontHandler {
   int64_t next_query_id = 1;
   bool halo_frozen = false;
   int64_t max_win = 0;  // largest window ever subscribed
-  Seq next_seq = 0;     // global arrival counter
+  // The client stream's position and rules (the single server's), in the
+  // deployment's window type; it numbers the points with global seqs.
+  StreamTail tail{options.window_type};
   std::unique_ptr<Partitioner> partitioner;  // built at halo freeze
   // Per-worker local->global sequence map: entry i describes the point
   // the worker's session numbered (base + i). `key` is the window key
@@ -185,6 +190,11 @@ struct SopRouter::Impl : net::FrontHandler {
     // Cached obs handles (null when obs is disabled at Start).
     obs::Counter* points_counter = nullptr;
     obs::Gauge* lag_gauge = nullptr;
+    // The client's counts when CountTraffic last added them (worker thread
+    // only).
+    uint64_t reconnects_seen = 0;
+    uint64_t bytes_out_seen = 0;
+    uint64_t bytes_in_seen = 0;
   };
   std::vector<std::unique_ptr<Worker>> workers;
 
@@ -194,7 +204,7 @@ struct SopRouter::Impl : net::FrontHandler {
   // --- front-side protocol ----------------------------------------------
 
   void SendError(const net::FrontConnPtr& conn, const std::string& message) {
-    front.Send(conn, EncodeError(net::ErrorMsg{message}), /*droppable=*/false);
+    front.Send(conn, Encode(net::ErrorMsg{message}), /*droppable=*/false);
   }
 
   // Counts one protocol error and tells the client why. Returns false, so
@@ -254,7 +264,7 @@ struct SopRouter::Impl : net::FrontHandler {
     switch (type) {
       case net::MsgType::kHello: {
         net::HelloMsg hello;
-        if (!net::DecodeHello(payload, &hello, &error)) {
+        if (!net::Decode(payload, &hello, &error)) {
           return Refuse(conn, error);
         }
         if (hello.protocol_version != net::kProtocolVersion) {
@@ -272,14 +282,14 @@ struct SopRouter::Impl : net::FrontHandler {
         ack.last_boundary = last_boundary.load(std::memory_order_relaxed);
         // The router's arrival counter: one global seq per ingested point.
         ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-        front.Send(conn, EncodeHelloAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         return true;
       }
       case net::MsgType::kIngest: {
         Op op;
         op.kind = Op::Kind::kBatch;
         op.conn = conn;
-        if (!net::DecodeIngest(payload, &op.ingest, &error)) {
+        if (!net::Decode(payload, &op.ingest, &error)) {
           return Refuse(conn, error);
         }
         // Ownership is the router's to assign; client-provided flags are
@@ -289,7 +299,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       case net::MsgType::kSubscribe: {
         net::SubscribeMsg sub;
-        if (!net::DecodeSubscribe(payload, &sub, &error)) {
+        if (!net::Decode(payload, &sub, &error)) {
           return Refuse(conn, error);
         }
         // Same pre-validation as the single server: a bad wire query gets
@@ -302,7 +312,7 @@ struct SopRouter::Impl : net::FrontHandler {
           stats.refused_subscribes.fetch_add(1, std::memory_order_relaxed);
           net::SubscribeAckMsg ack;
           ack.error = verdict;
-          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
           return true;
         }
         Op op;
@@ -313,7 +323,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       case net::MsgType::kUnsubscribe: {
         net::UnsubscribeMsg unsub;
-        if (!net::DecodeUnsubscribe(payload, &unsub, &error)) {
+        if (!net::Decode(payload, &unsub, &error)) {
           return Refuse(conn, error);
         }
         // A client may only retire its own subscriptions.
@@ -324,7 +334,7 @@ struct SopRouter::Impl : net::FrontHandler {
         }
         if (!owned) {
           net::UnsubscribeAckMsg ack;
-          front.Send(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
           return true;
         }
         Op op;
@@ -335,7 +345,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       case net::MsgType::kPing: {
         net::PingMsg ping;
-        if (!net::DecodePing(payload, &ping, &error)) {
+        if (!net::Decode(payload, &ping, &error)) {
           return Refuse(conn, error);
         }
         net::PongMsg pong;
@@ -348,7 +358,7 @@ struct SopRouter::Impl : net::FrontHandler {
         }
         pong.send_queue_depth = front.SendQueueDepth();
         pong.active_connections = front.stats().active;
-        front.Send(conn, EncodePong(pong), /*droppable=*/false);
+        front.Send(conn, Encode(pong), /*droppable=*/false);
         return true;
       }
       default:
@@ -378,6 +388,22 @@ struct SopRouter::Impl : net::FrontHandler {
     w->cv_push.notify_one();
   }
 
+  // Adds what `w`'s client counted since the last call (the handshake in
+  // Start included, at the first) to the router's totals: the client's
+  // counts are the source. Called before a job's completion is signalled,
+  // so whoever sees the job done sees its traffic.
+  void CountTraffic(Worker* w) {
+    auto add = [](std::atomic<uint64_t>* total, uint64_t now,
+                  uint64_t* seen) {
+      total->fetch_add(now - *seen, std::memory_order_relaxed);
+      *seen = now;
+    };
+    add(&stats.worker_reconnects, w->client.reconnects(), &w->reconnects_seen);
+    add(&stats.worker_bytes_out, w->client.bytes_sent(), &w->bytes_out_seen);
+    add(&stats.worker_bytes_in, w->client.bytes_received(),
+        &w->bytes_in_seen);
+  }
+
   void CompleteTicket(uint64_t ticket, bool ok, const std::string& error) {
     std::lock_guard<std::mutex> lock(done_mu);
     auto it = tickets.find(ticket);
@@ -405,6 +431,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       switch (job.kind) {
         case Job::Kind::kStop:
+          CountTraffic(w);
           return;
         case Job::Kind::kConfig: {
           net::ShardConfigAckMsg ack;
@@ -414,6 +441,7 @@ struct SopRouter::Impl : net::FrontHandler {
             // this worker) is visible in the worker's stats and ours.
             stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
           }
+          CountTraffic(w);
           break;
         }
         case Job::Kind::kSubscribe: {
@@ -423,6 +451,7 @@ struct SopRouter::Impl : net::FrontHandler {
             w->global_to_client[job.query_id] = cid;
             w->client_to_global[cid] = job.query_id;
           }
+          CountTraffic(w);
           CompleteTicket(job.ticket, cid != 0, error);
           break;
         }
@@ -435,21 +464,16 @@ struct SopRouter::Impl : net::FrontHandler {
             w->client_to_global.erase(it->second);
             w->global_to_client.erase(it);
           }
+          CountTraffic(w);
           CompleteTicket(job.ticket, ok, error);
           break;
         }
         case Job::Kind::kBatch: {
           net::IngestAckMsg ack;
           std::string error;
-          const uint64_t reconnects_before = w->client.reconnects();
           const bool ok = w->client.Ingest(job.boundary, job.points,
                                            job.owner, &ack, &error);
-          const uint64_t recovered =
-              w->client.reconnects() - reconnects_before;
-          if (recovered > 0) {
-            stats.worker_reconnects.fetch_add(recovered,
-                                              std::memory_order_relaxed);
-          }
+          CountTraffic(w);
           if (w->points_counter != nullptr && obs::Enabled()) {
             w->points_counter->Add(job.points.size());
           }
@@ -621,7 +645,7 @@ struct SopRouter::Impl : net::FrontHandler {
                   (halo_frozen ? " (frozen at first ingest; redeploy with "
                                  "a --halo covering it)"
                                : "");
-      front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+      front.Send(op.conn, Encode(ack), /*droppable=*/false);
       return;
     }
     const int64_t qid = next_query_id++;
@@ -635,7 +659,7 @@ struct SopRouter::Impl : net::FrontHandler {
       net::SubscribeAckMsg ack;
       ack.error = t.error.empty() ? "subscription failed on a worker"
                                   : t.error;
-      front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+      front.Send(op.conn, Encode(ack), /*droppable=*/false);
       return;
     }
     {
@@ -650,7 +674,7 @@ struct SopRouter::Impl : net::FrontHandler {
     stats.subscribes.fetch_add(1, std::memory_order_relaxed);
     net::SubscribeAckMsg ack;
     ack.query_id = qid;
-    front.Send(op.conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+    front.Send(op.conn, Encode(ack), /*droppable=*/false);
   }
 
   void HandleRetire(Op& op) {
@@ -667,23 +691,26 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       net::UnsubscribeAckMsg ack;
       ack.ok = t.ok;
-      front.Send(op.conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
+      front.Send(op.conn, Encode(ack), /*droppable=*/false);
     }
     stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
   }
 
   void HandleBatch(Op& op) {
     const int64_t boundary = op.ingest.boundary;
-    if (boundary <= last_boundary.load(std::memory_order_relaxed)) {
-      SendError(op.conn, "ingest boundary " + std::to_string(boundary) +
-                             " does not advance the stream");
+    // The single server's rules, on the whole batch: no worker sees more
+    // than its shard of it.
+    const std::string refusal = tail.Check(op.ingest.points, boundary);
+    if (!refusal.empty()) {
+      Refuse(op.conn, refusal);
       net::IngestAckMsg ack;
       ack.boundary = boundary;
       // Refusal: the arrival counter is unchanged (v4 ack contract).
-      ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-      front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+      ack.next_seq = static_cast<uint64_t>(tail.next_seq());
+      front.Send(op.conn, Encode(ack), /*droppable=*/false);
       return;
     }
+    tail.Push(&op.ingest.points, boundary, /*reach=*/0);
     if (!halo_frozen) {
       // First batch: the halo (and with it the partitioner) is final —
       // replicas already shipped cannot be widened retroactively. Declare
@@ -712,7 +739,7 @@ struct SopRouter::Impl : net::FrontHandler {
     uint64_t halo_copies = 0;
     std::vector<ShardAssignment> assignments;
     for (Point& p : op.ingest.points) {
-      const Seq global = next_seq++;
+      const Seq global = p.seq;
       const double key = p.values.empty() ? 0.0 : p.values[0];
       const int64_t prune_key =
           options.window_type == WindowType::kCount ? global : p.time;
@@ -855,7 +882,7 @@ struct SopRouter::Impl : net::FrontHandler {
       }
       if (target == nullptr) continue;  // retired mid-batch
       if (target == op.conn) ++to_ingester;
-      front.Send(target, EncodeEmission(m), /*droppable=*/true);
+      front.Send(target, Encode(m), /*droppable=*/true);
       ++emitted;
     }
     stats.merged_emissions.fetch_add(emitted, std::memory_order_relaxed);
@@ -868,10 +895,10 @@ struct SopRouter::Impl : net::FrontHandler {
     ack.boundary = boundary;
     ack.accepted = count;
     ack.emissions = to_ingester;
-    // The router's global arrival counter after this batch (incremented at
-    // route time above) — same v4 contract as the single server's ack.
-    ack.next_seq = stats.ingest_points.load(std::memory_order_relaxed);
-    front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+    // The router's global arrival counter after this batch — same v4
+    // contract as the single server's ack.
+    ack.next_seq = static_cast<uint64_t>(tail.next_seq());
+    front.Send(op.conn, Encode(ack), /*droppable=*/false);
 
     // Prune the sequence maps past the merge horizon: no future window
     // can reach keys older than boundary - retention.
@@ -1056,6 +1083,8 @@ RouterStats SopRouter::stats() const {
   s.protocol_errors = a.protocol_errors.load(std::memory_order_relaxed);
   s.worker_reconnects = a.worker_reconnects.load(std::memory_order_relaxed);
   s.worker_failures = a.worker_failures.load(std::memory_order_relaxed);
+  s.worker_bytes_out = a.worker_bytes_out.load(std::memory_order_relaxed);
+  s.worker_bytes_in = a.worker_bytes_in.load(std::memory_order_relaxed);
   s.degraded = a.degraded.load(std::memory_order_relaxed);
   s.last_boundary = impl_->last_boundary.load(std::memory_order_relaxed);
   s.halo = impl_->halo.load(std::memory_order_relaxed);

@@ -158,6 +158,10 @@ struct RouterStats {
   uint64_t protocol_errors = 0;
   uint64_t worker_reconnects = 0;  // recoveries completed across workers
   uint64_t worker_failures = 0;    // batches a worker never acked
+  /// Bytes the worker clients sent and received since Start, the
+  /// handshakes included: the sums of their SopClient counts.
+  uint64_t worker_bytes_out = 0;
+  uint64_t worker_bytes_in = 0;
   /// True while a shard's verdicts are missing or its sequence map is
   /// desynced; false again once a batch completes with every worker
   /// healthy and realigned (current health, not a sticky latch).

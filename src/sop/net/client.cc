@@ -20,6 +20,21 @@ bool Fail(std::string* error, const std::string& what) {
 
 }  // namespace
 
+template <class Request, class Reply>
+bool SopClient::Call(const Request& request, Reply* reply,
+                     std::string* error) {
+  std::string payload;
+  if (!SendFrame(Encode(request), error) ||
+      !ReadUntil(Reply::kType, &payload, error)) {
+    return false;
+  }
+  if (!Decode(payload, reply, error)) {
+    Close();
+    return false;
+  }
+  return true;
+}
+
 bool SopClient::Connect(const std::string& host, int port,
                         std::string* error) {
   subs_.clear();
@@ -43,14 +58,7 @@ bool SopClient::ConnectRaw(const std::string& host, int port,
   Close();
   sock_ = ConnectTcp(host, port, error);
   if (!sock_.valid()) return false;
-  HelloMsg hello;
-  if (!SendFrame(EncodeHello(hello), error)) return false;
-  std::string payload;
-  if (!ReadUntil(MsgType::kHelloAck, &payload, error)) return false;
-  if (!DecodeHelloAck(payload, &server_info_, error)) {
-    Close();
-    return false;
-  }
+  if (!Call(HelloMsg{}, &server_info_, error)) return false;
   if (server_info_.protocol_version != kProtocolVersion) {
     Close();
     return Fail(error, "server speaks protocol v" +
@@ -119,18 +127,10 @@ bool SopClient::WireSubscribe(int64_t public_id, Sub* sub,
   msg.resume_from = resume_from;
   collect_orphans_ = true;
   orphans_.clear();
-  const bool sent = SendFrame(EncodeSubscribe(msg), error);
-  std::string payload;
-  const bool got =
-      sent && ReadUntil(MsgType::kSubscribeAck, &payload, error);
+  const bool ok = Call(msg, ack, error);
   collect_orphans_ = false;
-  if (!got) {
+  if (!ok) {
     orphans_.clear();
-    return false;
-  }
-  if (!DecodeSubscribeAck(payload, ack, error)) {
-    orphans_.clear();
-    Close();
     return false;
   }
   last_replayed_ = ack->replayed;
@@ -163,16 +163,8 @@ int64_t SopClient::high_water(int64_t query_id) const {
 bool SopClient::Unsubscribe(int64_t query_id, std::string* error) {
   const auto it = subs_.find(query_id);
   const int64_t server_id = it == subs_.end() ? query_id : it->second.server_id;
-  UnsubscribeMsg msg;
-  msg.query_id = server_id;
-  if (!SendFrame(EncodeUnsubscribe(msg), error)) return false;
-  std::string payload;
-  if (!ReadUntil(MsgType::kUnsubscribeAck, &payload, error)) return false;
   UnsubscribeAckMsg ack;
-  if (!DecodeUnsubscribeAck(payload, &ack, error)) {
-    Close();
-    return false;
-  }
+  if (!Call(UnsubscribeMsg{server_id}, &ack, error)) return false;
   if (!ack.ok) return Fail(error, "unknown query id");
   if (it != subs_.end()) {
     server_to_public_.erase(it->second.server_id);
@@ -192,21 +184,7 @@ bool SopClient::Ingest(int64_t boundary, const std::vector<Point>& points,
   SOP_TRACE("net/client/rtt_ms");
   for (int round = 0;; ++round) {
     std::string attempt_error;
-    bool ok = false;
-    {
-      IngestMsg msg;
-      msg.boundary = boundary;
-      msg.points = points;
-      msg.owner = owner;
-      std::string payload;
-      ok = SendFrame(EncodeIngest(msg), &attempt_error) &&
-           ReadUntil(MsgType::kIngestAck, &payload, &attempt_error);
-      if (ok && !DecodeIngestAck(payload, ack, &attempt_error)) {
-        Close();
-        ok = false;
-      }
-    }
-    if (ok) {
+    if (Call(IngestMsg{boundary, points, owner}, ack, &attempt_error)) {
       if (ack->accepted > 0 && reconnect_armed_) {
         // Retain the acked batch for post-failover re-ingest: a promoted
         // standby may trail by the batches the primary never replicated.
@@ -239,14 +217,7 @@ bool SopClient::ShardConfig(const ShardConfigMsg& config,
                             ShardConfigAckMsg* ack, std::string* error) {
   for (int round = 0;; ++round) {
     std::string attempt_error;
-    std::string payload;
-    bool ok = SendFrame(EncodeShardConfig(config), &attempt_error) &&
-              ReadUntil(MsgType::kShardConfigAck, &payload, &attempt_error);
-    if (ok && !DecodeShardConfigAck(payload, ack, &attempt_error)) {
-      Close();
-      ok = false;
-    }
-    if (ok) {
+    if (Call(config, ack, &attempt_error)) {
       if (ack->ok) {
         // Remember it so Recover() re-declares the assignment to whatever
         // incarnation of the worker answers next.
@@ -263,16 +234,7 @@ bool SopClient::ShardConfig(const ShardConfigMsg& config,
 }
 
 bool SopClient::Ping(PongMsg* pong, std::string* error) {
-  PingMsg msg;
-  msg.token = ++ping_token_;
-  if (!SendFrame(EncodePing(msg), error)) return false;
-  std::string payload;
-  if (!ReadUntil(MsgType::kPong, &payload, error)) return false;
-  if (!DecodePong(payload, pong, error)) {
-    Close();
-    return false;
-  }
-  return true;
+  return Call(PingMsg{++ping_token_}, pong, error);
 }
 
 bool SopClient::Recover(std::string* error) {
@@ -297,11 +259,8 @@ bool SopClient::Recover(std::string* error) {
     // Re-declare the shard assignment first: a restarted worker comes up
     // with no config, and stats labeling should precede re-ingest.
     if (shard_config_set_) {
-      std::string payload;
       ShardConfigAckMsg sack;
-      if (!SendFrame(EncodeShardConfig(shard_config_), &last_error) ||
-          !ReadUntil(MsgType::kShardConfigAck, &payload, &last_error) ||
-          !DecodeShardConfigAck(payload, &sack, &last_error) || !sack.ok) {
+      if (!Call(shard_config_, &sack, &last_error) || !sack.ok) {
         if (last_error.empty()) last_error = sack.error;
         Close();
         continue;
@@ -339,15 +298,9 @@ bool SopClient::Recover(std::string* error) {
     uint64_t server_next_seq = server_info_.next_seq;
     for (const SentBatch& batch : sent_batches_) {
       if (batch.boundary <= server_last) continue;
-      IngestMsg msg;
-      msg.boundary = batch.boundary;
-      msg.points = batch.points;
-      msg.owner = batch.owner;
-      std::string payload;
       IngestAckMsg ack;
-      if (!SendFrame(EncodeIngest(msg), &last_error) ||
-          !ReadUntil(MsgType::kIngestAck, &payload, &last_error) ||
-          !DecodeIngestAck(payload, &ack, &last_error)) {
+      if (!Call(IngestMsg{batch.boundary, batch.points, batch.owner}, &ack,
+                &last_error)) {
         ok = false;
         break;
       }
@@ -361,7 +314,6 @@ bool SopClient::Recover(std::string* error) {
     recovered_boundary_ = server_last;
     recovered_next_seq_ = server_next_seq;
     ++reconnects_;
-    SOP_COUNTER_ADD("net/client/reconnects", 1);
     return true;
   }
   Close();
@@ -385,7 +337,6 @@ void SopClient::AcceptEmission(EmissionMsg emission) {
   if (emission.boundary <= sub.hwm) {
     // Already delivered (resume replay overlapped the live stream).
     ++dropped_duplicates_;
-    SOP_COUNTER_ADD("net/client/dropped_duplicates", 1);
     return;
   }
   sub.hwm = emission.boundary;
@@ -417,8 +368,6 @@ bool SopClient::SendFrame(const std::string& frame, std::string* error) {
     return false;
   }
   bytes_sent_ += frame.size();
-  SOP_COUNTER_ADD("net/client/frames_out", 1);
-  SOP_COUNTER_ADD("net/client/bytes_out", frame.size());
   return true;
 }
 
@@ -438,7 +387,6 @@ bool SopClient::ReadUntil(MsgType expected, std::string* payload,
         Close();
         return Fail(error, decode_error);
       }
-      SOP_COUNTER_ADD("net/client/frames_in", 1);
       MsgType type;
       if (!PeekType(frame_payload, &type, &decode_error)) {
         Close();
@@ -451,7 +399,7 @@ bool SopClient::ReadUntil(MsgType expected, std::string* payload,
       // Server-push frames interleave freely with awaited acks.
       if (type == MsgType::kEmission) {
         EmissionMsg emission;
-        if (!DecodeEmission(frame_payload, &emission, &decode_error)) {
+        if (!Decode(frame_payload, &emission, &decode_error)) {
           Close();
           return Fail(error, decode_error);
         }
@@ -460,7 +408,7 @@ bool SopClient::ReadUntil(MsgType expected, std::string* payload,
       }
       if (type == MsgType::kError) {
         ErrorMsg diagnostic;
-        if (!DecodeError(frame_payload, &diagnostic, &decode_error)) {
+        if (!Decode(frame_payload, &diagnostic, &decode_error)) {
           Close();
           return Fail(error, decode_error);
         }
@@ -485,7 +433,6 @@ bool SopClient::ReadUntil(MsgType expected, std::string* payload,
       return Fail(error, recv_error);
     }
     bytes_received_ += static_cast<uint64_t>(n);
-    SOP_COUNTER_ADD("net/client/bytes_in", n);
     decoder_.Append(buf, static_cast<size_t>(n));
   }
 }

@@ -162,7 +162,8 @@ class SopClient {
   /// Drains buffered server error diagnostics, in arrival order.
   std::vector<ErrorMsg> TakeErrors();
 
-  /// Bytes sent/received since Connect.
+  /// Bytes sent/received over every connection this client made. These
+  /// four counts have no copy in the obs registry.
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t bytes_received() const { return bytes_received_; }
 
@@ -207,6 +208,12 @@ class SopClient {
   // retained batch tail. On success `recovered_boundary_` holds the
   // server's stream position.
   bool Recover(std::string* error);
+
+  // One request/reply exchange: sends `request`, reads until a frame of
+  // Reply::kType arrives (buffering pushes on the way) and decodes it into
+  // `*reply`. Closes the socket on any failure.
+  template <class Request, class Reply>
+  bool Call(const Request& request, Reply* reply, std::string* error);
 
   // Sends one encoded frame. Closes the socket on failure.
   bool SendFrame(const std::string& frame, std::string* error);

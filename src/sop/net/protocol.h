@@ -29,10 +29,11 @@
 // framing is lost), so the decoder latches into an error state and the
 // connection must be dropped.
 //
-// All decode functions are exception-free and never trust a length field
-// further than the bytes actually present; oversized frames are rejected
-// at header-parse time (kMaxFramePayload) so a hostile 8-byte header
-// cannot make the server reserve gigabytes.
+// Decode is exception-free and never trusts a length or count further
+// than the bytes actually present: vectors are read one element at a
+// time, so no decoded count sizes an allocation. Oversized frames are
+// rejected at header-parse time (kMaxFramePayload) so a hostile 8-byte
+// header cannot make the server reserve gigabytes.
 
 #ifndef SOP_NET_PROTOCOL_H_
 #define SOP_NET_PROTOCOL_H_
@@ -103,10 +104,12 @@ const char* ServerRoleName(ServerRole role);
 inline constexpr int64_t kNoResume = INT64_MIN;
 
 struct HelloMsg {
+  static constexpr MsgType kType = MsgType::kHello;
   uint32_t protocol_version = kProtocolVersion;
 };
 
 struct HelloAckMsg {
+  static constexpr MsgType kType = MsgType::kHelloAck;
   uint32_t protocol_version = kProtocolVersion;
   uint32_t window_type = 0;  // WindowType under the hood
   uint32_t metric = 0;       // Metric under the hood
@@ -123,6 +126,7 @@ struct HelloAckMsg {
 };
 
 struct IngestMsg {
+  static constexpr MsgType kType = MsgType::kIngest;
   /// Window key this batch ends at (exclusive); must exceed the server's
   /// last advanced boundary and respect the subscribers' slide quantum.
   int64_t boundary = 0;
@@ -139,6 +143,7 @@ struct IngestMsg {
 };
 
 struct IngestAckMsg {
+  static constexpr MsgType kType = MsgType::kIngestAck;
   int64_t boundary = 0;
   /// Points accepted into the session (echoes the batch size).
   uint64_t accepted = 0;
@@ -154,6 +159,7 @@ struct IngestAckMsg {
 };
 
 struct SubscribeMsg {
+  static constexpr MsgType kType = MsgType::kSubscribe;
   OutlierQuery query;  // full attribute space only (attribute_set == 0)
   /// A reconnecting subscriber's high-water mark: the boundary of the last
   /// emission it received for this query. kNoResume (the default) means a
@@ -165,6 +171,7 @@ struct SubscribeMsg {
 };
 
 struct SubscribeAckMsg {
+  static constexpr MsgType kType = MsgType::kSubscribeAck;
   /// Assigned query id (> 0); 0 when the subscription was refused, with
   /// the reason in `error`.
   int64_t query_id = 0;
@@ -178,14 +185,17 @@ struct SubscribeAckMsg {
 };
 
 struct UnsubscribeMsg {
+  static constexpr MsgType kType = MsgType::kUnsubscribe;
   int64_t query_id = 0;
 };
 
 struct UnsubscribeAckMsg {
+  static constexpr MsgType kType = MsgType::kUnsubscribeAck;
   bool ok = false;
 };
 
 struct EmissionMsg {
+  static constexpr MsgType kType = MsgType::kEmission;
   int64_t query_id = 0;
   int64_t boundary = 0;
   /// True when this answer is exact over the data the server saw but the
@@ -197,16 +207,19 @@ struct EmissionMsg {
 };
 
 struct ErrorMsg {
+  static constexpr MsgType kType = MsgType::kError;
   std::string message;
 };
 
 struct PingMsg {
+  static constexpr MsgType kType = MsgType::kPing;
   /// Echo token: the pong carries it back so overlapping probes on one
   /// connection can be told apart.
   uint64_t token = 0;
 };
 
 struct PongMsg {
+  static constexpr MsgType kType = MsgType::kPong;
   uint64_t token = 0;
   uint32_t role = 0;  // ServerRole under the hood
   /// Last advanced boundary (kNoResume before the first batch).
@@ -246,6 +259,7 @@ struct ResumeRingShard {
 };
 
 struct ReplSnapshotMsg {
+  static constexpr MsgType kType = MsgType::kReplSnapshot;
   /// SopSession::SaveState blob — already framed and CRC'd internally, so
   /// a standby validates it twice (frame CRC + blob CRC) and LoadState's
   /// tail rules before applying. It carries the stream position.
@@ -257,6 +271,7 @@ struct ReplSnapshotMsg {
 };
 
 struct ReplBatchMsg {
+  static constexpr MsgType kType = MsgType::kReplBatch;
   /// The boundary this batch chains from: the standby applies only when
   /// it equals its own last applied boundary, drops the batch as stale
   /// when behind it, and NAKs (ReplAckMsg::need_snapshot) when ahead —
@@ -271,6 +286,7 @@ struct ReplBatchMsg {
 };
 
 struct ReplAckMsg {
+  static constexpr MsgType kType = MsgType::kReplAck;
   /// The standby's last applied boundary after processing the message.
   int64_t boundary = kNoResume;
   /// Chain broken (or snapshot failed to apply): primary must ship a
@@ -284,6 +300,7 @@ struct ReplAckMsg {
 /// decisions are the router's — but it lets the worker label its stats,
 /// sanity-check reconfiguration, and refuse a conflicting second router.
 struct ShardConfigMsg {
+  static constexpr MsgType kType = MsgType::kShardConfig;
   uint32_t shard_index = 0;  // this worker's shard, in [0, num_shards)
   uint32_t num_shards = 1;
   /// Owned region [lo, hi) over the first attribute. The first shard's lo
@@ -296,68 +313,28 @@ struct ShardConfigMsg {
 };
 
 struct ShardConfigAckMsg {
+  static constexpr MsgType kType = MsgType::kShardConfigAck;
   bool ok = false;
   std::string error;  // refusal reason (e.g. conflicting earlier config)
 };
 
-/// --- encoding ----------------------------------------------------------
-/// Each encoder returns one complete frame, ready to write to a socket.
+/// --- encoding and decoding ---------------------------------------------
+/// Each message's layout is written once, as a field list in protocol.cc
+/// that Encode and Decode both walk: the u32 type word M::kType, then the
+/// fields in wire order. Both are instantiated for the 17 messages above.
 
-std::string EncodeHello(const HelloMsg& msg);
-std::string EncodeHelloAck(const HelloAckMsg& msg);
-std::string EncodeIngest(const IngestMsg& msg);
-std::string EncodeIngestAck(const IngestAckMsg& msg);
-std::string EncodeSubscribe(const SubscribeMsg& msg);
-std::string EncodeSubscribeAck(const SubscribeAckMsg& msg);
-std::string EncodeUnsubscribe(const UnsubscribeMsg& msg);
-std::string EncodeUnsubscribeAck(const UnsubscribeAckMsg& msg);
-std::string EncodeEmission(const EmissionMsg& msg);
-std::string EncodeError(const ErrorMsg& msg);
-std::string EncodePing(const PingMsg& msg);
-std::string EncodePong(const PongMsg& msg);
-std::string EncodeReplSnapshot(const ReplSnapshotMsg& msg);
-std::string EncodeReplBatch(const ReplBatchMsg& msg);
-std::string EncodeReplAck(const ReplAckMsg& msg);
-std::string EncodeShardConfig(const ShardConfigMsg& msg);
-std::string EncodeShardConfigAck(const ShardConfigAckMsg& msg);
+/// One complete frame, ready to write to a socket.
+template <class M>
+std::string Encode(const M& msg);
 
-/// --- decoding ----------------------------------------------------------
-/// PeekType reads the payload's type word; the per-type decoders verify it
-/// and parse the body, returning false (with a diagnostic) on any type
-/// mismatch, truncation, trailing garbage, or out-of-range field.
+/// Verifies the type word and parses the body. Returns false with a
+/// diagnostic, leaving `*out` untouched, on a type mismatch, truncation,
+/// trailing bytes or an out-of-range field.
+template <class M>
+bool Decode(std::string_view payload, M* out, std::string* error);
 
+/// Reads the payload's type word, for dispatch before Decode.
 bool PeekType(std::string_view payload, MsgType* type, std::string* error);
-
-bool DecodeHello(std::string_view payload, HelloMsg* out, std::string* error);
-bool DecodeHelloAck(std::string_view payload, HelloAckMsg* out,
-                    std::string* error);
-bool DecodeIngest(std::string_view payload, IngestMsg* out,
-                  std::string* error);
-bool DecodeIngestAck(std::string_view payload, IngestAckMsg* out,
-                     std::string* error);
-bool DecodeSubscribe(std::string_view payload, SubscribeMsg* out,
-                     std::string* error);
-bool DecodeSubscribeAck(std::string_view payload, SubscribeAckMsg* out,
-                        std::string* error);
-bool DecodeUnsubscribe(std::string_view payload, UnsubscribeMsg* out,
-                       std::string* error);
-bool DecodeUnsubscribeAck(std::string_view payload, UnsubscribeAckMsg* out,
-                          std::string* error);
-bool DecodeEmission(std::string_view payload, EmissionMsg* out,
-                    std::string* error);
-bool DecodeError(std::string_view payload, ErrorMsg* out, std::string* error);
-bool DecodePing(std::string_view payload, PingMsg* out, std::string* error);
-bool DecodePong(std::string_view payload, PongMsg* out, std::string* error);
-bool DecodeReplSnapshot(std::string_view payload, ReplSnapshotMsg* out,
-                        std::string* error);
-bool DecodeReplBatch(std::string_view payload, ReplBatchMsg* out,
-                     std::string* error);
-bool DecodeReplAck(std::string_view payload, ReplAckMsg* out,
-                   std::string* error);
-bool DecodeShardConfig(std::string_view payload, ShardConfigMsg* out,
-                       std::string* error);
-bool DecodeShardConfigAck(std::string_view payload, ShardConfigAckMsg* out,
-                          std::string* error);
 
 /// Incremental frame extraction over a raw byte stream. See file comment.
 class FrameDecoder {

@@ -220,7 +220,7 @@ struct SopServer::Impl : FrontHandler {
   // a dispatch path that must drop the connection can `return` it.
   bool SendError(const FrontConnPtr& conn, std::string message) {
     CountProtocolError();
-    front.Send(conn, EncodeError(ErrorMsg{std::move(message)}),
+    front.Send(conn, Encode(ErrorMsg{std::move(message)}),
                /*droppable=*/false);
     return false;
   }
@@ -272,7 +272,7 @@ struct SopServer::Impl : FrontHandler {
                            kv.second.entries.end());
       msg.ring.push_back(std::move(shard));
     }
-    return EncodeReplSnapshot(msg);
+    return Encode(msg);
   }
 
   std::string BuildSnapshotFrame() {
@@ -395,14 +395,10 @@ struct SopServer::Impl : FrontHandler {
         std::string payload;
         const FrameDecoder::Status status = decoder.Next(&payload, &error);
         if (status == FrameDecoder::Status::kFrame) {
-          MsgType type;
-          if (PeekType(payload, &type, &error) &&
-              type == MsgType::kReplAck &&
-              DecodeReplAck(payload, &ack, &error)) {
-            acked = true;
-          } else {
-            dead = true;  // standby refused (promoted?) or stream garbage
-          }
+          // Anything but an ack: the standby refused (promoted?) or sent
+          // garbage.
+          acked = Decode(payload, &ack, &error);
+          dead = !acked;
           continue;
         }
         if (status == FrameDecoder::Status::kError) {
@@ -444,7 +440,7 @@ struct SopServer::Impl : FrontHandler {
     switch (type) {
       case MsgType::kHello: {
         HelloMsg hello;
-        if (!DecodeHello(payload, &hello, &error)) {
+        if (!Decode(payload, &hello, &error)) {
           return SendError(conn, error);
         }
         if (hello.protocol_version != kProtocolVersion) {
@@ -462,13 +458,13 @@ struct SopServer::Impl : FrontHandler {
           ack.last_boundary = session->last_boundary();
           ack.next_seq = static_cast<uint64_t>(session->next_seq());
         }
-        front.Send(conn, EncodeHelloAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kIngest: {
         IngestOp op;
         op.conn = conn;
-        if (!DecodeIngest(payload, &op.msg, &error)) {
+        if (!Decode(payload, &op.msg, &error)) {
           return SendError(conn, error);
         }
         if (RoleNow() == ServerRole::kStandby) {
@@ -477,7 +473,7 @@ struct SopServer::Impl : FrontHandler {
           SendError(conn, "standby: ingest is served by the primary");
           IngestAckMsg ack;
           ack.boundary = op.msg.boundary;
-          front.Send(conn, EncodeIngestAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
           return true;
         }
         std::unique_lock<std::mutex> lock(ingest_mu);
@@ -498,13 +494,13 @@ struct SopServer::Impl : FrontHandler {
       }
       case MsgType::kSubscribe: {
         SubscribeMsg sub;
-        if (!DecodeSubscribe(payload, &sub, &error)) {
+        if (!Decode(payload, &sub, &error)) {
           return SendError(conn, error);
         }
         if (RoleNow() == ServerRole::kStandby) {
           SubscribeAckMsg ack;
           ack.error = "standby: subscriptions are served by the primary";
-          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
           return true;
         }
         // Pre-validate exactly as SopSession::AddQuery would CHECK: a bad
@@ -517,7 +513,7 @@ struct SopServer::Impl : FrontHandler {
           SubscribeAckMsg ack;
           ack.query_id = 0;
           ack.error = verdict;
-          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
           return true;
         }
         SubscribeAckMsg ack;
@@ -546,7 +542,7 @@ struct SopServer::Impl : FrontHandler {
                 m.degraded = e.degraded;
                 m.outliers = e.outliers;
                 suppress_to = std::max(suppress_to, e.boundary);
-                replay.push_back(EncodeEmission(m));
+                replay.push_back(Encode(m));
               }
             }
             // No shard at all: nothing was ever retained for this
@@ -570,13 +566,13 @@ struct SopServer::Impl : FrontHandler {
           for (std::string& f : replay) {
             front.Send(conn, std::move(f), /*droppable=*/false);
           }
-          front.Send(conn, EncodeSubscribeAck(ack), /*droppable=*/false);
+          front.Send(conn, Encode(ack), /*droppable=*/false);
         }
         return true;
       }
       case MsgType::kUnsubscribe: {
         UnsubscribeMsg unsub;
-        if (!DecodeUnsubscribe(payload, &unsub, &error)) {
+        if (!Decode(payload, &unsub, &error)) {
           return SendError(conn, error);
         }
         // A client may only retire its own subscriptions.
@@ -593,12 +589,12 @@ struct SopServer::Impl : FrontHandler {
         if (ack.ok) {
           stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
         }
-        front.Send(conn, EncodeUnsubscribeAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kPing: {
         PingMsg ping;
-        if (!DecodePing(payload, &ping, &error)) return SendError(conn, error);
+        if (!Decode(payload, &ping, &error)) return SendError(conn, error);
         PongMsg pong;
         pong.token = ping.token;
         pong.role = role.load(std::memory_order_relaxed);
@@ -612,7 +608,7 @@ struct SopServer::Impl : FrontHandler {
         }
         pong.send_queue_depth = front.SendQueueDepth();
         pong.active_connections = front.stats().active;
-        front.Send(conn, EncodePong(pong), /*droppable=*/false);
+        front.Send(conn, Encode(pong), /*droppable=*/false);
         return true;
       }
       case MsgType::kReplSnapshot: {
@@ -620,7 +616,7 @@ struct SopServer::Impl : FrontHandler {
           return SendError(conn, "not a standby: replication refused");
         }
         ReplSnapshotMsg msg;
-        if (!DecodeReplSnapshot(payload, &msg, &error)) {
+        if (!Decode(payload, &msg, &error)) {
           return SendError(conn, error);
         }
         if (RoleNow() != ServerRole::kStandby) {
@@ -657,7 +653,7 @@ struct SopServer::Impl : FrontHandler {
           ack.boundary = session->last_boundary();
         }
         ack.need_snapshot = !ok;
-        front.Send(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         return true;
       }
       case MsgType::kReplBatch: {
@@ -665,7 +661,7 @@ struct SopServer::Impl : FrontHandler {
           return SendError(conn, "not a standby: replication refused");
         }
         ReplBatchMsg msg;
-        if (!DecodeReplBatch(payload, &msg, &error)) {
+        if (!Decode(payload, &msg, &error)) {
           return SendError(conn, error);
         }
         if (RoleNow() != ServerRole::kStandby) {
@@ -713,7 +709,7 @@ struct SopServer::Impl : FrontHandler {
             }
           }
         }
-        front.Send(conn, EncodeReplAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         if (!checkpoint_frame.empty()) {
           PublishCheckpoint(std::move(checkpoint_frame));
         }
@@ -721,7 +717,7 @@ struct SopServer::Impl : FrontHandler {
       }
       case MsgType::kShardConfig: {
         ShardConfigMsg msg;
-        if (!DecodeShardConfig(payload, &msg, &error)) {
+        if (!Decode(payload, &msg, &error)) {
           return SendError(conn, error);
         }
         ShardConfigAckMsg ack;
@@ -741,7 +737,7 @@ struct SopServer::Impl : FrontHandler {
             ack.ok = true;
           }
         }
-        front.Send(conn, EncodeShardConfigAck(ack), /*droppable=*/false);
+        front.Send(conn, Encode(ack), /*droppable=*/false);
         return true;
       }
       default:
@@ -775,7 +771,7 @@ struct SopServer::Impl : FrontHandler {
         m.query_id = r.query_id;
         m.boundary = r.boundary;
         m.outliers = r.outliers;
-        if (front.Send(conn, EncodeEmission(m), /*droppable=*/true)) {
+        if (front.Send(conn, Encode(m), /*droppable=*/true)) {
           stats.emissions.fetch_add(1, std::memory_order_relaxed);
           if (conn == ingester) ++to_ingester;
         }
@@ -803,7 +799,7 @@ struct SopServer::Impl : FrontHandler {
     std::string_view payload;
     ReplSnapshotMsg snap;  // the decoder refuses every other message type
     if (!UnwrapFrame(blob, &payload, error) ||
-        !DecodeReplSnapshot(payload, &snap, error) ||
+        !Decode(payload, &snap, error) ||
         !session->LoadState(snap.state, error)) {
       return false;
     }
@@ -887,7 +883,7 @@ struct SopServer::Impl : FrontHandler {
         ack.accepted = 0;
         ack.emissions = 0;
         ack.next_seq = next_seq;
-        front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+        front.Send(op.conn, Encode(ack), /*droppable=*/false);
         continue;
       }
 
@@ -897,7 +893,7 @@ struct SopServer::Impl : FrontHandler {
         rb.boundary = op.msg.boundary;
         rb.points = std::move(repl_points);
         rb.results = std::move(repl_records);
-        EnqueueRepl(EncodeReplBatch(rb));
+        EnqueueRepl(Encode(rb));
       }
 
       // Emissions first, then the ack on the same queue: a client that
@@ -908,7 +904,7 @@ struct SopServer::Impl : FrontHandler {
       ack.accepted = batch_size;
       ack.emissions = RouteEmissions(results, op.conn);
       ack.next_seq = next_seq;
-      front.Send(op.conn, EncodeIngestAck(ack), /*droppable=*/false);
+      front.Send(op.conn, Encode(ack), /*droppable=*/false);
 
       if (!checkpoint_blob.empty()) {
         PublishCheckpoint(std::move(checkpoint_blob));

@@ -30,6 +30,13 @@ std::string StreamTail::Check(const std::vector<Point>& batch,
         return "point time " + std::to_string(p.time) +
                " is below the previous point's " + std::to_string(last_time);
       }
+      // The window that closed at the previous boundary was emitted
+      // without this point.
+      if (last_boundary_ != kNoBoundary && p.time < last_boundary_) {
+        return "point time " + std::to_string(p.time) +
+               " is below the previous boundary " +
+               std::to_string(last_boundary_);
+      }
       // The window ending at `boundary` covers times below it.
       if (p.time >= boundary) {
         return "point time " + std::to_string(p.time) +

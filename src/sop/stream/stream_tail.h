@@ -39,7 +39,8 @@ class StreamTail {
   /// the boundary must be above last_boundary(), the seqs must not pass
   /// INT64_MAX, every point must have the stream's dimensionality (fixed by
   /// the first accepted point), and in time windows no point's time may be
-  /// below the previous one's or at or above `boundary`.
+  /// below the previous one's or last_boundary(), or at or above
+  /// `boundary`.
   std::string Check(const std::vector<Point>& batch, int64_t boundary) const;
 
   /// CHECKs Check, numbers the points from next_seq() on and moves the
@@ -66,8 +67,8 @@ class StreamTail {
   /// Returns "", or why it refuses the tail and leaves this one untouched:
   /// truncation, boundaries that do not increase or pass the last
   /// boundary, a negative next seq, more points than the next seq, a second
-  /// dimensionality, a time regression, or a point time at or above its
-  /// batch's boundary.
+  /// dimensionality, a time regression, a point time below the previous
+  /// batch's boundary, or one at or above its own batch's boundary.
   std::string Read(BinaryReader* r);
 
  private:

@@ -12,7 +12,9 @@
 //   * halo admission: a post-freeze subscribe with r > halo is refused
 //     with a diagnostic, not silently degraded,
 //   * stale boundaries and bad queries are refused at the router, and a
-//     ping reports the router's role and position.
+//     ping reports the router's role and position,
+//   * every batch one server refuses is refused at the router with the
+//     server's diagnostic, though each worker sees only its shard.
 //
 // All assertions read RouterStats/ServerStats (always-on atomics), never
 // obs counters, so the suite passes identically under -DSOP_NO_OBS. One
@@ -26,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -769,10 +772,12 @@ TEST(ClusterTest, StopUnderActiveIngestDrains) {
   EXPECT_GT(tc.router->stats().ingest_batches, 0u);
 }
 
-// A router's counts live in its stats() alone, and each worker's in its
-// own: with obs on, a routed run leaves no cluster/route/*, cluster/merge/*
-// or net/server/* counter in the registry the whole process shares. The
-// timings that no struct holds still record, one per batch.
+// A router's counts live in its stats() alone, and each worker's and
+// client's in its own: with obs on, a routed run leaves no cluster/route/*,
+// cluster/merge/*, net/server/* or net/client/* counter in the registry the
+// whole process shares, and the router's worker traffic is what the
+// workers received. The timings that no struct holds still record, one
+// per batch.
 TEST(ClusterTest, RoutedCountsHaveOneSourceTheirStats) {
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().Reset();
@@ -787,16 +792,24 @@ TEST(ClusterTest, RoutedCountsHaveOneSourceTheirStats) {
       Slice(workload, GenPoints(200, false, /*seed=*/13));
   RunRouted(tc.router->port(), queries, batches, "routed counts");
   tc.router->Stop();
+  uint64_t worker_bytes_in = 0;
+  for (std::unique_ptr<SopServer>& w : tc.workers) {
+    w->Stop();
+    worker_bytes_in += w->stats().bytes_in;
+  }
   obs::SetEnabled(false);
 
   const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
   for (const auto& counter : snap.counters) {
     for (const char* prefix : {"cluster/route/", "cluster/merge/",
-                               "net/server/"}) {
+                               "net/server/", "net/client/"}) {
       EXPECT_NE(counter.first.rfind(prefix, 0), 0u) << counter.first;
     }
   }
   const RouterStats stats = tc.router->stats();
+  // The worker clients' own counts, handshakes included.
+  EXPECT_EQ(stats.worker_bytes_out, worker_bytes_in);
+  EXPECT_GT(stats.worker_bytes_in, 0u);
   EXPECT_EQ(stats.ingest_batches, batches.size());
   EXPECT_EQ(stats.merged_boundaries, batches.size());
   EXPECT_EQ(stats.subscribes, queries.size());
@@ -826,7 +839,7 @@ TEST(ClusterTest, HelloVersionMismatchIsRefused) {
   hello.protocol_version = net::kProtocolVersion - 1;
   net::Socket raw = net::ConnectTcp("127.0.0.1", tc.router->port(), &error);
   ASSERT_TRUE(raw.valid()) << error;
-  ASSERT_TRUE(net::SendAll(raw, net::EncodeHello(hello), &error)) << error;
+  ASSERT_TRUE(net::SendAll(raw, net::Encode(hello), &error)) << error;
   ASSERT_TRUE(WaitUntil(
       [&] { return tc.router->stats().protocol_errors >= 1; }));
 
@@ -909,6 +922,92 @@ TEST(ClusterTest, StaleBoundaryAndBadQueryAreRefused) {
   EXPECT_EQ(static_cast<net::ServerRole>(pong.role), net::ServerRole::kPrimary);
   EXPECT_EQ(pong.last_boundary, 50);
   EXPECT_GE(pong.active_connections, 1u);
+}
+
+
+// What one client sees for `batches` under one subscription: each ack's
+// accepted count, the diagnostics and the emissions' (boundary, outliers).
+struct Seen {
+  std::vector<uint64_t> accepted;
+  std::vector<std::string> errors;
+  std::vector<std::pair<int64_t, std::vector<Seq>>> emissions;
+};
+
+Seen Drive(int port, const OutlierQuery& query,
+           const std::vector<Batch>& batches) {
+  Seen seen;
+  SopClient client;
+  std::string error;
+  EXPECT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
+  EXPECT_GT(client.Subscribe(query, &error), 0) << error;
+  for (const Batch& b : batches) {
+    IngestAckMsg ack;
+    EXPECT_TRUE(client.Ingest(b.boundary, b.points, &ack, &error)) << error;
+    seen.accepted.push_back(ack.accepted);
+    for (const net::ErrorMsg& e : client.TakeErrors()) {
+      seen.errors.push_back(e.message);
+    }
+    for (const EmissionMsg& e : client.TakeEmissions()) {
+      seen.emissions.emplace_back(e.boundary, e.outliers);
+    }
+  }
+  return seen;
+}
+
+// The router applies the single server's stream rules to the whole batch
+// before it routes any of it: each worker sees only its shard, so a time
+// regression or a second dimensionality across the cut would otherwise be
+// acked while one worker refused its share.
+TEST(ClusterTest, RouterRefusesWhatASingleServerRefuses) {
+  const OutlierQuery query(5.0, 2, 100, 10);
+  auto at = [](Timestamp t, std::vector<double> v) {
+    return Point(0, t, std::move(v));
+  };
+  const std::vector<Batch> batches = {
+      {{at(15, {900.0}), at(12, {1.0})}, 20},          // time goes back
+      {{at(25, {900.0}), at(26, {1.0, 2.0})}, 30},     // two dimensionalities
+      {{at(32, {1.0}), at(33, {2.0}), at(34, {3.0}), at(35, {900.0}),
+        at(38, {4.0})},
+       40},
+      {{at(39, {1.0})}, 50},  // below the previous boundary
+  };
+  std::string error;
+  SopServer single(WorkerOptions("sop"));
+  ASSERT_TRUE(single.Start(&error)) << error;
+  TestCluster tc;
+  RouterOptions ro;
+  ro.window_type = WindowType::kTime;
+  for (int i = 0; i < 2; ++i) {
+    tc.workers.push_back(std::make_unique<SopServer>(WorkerOptions("sop")));
+    ASSERT_TRUE(tc.workers.back()->Start(&error)) << error;
+    ro.workers.push_back({"127.0.0.1", tc.workers.back()->port()});
+  }
+  ro.partition = PartitionSpec::Uniform(0.0, 1000.0, 2);
+  tc.router = std::make_unique<SopRouter>(ro);
+  ASSERT_TRUE(tc.router->Start(&error)) << error;
+
+  const Seen direct = Drive(single.port(), query, batches);
+  const Seen routed = Drive(tc.router->port(), query, batches);
+  EXPECT_EQ(routed.accepted, (std::vector<uint64_t>{0, 0, 5, 0}));
+  EXPECT_EQ(routed.accepted, direct.accepted);
+  ASSERT_EQ(routed.errors.size(), 3u);
+  EXPECT_EQ(routed.errors, direct.errors);
+  EXPECT_EQ(routed.errors[0], "point time 12 is below the previous point's 15");
+  EXPECT_EQ(routed.errors[1], "point has 2 dimensions, the stream has 1");
+  EXPECT_EQ(routed.errors[2], "point time 39 is below the previous boundary 40");
+  ASSERT_FALSE(routed.emissions.empty());
+  EXPECT_EQ(routed.emissions, direct.emissions);
+
+  const RouterStats stats = tc.router->stats();
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.protocol_errors, single.stats().protocol_errors);
+  EXPECT_EQ(stats.ingest_batches, 1u);
+  EXPECT_EQ(stats.ingest_points, 5u);
+  EXPECT_EQ(stats.last_boundary, 40);
+  for (const std::unique_ptr<SopServer>& w : tc.workers) {
+    EXPECT_EQ(w->stats().protocol_errors, 0u);
+  }
 }
 
 }  // namespace

@@ -634,12 +634,12 @@ TEST(HaTest, GracefulStopDrainsQueuedEmissionsAndCheckpoints) {
   RawConn sub;
   sub.sock = ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(sub.sock.valid()) << error;
-  ASSERT_TRUE(SendAll(sub.sock, EncodeHello(HelloMsg{}), &error)) << error;
+  ASSERT_TRUE(SendAll(sub.sock, Encode(HelloMsg{}), &error)) << error;
   std::string payload;
   ASSERT_TRUE(sub.ReadFrame(&payload));
   SubscribeMsg smsg;
   smsg.query = q;
-  ASSERT_TRUE(SendAll(sub.sock, EncodeSubscribe(smsg), &error)) << error;
+  ASSERT_TRUE(SendAll(sub.sock, Encode(smsg), &error)) << error;
   ASSERT_TRUE(sub.ReadFrame(&payload));
   MsgType type = MsgType::kError;
   ASSERT_TRUE(PeekType(payload, &type, &error)) << error;
@@ -665,7 +665,7 @@ TEST(HaTest, GracefulStopDrainsQueuedEmissionsAndCheckpoints) {
     ASSERT_TRUE(PeekType(payload, &type, &error)) << error;
     if (type != MsgType::kEmission) continue;
     EmissionMsg e;
-    ASSERT_TRUE(DecodeEmission(payload, &e, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &e, &error)) << error;
     EXPECT_EQ(e.boundary, batches[emissions].boundary);
     ++emissions;
   }
@@ -696,7 +696,7 @@ TEST(HaTest, IdleTimeoutDisconnectsMidFrameStallsOnly) {
   RawConn loris;
   loris.sock = ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(loris.sock.valid()) << error;
-  const std::string frame = EncodePing(PingMsg{});
+  const std::string frame = Encode(PingMsg{});
   ASSERT_TRUE(SendAll(loris.sock, frame.substr(0, frame.size() / 2), &error))
       << error;
   ASSERT_TRUE(WaitUntil(
@@ -816,11 +816,11 @@ TEST(HaTest, StandbyRefusesReplBatchesThatBreakTheStreamRules) {
     batch.prev_boundary = kNoResume;  // chains onto the empty standby
     batch.boundary = 20;
     batch.points = points;
-    ASSERT_TRUE(SendAll(raw.sock, EncodeReplBatch(batch), &error)) << error;
+    ASSERT_TRUE(SendAll(raw.sock, Encode(batch), &error)) << error;
     std::string payload;
     ASSERT_TRUE(raw.ReadFrame(&payload));
     ReplAckMsg ack;
-    ASSERT_TRUE(DecodeReplAck(payload, &ack, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &ack, &error)) << error;
     EXPECT_TRUE(ack.need_snapshot);
     EXPECT_EQ(ack.boundary, kNoResume);
   }

@@ -431,7 +431,7 @@ TEST(NetTest, MalformedBytesPoisonOnlyTheirConnection) {
     }
     {
       // A bit flip inside a valid frame: CRC catches it.
-      std::string frame = EncodeSubscribe(SubscribeMsg{});
+      std::string frame = Encode(SubscribeMsg{});
       frame[frame.size() - 3] ^= 0x20;
       Socket raw = ConnectTcp("127.0.0.1", front.port(), &error);
       ASSERT_TRUE(raw.valid()) << label << ": " << error;
@@ -789,10 +789,11 @@ TEST(NetTest, TimeRegressionRefusedStreamContinues) {
 
 // --- one source per count ------------------------------------------------
 
-// A server's counts live in its stats() alone. The global registry is
-// shared by every server in the process, so with obs on a subscribe, a
-// subscribe that forces a rebuild, ingest and an unsubscribe must leave no
-// net/server/* or session/* counter there.
+// A server's counts live in its stats() alone, and a client's in its own.
+// The global registry is shared by every server and client in the process,
+// so with obs on a subscribe, a subscribe that forces a rebuild, ingest and
+// an unsubscribe must leave no net/server/*, net/client/* or session/*
+// counter there.
 TEST(NetTest, ServerCountsHaveOneSourceItsStats) {
   obs::SetEnabled(true);
   obs::MetricsRegistry::Global().Reset();
@@ -822,6 +823,7 @@ TEST(NetTest, ServerCountsHaveOneSourceItsStats) {
   for (const auto& counter :
        obs::MetricsRegistry::Global().TakeSnapshot().counters) {
     EXPECT_NE(counter.first.rfind("net/server/", 0), 0u) << counter.first;
+    EXPECT_NE(counter.first.rfind("net/client/", 0), 0u) << counter.first;
     EXPECT_NE(counter.first.rfind("session/", 0), 0u) << counter.first;
   }
   const ServerStats stats = server.stats();
@@ -838,6 +840,7 @@ TEST(NetTest, ServerCountsHaveOneSourceItsStats) {
   EXPECT_GE(stats.frames_in, 6u);  // hello, 2 subscribes, 2 ingests, 1 unsub
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
+  EXPECT_EQ(client.bytes_sent(), stats.bytes_in);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
-// Wire protocol tests: message round-trips, incremental frame decoding
-// over arbitrary read fragmentation, hostile-input rejection (truncation,
-// bit flips, oversized length fields), and a randomized corruption fuzz
-// loop mirroring recovery_test.cc's checkpoint fuzz.
+// Wire protocol tests: message round-trips, every message's golden frame,
+// each decoder's refusal of every prefix, a trailing byte and oversized
+// counts, incremental frame decoding over arbitrary read fragmentation,
+// hostile-input rejection (truncation, bit flips, oversized length
+// fields), and a randomized corruption fuzz loop mirroring
+// recovery_test.cc's checkpoint fuzz.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <random>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -40,9 +45,9 @@ TEST(ProtocolTest, HelloRoundTrip) {
   HelloMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeHello(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeHello(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.protocol_version, 7u);
 }
 
@@ -58,9 +63,9 @@ TEST(ProtocolTest, HelloAckRoundTrip) {
   HelloAckMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeHelloAck(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeHelloAck(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.protocol_version, kProtocolVersion);
   EXPECT_EQ(out.window_type, 1u);
   EXPECT_EQ(out.metric, 1u);
@@ -79,9 +84,9 @@ TEST(ProtocolTest, IngestRoundTripPreservesPoints) {
   IngestMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeIngest(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeIngest(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.boundary, 12345);
   ASSERT_EQ(out.points.size(), 3u);
   EXPECT_EQ(out.points[0].time, 10);
@@ -96,9 +101,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     IngestAckMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeIngestAck(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeIngestAck(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.boundary, 77);
     EXPECT_EQ(out.accepted, 128u);
     EXPECT_EQ(out.emissions, 3u);
@@ -114,9 +119,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     SubscribeMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeSubscribe(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeSubscribe(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.query.r, 1.25);
     EXPECT_EQ(out.query.k, 4);
     EXPECT_EQ(out.query.win, 200);
@@ -125,9 +130,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     EXPECT_EQ(out.resume_from, 150);
     // The default — no resume position — survives the wire too.
     SubscribeMsg fresh;
-    const std::string fresh_frame = EncodeSubscribe(fresh);
+    const std::string fresh_frame = Encode(fresh);
     ASSERT_TRUE(UnwrapFrame(fresh_frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeSubscribe(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.resume_from, kNoResume);
   }
   {
@@ -139,9 +144,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     SubscribeAckMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeSubscribeAck(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeSubscribeAck(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.query_id, 9);
     EXPECT_EQ(out.replayed, 12u);
     EXPECT_TRUE(out.gap);
@@ -152,9 +157,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     UnsubscribeMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeUnsubscribe(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeUnsubscribe(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.query_id, 33);
   }
   {
@@ -162,9 +167,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     UnsubscribeAckMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeUnsubscribeAck(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeUnsubscribeAck(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_TRUE(out.ok);
   }
   {
@@ -172,9 +177,9 @@ TEST(ProtocolTest, AckAndControlRoundTrips) {
     ErrorMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodeError(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodeError(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.message, "boom");
   }
 }
@@ -188,9 +193,9 @@ TEST(ProtocolTest, EmissionRoundTripWithDegradedFlag) {
   EmissionMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeEmission(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeEmission(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.query_id, 5);
   EXPECT_EQ(out.boundary, 400);
   EXPECT_TRUE(out.degraded);
@@ -204,9 +209,9 @@ TEST(ProtocolTest, PingPongRoundTrip) {
     PingMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodePing(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodePing(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.token, 0xdeadbeefcafeull);
   }
   {
@@ -220,9 +225,9 @@ TEST(ProtocolTest, PingPongRoundTrip) {
     PongMsg out;
     std::string error;
     std::string_view payload;
-    const std::string frame = EncodePong(msg);
+    const std::string frame = Encode(msg);
     ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-    ASSERT_TRUE(DecodePong(payload, &out, &error)) << error;
+    ASSERT_TRUE(Decode(payload, &out, &error)) << error;
     EXPECT_EQ(out.token, 7u);
     EXPECT_EQ(out.role, static_cast<uint32_t>(ServerRole::kStandby));
     EXPECT_EQ(out.last_boundary, 4200);
@@ -270,9 +275,9 @@ TEST(ProtocolTest, ReplSnapshotRoundTrip) {
   ReplSnapshotMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeReplSnapshot(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeReplSnapshot(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.state, msg.state);
   ASSERT_EQ(out.ring.size(), 2u);
   EXPECT_EQ(out.ring[0].query.r, 1.5);
@@ -300,9 +305,9 @@ TEST(ProtocolTest, ReplBatchRoundTrip) {
   ReplBatchMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeReplBatch(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeReplBatch(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.prev_boundary, 100);
   EXPECT_EQ(out.boundary, 200);
   ASSERT_EQ(out.points.size(), 2u);
@@ -319,9 +324,9 @@ TEST(ProtocolTest, ReplAckRoundTrip) {
   ReplAckMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeReplAck(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeReplAck(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.boundary, 777);
   EXPECT_TRUE(out.need_snapshot);
 }
@@ -336,23 +341,23 @@ TEST(ProtocolTest, IngestOwnerFlagsRoundTrip) {
   IngestMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeIngest(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeIngest(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.owner, (std::vector<uint8_t>{1, 0, 1}));
 
   // Empty owner flags (the single-node wire default) stay empty.
   msg.owner.clear();
-  const std::string bare = EncodeIngest(msg);
+  const std::string bare = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(bare, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeIngest(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_TRUE(out.owner.empty());
 
   // A flag count that matches neither 0 nor the point count is malformed.
   msg.owner = {1, 0};
-  const std::string bad = EncodeIngest(msg);
+  const std::string bad = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(bad, &payload, &error)) << error;
-  EXPECT_FALSE(DecodeIngest(payload, &out, &error));
+  EXPECT_FALSE(Decode(payload, &out, &error));
   EXPECT_NE(error.find("owner flag count"), std::string::npos);
 }
 
@@ -366,12 +371,12 @@ TEST(ProtocolTest, ShardConfigRoundTrip) {
   ShardConfigMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeShardConfig(msg);
+  const std::string frame = Encode(msg);
   MsgType type;
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
   ASSERT_TRUE(PeekType(payload, &type, &error)) << error;
   EXPECT_EQ(type, MsgType::kShardConfig);
-  ASSERT_TRUE(DecodeShardConfig(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_EQ(out.shard_index, 2u);
   EXPECT_EQ(out.num_shards, 4u);
   EXPECT_EQ(out.lo, -125.5);
@@ -380,9 +385,9 @@ TEST(ProtocolTest, ShardConfigRoundTrip) {
 
   // shard_index must address one of num_shards shards.
   msg.shard_index = 4;
-  const std::string bad = EncodeShardConfig(msg);
+  const std::string bad = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(bad, &payload, &error)) << error;
-  EXPECT_FALSE(DecodeShardConfig(payload, &out, &error));
+  EXPECT_FALSE(Decode(payload, &out, &error));
   EXPECT_NE(error.find("shard index"), std::string::npos);
 }
 
@@ -393,9 +398,9 @@ TEST(ProtocolTest, ShardConfigAckRoundTrip) {
   ShardConfigAckMsg out;
   std::string error;
   std::string_view payload;
-  const std::string frame = EncodeShardConfigAck(msg);
+  const std::string frame = Encode(msg);
   ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(DecodeShardConfigAck(payload, &out, &error)) << error;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.error, "conflicting shard config already declared");
 }
@@ -412,18 +417,285 @@ TEST(ProtocolTest, PeekTypeRejectsUnknownWord) {
 TEST(ProtocolTest, DecodersRejectWrongTypeAndTrailingBytes) {
   std::string error;
   std::string_view payload;
-  const std::string hello = EncodeHello(HelloMsg{});
+  const std::string hello = Encode(HelloMsg{});
   ASSERT_TRUE(UnwrapFrame(hello, &payload, &error));
   IngestMsg ingest;
-  EXPECT_FALSE(DecodeIngest(payload, &ingest, &error));
+  EXPECT_FALSE(Decode(payload, &ingest, &error));
   EXPECT_NE(error.find("unexpected message type"), std::string::npos);
 
   // Extending a valid payload must be caught even though the prefix parses.
   std::string extended(payload);
   extended.push_back('\0');
   HelloMsg out;
-  EXPECT_FALSE(DecodeHello(extended, &out, &error));
+  EXPECT_FALSE(Decode(extended, &out, &error));
   EXPECT_NE(error.find("trailing"), std::string::npos);
+}
+
+// --- the codec's contract, message by message ----------------------------
+
+// One fixed instance of every message, kIngest without and with owner
+// flags, in type-word order.
+auto Instances() {
+  IngestMsg ingest;
+  ingest.boundary = 20;
+  ingest.points = {MakePoint(3, {1.5, -2.0}), MakePoint(4, {})};
+  IngestMsg owned = ingest;
+  owned.owner = {1, 0};
+  ResumeRingShard shard = MakeShard(1.5, 4, 200, 50, 700);
+  shard.entries.push_back({800, false, {1, 2}});
+  shard.entries.push_back({850, true, {}});
+  return std::make_tuple(
+      HelloMsg{5}, HelloAckMsg{5, 1, 1, 1, "sop", -42, 7}, ingest, owned,
+      IngestAckMsg{77, 2, 1, 9},
+      SubscribeMsg{OutlierQuery(1.25, 4, 200, 50), 150},
+      SubscribeAckMsg{9, 2, true, "no"}, UnsubscribeMsg{33},
+      UnsubscribeAckMsg{true}, EmissionMsg{5, 400, true, {0, 17}},
+      ErrorMsg{"boom"}, PingMsg{0xdeadbeef}, PongMsg{7, 1, 4200, 3, 19, 2},
+      ReplSnapshotMsg{"st", {shard}},
+      ReplBatchMsg{100,
+                   200,
+                   {MakePoint(150, {1.0, 2.0})},
+                   {MakeRecord(0.5, 2, 100, 100, 200, false, {42})}},
+      ReplAckMsg{777, true}, ShardConfigMsg{1, 2, -125.5, 4000.25, 17.75},
+      ShardConfigAckMsg{false, "no"});
+}
+
+// The frames of Instances() as the per-message v5 encoders wrote them,
+// before one field list per message replaced them.
+const char* const kGoldenFrames[] = {
+    // hello
+    "46504f53010000000800000000000000c52f569e0100000005000000",
+    // hello-ack
+    "46504f53010000002f00000000000000ce3b1572020000000500000001000000"
+    "01000000010000000300000000000000736f70d6ffffffffffffff0700000000"
+    "000000",
+    // ingest
+    "46504f53010000004c000000000000002ed359d7030000001400000000000000"
+    "020000000000000003000000000000000200000000000000000000000000f83f"
+    "00000000000000c0040000000000000000000000000000000000000000000000",
+    // ingest-owned
+    "46504f53010000004e0000000000000098aeea48030000001400000000000000"
+    "020000000000000003000000000000000200000000000000000000000000f83f"
+    "00000000000000c0040000000000000000000000000000000200000000000000"
+    "0100",
+    // ingest-ack
+    "46504f53010000002400000000000000873cdb2c040000004d00000000000000"
+    "020000000000000001000000000000000900000000000000",
+    // subscribe
+    "46504f53010000002c0000000000000034f9c79705000000000000000000f43f"
+    "0400000000000000c80000000000000032000000000000009600000000000000",
+    // subscribe-ack
+    "46504f53010000001f000000000000007120eb74060000000900000000000000"
+    "02000000000000000102000000000000006e6f",
+    // unsubscribe
+    "46504f53010000000c00000000000000284d913a070000002100000000000000",
+    // unsubscribe-ack
+    "46504f530100000005000000000000004a8c55810800000001",
+    // emission
+    "46504f53010000002d000000000000009159061b090000000500000000000000"
+    "9001000000000000010200000000000000000000000000000011000000000000"
+    "00",
+    // error
+    "46504f530100000010000000000000001e13cc180a0000000400000000000000"
+    "626f6f6d",
+    // ping
+    "46504f53010000000c0000000000000059a2bab30b000000efbeadde00000000",
+    // pong
+    "46504f53010000003000000000000000f4e670e60c0000000700000000000000"
+    "0100000068100000000000000300000000000000130000000000000002000000"
+    "00000000",
+    // repl-snapshot
+    "46504f53010000007800000000000000af363e890d0000000200000000000000"
+    "73740100000000000000000000000000f83f0400000000000000c80000000000"
+    "00003200000000000000bc020000000000000200000000000000200300000000"
+    "0000000200000000000000010000000000000002000000000000005203000000"
+    "000000010000000000000000",
+    // repl-batch
+    "46504f53010000007d000000000000004e4456c90e0000006400000000000000"
+    "c800000000000000010000000000000096000000000000000200000000000000"
+    "000000000000f03f00000000000000400100000000000000000000000000e03f"
+    "020000000000000064000000000000006400000000000000c800000000000000"
+    "0001000000000000002a00000000000000",
+    // repl-ack
+    "46504f53010000000d0000000000000099122f7d0f0000000903000000000000"
+    "01",
+    // shard-config
+    "46504f530100000024000000000000001f673186100000000100000002000000"
+    "0000000000605fc0000000008040af400000000000c03140",
+    // shard-config-ack
+    "46504f53010000000f000000000000009dadcc08110000000002000000000000"
+    "006e6f",
+};
+
+std::string Hex(const std::string& bytes) {
+  std::string hex;
+  for (const unsigned char c : bytes) {
+    char digits[3];
+    std::snprintf(digits, sizeof(digits), "%02x", c);
+    hex += digits;
+  }
+  return hex;
+}
+
+// Round trips cannot see a layout change made on both sides at once; the
+// bytes can.
+TEST(ProtocolTest, EveryMessageEncodesToItsGoldenFrame) {
+  std::vector<std::string> frames;
+  std::apply([&](const auto&... m) { (frames.push_back(Encode(m)), ...); },
+             Instances());
+  ASSERT_EQ(frames.size(), std::size(kGoldenFrames));
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(Hex(frames[i]), kGoldenFrames[i]) << "instance " << i;
+  }
+}
+
+// `m` decodes from its own payload and re-encodes to the same frame; every
+// strict prefix of the payload and the payload plus one byte are refused,
+// and a refusal leaves the output as it was.
+template <class M>
+void ExpectStrictDecoding(const M& m) {
+  SCOPED_TRACE(MsgTypeName(M::kType));
+  const std::string frame = Encode(m);
+  std::string_view payload;
+  std::string error;
+  ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
+  M out;
+  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
+  EXPECT_EQ(Encode(out), frame);
+  for (size_t len = 0; len < payload.size(); ++len) {
+    EXPECT_FALSE(Decode(payload.substr(0, len), &out, &error))
+        << "prefix " << len;
+  }
+  std::string extended(payload);
+  extended.push_back('\0');
+  EXPECT_FALSE(Decode(extended, &out, &error));
+  EXPECT_NE(error.find("trailing"), std::string::npos) << error;
+  EXPECT_EQ(Encode(out), frame);
+}
+
+TEST(ProtocolTest, EveryDecoderRefusesEachPrefixAndATrailingByte) {
+  std::apply([](const auto&... m) { (ExpectStrictDecoding(m), ...); },
+             Instances());
+}
+
+TEST(ProtocolTest, BoolBytesAboveOneAreRefused) {
+  std::string_view payload;
+  std::string error;
+  const std::string frame = Encode(UnsubscribeAckMsg{true});
+  ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
+  std::string two(payload);
+  two.back() = 2;
+  UnsubscribeAckMsg out;
+  EXPECT_FALSE(Decode(two, &out, &error));
+  EXPECT_NE(error.find("unsubscribe-ack"), std::string::npos) << error;
+}
+
+// A count that claims 2^62 elements, with nothing after it: each vector's
+// reader grows one element at a time, so it fails at the first missing
+// byte instead of sizing an allocation.
+TEST(ProtocolTest, OversizedCountsAreRefusedWithoutAllocating) {
+  constexpr uint64_t kHuge = 1ull << 62;
+  auto query = [](BinaryWriter* w) {
+    w->WriteDouble(1.0);
+    w->WriteI64(2);
+    w->WriteI64(100);
+    w->WriteI64(10);
+  };
+  auto begin = [](MsgType type) {
+    BinaryWriter w;
+    w.WriteU32(static_cast<uint32_t>(type));
+    return w;
+  };
+  auto refused = [](const BinaryWriter& w, auto out) {
+    std::string error;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = Decode(w.bytes(), &out, &error));
+    EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+    return !ok;
+  };
+  {  // ingest points
+    BinaryWriter w = begin(MsgType::kIngest);
+    w.WriteI64(10);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, IngestMsg{}));
+  }
+  {  // one point's values
+    BinaryWriter w = begin(MsgType::kIngest);
+    w.WriteI64(10);
+    w.WriteU64(1);
+    w.WriteI64(5);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, IngestMsg{}));
+  }
+  {  // ingest owner flags
+    BinaryWriter w = begin(MsgType::kIngest);
+    w.WriteI64(10);
+    w.WriteU64(0);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, IngestMsg{}));
+  }
+  {  // emission outliers
+    BinaryWriter w = begin(MsgType::kEmission);
+    w.WriteI64(1);
+    w.WriteI64(10);
+    w.WriteBool(false);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, EmissionMsg{}));
+  }
+  {  // the repl-snapshot ring
+    BinaryWriter w = begin(MsgType::kReplSnapshot);
+    w.WriteBytes("");
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplSnapshotMsg{}));
+  }
+  {  // one ring shard's entries
+    BinaryWriter w = begin(MsgType::kReplSnapshot);
+    w.WriteBytes("");
+    w.WriteU64(1);
+    query(&w);
+    w.WriteI64(INT64_MIN);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplSnapshotMsg{}));
+  }
+  {  // one ring entry's outliers
+    BinaryWriter w = begin(MsgType::kReplSnapshot);
+    w.WriteBytes("");
+    w.WriteU64(1);
+    query(&w);
+    w.WriteI64(INT64_MIN);
+    w.WriteU64(1);
+    w.WriteI64(10);
+    w.WriteBool(false);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplSnapshotMsg{}));
+  }
+  {  // repl-batch points
+    BinaryWriter w = begin(MsgType::kReplBatch);
+    w.WriteI64(0);
+    w.WriteI64(10);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplBatchMsg{}));
+  }
+  {  // repl-batch results
+    BinaryWriter w = begin(MsgType::kReplBatch);
+    w.WriteI64(0);
+    w.WriteI64(10);
+    w.WriteU64(0);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplBatchMsg{}));
+  }
+  {  // one result's outliers
+    BinaryWriter w = begin(MsgType::kReplBatch);
+    w.WriteI64(0);
+    w.WriteI64(10);
+    w.WriteU64(0);
+    w.WriteU64(1);
+    query(&w);
+    w.WriteI64(10);
+    w.WriteBool(false);
+    w.WriteU64(kHuge);
+    EXPECT_TRUE(refused(w, ReplBatchMsg{}));
+  }
 }
 
 // The decoder must hand out frames regardless of how recv fragments them:
@@ -431,12 +703,12 @@ TEST(ProtocolTest, DecodersRejectWrongTypeAndTrailingBytes) {
 // boundaries are all the same stream.
 TEST(ProtocolTest, FrameDecoderReassemblesAnyFragmentation) {
   std::vector<std::string> frames;
-  frames.push_back(EncodeHello(HelloMsg{}));
+  frames.push_back(Encode(HelloMsg{}));
   IngestMsg ingest;
   ingest.boundary = 10;
   ingest.points.push_back(MakePoint(1, {2.0, 3.0}));
-  frames.push_back(EncodeIngest(ingest));
-  frames.push_back(EncodeError(ErrorMsg{"x"}));
+  frames.push_back(Encode(ingest));
+  frames.push_back(Encode(ErrorMsg{"x"}));
   std::string stream;
   for (const std::string& f : frames) stream += f;
 
@@ -491,13 +763,13 @@ TEST(ProtocolTest, FrameDecoderLatchesAfterBadMagic) {
   std::string error;
   EXPECT_EQ(decoder.Next(&payload, &error), FrameDecoder::Status::kError);
   // Even a valid frame cannot rescue a desynchronized stream.
-  const std::string good = EncodeHello(HelloMsg{});
+  const std::string good = Encode(HelloMsg{});
   decoder.Append(good.data(), good.size());
   EXPECT_EQ(decoder.Next(&payload, &error), FrameDecoder::Status::kError);
 }
 
 TEST(ProtocolTest, FrameDecoderRejectsBitFlips) {
-  const std::string frame = EncodeIngest([] {
+  const std::string frame = Encode([] {
     IngestMsg m;
     m.boundary = 99;
     for (int i = 0; i < 32; ++i) {
@@ -526,7 +798,7 @@ TEST(ProtocolTest, TruncationAtEveryPrefixIsRejectedOrIncomplete) {
   SubscribeAckMsg ack;
   ack.query_id = 4;
   ack.error = "ok";
-  const std::string frame = EncodeSubscribeAck(ack);
+  const std::string frame = Encode(ack);
   for (size_t len = 0; len < frame.size(); ++len) {
     FrameDecoder decoder;
     decoder.Append(frame.data(), len);
@@ -539,7 +811,7 @@ TEST(ProtocolTest, TruncationAtEveryPrefixIsRejectedOrIncomplete) {
 
 // Randomized corruption fuzz over the whole decode surface: mutate valid
 // frames (bit flips, truncations, splices, pure garbage) and feed them to
-// FrameDecoder + every message decoder. Nothing may crash; genuine mutants
+// FrameDecoder + all 17 message decoders. Nothing may crash; genuine mutants
 // must never round-trip into an accepted frame whose payload then decodes
 // under a different length than it encoded. Time-bounded; seed logged for
 // replay (SOP_FUZZ_SEED pins it, SOP_FUZZ_MS extends the budget).
@@ -572,19 +844,21 @@ TEST(ProtocolTest, CorruptionFuzzNeverCrashes) {
   fuzz_shard.entries.push_back({900, true, {5}});
   repl_snap.ring.push_back(fuzz_shard);
   const std::vector<std::string> valids = {
-      EncodeHello(HelloMsg{}),
-      EncodeHelloAck(HelloAckMsg{}),
-      EncodeIngest(ingest),
-      EncodeSubscribe(SubscribeMsg{}),
-      EncodeEmission(emission),
-      EncodeError(ErrorMsg{"diagnostic"}),
-      EncodePing(PingMsg{99}),
-      EncodePong(PongMsg{}),
-      EncodeReplSnapshot(repl_snap),
-      EncodeReplBatch(repl_batch),
-      EncodeReplAck(ReplAckMsg{}),
+      Encode(HelloMsg{}),
+      Encode(HelloAckMsg{}),
+      Encode(ingest),
+      Encode(SubscribeMsg{}),
+      Encode(emission),
+      Encode(ErrorMsg{"diagnostic"}),
+      Encode(PingMsg{99}),
+      Encode(PongMsg{}),
+      Encode(repl_snap),
+      Encode(repl_batch),
+      Encode(ReplAckMsg{}),
   };
 
+  // One message of every type for the survivors to decode into.
+  const auto decoded = Instances();
   Rng rng(seed);
   uint64_t iterations = 0;
   const auto deadline = std::chrono::steady_clock::now() +
@@ -634,36 +908,9 @@ TEST(ProtocolTest, CorruptionFuzzNeverCrashes) {
           if (status != FrameDecoder::Status::kFrame) break;
           MsgType type;
           if (!PeekType(payload, &type, &error)) continue;
-          HelloMsg hello;
-          HelloAckMsg hello_ack;
-          IngestMsg in;
-          IngestAckMsg in_ack;
-          SubscribeMsg sub;
-          SubscribeAckMsg sub_ack;
-          UnsubscribeMsg unsub;
-          UnsubscribeAckMsg unsub_ack;
-          EmissionMsg em;
-          ErrorMsg err;
-          PingMsg ping;
-          PongMsg pong;
-          ReplSnapshotMsg rsnap;
-          ReplBatchMsg rbatch;
-          ReplAckMsg rack;
-          DecodeHello(payload, &hello, &error);
-          DecodeHelloAck(payload, &hello_ack, &error);
-          DecodeIngest(payload, &in, &error);
-          DecodeIngestAck(payload, &in_ack, &error);
-          DecodeSubscribe(payload, &sub, &error);
-          DecodeSubscribeAck(payload, &sub_ack, &error);
-          DecodeUnsubscribe(payload, &unsub, &error);
-          DecodeUnsubscribeAck(payload, &unsub_ack, &error);
-          DecodeEmission(payload, &em, &error);
-          DecodeError(payload, &err, &error);
-          DecodePing(payload, &ping, &error);
-          DecodePong(payload, &pong, &error);
-          DecodeReplSnapshot(payload, &rsnap, &error);
-          DecodeReplBatch(payload, &rbatch, &error);
-          DecodeReplAck(payload, &rack, &error);
+          std::apply(
+              [&](auto... m) { (Decode(payload, &m, &error), ...); },
+              decoded);
         }
       }
     }

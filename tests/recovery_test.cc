@@ -385,6 +385,8 @@ std::vector<CraftedTail> CraftedTails() {
        {{4, {Point(0, 3, {1.0}), Point(0, 2, {1.0})}}}},
       {"a time past its batch's boundary", time, 1, 4,
        {{4, {Point(0, 100, {1.0})}}}},
+      {"a time below the previous boundary", time, 2, 8,
+       {{4, {Point(0, 1, {1.0})}}, {8, {Point(0, 3, {1.0})}}}},
       {"more points than the next seq", count, 4, 8,
        {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
       {"a negative next seq", count, -4, 8, {}},
@@ -522,9 +524,9 @@ TEST(RecoveryTest, CraftedTailsAreRefusedByServerCheckpointFiles) {
     newest.state = SessionStateWith(t);
     std::string error;
     ASSERT_TRUE(io::WriteFileAtomic(io::GenerationPath(path, 1),
-                                    net::EncodeReplSnapshot(older), &error));
+                                    net::Encode(older), &error));
     ASSERT_TRUE(
-        io::WriteFileAtomic(path, net::EncodeReplSnapshot(newest), &error));
+        io::WriteFileAtomic(path, net::Encode(newest), &error));
 
     net::ServerOptions options;
     options.window_type = t.type;
@@ -572,14 +574,14 @@ TEST(RecoveryTest, CraftedTailsAreRefusedByStandbySnapshots) {
     snapshot.state = AdvancedSession(t.type)->SaveState();
     std::string reply;
     net::ReplAckMsg ack;
-    ASSERT_TRUE(Exchange(sock, net::EncodeReplSnapshot(snapshot), &reply));
-    ASSERT_TRUE(net::DecodeReplAck(reply, &ack, &error)) << error;
+    ASSERT_TRUE(Exchange(sock, net::Encode(snapshot), &reply));
+    ASSERT_TRUE(net::Decode(reply, &ack, &error)) << error;
     EXPECT_FALSE(ack.need_snapshot);
     EXPECT_EQ(ack.boundary, 4);
 
     snapshot.state = SessionStateWith(t);
-    ASSERT_TRUE(Exchange(sock, net::EncodeReplSnapshot(snapshot), &reply));
-    ASSERT_TRUE(net::DecodeReplAck(reply, &ack, &error)) << error;
+    ASSERT_TRUE(Exchange(sock, net::Encode(snapshot), &reply));
+    ASSERT_TRUE(net::Decode(reply, &ack, &error)) << error;
     EXPECT_TRUE(ack.need_snapshot);
     EXPECT_EQ(ack.boundary, 4);
     const net::ServerStats stats = standby.stats();

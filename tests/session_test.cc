@@ -349,9 +349,10 @@ TEST(SopSessionTest, RestoredSessionKeepsOverlayCoverage) {
 }
 
 // The first accepted point fixes the dimensionality, with no query
-// registered too, time windows refuse a time regression (ties pass) and a
-// point at or past its batch's boundary, and boundaries must increase. A
-// restored session takes the point rules from its retained history alone.
+// registered too, time windows refuse a time regression (ties pass), a
+// point below the previous boundary and one at or past its batch's
+// boundary, and boundaries must increase. A restored session takes the
+// point rules from its retained history and its last boundary.
 TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   auto at = [](Timestamp t, std::vector<double> v) {
     return Point(0, t, std::move(v));
@@ -370,7 +371,9 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   EXPECT_TRUE(refusal(session, {at(12, {1.0})}, 20, "dimensions"));
   EXPECT_TRUE(refusal(session, {at(3, {1.0, 1.0})}, 20, "below"));
   EXPECT_TRUE(refusal(session, {at(12, {1.0, 1.0})}, 10, "does not advance"));
-  EXPECT_EQ(session.CheckBatch({at(4, {1.0, 1.0})}, 20), "");
+  EXPECT_TRUE(refusal(session, {at(4, {1.0, 1.0})}, 20,
+                      "below the previous boundary 10"));
+  EXPECT_EQ(session.CheckBatch({at(10, {1.0, 1.0})}, 20), "");
   EXPECT_DEATH(session.Advance({at(12, {1.0})}, 20), "dimensions");
 
   // History now holds only the batch ending at 20.
@@ -383,13 +386,17 @@ TEST(SopSessionTest, CheckBatchRulesSurviveRestoreFromHistory) {
   EXPECT_TRUE(refusal(restored, {at(14, {1.0, 1.0})}, 30, "below"));
   EXPECT_TRUE(refusal(restored, {at(15, {1.0, 1.0})}, 20, "does not advance"));
   EXPECT_TRUE(refusal(restored, {at(30, {1.0, 1.0})}, 30, "past"));
-  EXPECT_EQ(restored.CheckBatch({at(15, {1.0, 1.0})}, 30), "");
+  EXPECT_TRUE(refusal(restored, {at(15, {1.0, 1.0})}, 30,
+                      "below the previous boundary 20"));
+  EXPECT_EQ(restored.CheckBatch({at(20, {1.0, 1.0})}, 30), "");
 
   // History trimmed to an empty batch: the restored stream starts fresh.
   session.Advance({}, 40);
   SopSession fresh(WindowType::kTime, Metric::kEuclidean, 10);
   ASSERT_TRUE(fresh.LoadState(session.SaveState()));
-  EXPECT_EQ(fresh.CheckBatch({at(1, {1.0})}, 50), "");
+  EXPECT_EQ(fresh.CheckBatch({at(40, {1.0})}, 50), "");
+  EXPECT_TRUE(refusal(fresh, {at(1, {1.0})}, 50,
+                      "below the previous boundary 40"));
 }
 
 // Only the current state version loads: complete v2 and v3 blobs (an

@@ -843,7 +843,7 @@ TEST(SimTest, IdleTimeoutFiresOnVirtualClockOnly) {
   // Slow loris: half a ping frame, then silence.
   net::Socket loris = net::ConnectTcp("127.0.0.1", server.port(), &error);
   ASSERT_TRUE(loris.valid()) << error;
-  const std::string frame = net::EncodePing(net::PingMsg{});
+  const std::string frame = net::Encode(net::PingMsg{});
   const std::string half = frame.substr(0, frame.size() / 2);
   ASSERT_TRUE(net::SendAll(loris, half, &error)) << error;
   ASSERT_TRUE(YieldUntil(

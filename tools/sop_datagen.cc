@@ -13,7 +13,8 @@
 // Streaming modes: `--out -` writes CSV to stdout in --batch sized chunks;
 // `--connect` speaks the sop wire protocol (net/client.h) and pushes each
 // chunk as one ingest batch, deriving boundaries from the server's window
-// type (cumulative point count, or point time). `--rate P` paces either
+// type (cumulative point count, or point time; a time-window chunk runs on
+// through the points that share its last time). `--rate P` paces either
 // mode to P points/second against absolute deadlines, so jitter does not
 // accumulate; 0 (default) streams at full speed.
 
@@ -106,14 +107,19 @@ int StreamToServer(const std::vector<sop::Point>& points,
   int64_t emitted = 0;
   int64_t boundary = base;
   uint64_t batches = 0;
-  for (size_t start = 0; start < points.size(); start += batch) {
-    const size_t end = std::min(points.size(), start + batch);
+  for (size_t start = 0, end = 0; start < points.size(); start = end) {
+    end = std::min(points.size(), start + batch);
+    // A time-window chunk takes every point at its last time: the next
+    // chunk's points must not fall below this chunk's boundary.
+    while (!count_windows && end < points.size() &&
+           points[end].time == points[end - 1].time) {
+      ++end;
+    }
     const std::vector<Point> chunk(points.begin() + start,
                                    points.begin() + end);
     emitted += static_cast<int64_t>(chunk.size());
     // Count windows key on cumulative arrival count; time windows on point
-    // time (strictly advanced so back-to-back batches at one timestamp
-    // still make progress).
+    // time (strictly advanced past a shared stream's earlier boundary).
     boundary = count_windows
                    ? base + emitted
                    : std::max(boundary + 1, chunk.back().time + 1);

@@ -271,6 +271,9 @@ int main(int argc, char** argv) {
                                                stats.subscribes),
                static_cast<unsigned long long>(stats.unsubscribes),
                static_cast<unsigned long long>(stats.merged_boundaries));
+  std::fprintf(stderr, "worker traffic: %llu bytes out, %llu bytes in\n",
+               static_cast<unsigned long long>(stats.worker_bytes_out),
+               static_cast<unsigned long long>(stats.worker_bytes_in));
   if (want_metrics || !metrics_out.empty()) {
     const obs::Snapshot snap = obs::MetricsRegistry::Global().TakeSnapshot();
     const std::string json = obs::ToJson(snap);
