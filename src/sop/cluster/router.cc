@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -31,19 +32,6 @@ struct Op {
   net::IngestMsg ingest;       // kBatch
   OutlierQuery query;          // kSubscribe
   int64_t query_id = 0;        // kUnsubscribe / kDetach
-};
-
-// One unit of work for a worker thread, in route-loop dispatch order.
-struct Job {
-  enum class Kind { kConfig, kBatch, kSubscribe, kUnsubscribe, kStop };
-  Kind kind = Kind::kStop;
-  net::ShardConfigMsg config;   // kConfig
-  int64_t boundary = 0;         // kBatch
-  std::vector<Point> points;    // kBatch
-  std::vector<uint8_t> owner;   // kBatch
-  int64_t query_id = 0;         // kSubscribe / kUnsubscribe (global id)
-  OutlierQuery query;           // kSubscribe
-  uint64_t ticket = 0;          // kSubscribe / kUnsubscribe completion
 };
 
 // The client front runs the server's rules (net/frontend.h) with
@@ -116,6 +104,9 @@ struct SopRouter::Impl : net::FrontHandler {
   int64_t next_query_id = 1;
   bool halo_frozen = false;
   int64_t max_win = 0;  // largest window ever subscribed
+  // Every merged emission below this boundary is degraded: a failed or
+  // refused share left a hole in the windows that reach back to it.
+  int64_t degraded_until = INT64_MIN;
   // The client stream's position and rules (the single server's), in the
   // deployment's window type; it numbers the points with global seqs.
   StreamTail tail{options.window_type};
@@ -149,29 +140,15 @@ struct SopRouter::Impl : net::FrontHandler {
   };
   std::vector<SeqMap> seq_maps;
 
-  // --- completion plane (workers -> route loop) --------------------------
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  // One worker's outcome for one fanned-out batch.
+  // One worker's outcome for its share of one batch.
   struct WorkerBatchResult {
     bool ok = false;           // transport-level success (an ack arrived)
     uint64_t accepted = 0;     // points the worker applied (ack.accepted)
     uint64_t next_seq = 0;     // worker arrival counter after the batch
+    std::vector<std::string> errors;  // the worker's diagnostics
+    // With GLOBAL query ids but LOCAL seqs.
+    std::vector<net::EmissionMsg> emissions;
   };
-  struct PendingBatch {
-    size_t remaining = 0;
-    std::vector<WorkerBatchResult> results;  // by worker index
-    // (worker index, emission with GLOBAL query id but LOCAL seqs).
-    std::vector<std::pair<int, net::EmissionMsg>> emissions;
-  };
-  std::map<int64_t, PendingBatch> pending;  // by boundary; guarded
-  struct Ticket {
-    size_t remaining = 0;
-    bool ok = true;
-    std::string error;
-  };
-  std::map<uint64_t, Ticket> tickets;  // guarded by done_mu
-  uint64_t next_ticket = 1;            // route-loop only
 
   // --- workers -----------------------------------------------------------
   struct Worker {
@@ -179,17 +156,12 @@ struct SopRouter::Impl : net::FrontHandler {
     net::Endpoint endpoint;
     net::SopClient client;  // worker-thread-owned after Start()
     std::thread thread;
-    std::mutex mu;
-    std::condition_variable cv_push;
-    std::condition_variable cv_pop;
-    std::deque<Job> jobs;  // guarded by mu
     // Query id translation, worker-thread only: the ids this worker's
     // client handed out vs the router's global ids.
     std::map<int64_t, int64_t> global_to_client;
     std::map<int64_t, int64_t> client_to_global;
-    // Cached obs handles (null when obs is disabled at Start).
+    // Cached obs handle (null when obs is disabled at Start).
     obs::Counter* points_counter = nullptr;
-    obs::Gauge* lag_gauge = nullptr;
     // The client's counts when CountTraffic last added them (worker thread
     // only).
     uint64_t reconnects_seen = 0;
@@ -197,6 +169,18 @@ struct SopRouter::Impl : net::FrontHandler {
     uint64_t bytes_in_seen = 0;
   };
   std::vector<std::unique_ptr<Worker>> workers;
+
+  // --- the fork-join (route loop -> worker threads) ----------------------
+  // One round per operation: RunOnWorkers publishes the operation's share,
+  // each worker thread runs it on its own worker, and the route loop waits
+  // for all of them.
+  std::mutex round_mu;
+  std::condition_variable round_cv;   // worker threads wait for a round
+  std::condition_variable joined_cv;  // the route loop waits for the join
+  const std::function<void(Worker&)>* round_fn = nullptr;  // guarded
+  uint64_t round = 0;         // guarded by round_mu
+  size_t round_done = 0;      // guarded by round_mu
+  bool workers_stop = false;  // guarded by round_mu
 
   // Declared last: it calls back into everything above until it stops.
   net::Frontend front;
@@ -370,28 +354,10 @@ struct SopRouter::Impl : net::FrontHandler {
 
   // --- worker side -------------------------------------------------------
 
-  void PushJob(Worker* w, Job job) {
-    std::unique_lock<std::mutex> lock(w->mu);
-    // During shutdown the queue bound is waived instead of dropping the
-    // job: the workers keep running until the route loop has drained
-    // (Stop() joins the loop before ending them), so every pushed job
-    // still completes — a dropped kBatch/kSubscribe would strand its
-    // pending/ticket join and deadlock the drain.
-    w->cv_pop.wait(lock, [&] {
-      return stopping.load(std::memory_order_relaxed) ||
-             w->jobs.size() < options.max_worker_queue;
-    });
-    w->jobs.push_back(std::move(job));
-    if (w->lag_gauge != nullptr && obs::Enabled()) {
-      w->lag_gauge->Set(static_cast<int64_t>(w->jobs.size()));
-    }
-    w->cv_push.notify_one();
-  }
-
   // Adds what `w`'s client counted since the last call (the handshake in
   // Start included, at the first) to the router's totals: the client's
-  // counts are the source. Called before a job's completion is signalled,
-  // so whoever sees the job done sees its traffic.
+  // counts are the source. Called before a worker counts its share done,
+  // so whoever sees the round joined sees its traffic.
   void CountTraffic(Worker* w) {
     auto add = [](std::atomic<uint64_t>* total, uint64_t now,
                   uint64_t* seen) {
@@ -404,113 +370,36 @@ struct SopRouter::Impl : net::FrontHandler {
         &w->bytes_in_seen);
   }
 
-  void CompleteTicket(uint64_t ticket, bool ok, const std::string& error) {
-    std::lock_guard<std::mutex> lock(done_mu);
-    auto it = tickets.find(ticket);
-    if (it == tickets.end()) return;
-    if (!ok && it->second.ok) {
-      it->second.ok = false;
-      it->second.error = error;
+  // Runs each round's share on `w` until Stop() ends the rounds.
+  void WorkerLoop(Worker* w) {
+    uint64_t seen = 0;
+    for (;;) {
+      const std::function<void(Worker&)>* fn = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(round_mu);
+        round_cv.wait(lock, [&] { return workers_stop || round != seen; });
+        if (round == seen) break;  // stopping, and every round has run
+        seen = round;
+        fn = round_fn;
+      }
+      (*fn)(*w);
+      CountTraffic(w);
+      std::lock_guard<std::mutex> lock(round_mu);
+      if (++round_done == workers.size()) joined_cv.notify_one();
     }
-    if (it->second.remaining > 0) --it->second.remaining;
-    done_cv.notify_all();
+    CountTraffic(w);
   }
 
-  void WorkerLoop(Worker* w) {
-    for (;;) {
-      Job job;
-      {
-        std::unique_lock<std::mutex> lock(w->mu);
-        w->cv_push.wait(lock, [&] { return !w->jobs.empty(); });
-        job = std::move(w->jobs.front());
-        w->jobs.pop_front();
-        if (w->lag_gauge != nullptr && obs::Enabled()) {
-          w->lag_gauge->Set(static_cast<int64_t>(w->jobs.size()));
-        }
-        w->cv_pop.notify_all();
-      }
-      switch (job.kind) {
-        case Job::Kind::kStop:
-          CountTraffic(w);
-          return;
-        case Job::Kind::kConfig: {
-          net::ShardConfigAckMsg ack;
-          std::string error;
-          if (!w->client.ShardConfig(job.config, &ack, &error) || !ack.ok) {
-            // Informational handshake; a refusal (another router claimed
-            // this worker) is visible in the worker's stats and ours.
-            stats.protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          }
-          CountTraffic(w);
-          break;
-        }
-        case Job::Kind::kSubscribe: {
-          std::string error;
-          const int64_t cid = w->client.Subscribe(job.query, &error);
-          if (cid != 0) {
-            w->global_to_client[job.query_id] = cid;
-            w->client_to_global[cid] = job.query_id;
-          }
-          CountTraffic(w);
-          CompleteTicket(job.ticket, cid != 0, error);
-          break;
-        }
-        case Job::Kind::kUnsubscribe: {
-          std::string error;
-          bool ok = false;
-          auto it = w->global_to_client.find(job.query_id);
-          if (it != w->global_to_client.end()) {
-            ok = w->client.Unsubscribe(it->second, &error);
-            w->client_to_global.erase(it->second);
-            w->global_to_client.erase(it);
-          }
-          CountTraffic(w);
-          CompleteTicket(job.ticket, ok, error);
-          break;
-        }
-        case Job::Kind::kBatch: {
-          net::IngestAckMsg ack;
-          std::string error;
-          const bool ok = w->client.Ingest(job.boundary, job.points,
-                                           job.owner, &ack, &error);
-          CountTraffic(w);
-          if (w->points_counter != nullptr && obs::Enabled()) {
-            w->points_counter->Add(job.points.size());
-          }
-          // Worker-server refusals surface as error pushes; they indicate
-          // a worker out of step (e.g. restarted without its checkpoint).
-          const size_t worker_errors = w->client.TakeErrors().size();
-          if (worker_errors > 0) {
-            stats.protocol_errors.fetch_add(worker_errors,
-                                            std::memory_order_relaxed);
-          }
-          std::vector<net::EmissionMsg> kept;
-          for (net::EmissionMsg& e : w->client.TakeEmissions()) {
-            const auto it = w->client_to_global.find(e.query_id);
-            if (it == w->client_to_global.end()) continue;  // retired
-            e.query_id = it->second;
-            kept.push_back(std::move(e));
-          }
-          {
-            std::lock_guard<std::mutex> lock(done_mu);
-            const auto it = pending.find(job.boundary);
-            if (it != pending.end()) {
-              WorkerBatchResult& r =
-                  it->second.results[static_cast<size_t>(w->index)];
-              r.ok = ok;
-              r.accepted = ok ? ack.accepted : 0;
-              r.next_seq = ok ? ack.next_seq : 0;
-              for (net::EmissionMsg& e : kept) {
-                it->second.emissions.emplace_back(w->index, std::move(e));
-              }
-              if (it->second.remaining > 0) --it->second.remaining;
-            }
-            done_cv.notify_all();
-          }
-          break;
-        }
-      }
-    }
+  // Runs `fn` once on every worker, each on its own thread, and returns
+  // when all have. Route loop only, so rounds never overlap.
+  void RunOnWorkers(const std::function<void(Worker&)>& fn) {
+    std::unique_lock<std::mutex> lock(round_mu);
+    round_fn = &fn;
+    round_done = 0;
+    ++round;
+    round_cv.notify_all();
+    joined_cv.wait(lock, [&] { return round_done == workers.size(); });
+    round_fn = nullptr;
   }
 
   // --- route loop --------------------------------------------------------
@@ -585,37 +474,20 @@ struct SopRouter::Impl : net::FrontHandler {
     sm.gaps.clear();
   }
 
-  uint64_t FanOut(Job::Kind kind, int64_t query_id,
-                  const OutlierQuery& query) {
-    const uint64_t ticket = next_ticket++;
-    {
-      std::lock_guard<std::mutex> lock(done_mu);
-      tickets[ticket] = Ticket{workers.size(), true, ""};
-    }
-    for (std::unique_ptr<Worker>& w : workers) {
-      Job job;
-      job.kind = kind;
-      job.query_id = query_id;
-      job.query = query;
-      job.ticket = ticket;
-      PushJob(w.get(), std::move(job));
-    }
-    return ticket;
-  }
-
-  Ticket AwaitTicket(uint64_t ticket) {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&] {
-      const auto it = tickets.find(ticket);
-      return it == tickets.end() || it->second.remaining == 0;
+  // Retires global query `qid` on every worker that registered it. True
+  // when every worker confirmed.
+  bool RetireOnWorkers(int64_t qid) {
+    std::vector<uint8_t> retired(workers.size(), 0);
+    RunOnWorkers([&](Worker& w) {
+      const auto it = w.global_to_client.find(qid);
+      if (it == w.global_to_client.end()) return;
+      std::string error;
+      retired[static_cast<size_t>(w.index)] =
+          w.client.Unsubscribe(it->second, &error) ? 1 : 0;
+      w.client_to_global.erase(it->second);
+      w.global_to_client.erase(it);
     });
-    Ticket result;
-    const auto it = tickets.find(ticket);
-    if (it != tickets.end()) {
-      result = std::move(it->second);
-      tickets.erase(it);
-    }
-    return result;
+    return std::find(retired.begin(), retired.end(), 0) == retired.end();
   }
 
   void HandleSubscribe(Op& op) {
@@ -649,16 +521,28 @@ struct SopRouter::Impl : net::FrontHandler {
       return;
     }
     const int64_t qid = next_query_id++;
-    const Ticket t = AwaitTicket(FanOut(Job::Kind::kSubscribe, qid,
-                                        op.query));
-    if (!t.ok) {
+    std::vector<std::string> refusals(workers.size());  // "" = registered
+    RunOnWorkers([&](Worker& w) {
+      std::string error;
+      const int64_t cid = w.client.Subscribe(op.query, &error);
+      if (cid == 0) {
+        refusals[static_cast<size_t>(w.index)] =
+            error.empty() ? "subscription failed on a worker" : error;
+        return;
+      }
+      w.global_to_client[qid] = cid;
+      w.client_to_global[cid] = qid;
+    });
+    const auto refused =
+        std::find_if(refusals.begin(), refusals.end(),
+                     [](const std::string& r) { return !r.empty(); });
+    if (refused != refusals.end()) {
       // Partial registrations roll back so no worker computes for a query
       // the router never confirmed.
-      AwaitTicket(FanOut(Job::Kind::kUnsubscribe, qid, OutlierQuery{}));
+      RetireOnWorkers(qid);
       stats.refused_subscribes.fetch_add(1, std::memory_order_relaxed);
       net::SubscribeAckMsg ack;
-      ack.error = t.error.empty() ? "subscription failed on a worker"
-                                  : t.error;
+      ack.error = *refused;
       front.Send(op.conn, Encode(ack), /*droppable=*/false);
       return;
     }
@@ -678,8 +562,7 @@ struct SopRouter::Impl : net::FrontHandler {
   }
 
   void HandleRetire(Op& op) {
-    const Ticket t = AwaitTicket(FanOut(Job::Kind::kUnsubscribe,
-                                        op.query_id, OutlierQuery{}));
+    const bool retired = RetireOnWorkers(op.query_id);
     {
       std::lock_guard<std::mutex> lock(subs_mu);
       subs.erase(op.query_id);
@@ -690,7 +573,7 @@ struct SopRouter::Impl : net::FrontHandler {
         op.conn->subs.erase(op.query_id);
       }
       net::UnsubscribeAckMsg ack;
-      ack.ok = t.ok;
+      ack.ok = retired;
       front.Send(op.conn, Encode(ack), /*droppable=*/false);
     }
     stats.unsubscribes.fetch_add(1, std::memory_order_relaxed);
@@ -713,21 +596,10 @@ struct SopRouter::Impl : net::FrontHandler {
     tail.Push(&op.ingest.points, boundary, /*reach=*/0);
     if (!halo_frozen) {
       // First batch: the halo (and with it the partitioner) is final —
-      // replicas already shipped cannot be widened retroactively. Declare
-      // every worker's shard assignment ahead of its first points.
+      // replicas already shipped cannot be widened retroactively.
       halo_frozen = true;
       partitioner = std::make_unique<Partitioner>(
           options.partition, halo.load(std::memory_order_relaxed));
-      for (std::unique_ptr<Worker>& w : workers) {
-        Job job;
-        job.kind = Job::Kind::kConfig;
-        job.config.shard_index = static_cast<uint32_t>(w->index);
-        job.config.num_shards = static_cast<uint32_t>(workers.size());
-        job.config.lo = partitioner->range_lo(w->index);
-        job.config.hi = partitioner->range_hi(w->index);
-        job.config.halo = partitioner->halo();
-        PushJob(w.get(), std::move(job));
-      }
     }
 
     SOP_TRACE("cluster/route/batch_ms");
@@ -765,46 +637,47 @@ struct SopRouter::Impl : net::FrontHandler {
     stats.routed_points.fetch_add(copies, std::memory_order_relaxed);
     stats.halo_points.fetch_add(halo_copies, std::memory_order_relaxed);
 
-    std::vector<size_t> expected(parts);
-    for (size_t i = 0; i < parts; ++i) expected[i] = routed[i].size();
-    {
-      std::lock_guard<std::mutex> lock(done_mu);
-      PendingBatch pb;
-      pb.remaining = parts;
-      pb.results.assign(parts, WorkerBatchResult{});
-      pending[boundary] = std::move(pb);
-    }
-    for (size_t i = 0; i < parts; ++i) {
-      Job job;
-      job.kind = Job::Kind::kBatch;
-      job.boundary = boundary;
-      job.points = std::move(routed[i]);
-      job.owner = std::move(owner[i]);
-      PushJob(workers[i].get(), std::move(job));
-    }
-
     // Fork-join: every worker advances to `boundary` (or fails) before
     // the merge — emissions must precede the ingest ack, and the ack must
     // mean the whole cluster moved.
-    PendingBatch result;
-    {
-      std::unique_lock<std::mutex> lock(done_mu);
-      done_cv.wait(lock, [&] {
-        const auto it = pending.find(boundary);
-        return it == pending.end() || it->second.remaining == 0;
-      });
-      const auto it = pending.find(boundary);
-      if (it != pending.end()) {
-        result = std::move(it->second);
-        pending.erase(it);
+    std::vector<WorkerBatchResult> results(parts);
+    RunOnWorkers([&](Worker& w) {
+      const auto i = static_cast<size_t>(w.index);
+      WorkerBatchResult& r = results[i];
+      net::IngestAckMsg ack;
+      std::string error;
+      r.ok = w.client.Ingest(boundary, routed[i], owner[i], &ack, &error);
+      if (r.ok) {
+        r.accepted = ack.accepted;
+        r.next_seq = ack.next_seq;
       }
-    }
-    if (result.results.size() != parts) result.results.resize(parts);
+      if (w.points_counter != nullptr && obs::Enabled()) {
+        w.points_counter->Add(routed[i].size());
+      }
+      // A worker's refusal arrives as an error push ahead of its ack.
+      for (net::ErrorMsg& e : w.client.TakeErrors()) {
+        r.errors.push_back(std::move(e.message));
+      }
+      for (net::EmissionMsg& e : w.client.TakeEmissions()) {
+        const auto it = w.client_to_global.find(e.query_id);
+        if (it == w.client_to_global.end()) continue;  // retired
+        e.query_id = it->second;
+        r.emissions.push_back(std::move(e));
+      }
+    });
     bool batch_failed = false;
+    std::string worker_refusal;  // the first refusing worker's diagnostic
     for (size_t i = 0; i < parts; ++i) {
-      const WorkerBatchResult& r = result.results[i];
-      if (!r.ok || r.accepted != expected[i]) batch_failed = true;
-      RealignSeqMap(seq_maps[i], expected[i], r);
+      const WorkerBatchResult& r = results[i];
+      stats.protocol_errors.fetch_add(r.errors.size(),
+                                      std::memory_order_relaxed);
+      if (!r.ok || r.accepted != routed[i].size()) batch_failed = true;
+      if (r.ok && r.accepted < routed[i].size() && worker_refusal.empty()) {
+        worker_refusal =
+            "worker " + std::to_string(i) + ": " +
+            (r.errors.empty() ? "refused its share" : r.errors.front());
+      }
+      RealignSeqMap(seq_maps[i], routed[i].size(), r);
     }
     bool any_desync = false;
     for (const SeqMap& sm : seq_maps) any_desync = any_desync || sm.desynced();
@@ -812,14 +685,22 @@ struct SopRouter::Impl : net::FrontHandler {
       // A shard never applied the batch (worker unreachable past bounded
       // recovery, or out of step). The stream keeps moving — losing one
       // shard's verdicts forever would otherwise stall every query — but
-      // every merged emission is marked degraded until it heals.
+      // every window that reaches back to this batch misses that shard's
+      // points, so each merged emission below this boundary plus the
+      // widest window is marked degraded.
       stats.worker_failures.fetch_add(1, std::memory_order_relaxed);
+      degraded_until = std::max(degraded_until,
+                                boundary > INT64_MAX - max_win
+                                    ? INT64_MAX
+                                    : boundary + max_win);
     }
     // Health flag, not a latch: set while any shard's verdicts are missing
     // or its sequence map is desynced, cleared again once a batch
-    // completes with every worker realigned (see router.h).
-    stats.degraded.store(batch_failed || any_desync,
-                         std::memory_order_relaxed);
+    // completes past the last hole's windows with every worker realigned
+    // (see router.h).
+    stats.degraded.store(
+        batch_failed || any_desync || boundary < degraded_until,
+        std::memory_order_relaxed);
 
     // Merge: group per-worker emissions by (boundary, query) — a worker
     // recovering mid-batch may replay an earlier boundary it never
@@ -829,37 +710,36 @@ struct SopRouter::Impl : net::FrontHandler {
     SOP_TRACE("cluster/merge/merge_ms");
     std::map<std::pair<int64_t, int64_t>, net::EmissionMsg> merged;
     uint64_t dropped_halo = 0;
-    for (std::pair<int, net::EmissionMsg>& entry : result.emissions) {
-      const int widx = entry.first;
-      net::EmissionMsg& em = entry.second;
-      net::EmissionMsg& m = merged[{em.boundary, em.query_id}];
-      m.query_id = em.query_id;
-      m.boundary = em.boundary;
-      m.degraded = m.degraded || em.degraded;
-      SeqMap& sm = seq_maps[static_cast<size_t>(widx)];
-      if (sm.desynced()) {
-        // An open gap means the map's local->global translation cannot be
-        // trusted for this shard — a shifted index would resolve in range
-        // to the WRONG global seq. Say the verdicts are missing rather
-        // than emit corrupted ones.
-        m.degraded = true;
-        continue;
-      }
-      for (const Seq local : em.outliers) {
-        const int64_t idx = local - sm.base;
-        if (idx < 0 || idx >= static_cast<int64_t>(sm.entries.size())) {
-          // Outside the retained map: a worker out of step (restarted
-          // without its checkpoint) or a window wider than the retention.
-          // Flag rather than guess.
+    for (size_t i = 0; i < parts; ++i) {
+      SeqMap& sm = seq_maps[i];
+      for (net::EmissionMsg& em : results[i].emissions) {
+        net::EmissionMsg& m = merged[{em.boundary, em.query_id}];
+        m.query_id = em.query_id;
+        m.boundary = em.boundary;
+        m.degraded = m.degraded || em.degraded;
+        if (sm.desynced()) {
+          // An open gap means the map's local->global translation cannot
+          // be trusted for this shard — a shifted index would resolve in
+          // range to the WRONG global seq. Say the verdicts are missing
+          // rather than emit corrupted ones.
           m.degraded = true;
           continue;
         }
-        const MapEntry& e = sm.entries[static_cast<size_t>(idx)];
-        if (!e.owned) {
-          ++dropped_halo;
-          continue;
+        for (const Seq local : em.outliers) {
+          const int64_t idx = local - sm.base;
+          if (idx < 0 || idx >= static_cast<int64_t>(sm.entries.size())) {
+            // Outside the retained map: a worker out of step (restarted
+            // without its checkpoint). Flag rather than guess.
+            m.degraded = true;
+            continue;
+          }
+          const MapEntry& e = sm.entries[static_cast<size_t>(idx)];
+          if (!e.owned) {
+            ++dropped_halo;
+            continue;
+          }
+          m.outliers.push_back(e.global);
         }
-        m.outliers.push_back(e.global);
       }
     }
     stats.dropped_halo_outliers.fetch_add(dropped_halo,
@@ -873,7 +753,7 @@ struct SopRouter::Impl : net::FrontHandler {
       std::sort(m.outliers.begin(), m.outliers.end());
       m.outliers.erase(std::unique(m.outliers.begin(), m.outliers.end()),
                        m.outliers.end());
-      if (batch_failed) m.degraded = true;
+      if (batch_failed || m.boundary < degraded_until) m.degraded = true;
       net::FrontConnPtr target;
       {
         std::lock_guard<std::mutex> lock(subs_mu);
@@ -890,10 +770,13 @@ struct SopRouter::Impl : net::FrontHandler {
     last_boundary.store(boundary, std::memory_order_relaxed);
 
     // Ack after the batch's emissions: same contract as the single
-    // server, and what makes blocking clients deterministic.
+    // server, and what makes blocking clients deterministic. A worker that
+    // refused its share fails the ack with its diagnostic, as a single
+    // server's refusal would; the other shards have moved on.
+    if (!worker_refusal.empty()) SendError(op.conn, worker_refusal);
     net::IngestAckMsg ack;
     ack.boundary = boundary;
-    ack.accepted = count;
+    ack.accepted = worker_refusal.empty() ? count : 0;
     ack.emissions = to_ingester;
     // The router's global arrival counter after this batch — same v4
     // contract as the single server's ack.
@@ -901,10 +784,8 @@ struct SopRouter::Impl : net::FrontHandler {
     front.Send(op.conn, Encode(ack), /*droppable=*/false);
 
     // Prune the sequence maps past the merge horizon: no future window
-    // can reach keys older than boundary - retention.
-    const int64_t retention =
-        options.seq_retention > 0 ? options.seq_retention : max_win;
-    const int64_t horizon = boundary - retention;
+    // can reach keys older than boundary - max_win.
+    const int64_t horizon = boundary - max_win;
     for (SeqMap& sm : seq_maps) {
       while (!sm.entries.empty() && sm.entries.front().key < horizon) {
         sm.entries.pop_front();
@@ -1006,11 +887,8 @@ bool SopRouter::Start(std::string* error) {
     ro.endpoints = {w->endpoint};
     w->client.EnableReconnect(std::move(ro));
     if (obs::Enabled()) {
-      const std::string prefix = "cluster/worker/" + std::to_string(i);
-      w->points_counter =
-          &obs::MetricsRegistry::Global().GetCounter(prefix + "/points");
-      w->lag_gauge =
-          &obs::MetricsRegistry::Global().GetGauge(prefix + "/lag");
+      w->points_counter = &obs::MetricsRegistry::Global().GetCounter(
+          "cluster/worker/" + std::to_string(i) + "/points");
     }
     im.workers.push_back(std::move(w));
   }
@@ -1049,14 +927,12 @@ void SopRouter::Stop() {
   if (im.route_thread.joinable()) im.route_thread.join();
 
   // 3. End the worker threads and close their clients.
+  {
+    std::lock_guard<std::mutex> lock(im.round_mu);
+    im.workers_stop = true;
+  }
+  im.round_cv.notify_all();
   for (std::unique_ptr<Impl::Worker>& w : im.workers) {
-    {
-      std::lock_guard<std::mutex> lock(w->mu);
-      Job job;
-      job.kind = Job::Kind::kStop;
-      w->jobs.push_back(std::move(job));
-      w->cv_push.notify_all();
-    }
     if (w->thread.joinable()) w->thread.join();
     w->client.Close();
   }

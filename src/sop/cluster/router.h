@@ -11,10 +11,11 @@
 //                region lies within the halo width (the workload basis
 //                r_max), so each worker sees the complete neighborhood of
 //                every point it owns.
-//   Router       batches fan out over per-worker bounded queues, one
-//                SopClient per worker with reconnect/HA recovery armed —
-//                a killed-and-restarted worker (checkpointing enabled) is
-//                ridden out with exactly-once resume, not a lost shard.
+//   Router       every operation fork-joins across one thread per worker,
+//                each driving one SopClient with reconnect/HA recovery
+//                armed — a killed-and-restarted worker (checkpointing
+//                enabled) is ridden out with exactly-once resume, not a
+//                lost shard.
 //   Merger       per-worker emissions come back, halo verdicts (outliers
 //                the emitting shard does not own) are dropped, owned
 //                verdicts are translated from worker-local to global
@@ -34,11 +35,11 @@
 // point is owned exactly once — the union is the global answer.
 //
 // Ordering: one route loop serializes every stream operation (batches,
-// subscribes, unsubscribes, detach cleanup) and dispatches them to every
-// worker in the same order, so all workers agree on which queries are
-// live at every boundary. The loop fork-joins each batch across all
-// workers before merging, and a batch's merged emissions are enqueued to
-// each subscriber ahead of the ingester's ack — the same
+// subscribes, unsubscribes, detach cleanup) and hands each to every worker
+// in the same order, so all workers agree on which queries are live at
+// every boundary. The loop fork-joins each operation across all workers
+// before it takes the next one, and a batch's merged emissions are
+// enqueued to each subscriber ahead of the ingester's ack — the same
 // emissions-before-ack contract the single server gives.
 //
 // Threading: the client side is the single server's connection front
@@ -57,19 +58,28 @@
 // refused with a diagnostic instead of silently degrading; a deployment
 // that expects wider radii later sets `halo` explicitly.
 //
+// Refusals: the router checks each client batch with its own StreamTail
+// (the single server's rules, in the deployment's window type) before it
+// routes any of it. A worker may still refuse its share (its stream is
+// ahead of the router's, say): the client then gets that worker's
+// diagnostic as an error and an ack with accepted 0, while the other
+// shards have applied theirs.
+//
 // Degradation: if a worker stays unreachable past its client's bounded
-// recovery, the router keeps serving — merged emissions carry
-// degraded=true (a shard's verdicts are missing) until the worker
-// returns. Lossy, and says so, rather than stalling the stream forever.
-// A failed batch also leaves that shard's local->global sequence map in
-// an unknown state (nothing says whether the worker numbered the batch's
-// points), so the map is held desynced — its verdicts stay out of the
-// merge, flagged degraded — until the worker's next ack: every ack
-// carries the worker session's arrival counter (IngestAckMsg::next_seq),
-// against which the router realigns the map exactly, excising the entries
-// of batches the worker provably never applied. RouterStats::degraded
-// mirrors this: set while any shard is failed or desynced, cleared once a
-// batch completes with every worker realigned.
+// recovery, or refuses its share, the router keeps serving. Every window
+// that reaches back to that batch misses the shard's points, so each
+// merged emission below the batch's boundary plus the largest subscribed
+// window carries degraded=true. Lossy, and says so, rather than stalling
+// the stream forever. A failed batch also leaves that shard's
+// local->global sequence map in an unknown state (nothing says whether
+// the worker numbered the batch's points), so the map is held desynced —
+// its verdicts stay out of the merge, flagged degraded — until the
+// worker's next ack: every ack carries the worker session's arrival
+// counter (IngestAckMsg::next_seq), against which the router realigns the
+// map exactly, excising the entries of batches the worker provably never
+// applied. RouterStats::degraded mirrors this: set while any shard is
+// failed or desynced or a hole's windows are still open, cleared once a
+// batch past them completes with every worker realigned.
 //
 // Scope: the router keeps no resume ring and no checkpoint of its own;
 // SubscribeMsg::resume_from is ignored (exactly-once across a ROUTER
@@ -122,17 +132,10 @@ struct RouterOptions {
   /// Bounded client -> route-loop queue (stream ops). A full queue blocks
   /// readers, backpressuring the ingesting client's TCP stream.
   size_t max_ingest_queue = 16;
-  /// Bounded per-worker job queue (batches in flight to one worker).
-  size_t max_worker_queue = 8;
   /// Bounded per-subscriber send queue (frames); an emission to a full
   /// queue blocks the route loop — lossless backpressure, the server's
   /// kBlock policy. Control replies bypass the bound.
   size_t max_send_queue = 256;
-
-  /// Retention for the local->global sequence maps, in window-key units
-  /// past the merged stream position; 0 sizes it automatically to the
-  /// largest subscribed window.
-  int64_t seq_retention = 0;
 
   /// Worker-client recovery template (endpoints are filled per worker).
   net::ReconnectOptions worker_reconnect;
@@ -141,7 +144,7 @@ struct RouterOptions {
 /// Monotonic counters since Start(), always on (independent of obs): the
 /// one source of the router's counts. The global obs registry holds only
 /// what no field does: the cluster/route/batch_ms and cluster/merge/merge_ms
-/// timings, the route queue's peak depth and per-worker points and lag.
+/// timings, the route queue's peak depth and per-worker points.
 struct RouterStats {
   uint64_t connections = 0;        // accepted client sockets, lifetime
   uint64_t active_clients = 0;     // currently connected
@@ -157,14 +160,16 @@ struct RouterStats {
   uint64_t unsubscribes = 0;
   uint64_t protocol_errors = 0;
   uint64_t worker_reconnects = 0;  // recoveries completed across workers
-  uint64_t worker_failures = 0;    // batches a worker never acked
+  uint64_t worker_failures = 0;    // batches a worker failed or refused
   /// Bytes the worker clients sent and received since Start, the
   /// handshakes included: the sums of their SopClient counts.
   uint64_t worker_bytes_out = 0;
   uint64_t worker_bytes_in = 0;
-  /// True while a shard's verdicts are missing or its sequence map is
-  /// desynced; false again once a batch completes with every worker
-  /// healthy and realigned (current health, not a sticky latch).
+  /// True while a shard's verdicts are missing, its sequence map is
+  /// desynced, or a window still reaches back to a failed or refused
+  /// share; false again once a batch past those windows completes with
+  /// every worker healthy and realigned (current health, not a sticky
+  /// latch).
   bool degraded = false;
   int64_t last_boundary = net::kNoResume;
   double halo = 0.0;               // current width (may grow until frozen)
@@ -185,8 +190,7 @@ class SopRouter {
   /// Validates the partition against the worker list, connects and
   /// verifies every worker (time windows, matching metric/detector,
   /// primary role), binds the front listener and spawns the serving
-  /// threads. Shard configs are declared at the first routed batch, when
-  /// the halo freezes. False with `*error` set on any mismatch.
+  /// threads. False with `*error` set on any mismatch.
   bool Start(std::string* error);
 
   /// Graceful shutdown; idempotent. Stops accepting, drains the route

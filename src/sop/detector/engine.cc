@@ -82,13 +82,12 @@ bool ExecutionEngine::ApplyResume(RunContext* ctx, const RunCheckpoint& cp,
   if (cp.batch_span != ctx->batch_span) {
     return fail("batch span mismatch");
   }
-  // Every boundary this engine advances is a multiple of the span, and in
-  // count windows it is the number of points advanced.
+  // Every boundary this engine advances is a multiple of the span (in
+  // count windows, StreamTail::Read has checked that it is the number of
+  // points advanced).
   const int64_t last = cp.tail.last_boundary();
   if (last == StreamTail::kNoBoundary || last % ctx->batch_span != 0 ||
-      last > INT64_MAX - ctx->batch_span ||
-      (ctx->workload->window_type() == WindowType::kCount &&
-       last != cp.tail.next_seq())) {
+      last > INT64_MAX - ctx->batch_span) {
     return fail("the tail ends at boundary " + std::to_string(last) +
                 ", off this run's batch schedule");
   }

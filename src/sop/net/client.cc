@@ -46,8 +46,6 @@ bool SopClient::Connect(const std::string& host, int port,
   collect_orphans_ = false;
   recovered_boundary_ = kNoResume;
   recovered_next_seq_ = 0;
-  shard_config_set_ = false;
-  shard_config_ = ShardConfigMsg{};
   if (!ConnectRaw(host, port, error)) return false;
   connected_endpoint_ = Endpoint{host, port};
   return true;
@@ -213,26 +211,6 @@ bool SopClient::Ingest(int64_t boundary, const std::vector<Point>& points,
   }
 }
 
-bool SopClient::ShardConfig(const ShardConfigMsg& config,
-                            ShardConfigAckMsg* ack, std::string* error) {
-  for (int round = 0;; ++round) {
-    std::string attempt_error;
-    if (Call(config, ack, &attempt_error)) {
-      if (ack->ok) {
-        // Remember it so Recover() re-declares the assignment to whatever
-        // incarnation of the worker answers next.
-        shard_config_ = config;
-        shard_config_set_ = true;
-      }
-      return true;
-    }
-    if (!reconnect_armed_ || round >= 1) return Fail(error, attempt_error);
-    // Recovery re-declares any previously accepted config; the re-send on
-    // the next round is idempotent either way.
-    if (!Recover(error)) return false;
-  }
-}
-
 bool SopClient::Ping(PongMsg* pong, std::string* error) {
   return Call(PingMsg{++ping_token_}, pong, error);
 }
@@ -255,16 +233,6 @@ bool SopClient::Recover(std::string* error) {
       last_error = "endpoint is a standby";
       Close();
       continue;
-    }
-    // Re-declare the shard assignment first: a restarted worker comes up
-    // with no config, and stats labeling should precede re-ingest.
-    if (shard_config_set_) {
-      ShardConfigAckMsg sack;
-      if (!Call(shard_config_, &sack, &last_error) || !sack.ok) {
-        if (last_error.empty()) last_error = sack.error;
-        Close();
-        continue;
-      }
     }
     // Re-register every live subscription, resuming from its high-water
     // mark so the server replays what this client missed and suppresses

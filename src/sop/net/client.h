@@ -144,13 +144,6 @@ class SopClient {
               const std::vector<uint8_t>& owner, IngestAckMsg* ack,
               std::string* error);
 
-  /// Declares this endpoint's shard assignment (router -> worker). The
-  /// config is retained and re-declared automatically after every
-  /// reconnect recovery; a worker already claimed with a conflicting
-  /// config acks ok == false (surfaced in `*ack`, returns true).
-  bool ShardConfig(const ShardConfigMsg& config, ShardConfigAckMsg* ack,
-                   std::string* error);
-
   /// Health probe: role, stream position, queue depths. Never triggers
   /// reconnect — a probe that cannot reach the server should say so.
   bool Ping(PongMsg* pong, std::string* error);
@@ -245,9 +238,6 @@ class SopClient {
   uint64_t last_replayed_ = 0;
   bool last_gap_ = false;
   uint64_t ping_token_ = 0;
-  // Shard assignment to re-declare after every recovery (scale-out).
-  bool shard_config_set_ = false;
-  ShardConfigMsg shard_config_;
   // During a subscribe, replayed emissions arrive before the ack that
   // names their server id; they wait here until the ack adopts them.
   bool collect_orphans_ = false;

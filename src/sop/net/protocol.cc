@@ -184,14 +184,6 @@ void Fields(IO& io, Rec<IO, ReplBatchMsg>& m) {
 template <class IO>
 void Fields(IO& io, Rec<IO, ReplAckMsg>& m) { io(m.boundary, m.need_snapshot); }
 
-template <class IO>
-void Fields(IO& io, Rec<IO, ShardConfigMsg>& m) {
-  io(m.shard_index, m.num_shards, m.lo, m.hi, m.halo);
-}
-
-template <class IO>
-void Fields(IO& io, Rec<IO, ShardConfigAckMsg>& m) { io(m.ok, m.error); }
-
 // The refusals no field list can express: why a well-formed `m` is still
 // malformed, or nullptr.
 template <class M>
@@ -207,12 +199,6 @@ const char* Refusal(const IngestMsg& m) {
              : "owner flag count mismatch";
 }
 
-const char* Refusal(const ShardConfigMsg& m) {
-  return m.num_shards > 0 && m.shard_index < m.num_shards
-             ? nullptr
-             : "shard index out of range";
-}
-
 }  // namespace
 
 // Indexed by type word - 1.
@@ -220,10 +206,9 @@ constexpr const char* kMsgTypeNames[] = {
     "hello",         "hello-ack",       "ingest",        "ingest-ack",
     "subscribe",     "subscribe-ack",   "unsubscribe",   "unsubscribe-ack",
     "emission",      "error",           "ping",          "pong",
-    "repl-snapshot", "repl-batch",      "repl-ack",      "shard-config",
-    "shard-config-ack"};
+    "repl-snapshot", "repl-batch",      "repl-ack"};
 static_assert(std::size(kMsgTypeNames) ==
-              static_cast<size_t>(MsgType::kShardConfigAck));
+              static_cast<size_t>(MsgType::kReplAck));
 
 const char* MsgTypeName(MsgType type) {
   const auto word = static_cast<size_t>(type);
@@ -287,8 +272,6 @@ SOP_NET_INSTANTIATE_CODEC(PongMsg)
 SOP_NET_INSTANTIATE_CODEC(ReplSnapshotMsg)
 SOP_NET_INSTANTIATE_CODEC(ReplBatchMsg)
 SOP_NET_INSTANTIATE_CODEC(ReplAckMsg)
-SOP_NET_INSTANTIATE_CODEC(ShardConfigMsg)
-SOP_NET_INSTANTIATE_CODEC(ShardConfigAckMsg)
 #undef SOP_NET_INSTANTIATE_CODEC
 
 bool PeekType(std::string_view payload, MsgType* type, std::string* error) {

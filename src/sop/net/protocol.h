@@ -58,8 +58,10 @@ namespace net {
 /// the session arrival counter (`next_seq`) to hello and ingest acks, the
 /// anchor a scale-out router realigns its sequence maps against after a
 /// worker outage. v5 drops the snapshot's boundary word: the session state
-/// inside it carries the stream position (core/session.h).
-inline constexpr uint32_t kProtocolVersion = 5;
+/// inside it carries the stream position (core/session.h). v6 drops the
+/// shard-config handshake (types 16 and 17): a worker learns nothing of
+/// its shard but the owner flags on its points.
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// Upper bound on one frame's payload, enforced on both send and receive.
 /// Large enough for ~100k ingested points per batch, small enough that a
@@ -83,8 +85,6 @@ enum class MsgType : uint32_t {
   kReplSnapshot = 13,   // primary -> standby: full session state + ring
   kReplBatch = 14,      // primary -> standby: one batch + its emissions
   kReplAck = 15,        // standby -> primary: applied position / resync ask
-  kShardConfig = 16,    // router -> worker: this worker's shard assignment
-  kShardConfigAck = 17, // worker -> router: accepted (or refused) config
 };
 
 /// Human-readable type name for logs and test failures.
@@ -294,34 +294,10 @@ struct ReplAckMsg {
   bool need_snapshot = false;
 };
 
-/// Router -> worker shard assignment (DESIGN.md Sec. 17): declares which
-/// slice of the value domain (first attribute) this worker owns and how
-/// wide the halo around it is. Informational for the worker — routing
-/// decisions are the router's — but it lets the worker label its stats,
-/// sanity-check reconfiguration, and refuse a conflicting second router.
-struct ShardConfigMsg {
-  static constexpr MsgType kType = MsgType::kShardConfig;
-  uint32_t shard_index = 0;  // this worker's shard, in [0, num_shards)
-  uint32_t num_shards = 1;
-  /// Owned region [lo, hi) over the first attribute. The first shard's lo
-  /// and the last shard's hi are +/-infinity so every value has an owner.
-  double lo = 0.0;
-  double hi = 0.0;
-  /// Halo width: points within `halo` of the region (but owned elsewhere)
-  /// are replicated here. Derived from the workload basis r_max upstream.
-  double halo = 0.0;
-};
-
-struct ShardConfigAckMsg {
-  static constexpr MsgType kType = MsgType::kShardConfigAck;
-  bool ok = false;
-  std::string error;  // refusal reason (e.g. conflicting earlier config)
-};
-
 /// --- encoding and decoding ---------------------------------------------
 /// Each message's layout is written once, as a field list in protocol.cc
 /// that Encode and Decode both walk: the u32 type word M::kType, then the
-/// fields in wire order. Both are instantiated for the 17 messages above.
+/// fields in wire order. Both are instantiated for the 15 messages above.
 
 /// One complete frame, ready to write to a socket.
 template <class M>

@@ -114,14 +114,6 @@ struct SopServer::Impl : FrontHandler {
   std::mutex repl_conns_mu;
   std::set<const FrontConn*> repl_conns;      // guarded by repl_conns_mu
 
-  // Scale-out plane (DESIGN.md Sec. 17): the shard assignment a router
-  // declared for this worker. Informational — routing is the router's job
-  // — but a second, conflicting declaration is refused so two routers
-  // cannot silently split-brain one worker.
-  std::mutex shard_mu;
-  bool shard_set = false;                     // guarded by shard_mu
-  ShardConfigMsg shard;                       // guarded by shard_mu
-
   // Bounded reader -> detection-loop handoff. A full queue blocks readers,
   // so ingest backpressure propagates to the client's TCP stream.
   std::mutex ingest_mu;
@@ -715,31 +707,6 @@ struct SopServer::Impl : FrontHandler {
         }
         return true;
       }
-      case MsgType::kShardConfig: {
-        ShardConfigMsg msg;
-        if (!Decode(payload, &msg, &error)) {
-          return SendError(conn, error);
-        }
-        ShardConfigAckMsg ack;
-        {
-          std::lock_guard<std::mutex> lock(shard_mu);
-          if (shard_set && (shard.shard_index != msg.shard_index ||
-                            shard.num_shards != msg.num_shards ||
-                            shard.lo != msg.lo || shard.hi != msg.hi ||
-                            shard.halo != msg.halo)) {
-            ack.ok = false;
-            ack.error = "conflicting shard config already declared";
-          } else {
-            // First declaration, or an idempotent re-send from a
-            // reconnecting router.
-            shard = msg;
-            shard_set = true;
-            ack.ok = true;
-          }
-        }
-        front.Send(conn, Encode(ack), /*droppable=*/false);
-        return true;
-      }
       default:
         // Server-bound streams never carry server-push types; a client
         // sending one is confused but not fatal.
@@ -1095,12 +1062,6 @@ ServerStats SopServer::stats() const {
   s.resume_gaps = a.resume_gaps.load(std::memory_order_relaxed);
   s.resumed = a.resumed.load(std::memory_order_relaxed);
   s.role = impl_->RoleNow();
-  {
-    std::lock_guard<std::mutex> lock(impl_->shard_mu);
-    s.sharded = impl_->shard_set;
-    s.shard_index = impl_->shard.shard_index;
-    s.num_shards = impl_->shard.num_shards;
-  }
   {
     std::lock_guard<std::mutex> lock(impl_->session_mu);
     if (impl_->session != nullptr) {

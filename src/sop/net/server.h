@@ -207,10 +207,6 @@ struct ServerStats {
   bool resumed = false;            // Start() restored a session checkpoint
   ServerRole role = ServerRole::kPrimary;  // current role (promotion moves it)
   int64_t last_boundary = kNoResume;       // the session's stream position
-  // --- scale-out plane (DESIGN.md Sec. 17) --------------------------------
-  bool sharded = false;            // a router declared a shard config
-  uint32_t shard_index = 0;        // valid when sharded
-  uint32_t num_shards = 0;         // valid when sharded
 };
 
 /// The serving endpoint. Start() binds and serves until Stop() (or

@@ -16,6 +16,13 @@ std::string StreamTail::Check(const std::vector<Point>& batch,
   if (static_cast<int64_t>(batch.size()) > INT64_MAX - next_seq_) {
     return "batch overflows the stream's seqs";
   }
+  // A count window's key is the seq (DESIGN.md Sec. 2), so its boundary
+  // is the count of points up to and including the batch.
+  const int64_t cumulative = next_seq_ + static_cast<int64_t>(batch.size());
+  if (type_ == WindowType::kCount && boundary != cumulative) {
+    return "count boundary " + std::to_string(boundary) +
+           " is not the cumulative count " + std::to_string(cumulative);
+  }
   int64_t dims = dims_;
   Timestamp last_time = last_time_;
   for (const Point& p : batch) {
@@ -96,9 +103,17 @@ std::string StreamTail::Read(BinaryReader* r) {
     return "truncated tail";
   }
   if (next_seq < 0) return "tail has a negative next seq";
+  const bool count = type_ == WindowType::kCount;
+  if (count && last_boundary != next_seq &&
+      !(last_boundary == kNoBoundary && next_seq == 0)) {
+    return "count tail ends at boundary " + std::to_string(last_boundary) +
+           ", not at its next seq " + std::to_string(next_seq);
+  }
   // The batches go through a fresh tail's rules, as when first accepted;
-  // it keeps none of them (reach 0), `batches` does.
+  // it keeps none of them (reach 0), `batches` does. A count tail's first
+  // batch starts at its boundary minus its size.
   StreamTail tail(type_);
+  Seq first_seq = 0;
   std::deque<HistoryBatch> batches;
   for (uint64_t i = 0; i < num_batches; ++i) {
     HistoryBatch b;
@@ -111,6 +126,12 @@ std::string StreamTail::Read(BinaryReader* r) {
       if (!ReadPoint(r, &p)) return "truncated tail";
       b.points.push_back(std::move(p));
     }
+    if (count && i == 0) {
+      const auto size = static_cast<int64_t>(b.points.size());
+      if (b.boundary < size) return "count tail starts below seq 0";
+      first_seq = b.boundary - size;
+      tail.next_seq_ = first_seq;
+    }
     const std::string refusal = tail.Check(b.points, b.boundary);
     if (!refusal.empty()) return "tail breaks a stream rule: " + refusal;
     tail.Push(&b.points, b.boundary, /*reach=*/0);
@@ -119,10 +140,15 @@ std::string StreamTail::Read(BinaryReader* r) {
   if (tail.last_boundary_ > last_boundary) {
     return "tail holds a batch after its last boundary";
   }
-  if (tail.next_seq_ > next_seq) {
+  if (tail.next_seq_ - first_seq > next_seq) {
     return "tail holds more points than its next seq";
   }
-  Seq seq = next_seq - tail.next_seq_;
+  if (count && !batches.empty() && tail.next_seq_ != next_seq) {
+    return "count tail's last batch ends at " +
+           std::to_string(tail.next_seq_) + ", not at its next seq " +
+           std::to_string(next_seq);
+  }
+  Seq seq = next_seq - (tail.next_seq_ - first_seq);
   for (HistoryBatch& b : batches) {
     for (Point& p : b.points) p.seq = seq++;
   }

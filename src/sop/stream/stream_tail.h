@@ -37,10 +37,11 @@ class StreamTail {
 
   /// Why Push must refuse `batch` at `boundary`, or "" if it may take it:
   /// the boundary must be above last_boundary(), the seqs must not pass
-  /// INT64_MAX, every point must have the stream's dimensionality (fixed by
-  /// the first accepted point), and in time windows no point's time may be
-  /// below the previous one's or last_boundary(), or at or above
-  /// `boundary`.
+  /// INT64_MAX, in count windows the boundary must be the cumulative count
+  /// next_seq() + batch size, every point must have the stream's
+  /// dimensionality (fixed by the first accepted point), and in time
+  /// windows no point's time may be below the previous one's or
+  /// last_boundary(), or at or above `boundary`.
   std::string Check(const std::vector<Point>& batch, int64_t boundary) const;
 
   /// CHECKs Check, numbers the points from next_seq() on and moves the
@@ -68,7 +69,10 @@ class StreamTail {
   /// truncation, boundaries that do not increase or pass the last
   /// boundary, a negative next seq, more points than the next seq, a second
   /// dimensionality, a time regression, a point time below the previous
-  /// batch's boundary, or one at or above its own batch's boundary.
+  /// batch's boundary, or one at or above its own batch's boundary. A count
+  /// tail must also keep the cumulative-count rule: its first batch starts
+  /// at its boundary minus its size, no lower than seq 0, and the tail ends
+  /// at its next seq (its last boundary, and its last batch's, is next seq).
   std::string Read(BinaryReader* r);
 
  private:

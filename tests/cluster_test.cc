@@ -14,7 +14,11 @@
 //   * stale boundaries and bad queries are refused at the router, and a
 //     ping reports the router's role and position,
 //   * every batch one server refuses is refused at the router with the
-//     server's diagnostic, though each worker sees only its shard.
+//     server's diagnostic, though each worker sees only its shard; in
+//     count windows that includes a boundary other than the cumulative
+//     count,
+//   * a share a worker refuses fails the client's ack with the worker's
+//     diagnostic and degrades the merged emission.
 //
 // All assertions read RouterStats/ServerStats (always-on atomics), never
 // obs counters, so the suite passes identically under -DSOP_NO_OBS. One
@@ -303,13 +307,10 @@ TEST(ClusterTest, RoutedMatchesEngineEveryDetector) {
         EXPECT_FALSE(stats.degraded) << label;
         EXPECT_EQ(stats.protocol_errors, 0u) << label;
         EXPECT_GE(stats.halo, 2.0) << label;  // r_max of the query set
-        // Workers saw the shard-config handshake and halo replicas.
+        // Workers counted the halo replicas by their owner flags.
         uint64_t worker_halo = 0;
-        for (size_t w = 0; w < tc.workers.size(); ++w) {
-          const net::ServerStats ws = tc.workers[w]->stats();
-          EXPECT_TRUE(ws.sharded) << label << " worker " << w;
-          EXPECT_EQ(ws.num_shards, 2u) << label << " worker " << w;
-          worker_halo += ws.halo_points;
+        for (const std::unique_ptr<SopServer>& w : tc.workers) {
+          worker_halo += w->stats().halo_points;
         }
         EXPECT_EQ(worker_halo, stats.halo_points) << label;
       }
@@ -364,24 +365,19 @@ TEST(ClusterTest, RoutedMatchesEngineMultiAttribute) {
   EXPECT_GT(stats.routed_points, stats.ingest_points);
   EXPECT_EQ(stats.worker_failures, 0u);
   EXPECT_FALSE(stats.degraded);
-  for (size_t w = 0; w < tc.workers.size(); ++w) {
-    EXPECT_TRUE(tc.workers[w]->stats().sharded) << "worker " << w;
-  }
 }
 
-// A replacement router over a fleet an earlier router already claimed.
-// The shard claim is worker-level state that outlives the connection, and
-// the new router re-declares its config at its first routed batch: a
-// MATCHING config is accepted as an idempotent re-send (serving resumes,
-// zero protocol errors), a CONFLICTING one is refused per worker. The new
-// router starts a fresh arrival numbering, so continuity is exactness
+// A replacement router over a fleet an earlier router already served: the
+// workers' streams and sessions outlive the first router's connections,
+// and the new router goes on from their position with zero protocol
+// errors. It starts a fresh arrival numbering, so continuity is exactness
 // modulo that renumbering: once every window clears the handover, the
 // merged emissions equal the single-node run's with each outlier id
 // shifted by the points the first router consumed. Time windows
 // throughout — workers key windows on real timestamps, which survive the
 // handover (a count deployment's translated time axis deliberately does
 // not; see router.h).
-TEST(ClusterTest, ShardConfigRehandshakeAfterRouterRestart) {
+TEST(ClusterTest, ReplacementRouterTakesOverTheFleet) {
   Workload workload(WindowType::kTime);
   const std::vector<OutlierQuery> queries = TestQueries(true);
   for (const OutlierQuery& q : queries) workload.AddQuery(q);
@@ -429,8 +425,7 @@ TEST(ClusterTest, ShardConfigRehandshakeAfterRouterRestart) {
     testing::ExpectSameResults(expected_prefix, prefix, "pre-restart");
   }
 
-  // Phase B: a replacement router, same spec, same (still-claimed)
-  // workers. Its first routed batch re-declares the shard config.
+  // Phase B: a replacement router, same spec, same workers.
   SopRouter router_b(ro);
   ASSERT_TRUE(router_b.Start(&error)) << error;
   SopClient client;
@@ -451,7 +446,7 @@ TEST(ClusterTest, ShardConfigRehandshakeAfterRouterRestart) {
     ASSERT_TRUE(
         client.Ingest(batches[bi].boundary, batches[bi].points, &ack, &error))
         << "batch " << bi << ": " << error;
-    // The re-declared config was accepted: the whole batch landed.
+    // Every worker took its share: the whole batch landed.
     EXPECT_EQ(ack.accepted, batches[bi].points.size()) << "batch " << bi;
     for (const EmissionMsg& e : client.TakeEmissions()) {
       ASSERT_TRUE(index_of.count(e.query_id) != 0);
@@ -464,10 +459,6 @@ TEST(ClusterTest, ShardConfigRehandshakeAfterRouterRestart) {
     }
   }
   EXPECT_EQ(router_b.stats().protocol_errors, 0u);
-  for (size_t w = 0; w < workers.size(); ++w) {
-    EXPECT_TRUE(workers[w]->stats().sharded) << "worker " << w;
-    EXPECT_EQ(workers[w]->stats().num_shards, 2u) << "worker " << w;
-  }
 
   // Clean tail: every window past the handover holds only points the new
   // router numbered, so emissions must be exact modulo the uniform id
@@ -491,24 +482,8 @@ TEST(ClusterTest, ShardConfigRehandshakeAfterRouterRestart) {
   }
   testing::ExpectSameResults(expected_tail, actual_tail, "post-restart tail");
 
-  // Phase C: a router with DIFFERENT cuts against the claimed fleet. Each
-  // worker refuses the conflicting declaration at its first routed batch.
-  RouterOptions conflicting = ro;
-  conflicting.partition = PartitionSpec::Uniform(-3.0, 3.0, 2);
-  router_b.Stop();
-  SopRouter router_c(conflicting);
-  ASSERT_TRUE(router_c.Start(&error)) << error;
-  SopClient probe;
-  ASSERT_TRUE(probe.Connect("127.0.0.1", router_c.port(), &error)) << error;
-  IngestAckMsg ack;
-  std::vector<Point> tail_points = batches.back().points;
-  ASSERT_TRUE(probe.Ingest(batches.back().boundary + 1000, tail_points, &ack,
-                           &error))
-      << error;
-  EXPECT_GE(router_c.stats().protocol_errors, 2u);  // one refusal per worker
-  probe.Close();
-  router_c.Stop();
   client.Close();
+  router_b.Stop();
   for (std::unique_ptr<SopServer>& w : workers) w->Stop();
 }
 
@@ -560,10 +535,10 @@ TEST(ClusterTest, WorkerKillAndRestartKeepsMergeExact) {
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     if (bi == batches.size() / 2) {
       // Crash the worker between batches, then bring it back on the same
-      // port from its per-batch checkpoint. The router's next fan-out
+      // port from its per-batch checkpoint. The router's next fork-join
       // triggers its client's bounded recovery against the restarted
-      // worker: re-handshake, shard-config re-declare, re-subscribe from
-      // the high-water mark, exactly-once resume.
+      // worker: re-handshake, re-subscribe from the high-water mark,
+      // exactly-once resume.
       tc.workers[victim]->Kill();
       ServerOptions wo = WorkerOptions("sop");
       wo.port = victim_port;
@@ -656,13 +631,16 @@ TEST(ClusterTest, WorkerOutageDegradesThenRealignsExactly) {
   const size_t down_bi = batches.size() / 2;  // routed into the outage
   // That batch's points [boundary - 50, boundary) never reach the victim.
   const int64_t hole_end = batches[down_bi].boundary;
+  // Every window below this boundary reaches back into the hole (max
+  // window 150).
+  const int64_t clean = hole_end + 150;
   std::vector<QueryResult> actual;
   bool saw_degraded_hole = false;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     if (bi == down_bi) tc.workers[victim]->Kill();  // no restart yet
     if (bi == down_bi + 1) {
       // Back from the per-batch checkpoint on the same port; the next
-      // fan-out recovers the router's client, and the recovered ack's
+      // fork-join recovers the router's client, and the recovered ack's
       // arrival counter realigns the shard's sequence map.
       ServerOptions wo = WorkerOptions("sop");
       wo.port = victim_port;
@@ -680,9 +658,9 @@ TEST(ClusterTest, WorkerOutageDegradesThenRealignsExactly) {
     // The stream keeps moving without the shard — the ack still covers the
     // whole batch — but the router says so while it lasts.
     EXPECT_EQ(ack.accepted, batches[bi].points.size()) << "batch " << bi;
-    if (bi == down_bi) {
-      EXPECT_TRUE(tc.router->stats().degraded);
-    }
+    EXPECT_EQ(tc.router->stats().degraded,
+              batches[bi].boundary >= hole_end && batches[bi].boundary < clean)
+        << "batch " << bi;
     for (const EmissionMsg& e : client.TakeEmissions()) {
       ASSERT_TRUE(index_of.count(e.query_id) != 0);
       if (e.boundary == hole_end) {
@@ -691,9 +669,10 @@ TEST(ClusterTest, WorkerOutageDegradesThenRealignsExactly) {
         saw_degraded_hole = true;
         continue;
       }
-      if (e.boundary < hole_end) {
-        EXPECT_FALSE(e.degraded) << "@" << e.boundary;
-      }
+      // The windows between the hole and `clean` miss the down shard's
+      // points; flagged too.
+      EXPECT_EQ(e.degraded, e.boundary > hole_end && e.boundary < clean)
+          << "@" << e.boundary;
       QueryResult r;
       r.query_index = index_of[e.query_id];
       r.boundary = e.boundary;
@@ -704,9 +683,8 @@ TEST(ClusterTest, WorkerOutageDegradesThenRealignsExactly) {
   EXPECT_TRUE(saw_degraded_hole);
 
   // Exactness before the outage and after every window clears the hole
-  // (max window 150; boundaries in between see a genuinely incomplete
-  // window on the victim and are not compared).
-  const int64_t clean = hole_end + 150;
+  // (boundaries in between see a genuinely incomplete window on the victim
+  // and are not compared).
   const auto slice = [](const std::vector<QueryResult>& in, int64_t lo,
                         int64_t hi) {
     std::vector<QueryResult> out;
@@ -735,10 +713,10 @@ TEST(ClusterTest, WorkerOutageDegradesThenRealignsExactly) {
   EXPECT_FALSE(stats.degraded);  // current health, not a sticky latch
 }
 
-// Stop() while batches are mid-flight must drain and return: a dispatched
-// fan-out job that got dropped on shutdown would strand its fork-join and
-// leave the route loop (and Stop()) waiting forever. Regression for
-// exactly that deadlock.
+// Stop() while batches are mid-flight must drain and return: the route
+// loop finishes its queued operations against the still-running workers,
+// which stop only after it. A worker ended first would strand the
+// fork-join and leave the route loop (and Stop()) waiting forever.
 TEST(ClusterTest, StopUnderActiveIngestDrains) {
   TestCluster tc;
   std::string error;
@@ -1008,6 +986,105 @@ TEST(ClusterTest, RouterRefusesWhatASingleServerRefuses) {
   for (const std::unique_ptr<SopServer>& w : tc.workers) {
     EXPECT_EQ(w->stats().protocol_errors, 0u);
   }
+}
+
+// A count router numbers its points with global seqs, which become the
+// workers' times, so a batch's boundary must be the cumulative count. One
+// that is not is refused at the router with the single server's
+// diagnostic, before any worker sees it — not acked while both workers
+// refuse their shares, whose times would fall below the boundary they had
+// reached. A cumulative continuation then matches one server.
+TEST(ClusterTest, CountRouterRefusesANonCumulativeBoundary) {
+  const OutlierQuery query(1.5, 4, 100, 50);
+  const std::vector<Point> points = GenPoints(300, false, /*seed=*/31);
+  auto fifty = [&points](size_t i) {
+    return std::vector<Point>(
+        points.begin() + static_cast<int64_t>(50 * i),
+        points.begin() + static_cast<int64_t>(50 * (i + 1)));
+  };
+  std::vector<Batch> batches = {{fifty(0), 100}, {fifty(1), 200},
+                                {fifty(2), 300}};
+  for (size_t i = 0; i < 6; ++i) {
+    batches.push_back({fifty(i), static_cast<int64_t>(50 * (i + 1))});
+  }
+  std::string error;
+  ServerOptions count_server;
+  count_server.window_type = WindowType::kCount;
+  SopServer single(count_server);
+  ASSERT_TRUE(single.Start(&error)) << error;
+  TestCluster tc;
+  ASSERT_TRUE(StartCluster(&tc, 2, "sop", WindowType::kCount, &error))
+      << error;
+
+  const Seen direct = Drive(single.port(), query, batches);
+  const Seen routed = Drive(tc.router->port(), query, batches);
+  EXPECT_EQ(routed.accepted,
+            (std::vector<uint64_t>{0, 0, 0, 50, 50, 50, 50, 50, 50}));
+  EXPECT_EQ(routed.accepted, direct.accepted);
+  ASSERT_EQ(routed.errors.size(), 3u);
+  EXPECT_EQ(routed.errors, direct.errors);
+  EXPECT_EQ(routed.errors[0],
+            "count boundary 100 is not the cumulative count 50");
+  EXPECT_EQ(routed.errors[2],
+            "count boundary 300 is not the cumulative count 50");
+  size_t outliers = 0;
+  for (const auto& e : routed.emissions) outliers += e.second.size();
+  EXPECT_GT(outliers, 0u);
+  EXPECT_EQ(routed.emissions, direct.emissions);
+
+  const RouterStats stats = tc.router->stats();
+  EXPECT_EQ(stats.worker_failures, 0u);
+  EXPECT_FALSE(stats.degraded);
+  EXPECT_EQ(stats.ingest_batches, 6u);
+  for (const std::unique_ptr<SopServer>& w : tc.workers) {
+    EXPECT_EQ(w->stats().protocol_errors, 0u);
+  }
+  single.Stop();
+}
+
+// A worker can refuse a share the router's own rules passed: here a
+// direct client has already moved worker 1's stream to boundary 1000. The
+// router fails the client's ack with that worker's diagnostic, and the
+// merged emission at the batch's boundary, which only worker 0 answered,
+// is flagged degraded.
+TEST(ClusterTest, AWorkerRefusalFailsTheAckAndDegrades) {
+  TestCluster tc;
+  std::string error;
+  ASSERT_TRUE(StartCluster(&tc, 2, "sop", WindowType::kTime, &error))
+      << error;
+  SopClient ahead;
+  ASSERT_TRUE(ahead.Connect("127.0.0.1", tc.workers[1]->port(), &error))
+      << error;
+  IngestAckMsg ack;
+  ASSERT_TRUE(ahead.Ingest(1000, {}, &ack, &error)) << error;
+  ASSERT_EQ(tc.workers[1]->stats().last_boundary, 1000);
+
+  SopClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", tc.router->port(), &error))
+      << error;
+  ASSERT_GT(client.Subscribe(OutlierQuery(1.5, 4, 100, 50), &error), 0)
+      << error;
+  // Times in [400, 500), values on both sides of the cut at 0.
+  std::vector<Point> points;
+  for (int i = 0; i < 20; ++i) {
+    const double v = (i % 2 == 0 ? -1.0 : 1.0) * (1.0 + 0.1 * i);
+    points.emplace_back(0, 400 + 5 * i, std::vector<double>{v});
+  }
+  ASSERT_TRUE(client.Ingest(500, points, &ack, &error)) << error;
+  EXPECT_EQ(ack.accepted, 0u);
+  const std::vector<net::ErrorMsg> errors = client.TakeErrors();
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].message,
+            "worker 1: boundary 500 does not advance the stream");
+  const std::vector<EmissionMsg> emissions = client.TakeEmissions();
+  ASSERT_EQ(emissions.size(), 1u);
+  EXPECT_EQ(emissions[0].boundary, 500);
+  EXPECT_TRUE(emissions[0].degraded);
+
+  const RouterStats stats = tc.router->stats();
+  EXPECT_EQ(stats.worker_failures, 1u);
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_EQ(tc.workers[0]->stats().last_boundary, 500);
 }
 
 }  // namespace

@@ -688,18 +688,18 @@ TEST(NetTest, StaleBoundaryRefusedStreamContinues) {
   const std::vector<Point> points = GenPoints(50, false, /*seed=*/9);
 
   IngestAckMsg ack;
-  ASSERT_TRUE(client.Ingest(100, points, &ack, &error)) << error;
+  ASSERT_TRUE(client.Ingest(50, points, &ack, &error)) << error;
   EXPECT_EQ(ack.accepted, points.size());
 
   // A boundary that does not advance the stream is refused — with a
   // diagnostic, not a dropped connection or a dead server.
-  ASSERT_TRUE(client.Ingest(50, points, &ack, &error)) << error;
+  ASSERT_TRUE(client.Ingest(40, points, &ack, &error)) << error;
   EXPECT_EQ(ack.accepted, 0u);
   const std::vector<ErrorMsg> errors = client.TakeErrors();
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors[0].message.find("does not advance"), std::string::npos);
 
-  ASSERT_TRUE(client.Ingest(200, points, &ack, &error)) << error;
+  ASSERT_TRUE(client.Ingest(100, points, &ack, &error)) << error;
   EXPECT_EQ(ack.accepted, points.size());
   server.Stop();
   EXPECT_EQ(server.stats().ingest_batches, 2u);

@@ -361,50 +361,6 @@ TEST(ProtocolTest, IngestOwnerFlagsRoundTrip) {
   EXPECT_NE(error.find("owner flag count"), std::string::npos);
 }
 
-TEST(ProtocolTest, ShardConfigRoundTrip) {
-  ShardConfigMsg msg;
-  msg.shard_index = 2;
-  msg.num_shards = 4;
-  msg.lo = -125.5;
-  msg.hi = 4000.25;
-  msg.halo = 17.75;
-  ShardConfigMsg out;
-  std::string error;
-  std::string_view payload;
-  const std::string frame = Encode(msg);
-  MsgType type;
-  ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(PeekType(payload, &type, &error)) << error;
-  EXPECT_EQ(type, MsgType::kShardConfig);
-  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
-  EXPECT_EQ(out.shard_index, 2u);
-  EXPECT_EQ(out.num_shards, 4u);
-  EXPECT_EQ(out.lo, -125.5);
-  EXPECT_EQ(out.hi, 4000.25);
-  EXPECT_EQ(out.halo, 17.75);
-
-  // shard_index must address one of num_shards shards.
-  msg.shard_index = 4;
-  const std::string bad = Encode(msg);
-  ASSERT_TRUE(UnwrapFrame(bad, &payload, &error)) << error;
-  EXPECT_FALSE(Decode(payload, &out, &error));
-  EXPECT_NE(error.find("shard index"), std::string::npos);
-}
-
-TEST(ProtocolTest, ShardConfigAckRoundTrip) {
-  ShardConfigAckMsg msg;
-  msg.ok = false;
-  msg.error = "conflicting shard config already declared";
-  ShardConfigAckMsg out;
-  std::string error;
-  std::string_view payload;
-  const std::string frame = Encode(msg);
-  ASSERT_TRUE(UnwrapFrame(frame, &payload, &error)) << error;
-  ASSERT_TRUE(Decode(payload, &out, &error)) << error;
-  EXPECT_FALSE(out.ok);
-  EXPECT_EQ(out.error, "conflicting shard config already declared");
-}
-
 TEST(ProtocolTest, PeekTypeRejectsUnknownWord) {
   BinaryWriter w;
   w.WriteU32(999);
@@ -456,8 +412,7 @@ auto Instances() {
                    200,
                    {MakePoint(150, {1.0, 2.0})},
                    {MakeRecord(0.5, 2, 100, 100, 200, false, {42})}},
-      ReplAckMsg{777, true}, ShardConfigMsg{1, 2, -125.5, 4000.25, 17.75},
-      ShardConfigAckMsg{false, "no"});
+      ReplAckMsg{777, true});
 }
 
 // The frames of Instances() as the per-message v5 encoders wrote them,
@@ -519,12 +474,6 @@ const char* const kGoldenFrames[] = {
     // repl-ack
     "46504f53010000000d0000000000000099122f7d0f0000000903000000000000"
     "01",
-    // shard-config
-    "46504f530100000024000000000000001f673186100000000100000002000000"
-    "0000000000605fc0000000008040af400000000000c03140",
-    // shard-config-ack
-    "46504f53010000000f000000000000009dadcc08110000000002000000000000"
-    "006e6f",
 };
 
 std::string Hex(const std::string& bytes) {
@@ -811,7 +760,7 @@ TEST(ProtocolTest, TruncationAtEveryPrefixIsRejectedOrIncomplete) {
 
 // Randomized corruption fuzz over the whole decode surface: mutate valid
 // frames (bit flips, truncations, splices, pure garbage) and feed them to
-// FrameDecoder + all 17 message decoders. Nothing may crash; genuine mutants
+// FrameDecoder + all 15 message decoders. Nothing may crash; genuine mutants
 // must never round-trip into an accepted frame whose payload then decodes
 // under a different length than it encoded. Time-bounded; seed logged for
 // replay (SOP_FUZZ_SEED pins it, SOP_FUZZ_MS extends the budget).

@@ -360,7 +360,8 @@ struct CraftedTail {
   Seq next_seq = 0;
   int64_t last_boundary = 0;
   std::vector<HistoryBatch> batches;
-  // A session's host may pick any boundary, so only the engine refuses it.
+  // Within the stream rules, so only the engine's batch schedule refuses
+  // it.
   bool engine_only = false;
 };
 
@@ -387,15 +388,21 @@ std::vector<CraftedTail> CraftedTails() {
        {{4, {Point(0, 100, {1.0})}}}},
       {"a time below the previous boundary", time, 2, 8,
        {{4, {Point(0, 1, {1.0})}}, {8, {Point(0, 3, {1.0})}}}},
-      {"more points than the next seq", count, 4, 8,
+      {"more points than the next seq", time, 4, 8,
        {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
       {"a negative next seq", count, -4, 8, {}},
-      {"a batch after the last boundary", count, 8, 4,
+      {"a batch after the last boundary", time, 8, 4,
        {{4, Points(4, 1, 0)}, {8, Points(4, 1, 4)}}},
+      {"a count boundary off the cumulative count", count, 8, 8,
+       {{4, Points(4, 1, 0)}, {8, Points(3, 1, 4)}}},
+      {"a count tail starting below seq 0", count, 4, 4,
+       {{4, Points(6, 1, 0)}}},
+      {"a count tail whose last batch ends short of its next seq", count, 8,
+       8, {{4, Points(4, 1, 0)}}},
+      {"a count-window boundary past the points advanced", count, 8, 100,
+       {{96, Points(4, 1, 0)}, {100, Points(4, 1, 4)}}},
       {"a time-window boundary off the span", time, 2, 6,
        {{6, Points(2, 1, 4)}}, /*engine_only=*/true},
-      {"a count-window boundary past the points advanced", count, 8, 100,
-       {{96, Points(4, 1, 0)}, {100, Points(4, 1, 4)}}, /*engine_only=*/true},
       {"a time-window boundary with no next one", time, 0, INT64_MAX - 3, {},
        /*engine_only=*/true},
   };
@@ -504,13 +511,13 @@ TEST(RecoveryTest, CraftedTailsAreRefusedBySessionState) {
 // the largest one is refused instead of wrapping.
 TEST(RecoveryTest, ATailNearTheLastSeqRefusesABatchThatOverflowsIt) {
   const CraftedTail t{"near the last seq", WindowType::kCount,
-                      INT64_MAX - 2, 8, {}};
+                      INT64_MAX - 2, INT64_MAX - 2, {}};
   SopSession session(t.type, Metric::kEuclidean, kHistoryWindow);
   std::string error;
   ASSERT_TRUE(session.LoadState(SessionStateWith(t), &error)) << error;
-  EXPECT_NE(session.CheckBatch(Points(4, 1, 0), 12).find("overflows"),
+  EXPECT_NE(session.CheckBatch(Points(4, 1, 0), INT64_MAX).find("overflows"),
             std::string::npos);
-  EXPECT_EQ(session.CheckBatch(Points(2, 1, 0), 12), "");
+  EXPECT_EQ(session.CheckBatch(Points(2, 1, 0), INT64_MAX), "");
 }
 
 TEST(RecoveryTest, CraftedTailsAreRefusedByServerCheckpointFiles) {

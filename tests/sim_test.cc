@@ -612,7 +612,7 @@ TEST(SimTest, RoutedMatchesEngineUnderScheduledCuts) {
 // The outage contract, network-death edition: the worker stays up but its
 // port is partitioned and its connections cut, so the router's bounded
 // recovery fails and the stream degrades honestly; after Heal the next
-// fan-out reconnects, and the recovered ack's arrival counter
+// fork-join reconnects, and the recovered ack's arrival counter
 // (IngestAckMsg::next_seq) realigns the shard's local->global sequence
 // map exactly — emissions past the hole match the single-node run,
 // global seqs included. Unlike cluster_test's kill/restart variant, no
@@ -664,6 +664,9 @@ TEST(SimTest, WorkerPartitionDegradesThenRealignsExactly) {
   const int victim_port = workers[1]->port();
   const size_t down_bi = batches.size() / 2;  // routed into the outage
   const int64_t hole_end = batches[down_bi].boundary;
+  // Every window below this boundary reaches back into the hole (max
+  // window 150).
+  const int64_t clean = hole_end + 150;
   std::vector<QueryResult> actual;
   bool saw_degraded_hole = false;
   for (size_t bi = 0; bi < batches.size(); ++bi) {
@@ -680,9 +683,9 @@ TEST(SimTest, WorkerPartitionDegradesThenRealignsExactly) {
         client.Ingest(batches[bi].boundary, batches[bi].points, &ack, &error))
         << "batch " << bi << ": " << error;
     EXPECT_EQ(ack.accepted, batches[bi].points.size()) << "batch " << bi;
-    if (bi == down_bi) {
-      EXPECT_TRUE(router.stats().degraded);
-    }
+    EXPECT_EQ(router.stats().degraded,
+              batches[bi].boundary >= hole_end && batches[bi].boundary < clean)
+        << "batch " << bi;
     for (const net::EmissionMsg& e : client.TakeEmissions()) {
       ASSERT_TRUE(index_of.count(e.query_id) != 0);
       if (e.boundary == hole_end) {
@@ -690,9 +693,9 @@ TEST(SimTest, WorkerPartitionDegradesThenRealignsExactly) {
         saw_degraded_hole = true;
         continue;
       }
-      if (e.boundary < hole_end) {
-        EXPECT_FALSE(e.degraded) << "@" << e.boundary;
-      }
+      // The windows between the hole and `clean` miss the victim's points.
+      EXPECT_EQ(e.degraded, e.boundary > hole_end && e.boundary < clean)
+          << "@" << e.boundary;
       QueryResult r;
       r.query_index = index_of[e.query_id];
       r.boundary = e.boundary;
@@ -703,9 +706,8 @@ TEST(SimTest, WorkerPartitionDegradesThenRealignsExactly) {
   EXPECT_TRUE(saw_degraded_hole);
 
   // Exact before the outage, and exact again once every window clears the
-  // hole (max window 150); in between the victim's window is genuinely
-  // incomplete and is not compared.
-  const int64_t clean = hole_end + 150;
+  // hole; in between the victim's window is genuinely incomplete and is
+  // not compared.
   const auto slice = [](const std::vector<QueryResult>& in, int64_t lo,
                         int64_t hi) {
     std::vector<QueryResult> out;

@@ -73,7 +73,7 @@ TEST(StreamTailTest, RefusesATimeAtOrPastTheBoundary) {
             std::string::npos);
   EXPECT_EQ(tail.Check({Point(0, 9, {1.0})}, 10), "");
   // Count windows number points by arrival; their times are free.
-  EXPECT_EQ(StreamTail(WindowType::kCount).Check({Point(0, 50, {1.0})}, 10),
+  EXPECT_EQ(StreamTail(WindowType::kCount).Check({Point(0, 50, {1.0})}, 1),
             "");
 
   BinaryWriter w;
@@ -86,6 +86,34 @@ TEST(StreamTailTest, RefusesATimeAtOrPastTheBoundary) {
   BinaryReader r(w.bytes());
   EXPECT_NE(tail.Read(&r).find("past"), std::string::npos);
   EXPECT_EQ(tail.next_seq(), 0);  // untouched
+}
+
+// A count window's key is the seq, so a count boundary is the cumulative
+// count: Check refuses any other. A count tail restores its seqs from its
+// boundaries (recovery_test's crafted tails hold Read's refusals).
+TEST(StreamTailTest, RefusesACountBoundaryOffTheCumulativeCount) {
+  auto points = [](int n) {
+    return std::vector<Point>(static_cast<size_t>(n), Point(0, 0, {1.0}));
+  };
+  StreamTail tail(WindowType::kCount);
+  EXPECT_EQ(tail.Check(points(50), 100),
+            "count boundary 100 is not the cumulative count 50");
+  for (const int64_t boundary : {50, 100}) {
+    std::vector<Point> batch = points(50);
+    tail.Push(&batch, boundary, /*reach=*/50);
+  }
+  EXPECT_EQ(tail.Check(points(50), 200),
+            "count boundary 200 is not the cumulative count 150");
+  EXPECT_EQ(tail.Check(points(50), 150), "");
+
+  BinaryWriter w;
+  tail.Write(&w);
+  BinaryReader r(w.bytes());
+  StreamTail restored(WindowType::kCount);
+  ASSERT_EQ(restored.Read(&r), "");
+  ASSERT_EQ(restored.batches().size(), 1u);
+  EXPECT_EQ(restored.batches().front().points.front().seq, 50);
+  EXPECT_EQ(restored.Check(points(50), 150), "");
 }
 
 TEST(StreamBufferTest, AppendAndAccess) {

@@ -3,19 +3,21 @@
 //
 // Usage:
 //   sop_client --port P [--host H] --subscribe R,K,WIN,SLIDE [...]
-//              --data points.csv [--batch B | --span S] [--max-print N]
+//              --data points.csv [--max-print N]
 //              [--churn-every N] [--reconnect HOST:PORT[,...]]
 //              [--resume-state PATH]
 //   sop_client --port P [--host H] --ping
 //
 // The client subscribes every --subscribe query (repeatable; parameters
 // match one workload spec line), then slices the CSV stream into ingest
-// batches the same way ExecutionEngine slices its input: count windows cut
-// every B points with the cumulative point count as the boundary; time
-// windows cut at multiples of S (default: the gcd of the subscribed
-// slides), advancing through empty spans. Each batch's emissions are
-// printed as they arrive — the server delivers them ahead of the batch's
-// ack, so output is in stream order.
+// batches the way ExecutionEngine slices its input, at the multiples of
+// the gcd of the subscribed slides: a query emits only at a multiple of
+// its slide, so a batch that passed one would skip that emission. Count
+// windows send the cumulative point count as the boundary and go on from
+// the server's position, so the first batch may be short and the last is
+// whatever is left; time windows advance through empty spans. Each
+// batch's emissions are printed as they arrive — the server delivers them
+// ahead of the batch's ack, so output is in stream order.
 //
 // --churn-every N exercises the server's incremental workload path: after
 // every N ingested batches one subscription (round-robin) is dropped and
@@ -149,8 +151,6 @@ int main(int argc, char** argv) {
   int port = 0;
   std::string data_path;
   std::vector<OutlierQuery> queries;
-  int64_t batch = 128;
-  int64_t span = 0;
   int64_t max_print = 20;
   int64_t churn_every = 0;
   bool want_ping = false;
@@ -185,10 +185,6 @@ int main(int argc, char** argv) {
                queries.push_back(query);
                return true;
              });
-  flags.I64("--batch", &batch, "B", "points per ingest batch (count windows)",
-            1);
-  flags.I64("--span", &span, "S",
-            "boundary span for time windows (default: slide gcd)", 1);
   flags.I64("--max-print", &max_print, "N", "emission print cap", 0);
   flags.I64("--churn-every", &churn_every, "N",
             "drop + re-subscribe one query every N batches", 1);
@@ -367,32 +363,28 @@ int main(int argc, char** argv) {
     return true;
   };
 
+  int64_t span = 0;  // the subscribed slides' gcd
+  for (const OutlierQuery& query : queries) span = std::gcd(span, query.slide);
   bool ok = true;
   if (count_windows) {
-    // Count windows: cut every --batch points, boundary = cumulative count
-    // (the same slicing ExecutionEngine uses with batch_span = SlideGcd),
-    // offset by the server's stream position (boundaries are global).
+    // Count windows: boundary = cumulative count, cut at each multiple of
+    // the span past the server's stream position (boundaries are global).
     int64_t shipped = client.server_info().last_boundary == INT64_MIN
                           ? 0
                           : client.server_info().last_boundary;
-    for (size_t start = 0; ok && start < points.size();
-         start += static_cast<size_t>(batch)) {
-      const size_t end =
-          std::min(points.size(), start + static_cast<size_t>(batch));
+    for (size_t start = 0; ok && start < points.size();) {
+      const int64_t next = (shipped / span + 1) * span;
+      const size_t end = std::min(
+          points.size(), start + static_cast<size_t>(next - shipped));
       shipped += static_cast<int64_t>(end - start);
       ok = ship(std::vector<Point>(points.begin() + start,
                                    points.begin() + end),
                 shipped);
+      start = end;
     }
   } else {
-    // Time windows: cut at multiples of --span (default: subscribed slide
-    // gcd), advancing through empty spans, exactly like the engine.
-    if (span == 0) {
-      span = 0;
-      for (const OutlierQuery& query : queries) {
-        span = span == 0 ? query.slide : std::gcd(span, query.slide);
-      }
-    }
+    // Time windows: cut at multiples of the span, advancing through empty
+    // spans, exactly like the engine.
     int64_t boundary = FirstBoundaryAtOrAfter(points.front().time + 1, span);
     std::vector<Point> chunk;
     for (size_t i = 0; ok && i < points.size(); ++i) {

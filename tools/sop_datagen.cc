@@ -14,9 +14,12 @@
 // `--connect` speaks the sop wire protocol (net/client.h) and pushes each
 // chunk as one ingest batch, deriving boundaries from the server's window
 // type (cumulative point count, or point time; a time-window chunk runs on
-// through the points that share its last time). `--rate P` paces either
-// mode to P points/second against absolute deadlines, so jitter does not
-// accumulate; 0 (default) streams at full speed.
+// through the points that share its last time). The stream is shared, so
+// `--connect` goes on from the server's position: count boundaries from
+// its count, and time-window points shifted to start at its last
+// boundary. `--rate P` paces either mode to P points/second against
+// absolute deadlines, so jitter does not accumulate; 0 (default) streams
+// at full speed.
 
 #include <chrono>
 #include <cstdint>
@@ -25,6 +28,7 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "flags.h"
@@ -87,7 +91,7 @@ int StreamToStdout(const std::vector<sop::Point>& points, size_t batch,
 }
 
 // Streams `points` to a sop server as ingest batches under `throttle`.
-int StreamToServer(const std::vector<sop::Point>& points,
+int StreamToServer(std::vector<sop::Point> points,
                    const std::string& host, int port, size_t batch,
                    const Throttle& throttle) {
   using namespace sop;
@@ -104,6 +108,11 @@ int StreamToServer(const std::vector<sop::Point>& points,
   const int64_t base = client.server_info().last_boundary == INT64_MIN
                            ? 0
                            : client.server_info().last_boundary;
+  if (!count_windows && !points.empty() && points.front().time < base) {
+    // A time-window server refuses a point below its last boundary.
+    const Timestamp shift = base - points.front().time;
+    for (Point& p : points) p.time += shift;
+  }
   int64_t emitted = 0;
   int64_t boundary = base;
   uint64_t batches = 0;
@@ -228,7 +237,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--connect expects HOST:PORT\n");
         return 2;
       }
-      return StreamToServer(points, host, port, batch, throttle);
+      return StreamToServer(std::move(points), host, port, batch, throttle);
     }
     if (out_path == "-") {
       return StreamToStdout(points, batch, throttle);

@@ -5,8 +5,8 @@
 //              [--host H] [--port P] [--detector NAME]
 //              [--window-type count|time] [--metric euclidean|manhattan]
 //              [--domain LO:HI | --cuts C[,C...]] [--halo auto|WIDTH]
-//              [--worker-queue N] [--send-queue N] [--ingest-queue N]
-//              [--seq-retention N] [--metrics] [--metrics-out FILE]
+//              [--send-queue N] [--ingest-queue N]
+//              [--metrics] [--metrics-out FILE]
 //
 // The scale-out plane (DESIGN.md Sec. 17): points are spatially sharded
 // over the first attribute, each worker sees its region plus a halo of
@@ -16,6 +16,14 @@
 // serving TIME windows with the same detector and metric (the router
 // translates count deployments itself), ideally with --checkpoint and
 // --checkpoint-every 1 so a restarted worker rejoins exactly-once.
+//
+// Each operation (a batch, a subscribe, an unsubscribe) runs on every
+// worker at once, and the next one starts when all of them are done. The
+// router refuses what a single server refuses; in count windows a batch's
+// boundary must be the cumulative point count. A worker that refuses its
+// share fails the client's ack (accepted 0) with that worker's diagnostic,
+// and the emissions whose windows reach back to the batch are flagged
+// degraded.
 //
 // The shard regions come from --cuts (explicit interior cut points, one
 // fewer than workers) or --domain LO:HI (split uniformly); outer shards
@@ -76,7 +84,10 @@ int main(int argc, char** argv) {
       "wire protocol. Workers must serve TIME windows with the router's\n"
       "detector and metric (count deployments are translated here), and\n"
       "should checkpoint every batch so restarts rejoin exactly-once.\n"
-      "Runs until SIGINT/SIGTERM; prints the bound port on stdout.");
+      "In count windows a batch's boundary must be the cumulative point\n"
+      "count. A worker that refuses its share fails the ack (accepted 0)\n"
+      "with its diagnostic. Runs until SIGINT/SIGTERM; prints the bound\n"
+      "port on stdout.");
   flags.Str("--host", &options.host, "H", "bind address");
   flags.Int("--port", &options.port, "P", "bind port (0 = ephemeral)", 0);
   flags.Flag("--workers", "HOST:PORT[,...]",
@@ -177,16 +188,10 @@ int main(int argc, char** argv) {
                options.halo = w;
                return true;
              });
-  flags.Size("--worker-queue", &options.max_worker_queue, "N",
-             "per-worker job queue cap");
   flags.Size("--send-queue", &options.max_send_queue, "N",
              "per-subscriber send queue cap");
   flags.Size("--ingest-queue", &options.max_ingest_queue, "N",
              "client op queue cap");
-  flags.I64("--seq-retention", &options.seq_retention, "N",
-            "sequence-map retention in window-key units "
-            "(0 = size from the largest subscribed window)",
-            0);
   flags.Bool("--metrics", &want_metrics,
              "enable observability; dump the counter registry on shutdown");
   flags.Str("--metrics-out", &metrics_out, "PATH",

@@ -16,7 +16,11 @@
 //
 // Hosts one shared SopSession behind the sop wire protocol (DESIGN.md
 // Sec. 13): clients ingest point batches, subscribe/unsubscribe outlier
-// queries live, and receive per-query emissions. Runs until SIGINT or
+// queries live, and receive per-query emissions. Each batch must advance
+// the stream's boundary; in count windows the boundary is the cumulative
+// point count, and in time windows every point lies at or above the
+// previous boundary and below its own. A batch that breaks a rule is
+// refused with a diagnostic and an ack of 0 points. Runs until SIGINT or
 // SIGTERM, then shuts down cleanly: stops accepting, drains the detection
 // loop and every send queue, flushes replication, writes a final
 // checkpoint when --checkpoint is set (a restarted server resumes from
@@ -66,8 +70,10 @@ int main(int argc, char** argv) {
   cli::FlagSet flags(
       "Serve shared outlier detection over TCP (DESIGN.md Sec. 13): clients\n"
       "ingest point batches, subscribe/unsubscribe queries live, and receive\n"
-      "per-query emissions. Runs until SIGINT/SIGTERM; prints the bound port\n"
-      "on stdout (--port 0 picks an ephemeral one).");
+      "per-query emissions. In count windows a batch's boundary must be the\n"
+      "cumulative point count; in time windows its points lie at or above\n"
+      "the previous boundary and below its own. Runs until SIGINT/SIGTERM;\n"
+      "prints the bound port on stdout (--port 0 picks an ephemeral one).");
   flags.Str("--host", &options.host, "H", "bind address");
   flags.Int("--port", &options.port, "P", "bind port (0 = ephemeral)", 0);
   flags.Flag("--detector", "NAME", "detector hosting the shared session",
@@ -262,9 +268,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(stats.checkpoint_fallbacks),
                  stats.resumed ? "resumed from a checkpoint" : "started fresh");
   }
-  if (stats.sharded) {
-    std::fprintf(stderr, "shard %u of %u, %llu halo points\n",
-                 stats.shard_index, stats.num_shards,
+  if (stats.halo_points > 0) {
+    std::fprintf(stderr, "%llu halo points\n",
                  static_cast<unsigned long long>(stats.halo_points));
   }
   if (options.standby || !options.replicate_host.empty()) {
